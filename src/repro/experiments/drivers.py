@@ -1071,10 +1071,15 @@ def run_forward_sweep(spec: ExperimentSpec) -> DriverResult:
 
 @driver("swe-hotpath")
 def run_swe_hotpath(spec: ExperimentSpec) -> DriverResult:
-    """Per-sample SWE forward solve: ensemble batch path vs the scalar loop.
+    """Per-sample SWE forward solve: one ``B``-member ensemble vs ``B`` one-member solves.
 
-    The registry-level smoke equivalent of ``benchmarks/bench_swe_hotpath.py``
-    (which remains the authoritative JSON performance trajectory).
+    Both sides run the same fused time loop (a scalar ``observe`` is its
+    ``B = 1`` case), so the ratio is what batching amortises — per-step
+    interpreter dispatch — and ``max_abs_observation_diff`` checks batch-size
+    invariance, not kernel correctness (``tests/test_swe_solver.py`` pins the
+    loop against the generic kernels).  The registry-level smoke equivalent
+    of ``benchmarks/bench_swe_hotpath.py`` (which remains the authoritative
+    JSON performance trajectory).
     """
     factory = _spec_factory(spec)
     scenario = factory.scenario
@@ -1086,8 +1091,8 @@ def run_swe_hotpath(spec: ExperimentSpec) -> DriverResult:
     if thetas.shape[0] == 0:
         raise RuntimeError("no physical sources drawn; widen the draw distribution")
 
-    # Warm both paths: the plan build for the scalar loop, the workspace
-    # allocation for the ensemble solve — neither belongs in the timings.
+    # Warm both batch sizes: the plan build and each size's workspace
+    # allocation — neither belongs in the timings.
     scenario.observe(level, thetas[0])
     scenario.observe_batch(level, thetas)
 

@@ -436,7 +436,7 @@ register(ExperimentSpec(
     driver="swe-hotpath",
     application="tsunami",
     paper_ref="—",
-    description="Per-sample SWE solve: ensemble-native batch path vs scalar loop",
+    description="Per-sample SWE solve: one B-member ensemble vs B one-member solves",
     problem={"preset": "scaled"},
     sampler={"level": 1, "batch_size": 8},
     seed=7,

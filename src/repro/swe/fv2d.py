@@ -20,15 +20,21 @@ coastlines — is played here by the solver being robust-FV everywhere; the
 1-D ADER-DG module (:mod:`repro.swe.dg1d`) demonstrates the limiter machinery
 itself.
 
-The flux, source and update kernels index the grid through the *last two*
-axes, so they operate unchanged on single states of shape ``(nx, ny)`` and on
-ensembles with a leading batch axis, shape ``(B, nx, ny)``.
-:meth:`ShallowWaterSolver2D.run_ensemble` exploits this to advance a whole
-parameter ensemble as one array program; by default every member integrates
-with its *own* CFL time step (a per-member ``dt`` column broadcast into the
-update), which keeps the ensemble results elementwise identical to running
-each member through :meth:`ShallowWaterSolver2D.run` — the property the batch
-evaluation backends rely on.
+The generic flux, source and update kernels (:meth:`ShallowWaterSolver2D.step`)
+index the grid through the *last two* axes, so they operate unchanged on
+single states of shape ``(nx, ny)`` and on ensembles with a leading batch
+axis, shape ``(B, nx, ny)``.  There is one time loop:
+:meth:`ShallowWaterSolver2D.run_ensemble` advances a whole parameter ensemble
+as one array program and :meth:`ShallowWaterSolver2D.run` is its one-member
+case.  By default every member integrates with its *own* CFL time step (a
+per-member ``dt`` column broadcast into the update), so a member's result
+does not depend on its block — the property the batch evaluation backends
+rely on.  Whenever the input allows, the loop steps through fused,
+buffer-reusing kernels bound once per run (:meth:`ShallowWaterSolver2D._fused_plan`)
+that are bitwise identical to the generic ones; the generic kernels remain
+the fallback (HLL flux, hand-built states) and the reference the tests
+compare against.  The fused workspace belongs to the solver instance, which
+is therefore not safe to share across threads.
 """
 
 from __future__ import annotations
@@ -49,6 +55,15 @@ from repro.swe.state import (
 from repro.utils.array_api import array_namespace, resolve_backend, resolve_dtype
 
 __all__ = ["ShallowWaterSolver2D", "SimulationResult", "EnsembleSimulationResult"]
+
+#: Blocks of fewer cells than this (``B * nx * ny``) step lane-stacked (see
+#: :meth:`ShallowWaterSolver2D._fused_plan`).  Stacking halves the flux-stage
+#: call count but adds transposed copies and strided reads, so it pays only
+#: while a step is dispatch-bound.  Measured per-member time, stacked over
+#: two-sweep, n = 16..64 and B = 1..32 (table in docs/architecture.md):
+#: 0.81-0.89 at B = 1, 0.89-0.97 at 4096-4608 cells, 0.98-1.03 at 8192,
+#: 1.02-1.07 at 9216 and up to 1.15 beyond — the crossover is ~8000 cells.
+LANE_STACKING_MAX_CELLS = 8_000
 
 
 @dataclass
@@ -138,14 +153,12 @@ class EnsembleSimulationResult:
     def member(self, index: int) -> SimulationResult:
         """Member ``index`` repackaged as a scalar :class:`SimulationResult`."""
         valid = int(self.num_timesteps[index]) + 1
-        records = []
-        for g, gauge in enumerate(self.gauges):
-            record = GaugeRecord(gauge=gauge)
-            for t, v in zip(
-                self.gauge_times[index, :valid], self.gauge_values[index, :valid, g]
-            ):
-                record.append(t, v)
-            records.append(record)
+        records = [
+            GaugeRecord.from_arrays(
+                gauge, self.gauge_times[index, :valid], self.gauge_values[index, :valid, g]
+            )
+            for g, gauge in enumerate(self.gauges)
+        ]
         max_eta = (
             self.max_eta_field[index].copy()
             if self.max_eta_field.size
@@ -439,74 +452,17 @@ class ShallowWaterSolver2D:
     ) -> SimulationResult:
         """Run the simulation to ``end_time`` recording gauges every step.
 
-        ``gauge_cells`` optionally supplies precomputed gauge cell indices
-        (one ``(i, j)`` pair per gauge, e.g. from a cached
+        The one-member case of :meth:`run_ensemble`: the state is stacked
+        (copied) into a ``B = 1`` ensemble and advanced by the same time loop
+        and kernels.  ``gauge_cells`` optionally supplies precomputed gauge
+        cell indices (one ``(i, j)`` pair per gauge, e.g. from a cached
         :class:`repro.swe.scenario.ScenarioPlan`), skipping the per-run
         :meth:`locate_cell` lookups.
         """
-        state = initial_state.copy()
-        gauges = gauges or []
-        records = [GaugeRecord(gauge=g) for g in gauges]
-        if gauge_cells is None:
-            gauge_cells = [self.locate_cell(g.x, g.y) for g in gauges]
-        elif len(gauge_cells) != len(gauges):
-            raise ValueError("gauge_cells must supply one (i, j) pair per gauge")
-        xp = self._xp
-        gauge_i = np.array([i for i, _ in gauge_cells], dtype=int)
-        gauge_j = np.array([j for _, j in gauge_cells], dtype=int)
-        reference_eta = xp.where(
-            state.h[gauge_i, gauge_j] > self.dry_tolerance,
-            state.free_surface[gauge_i, gauge_j],
-            0.0,
-        )
-
-        max_eta = xp.zeros_like(state.h) if record_max_eta else np.zeros((0, 0))
-        time = 0.0
-        steps = 0
-        self._record_gauges(state, time, records, gauge_i, gauge_j, reference_eta)
-        while time < end_time and steps < max_steps:
-            dt = min(self.stable_timestep(state), end_time - time)
-            if dt <= 0.0:
-                break
-            self.step(state, dt)
-            time += dt
-            steps += 1
-            self._record_gauges(state, time, records, gauge_i, gauge_j, reference_eta)
-            if record_max_eta:
-                wet = state.h > self.dry_tolerance
-                anomaly = xp.where(wet, state.free_surface, 0.0)
-                xp.maximum(max_eta, anomaly, out=max_eta)
-
-        dof_updates = steps * self.nx * self.ny * 4  # 4 conserved variables
-        return SimulationResult(
-            state=state,
-            gauge_records=records,
-            num_timesteps=steps,
-            simulated_time=time,
-            dof_updates=dof_updates,
-            max_eta_field=max_eta,
-        )
-
-    def _record_gauges(
-        self,
-        state: ShallowWaterState,
-        time: float,
-        records: list[GaugeRecord],
-        gauge_i: np.ndarray,
-        gauge_j: np.ndarray,
-        reference_eta: np.ndarray,
-    ) -> None:
-        if not records:
-            return
-        # One fancy-indexed read per field instead of per-gauge scalar lookups
-        # (this runs every timestep).
-        anomalies = self._xp.where(
-            state.h[gauge_i, gauge_j] > self.dry_tolerance,
-            state.free_surface[gauge_i, gauge_j] - reference_eta,
-            0.0,
-        )
-        for record, anomaly in zip(records, anomalies):
-            record.append(time, anomaly)
+        ensemble = ShallowWaterEnsembleState.from_states([initial_state])
+        return self._integrate(
+            ensemble, end_time, gauges, max_steps, record_max_eta, gauge_cells
+        ).member(0)
 
     # ------------------------------------------------------------------
     # ensemble (batched) solve path
@@ -551,18 +507,18 @@ class ShallowWaterSolver2D:
         return self._interface_bathymetry
 
     def release_ensemble_buffers(self) -> None:
-        """Free the fused-step workspace (it regrows on the next ensemble solve).
+        """Free the fused-step workspace (it regrows on the next solve).
 
         One buffer set sized for the largest batch seen stays alive between
         solves (that reuse is the point of the workspace); long-lived solvers
-        that are done with batched work can drop it explicitly.
+        that are done with forward work can drop it explicitly.
         """
         self._ensemble_workspace = {}
 
     def _buf(self, ws: dict[str, np.ndarray], name: str, shape: tuple[int, ...], dtype) -> np.ndarray:
-        """A preallocated buffer of the given shape and dtype, reused across steps.
+        """A preallocated buffer of the given shape and dtype, reused across runs.
 
-        Buffers are keyed by name and sized for the largest leading (batch)
+        Buffers are keyed by name and sized for the largest leading (lane)
         dimension seen; smaller requests return a contiguous leading-axis
         view.  Callers like ``Posterior.log_density_batch`` forward only the
         physical rows of each block, so consecutive ensemble solves arrive
@@ -582,258 +538,275 @@ class ShallowWaterSolver2D:
             return array[: shape[0]]
         return array
 
-    def _fused_interface_fluxes(
-        self,
-        ws: dict[str, np.ndarray],
-        tag: str,
-        eta: np.ndarray,
-        un: np.ndarray,
-        ut: np.ndarray,
-        b_star: np.ndarray,
-        axis: int,
-    ) -> tuple[np.ndarray, ...]:
-        """Hydrostatic reconstruction + Rusanov flux, into reused buffers.
+    def _fused_eligible(self, state: ShallowWaterEnsembleState) -> bool:
+        """Whether the fused kernels reproduce the generic ones on ``state``.
 
-        Performs the same elementwise operation sequence as
-        :meth:`_reconstructed_flux` + :func:`repro.swe.riemann.rusanov_flux`
-        (so the results are bitwise identical), but with every repeated
-        subexpression computed once — cell velocities and free surface arrive
-        precomputed — and every intermediate written into a preallocated
-        *contiguous* buffer instead of a fresh temporary: the ghost extension
-        and l/r interface shifts are materialised as copies because strided
-        views and broadcasts cost several times a contiguous SIMD pass.
-
-        All array operations go through the state's namespace and dtype: a
-        float32 ensemble runs the identical operation sequence in single
-        precision, which halves the memory traffic of this (bandwidth-bound)
-        pipeline.
+        The fused step covers the (default) Rusanov flux.  Its branch-free
+        dry handling relies on (i) a dry tolerance below the 1.0 of the
+        ``maximum(h, dry_indicator)`` identity, (ii) the state sharing the
+        solver's tolerance (``enforce_positivity`` must zero the same cells
+        the kernels treat as dry) and (iii) dry cells carrying exactly zero
+        momenta at entry — every constructor maintains this, but hand-built
+        states may not.  Anything else goes through the generic
+        axis-agnostic kernels, which are correct for any input.
         """
-        g = self.gravity
-        xp = self._xp
-        dtype = eta.dtype
-        batch = eta.shape[0]
+        if not (
+            self._flux is rusanov_flux
+            and 0.0 < self.dry_tolerance < 1.0
+            and state.dry_tolerance == self.dry_tolerance
+        ):
+            return False
+        dry = state.h <= self.dry_tolerance
+        return not (bool(self._xp.any(state.hu[dry])) or bool(self._xp.any(state.hv[dry])))
+
+    def _fused_sweep(self, buf, tag, eta, un, ut, b_star_parts, axis, spacing):
+        """Bind one direction's fused flux + divergence pass over ``eta/un/ut``.
+
+        Returns ``(sweep, div_h, div_hn, div_ht)``: calling ``sweep()`` reads
+        the cell primitives (free surface, normal and transverse velocity,
+        ``L`` lanes) and leaves ``-(ΔF)/spacing`` (+ the well-balanced source
+        on the normal momentum) in the three cell-shaped ``div_*`` buffers.
+        Every buffer, view and slice is resolved here, once per run, so a
+        step is nothing but ufunc calls on bound arrays.
+
+        The pass performs the same elementwise operation sequence as
+        :meth:`_reconstructed_flux` + :func:`repro.swe.riemann.rusanov_flux`
+        + the divergence in :meth:`step` (so the results are bitwise
+        identical), but with every repeated subexpression computed once —
+        cell velocities and free surface arrive precomputed — and every
+        intermediate written into a preallocated *contiguous* buffer instead
+        of a fresh temporary: the ghost extension and l/r interface shifts
+        are materialised as copies because strided views and broadcasts cost
+        several times a contiguous SIMD pass.  All operations go through the
+        state's namespace and dtype, so a float32 run halves the memory
+        traffic of this (bandwidth-bound at size) pipeline.
+
+        ``b_star_parts`` holds the static interface bathymetry of each equal
+        group of lanes (one entry, or two under lane stacking).
+        """
+        g, xp = self.gravity, self._xp
+        lanes, nx, ny = eta.shape
+        iface = (nx + 1, ny) if axis == -2 else (nx, ny + 1)
         if axis == -2:
-            shape = (eta.shape[0], eta.shape[1] + 1, eta.shape[2])
+            first, last = np.s_[:, 0, :], np.s_[:, -1, :]
+            lo, hi = np.s_[:, :-1, :], np.s_[:, 1:, :]
         else:
-            shape = (eta.shape[0], eta.shape[1], eta.shape[2] + 1)
-        # Left and right interface states are stacked along the batch axis
-        # (shape (2B, ...)): the whole per-side pipeline then runs as single
+            first, last = np.s_[:, :, 0], np.s_[:, :, -1]
+            lo, hi = np.s_[:, :, :-1], np.s_[:, :, 1:]
+
+        # Left and right interface states are stacked along the lane axis
+        # (shape (2L, ...)): the whole per-side pipeline then runs as single
         # full-width ufunc calls, halving the dispatch count.
-        stacked = (2 * shape[0],) + shape[1:]
+        def both(name):
+            return buf(f"{tag}:{name}", 2 * lanes, *iface)
 
-        def buf(name: str) -> np.ndarray:
-            return self._buf(ws, f"{tag}:{name}", stacked, dtype)
+        def one(name):
+            return buf(f"{tag}:{name}", lanes, *iface)
 
-        def half(name: str) -> np.ndarray:
-            return self._buf(ws, f"{tag}:{name}", shape, dtype)
-
-        flux_h, flux_hn, flux_ht = half("flux_h"), half("flux_hn"), half("flux_ht")
-        eta_lr, un_lr, ut_lr = buf("eta_lr"), buf("un_lr"), buf("ut_lr")
-        h_star = buf("h_star")
-        hn, ht = buf("hn"), buf("ht")
-        u, c, p = buf("u"), buf("c"), buf("p")
-        f1, f2 = buf("f1"), buf("f2")
-        mask, work_lr = buf("mask"), buf("work_lr")
-        smax, work = half("smax"), half("work")
+        eta_lr, un_lr, ut_lr, h_star = both("eta_lr"), both("un_lr"), both("ut_lr"), both("h_star")
+        hn, ht, u, c, p = both("hn"), both("ht"), both("u"), both("c"), both("p")
+        f1, f2, mask, work_lr = both("f1"), both("f2"), both("mask"), both("work_lr")
+        smax, work = one("smax"), one("work")
+        # Lane-replicated contiguous interface bathymetry, filled once per
+        # run (a 2-D broadcast inside the hot loop costs ~3x a contiguous pass).
+        b_star = both("b_star")
+        groups = b_star.reshape(2, len(b_star_parts), -1, *iface)
+        for k, part in enumerate(b_star_parts):
+            groups[:, k] = part
 
         # Left/right interface traces with zero-gradient ghost cells.
+        traces = []
         for src, dest in ((eta, eta_lr), (un, un_lr), (ut, ut_lr)):
-            left, right = dest[:batch], dest[batch:]
-            if axis == -2:
-                left[:, 0, :] = src[:, 0, :]
-                left[:, 1:, :] = src
-                right[:, :-1, :] = src
-                right[:, -1, :] = src[:, -1, :]
-            else:
-                left[..., 0] = src[..., 0]
-                left[..., 1:] = src
-                right[..., :-1] = src
-                right[..., -1] = src[..., -1]
+            left, right = dest[:lanes], dest[lanes:]
+            traces += [
+                (left[first], src[first]), (left[hi], src),
+                (right[lo], src), (right[last], src[last]),
+            ]
+        # (f, q, l/r halves, flux buffer) per conserved component; the mass
+        # flux is the reconstructed normal momentum itself.
+        components = [
+            (f[:lanes], f[lanes:], q[:lanes], q[lanes:], one(name))
+            for f, q, name in ((hn, h_star, "flux_h"), (f1, hn, "flux_hn"), (f2, ht, "flux_ht"))
+        ]
+        cell = (lanes, nx, ny)
+        div_h, div_hn, div_ht = (buf(f"{tag}:div_{k}", *cell) for k in ("h", "hn", "ht"))
+        divergences = [
+            (flux[hi], flux[lo], div)
+            for (*_, flux), div in zip(components, (div_h, div_hn, div_ht))
+        ]
+        src, sq = buf(f"{tag}:src", *cell), buf(f"{tag}:sq", *cell)
+        star_l_hi, star_r_lo = h_star[:lanes][hi], h_star[lanes:][lo]
+        abs_l, abs_r = work_lr[:lanes], work_lr[lanes:]
+        half_g = 0.5 * g
 
-        # Hydrostatically reconstructed interface depths and momenta.
-        xp.subtract(eta_lr, b_star, out=h_star)
-        xp.maximum(h_star, 0.0, out=h_star)
-        xp.multiply(h_star, un_lr, out=hn)
-        xp.multiply(h_star, ut_lr, out=ht)
+        def sweep() -> None:
+            for dest, source in traces:
+                dest[...] = source
 
-        # Branch-free dry handling (`where=`-masked ufunc loops are scalar
-        # and several times slower than full SIMD passes): with tol < 1,
-        # where(wet, h, 1) == maximum(h, dry_indicator) and the dry lanes of
-        # the velocity are zeroed by multiplying with the wet indicator —
-        # x * 1.0 == x exactly, so wet lanes are untouched and the dry-lane
-        # where() branches of the reference kernels (u = 0, f1 = p, f2 = 0)
-        # fall out of the arithmetic: hn * (+-0) + p == p and |+-0| == 0.
-        xp.less_equal(h_star, DRY_TOLERANCE, out=mask)  # 1.0 on dry lanes
-        xp.maximum(h_star, mask, out=work_lr)  # where(wet, h, 1)
-        xp.divide(hn, work_lr, out=u)
-        xp.subtract(1.0, mask, out=mask)  # 1.0 on wet lanes
-        xp.multiply(u, mask, out=u)  # where(wet, hn / h, +-0)
-        # celerity sqrt(g * max(h, 0)) — h* is already clipped.
-        xp.multiply(h_star, g, out=c)
-        xp.sqrt(c, out=c)
-        # physical fluxes (the flux_h component is hn itself).
-        xp.multiply(h_star, 0.5 * g, out=p)
-        xp.multiply(p, h_star, out=p)
-        xp.multiply(hn, u, out=f1)
-        xp.add(f1, p, out=f1)
-        xp.multiply(ht, u, out=f2)
+            # Hydrostatically reconstructed interface depths and momenta.
+            xp.subtract(eta_lr, b_star, out=h_star)
+            xp.maximum(h_star, 0.0, out=h_star)
+            xp.multiply(h_star, un_lr, out=hn)
+            xp.multiply(h_star, ut_lr, out=ht)
 
-        # Rusanov dissipation speed max(|u_l| + c_l, |u_r| + c_r).
-        xp.abs(u, out=work_lr)
-        xp.add(work_lr, c, out=work_lr)
-        xp.maximum(work_lr[:batch], work_lr[batch:], out=smax)
-        xp.multiply(smax, 0.5, out=smax)
+            # Branch-free dry handling (`where=`-masked ufunc loops are scalar
+            # and several times slower than full SIMD passes): with tol < 1,
+            # where(wet, h, 1) == maximum(h, dry_indicator) and the dry lanes of
+            # the velocity are zeroed by multiplying with the wet indicator —
+            # x * 1.0 == x exactly, so wet lanes are untouched and the dry-lane
+            # where() branches of the reference kernels (u = 0, f1 = p, f2 = 0)
+            # fall out of the arithmetic: hn * (+-0) + p == p and |+-0| == 0.
+            xp.less_equal(h_star, DRY_TOLERANCE, out=mask)  # 1.0 on dry lanes
+            xp.maximum(h_star, mask, out=work_lr)  # where(wet, h, 1)
+            xp.divide(hn, work_lr, out=u)
+            xp.subtract(1.0, mask, out=mask)  # 1.0 on wet lanes
+            xp.multiply(u, mask, out=u)  # where(wet, hn / h, +-0)
+            # celerity sqrt(g * max(h, 0)) — h* is already clipped.
+            xp.multiply(h_star, g, out=c)
+            xp.sqrt(c, out=c)
+            # physical fluxes (the flux_h component is hn itself).
+            xp.multiply(h_star, half_g, out=p)
+            xp.multiply(p, h_star, out=p)
+            xp.multiply(hn, u, out=f1)
+            xp.add(f1, p, out=f1)
+            xp.multiply(ht, u, out=f2)
 
-        for f_s, q_s, out in ((hn, h_star, flux_h), (f1, hn, flux_hn), (f2, ht, flux_ht)):
-            # 0.5 * (f_l + f_r) - (0.5 * smax) * (q_r - q_l)
-            xp.subtract(q_s[batch:], q_s[:batch], out=work)
-            xp.multiply(work, smax, out=work)
-            xp.add(f_s[:batch], f_s[batch:], out=out)
-            xp.multiply(out, 0.5, out=out)
-            xp.subtract(out, work, out=out)
-        return flux_h, flux_hn, flux_ht, h_star[:batch], h_star[batch:]
+            # Rusanov dissipation speed max(|u_l| + c_l, |u_r| + c_r).
+            xp.abs(u, out=work_lr)
+            xp.add(work_lr, c, out=work_lr)
+            xp.maximum(abs_l, abs_r, out=smax)
+            xp.multiply(smax, 0.5, out=smax)
+            for f_l, f_r, q_l, q_r, flux in components:
+                # 0.5 * (f_l + f_r) - (0.5 * smax) * (q_r - q_l)
+                xp.subtract(q_r, q_l, out=work)
+                xp.multiply(work, smax, out=work)
+                xp.add(f_l, f_r, out=flux)
+                xp.multiply(flux, 0.5, out=flux)
+                xp.subtract(flux, work, out=flux)
 
-    def _fused_primitives(
-        self, state: ShallowWaterEnsembleState, ws: dict[str, np.ndarray]
-    ) -> None:
-        """Cell-level primitives (dry mask, velocities, free surface), buffered.
-
-        Computed once per loop iteration and shared between the CFL reduction
-        (:meth:`_fused_speeds`) and the step (:meth:`_fused_ensemble_step`) —
-        the reference path derives the same quantities independently in
-        :meth:`ShallowWaterState.max_wave_speed` and per interface side in
-        :meth:`_reconstructed_flux`, with identical values.
-        """
-        xp = self._xp
-        h, hu, hv = state.h, state.hu, state.hv
-        cell, dtype = h.shape, h.dtype
-        wetf = self._buf(ws, "wetf", cell, dtype)
-        safe = self._buf(ws, "cell_safe", cell, dtype)
-        u, v = self._buf(ws, "u", cell, dtype), self._buf(ws, "v", cell, dtype)
-        eta = self._buf(ws, "eta", cell, dtype)
-        # Branch-free form of where(wet, momentum / h, 0): dry momenta are
-        # exactly zero (the invariant every constructor and step maintains),
-        # so dividing them by the dry-lane 1.0 yields the exact zero the
-        # reference where() produces.
-        xp.less_equal(h, self.dry_tolerance, out=safe)  # 1.0 on dry lanes
-        xp.subtract(1.0, safe, out=wetf)  # 1.0 on wet lanes
-        xp.maximum(h, safe, out=safe)  # where(wet, h, 1)
-        xp.divide(hu, safe, out=u)
-        xp.divide(hv, safe, out=v)
-        xp.add(h, state.b, out=eta)
-
-    def _fused_speeds(
-        self, state: ShallowWaterEnsembleState, ws: dict[str, np.ndarray]
-    ) -> np.ndarray:
-        """Per-member max wave speeds from the buffered primitives.
-
-        Member-wise identical to :meth:`ShallowWaterEnsembleState.max_wave_speeds`
-        (dry lanes are zeroed before the reduction, so they never win the max).
-        """
-        xp = self._xp
-        cell, dtype = state.h.shape, state.h.dtype
-        speed = self._buf(ws, "speed", cell, dtype)
-        celerity = self._buf(ws, "celerity", cell, dtype)
-        xp.abs(self._buf(ws, "u", cell, dtype), out=speed)
-        xp.abs(self._buf(ws, "v", cell, dtype), out=celerity)
-        xp.maximum(speed, celerity, out=speed)
-        xp.multiply(state.h, self.gravity, out=celerity)
-        xp.sqrt(celerity, out=celerity)
-        xp.add(speed, celerity, out=speed)
-        # dry lanes: exactly zero
-        xp.multiply(speed, self._buf(ws, "wetf", cell, dtype), out=speed)
-        return speed.max(axis=(1, 2))
-
-    def _fused_ensemble_step(
-        self, state: ShallowWaterEnsembleState, dt: np.ndarray, ws: dict[str, np.ndarray]
-    ) -> None:
-        """One explicit Euler step of the whole ensemble through fused kernels.
-
-        Operation-for-operation equivalent to :meth:`step` with the Rusanov
-        flux (results are bitwise identical), engineered for the ensemble hot
-        loop: cell-level primitives (wet mask, velocities, free surface) come
-        precomputed from :meth:`_fused_primitives` instead of being derived
-        once per interface side, the static interface bathymetry comes from a
-        per-grid cache, and every intermediate lands in a preallocated
-        buffer, which keeps the time per member nearly flat as the batch
-        grows.
-
-        Assumes the state invariant every constructor and step maintains:
-        dry cells carry exactly zero momenta.
-        """
-        g = self.gravity
-        xp = self._xp
-        batch, nx, ny = state.h.shape
-        h, hu, hv = state.h, state.hu, state.hv
-        dtype = h.dtype
-
-        def buf(name: str, shape: tuple[int, ...]) -> np.ndarray:
-            return self._buf(ws, name, shape, dtype)
-
-        cell = (batch, nx, ny)
-        work = buf("cell_work", cell)
-        u, v, eta = buf("u", cell), buf("v", cell), buf("eta", cell)
-
-        # Member-replicated contiguous interface bathymetry for the stacked
-        # (2B, ...) left/right state layout, filled once per run by
-        # :meth:`run_ensemble` (a 2-D broadcast inside the hot loop costs
-        # ~3x a contiguous pass).
-        b_star_x = buf("b_star_x", (2 * batch, nx + 1, ny))
-        b_star_y = buf("b_star_y", (2 * batch, nx, ny + 1))
-
-        # --- interface fluxes (x: normal momentum hu; y: normal hv) --------
-        flux_h_x, flux_hu_x, flux_hv_x, h_star_l_x, h_star_r_x = self._fused_interface_fluxes(
-            ws, "x", eta, u, v, b_star_x, axis=-2
-        )
-        flux_h_y, flux_hv_y, flux_hu_y, h_star_l_y, h_star_r_y = self._fused_interface_fluxes(
-            ws, "y", eta, v, u, b_star_y, axis=-1
-        )
-
-        # --- divergence + well-balanced source + update --------------------
-        # dt arrives double from the CFL control plane; cast to the field
-        # dtype so the update product matches the scalar path, where the
-        # Python-float dt combines with the fields at their own precision.
-        dt_col = xp.asarray(dt, dtype=dtype)[:, None, None]
-        rhs, src = buf("rhs", cell), buf("src", cell)
-        sq = buf("sq", cell)
-
-        def divergence(name, flux, axis, source=None):
-            take_hi = (slice(None), slice(1, None)) if axis == -2 else (Ellipsis, slice(1, None))
-            take_lo = (slice(None), slice(None, -1)) if axis == -2 else (Ellipsis, slice(None, -1))
-            spacing = self.dx if axis == -2 else self.dy
-            out = buf(f"div_{name}", cell)
             # -(Δflux) / dx fused as Δflux / (-dx): IEEE division is
             # sign-symmetric, so the result is bitwise identical.
-            xp.subtract(flux[take_hi], flux[take_lo], out=out)
-            xp.divide(out, -spacing, out=out)
-            if source is not None:
-                xp.divide(source, spacing, out=src)
-                xp.add(out, src, out=out)
-            return out
+            for flux_hi, flux_lo, div in divergences:
+                xp.subtract(flux_hi, flux_lo, out=div)
+                xp.divide(div, -spacing, out=div)
+            # src_hn = 0.5 g (h*_l[hi]^2 - h*_r[lo]^2), in the reference order.
+            xp.multiply(star_l_hi, star_l_hi, out=src)
+            xp.multiply(star_r_lo, star_r_lo, out=sq)
+            xp.subtract(src, sq, out=src)
+            xp.multiply(src, half_g, out=src)
+            xp.divide(src, spacing, out=src)
+            xp.add(div_hn, src, out=div_hn)
 
-        # src_hn = 0.5 g (h*_l[hi]^2 - h*_r[lo]^2), in the reference order.
-        def balanced_source(h_star_l, h_star_r, axis):
-            take_hi = (slice(None), slice(1, None)) if axis == -2 else (Ellipsis, slice(1, None))
-            take_lo = (slice(None), slice(None, -1)) if axis == -2 else (Ellipsis, slice(None, -1))
-            xp.multiply(h_star_l[take_hi], h_star_l[take_hi], out=work)
-            xp.multiply(h_star_r[take_lo], h_star_r[take_lo], out=sq)
-            xp.subtract(work, sq, out=work)
-            xp.multiply(work, 0.5 * g, out=work)
-            return work
+        return sweep, div_h, div_hn, div_ht
 
-        dh_x = divergence("h_x", flux_h_x, -2)
-        dhu_x = divergence("hu_x", flux_hu_x, -2, balanced_source(h_star_l_x, h_star_r_x, -2))
-        dhv_x = divergence("hv_x", flux_hv_x, -2)
-        dh_y = divergence("h_y", flux_h_y, -1)
-        dhu_y = divergence("hu_y", flux_hu_y, -1)
-        dhv_y = divergence("hv_y", flux_hv_y, -1, balanced_source(h_star_l_y, h_star_r_y, -1))
+    def _fused_plan(self, state: ShallowWaterEnsembleState):
+        """Bind the fused step of one run: ``(speeds, step)`` closures.
 
-        # target += dt * (d_x + d_y), summed before the dt product like step().
-        for target, part_x, part_y in ((h, dh_x, dh_y), (hu, dhu_x, dhu_y), (hv, dhv_x, dhv_y)):
-            xp.add(part_x, part_y, out=rhs)
-            xp.multiply(rhs, dt_col, out=rhs)
-            xp.add(target, rhs, out=target)
-        state.enforce_positivity()
+        ``speeds()`` computes the cell primitives (dry indicator, velocities,
+        free surface) into workspace buffers and returns the per-member max
+        wave speeds; ``step(dt)`` then advances ``state`` in place by one
+        explicit Euler step from those same primitives — the reference path
+        derives them independently in
+        :meth:`ShallowWaterState.max_wave_speed` and per interface side in
+        :meth:`_reconstructed_flux`, with identical values.  Both are
+        operation-for-operation equivalent to :meth:`stable_timestep` /
+        :meth:`step` with the Rusanov flux (bitwise identical results) and
+        assume what :meth:`_fused_eligible` checked.  Workspace buffers,
+        views and the lane-replicated interface bathymetry are resolved here
+        once, not per step: at 16–48 cells a step is bound by interpreter
+        dispatch, not arithmetic.
+
+        On square grids with ``dx == dy`` and a small block, the y-sweep runs
+        as an x-sweep on transposed cell fields stacked behind the x lanes
+        (*lane stacking*): one ``(2B, n, n)`` block goes through one flux +
+        divergence pass and the update reads the y lanes back transposed —
+        elementwise the same arithmetic in half the flux-stage calls.
+        """
+        xp, g, tol = self._xp, self.gravity, self.dry_tolerance
+        h, hu, hv, b = state.h, state.hu, state.hv, state.b
+        batch, nx, ny = h.shape
+        dtype = h.dtype
+        ws = self._ensemble_workspace
+
+        def buf(name, *shape):
+            return self._buf(ws, name, shape, dtype)
+
+        stacked = (
+            nx == ny and self.dx == self.dy and batch * nx * ny < LANE_STACKING_MAX_CELLS
+        )
+        lanes = 2 * batch if stacked else batch
+        eta_all, u_all, v_all = (buf(name, lanes, nx, ny) for name in ("eta", "u", "v"))
+        eta, u, v = eta_all[:batch], u_all[:batch], v_all[:batch]
+        b_star_x, b_star_y = self._static_interface_bathymetry()
+
+        def transposed(array):
+            return array.transpose(0, 2, 1)
+
+        if stacked:
+            # y lanes: transposed fields, normal/transverse velocity swapped.
+            y_lanes = [
+                (eta_all[batch:], transposed(eta)),
+                (u_all[batch:], transposed(v)),
+                (v_all[batch:], transposed(u)),
+            ]
+            sweep, dh, dhn, dht = self._fused_sweep(
+                buf, "xy", eta_all, u_all, v_all, (b_star_x, b_star_y.T), -2, self.dx
+            )
+            sweeps = [sweep]
+            parts_y = [transposed(d[batch:]) for d in (dh, dht, dhn)]
+            parts_x = [d[:batch] for d in (dh, dhn, dht)]
+        else:
+            y_lanes = []
+            sweep_x, *parts_x = self._fused_sweep(buf, "x", eta, u, v, (b_star_x,), -2, self.dx)
+            sweep_y, dh, dhn, dht = self._fused_sweep(buf, "y", eta, v, u, (b_star_y,), -1, self.dy)
+            sweeps = [sweep_x, sweep_y]
+            parts_y = [dh, dht, dhn]
+        updates = list(zip((h, hu, hv), parts_x, parts_y))
+
+        cell = (batch, nx, ny)
+        wetf, safe, rhs = buf("wetf", *cell), buf("cell_safe", *cell), buf("rhs", *cell)
+        speed, celerity = buf("speed", *cell), buf("celerity", *cell)
+
+        def speeds() -> np.ndarray:
+            # Branch-free form of where(wet, momentum / h, 0): dry momenta are
+            # exactly zero (the invariant every constructor and step
+            # maintains), so dividing them by the dry-lane 1.0 yields the
+            # exact zero the reference where() produces.
+            xp.less_equal(h, tol, out=safe)  # 1.0 on dry lanes
+            xp.subtract(1.0, safe, out=wetf)  # 1.0 on wet lanes
+            xp.maximum(h, safe, out=safe)  # where(wet, h, 1)
+            xp.divide(hu, safe, out=u)
+            xp.divide(hv, safe, out=v)
+            xp.add(h, b, out=eta)
+            # max(|u|, |v|) + sqrt(g h), dry lanes zeroed before the reduction
+            # so they never win the max (member-wise identical to
+            # ShallowWaterEnsembleState.max_wave_speeds).
+            xp.abs(u, out=speed)
+            xp.abs(v, out=celerity)
+            xp.maximum(speed, celerity, out=speed)
+            xp.multiply(h, g, out=celerity)
+            xp.sqrt(celerity, out=celerity)
+            xp.add(speed, celerity, out=speed)
+            xp.multiply(speed, wetf, out=speed)
+            return speed.max(axis=(1, 2))
+
+        def step(dt: np.ndarray) -> None:
+            for dest, source in y_lanes:
+                dest[...] = source
+            for run_sweep in sweeps:
+                run_sweep()
+            # dt arrives double from the CFL control plane; cast to the field
+            # dtype so the update product matches step(), where a Python-float
+            # dt combines with the fields at their own precision.
+            dt_col = xp.asarray(dt, dtype=dtype)[:, None, None]
+            # target += dt * (d_x + d_y), summed before the dt product like step().
+            for target, part_x, part_y in updates:
+                xp.add(part_x, part_y, out=rhs)
+                xp.multiply(rhs, dt_col, out=rhs)
+                xp.add(target, rhs, out=target)
+            state.enforce_positivity()
+
+        return speeds, step
 
     def run_ensemble(
         self,
@@ -848,9 +821,9 @@ class ShallowWaterSolver2D:
         """Advance a whole ensemble to ``end_time`` as one array program.
 
         Every iteration advances all still-running members by one explicit
-        Euler step through the same kernels as :meth:`run` (the grid lives in
-        the last two axes); finished members receive ``dt = 0`` and stay
-        bitwise frozen.
+        Euler step (the grid lives in the last two axes); finished members
+        receive ``dt = 0`` and stay bitwise frozen.  :meth:`run` is the
+        one-member case of this loop.
 
         Parameters
         ----------
@@ -863,10 +836,30 @@ class ShallowWaterSolver2D:
             the faster members and results that differ from the scalar path
             at discretisation order).
         """
+        return self._integrate(
+            initial_state.copy(), end_time, gauges, max_steps, record_max_eta,
+            gauge_cells, time_stepping,
+        )
+
+    def _integrate(
+        self,
+        state: ShallowWaterEnsembleState,
+        end_time: float,
+        gauges: list[Gauge] | None = None,
+        max_steps: int = 1_000_000,
+        record_max_eta: bool = True,
+        gauge_cells: Sequence[tuple[int, int]] | None = None,
+        time_stepping: str = "per-member",
+    ) -> EnsembleSimulationResult:
+        """The time loop, on a state the caller hands over (advanced in place).
+
+        Steps through the fused kernels (:meth:`_fused_plan`) when
+        :meth:`_fused_eligible` holds and through the generic
+        :meth:`step` / :meth:`stable_timesteps` otherwise.
+        """
         if time_stepping not in ("per-member", "sync-min"):
             raise ValueError(f"unknown time_stepping policy {time_stepping!r}")
         xp = self._xp
-        state = initial_state.copy()
         batch = state.batch_size
         gauges = list(gauges or [])
         if gauge_cells is None:
@@ -890,62 +883,33 @@ class ShallowWaterSolver2D:
                 h_g > self.dry_tolerance, (h_g + gauge_b) - reference_eta, 0.0
             )
 
-        # The time-stepping control plane stays double: the scalar path
-        # computes dt in Python floats, so double times/steps are what keeps
-        # per-member trajectories elementwise identical at any field dtype.
+        # The time-stepping control plane stays double: dt derives from
+        # double wave speeds, so double times/steps are what keeps per-member
+        # trajectories elementwise identical at any field dtype.
         times = xp.zeros(batch, dtype=xp.float64)
         steps = xp.zeros(batch, dtype=xp.int64)
-        series_times = [times.copy()]
+        series_times = [times]
         series_values = [gauge_sample()]
         max_eta = xp.zeros_like(state.h) if record_max_eta else xp.zeros((0, 0, 0))
-        # The fused buffered step covers the (default) Rusanov flux. Its
-        # branch-free dry handling relies on (i) a dry tolerance below the
-        # 1.0 of the maximum(h, dry_indicator) identity, (ii) the state
-        # sharing the solver's tolerance (enforce_positivity must zero the
-        # same cells the kernels treat as dry) and (iii) dry cells carrying
-        # exactly zero momenta at entry — every constructor maintains this,
-        # but hand-built states may not. Anything else goes through the
-        # generic axis-agnostic kernels, which are correct for any input.
-        fused = (
-            self._flux is rusanov_flux
-            and 0.0 < self.dry_tolerance < 1.0
-            and state.dry_tolerance == self.dry_tolerance
-        )
-        if fused:
-            entry_dry = state.h <= self.dry_tolerance
-            fused = not (bool(xp.any(state.hu[entry_dry])) or bool(xp.any(state.hv[entry_dry])))
-        workspace = self._ensemble_workspace if fused else None
-        if fused:
-            # Fill the member-replicated interface bathymetry once per run
-            # (the fused step reads it every time step).
-            b_star_x, b_star_y = self._static_interface_bathymetry()
-            dtype = state.h.dtype
-            self._buf(workspace, "b_star_x", (2 * batch, self.nx + 1, self.ny), dtype)[:] = b_star_x
-            self._buf(workspace, "b_star_y", (2 * batch, self.nx, self.ny + 1), dtype)[:] = b_star_y
+        if self._fused_eligible(state):
+            max_speeds, advance = self._fused_plan(state)
+        else:  # generic kernels: stable_timesteps() derives the speeds itself
+            max_speeds, advance = (lambda: None), (lambda dt: self.step(state, dt))
 
         while True:
-            running = (times < end_time) & (steps < max_steps)
-            if not bool(xp.any(running)):
-                break
-            if fused:
-                self._fused_primitives(state, workspace)
-                stable = self.stable_timesteps(state, speeds=self._fused_speeds(state, workspace))
-            else:
-                stable = self.stable_timesteps(state)
-            dts = xp.minimum(stable, end_time - times)
-            running &= dts > 0.0
-            if not bool(xp.any(running)):
+            dts = xp.minimum(
+                self.stable_timesteps(state, speeds=max_speeds()), end_time - times
+            )
+            running = (times < end_time) & (steps < max_steps) & (dts > 0.0)
+            if not bool(running.any()):
                 break
             if time_stepping == "sync-min":
                 dts = xp.full(batch, dts[running].min())
             dt_step = xp.where(running, dts, 0.0)
-            if fused:
-                self._fused_ensemble_step(state, dt_step, workspace)
-            else:
-                self.step(state, dt_step)
-            times = times + dt_step
+            advance(dt_step)
+            times = times + dt_step  # a fresh array: safe to keep in the series
             steps += running
-            series_times.append(times.copy())
+            series_times.append(times)
             series_values.append(gauge_sample())
             if record_max_eta:
                 wet = state.h > self.dry_tolerance

@@ -41,6 +41,15 @@ class GaugeRecord:
     times: list[float] = field(default_factory=list)
     ssha: list[float] = field(default_factory=list)
 
+    @classmethod
+    def from_arrays(cls, gauge: Gauge, times: np.ndarray, ssha: np.ndarray) -> "GaugeRecord":
+        """A record holding whole ``times`` / ``ssha`` series (one ``tolist()`` each)."""
+        return cls(
+            gauge=gauge,
+            times=np.asarray(times, dtype=float).tolist(),
+            ssha=np.asarray(ssha, dtype=float).tolist(),
+        )
+
     def append(self, time: float, value: float) -> None:
         """Record one sample."""
         self.times.append(float(time))

@@ -21,10 +21,11 @@ Per level, everything that does not depend on the source parameters — the
 treated bathymetry, the solver, the gauge cell indices and the cell-centre
 grids of the initial-condition operator — is precomputed once into a cached
 :class:`ScenarioPlan` (the shallow-water analogue of the FEM
-``AssemblyPlan``), so a forward evaluation is only the time loop.  Batched
-evaluation (:meth:`TohokuLikeScenario.observe_batch`) runs whole parameter
-blocks through :meth:`ShallowWaterSolver2D.run_ensemble` with results
-identical to the scalar path row by row.
+``AssemblyPlan``), so a forward evaluation is only the time loop.  Scalar
+(:meth:`TohokuLikeScenario.observe`) and batched
+(:meth:`TohokuLikeScenario.observe_batch`) evaluation run the same ensemble
+time loop of :class:`ShallowWaterSolver2D` — a scalar evaluation is a
+one-member block — with results identical row by row.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from repro.swe.bathymetry import (
     tohoku_like_bathymetry,
 )
 from repro.swe.fv2d import EnsembleSimulationResult, ShallowWaterSolver2D, SimulationResult
-from repro.swe.gauges import Gauge, wave_observables
+from repro.swe.gauges import Gauge
 from repro.utils.array_api import level_dtypes
 
 __all__ = [
@@ -329,21 +330,37 @@ class TohokuLikeScenario:
             mask[inside] = bathy < 0.0
         return mask
 
+    def _solve(
+        self, level: int, displacements: np.ndarray, record_max_eta: bool
+    ) -> EnsembleSimulationResult:
+        """Advance a ``(B, nx, ny)`` displacement block through the level's time loop.
+
+        The ensemble state built here is handed to the solver as is — it is
+        nobody else's, so the defensive copy of the public ``run`` /
+        ``run_ensemble`` entry points would be a second copy per evaluation.
+        """
+        plan = self.plan(level)
+        return plan.solver._integrate(
+            plan.solver.initial_ensemble(displacements),
+            self.end_time,
+            self.gauges,
+            record_max_eta=record_max_eta,
+            gauge_cells=plan.gauge_cells,
+        )
+
+    def _solve_source(
+        self, level: int, source: SourceParameters, record_max_eta: bool
+    ) -> EnsembleSimulationResult:
+        """One physical source as a one-member ensemble (the scalar forward solve)."""
+        self.check_physical(level, source)
+        displacement = self.displacement_field(level, source)
+        return self._solve(level, displacement[None], record_max_eta)
+
     def simulate(
         self, level: int, source: SourceParameters, record_max_eta: bool = True
     ) -> SimulationResult:
         """Run the forward model for one level and source."""
-        self.check_physical(level, source)
-        plan = self.plan(level)
-        displacement = self.displacement_field(level, source)
-        state = plan.solver.initial_state(surface_displacement=displacement)
-        return plan.solver.run(
-            state,
-            end_time=self.end_time,
-            gauges=self.gauges,
-            gauge_cells=plan.gauge_cells,
-            record_max_eta=record_max_eta,
-        )
+        return self._solve_source(level, source, record_max_eta).member(0)
 
     def simulate_batch(
         self, level: int, thetas: np.ndarray, record_max_eta: bool = False
@@ -368,27 +385,18 @@ class TohokuLikeScenario:
                 f"{bad} of {block.shape[0]} sources lie on dry land or outside "
                 "the computational domain; filter with physical_mask() first"
             )
-        plan = self.plan(level)
         center_x, center_y = self._source_centers(block)
-        displacements = plan.displacement(
+        displacements = self.plan(level).displacement(
             center_x, center_y, self.source_amplitude, self.source_radius
         )
-        ensemble = plan.solver.initial_ensemble(displacements)
-        return plan.solver.run_ensemble(
-            ensemble,
-            end_time=self.end_time,
-            gauges=self.gauges,
-            gauge_cells=plan.gauge_cells,
-            record_max_eta=record_max_eta,
-        )
+        return self._solve(level, displacements, record_max_eta)
 
     def observe(self, level: int, theta: np.ndarray) -> np.ndarray:
         """Forward map ``theta -> (max heights, arrival times)`` used by the likelihood."""
         source = SourceParameters.from_theta(
             theta, amplitude=self.source_amplitude, radius=self.source_radius
         )
-        result = self.simulate(level, source, record_max_eta=False)
-        return wave_observables(result.gauge_records)
+        return self._solve_source(level, source, False).wave_observables()[0]
 
     def observe_batch(self, level: int, thetas: np.ndarray) -> np.ndarray:
         """Batched forward map: ``(B, 2)`` parameters to ``(B, 2 G)`` observables.

@@ -12,8 +12,8 @@ from repro.swe.bathymetry import (
     smooth_bathymetry,
     tohoku_like_bathymetry,
 )
-from repro.swe.fv2d import ShallowWaterSolver2D
-from repro.swe.gauges import Gauge, wave_observables
+from repro.swe.fv2d import LANE_STACKING_MAX_CELLS, ShallowWaterSolver2D
+from repro.swe.gauges import Gauge, GaugeRecord, wave_observables
 from repro.swe.riemann import hll_flux, physical_flux_x, rusanov_flux
 from repro.swe.state import GRAVITY, ShallowWaterEnsembleState, ShallowWaterState
 
@@ -368,7 +368,7 @@ class TestEnsembleSolver:
             ensemble = solver.initial_ensemble(np.repeat(displacements[:1], size, axis=0))
             solver.run_ensemble(ensemble, end_time=50.0)
         # one buffer set per solver, sized for the largest batch seen
-        assert solver._ensemble_workspace["u"].shape[0] == 3
+        assert solver._ensemble_workspace["rhs"].shape[0] == 3
         solver.release_ensemble_buffers()
         assert not solver._ensemble_workspace
 
@@ -385,3 +385,158 @@ class TestEnsembleSolver:
                 hv=np.zeros((2, 4, 4)),
                 b=np.zeros((2, 4, 5)),
             )
+
+
+def _reference_run(solver, initial_state, end_time, gauge_cells):
+    """Independent oracle: a time loop over the generic kernels only.
+
+    Drives nothing but ``solver.step()`` and ``solver.stable_timestep()`` —
+    the unfused reference kernels — so it shares no code with the fused step
+    plan that ``run()`` and ``run_ensemble()`` ride.  Returns
+    ``(state, times, gauge series, steps, simulated time)``.
+    """
+    state = initial_state.copy()
+    gauge_i, gauge_j = (np.array(axis) for axis in zip(*gauge_cells))
+    tolerance = solver.dry_tolerance
+
+    def eta_at_gauges():
+        wet = state.h[gauge_i, gauge_j] > tolerance
+        return np.where(wet, state.free_surface[gauge_i, gauge_j], 0.0), wet
+
+    reference_eta, _ = eta_at_gauges()
+    time, steps = 0.0, 0
+    times, series = [time], [np.zeros_like(reference_eta)]
+    while time < end_time:
+        dt = min(solver.stable_timestep(state), end_time - time)
+        if dt <= 0.0:
+            break
+        solver.step(state, dt)
+        time += dt
+        steps += 1
+        eta, wet = eta_at_gauges()
+        times.append(time)
+        series.append(np.where(wet, eta - reference_eta, 0.0))
+    return state, np.array(times), np.stack(series), steps, time
+
+
+class TestOneTimeLoopAgainstGenericKernels:
+    """``run()`` and ``run_ensemble()`` share one (fused) time loop; the oracle
+    they must equal bitwise is a test-local loop over the generic kernels."""
+
+    GAUGES = [Gauge("a", 90e3, 40e3), Gauge("b", 110e3, -60e3)]
+
+    @staticmethod
+    def _solver(nx, ny, dtype=np.float64, flux="rusanov"):
+        field = tohoku_like_bathymetry()  # wet/dry: coast in the west
+        return ShallowWaterSolver2D(
+            nx, ny, field.extent, field.on_grid(nx, ny), flux=flux, dtype=dtype
+        )
+
+    @staticmethod
+    def _displacements(solver, count):
+        x, y = solver.cell_centers()
+        centers = [(0.0, 0.0), (30e3, -20e3), (-25e3, 40e3), (10e3, 15e3)]
+        return np.stack(
+            [
+                5.0 * np.exp(-0.5 * ((x - cx) ** 2 + (y - cy) ** 2) / 30e3**2)
+                for cx, cy in (centers * count)[:count]
+            ]
+        )
+
+    def _assert_scalar_equals_oracle(self, solver, state, end_time):
+        cells = [solver.locate_cell(g.x, g.y) for g in self.GAUGES]
+        ref_state, ref_times, ref_series, ref_steps, ref_time = _reference_run(
+            solver, state, end_time, cells
+        )
+        result = solver.run(state, end_time=end_time, gauges=self.GAUGES)
+        assert result.num_timesteps == ref_steps > 0
+        assert result.simulated_time == ref_time
+        for name in ("h", "hu", "hv"):
+            actual = getattr(result.state, name)
+            assert actual.dtype == solver.dtype
+            np.testing.assert_array_equal(actual, getattr(ref_state, name))
+        for g, record in enumerate(result.gauge_records):
+            assert record.times == ref_times.tolist()
+            assert record.ssha == ref_series[:, g].astype(float).tolist()
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize(
+        "nx, ny, batch, end_time, stacked",
+        [
+            (16, 16, 1, 600.0, True),  # the MCMC hot path: scalar run, lane-stacked
+            (16, 16, 3, 600.0, True),
+            (24, 24, 16, 300.0, False),  # square, but past the size gate
+            (92, 92, 1, 120.0, False),  # a scalar run past the size gate
+            (20, 14, 2, 600.0, False),  # nx != ny: always two sweeps
+        ],
+    )
+    def test_fused_loop_equals_generic_kernel_loop(
+        self, nx, ny, batch, end_time, stacked, dtype
+    ):
+        solver = self._solver(nx, ny, dtype)
+        square = nx == ny and solver.dx == solver.dy
+        assert (square and batch * nx * ny < LANE_STACKING_MAX_CELLS) == stacked
+        displacements = self._displacements(solver, batch)
+        cells = [solver.locate_cell(g.x, g.y) for g in self.GAUGES]
+        ensemble = solver.initial_ensemble(displacements)
+        assert np.any(ensemble.h <= solver.dry_tolerance), "needs a dry coast"
+        result = solver.run_ensemble(ensemble, end_time=end_time, gauges=self.GAUGES)
+        assert solver._ensemble_workspace, "expected the fused path"
+        for m in (0, batch - 1):
+            state = solver.initial_state(displacements[m])
+            ref_state, ref_times, ref_series, ref_steps, ref_time = _reference_run(
+                solver, state, end_time, cells
+            )
+            assert result.num_timesteps[m] == ref_steps
+            assert result.simulated_time[m] == ref_time
+            np.testing.assert_array_equal(result.state.h[m], ref_state.h)
+            np.testing.assert_array_equal(result.state.hu[m], ref_state.hu)
+            np.testing.assert_array_equal(result.state.hv[m], ref_state.hv)
+            valid = ref_steps + 1
+            np.testing.assert_array_equal(result.gauge_times[m, :valid], ref_times)
+            np.testing.assert_array_equal(result.gauge_values[m, :valid], ref_series)
+        self._assert_scalar_equals_oracle(
+            solver, solver.initial_state(displacements[0]), end_time
+        )
+
+    def test_hll_run_falls_back_to_generic_kernels(self):
+        solver = self._solver(16, 16, flux="hll")
+        state = solver.initial_state(self._displacements(solver, 1)[0])
+        self._assert_scalar_equals_oracle(solver, state, 300.0)
+        assert not solver._ensemble_workspace  # the fused plan was never bound
+
+    def test_nonzero_dry_momenta_run_falls_back_to_generic_kernels(self):
+        solver = self._solver(16, 16)
+        state = solver.initial_state(self._displacements(solver, 1)[0])
+        dry = state.h <= solver.dry_tolerance
+        assert np.any(dry)
+        state.hu[dry] = 3.0  # violates the invariant the fused kernels assume
+        self._assert_scalar_equals_oracle(solver, state, 300.0)
+        assert not solver._ensemble_workspace
+
+    def test_run_leaves_the_callers_state_untouched(self):
+        solver = self._solver(16, 16)
+        state = solver.initial_state(self._displacements(solver, 1)[0])
+        before = state.copy()
+        solver.run(state, end_time=120.0)
+        np.testing.assert_array_equal(state.h, before.h)
+        np.testing.assert_array_equal(state.hu, before.hu)
+
+    def test_member_records_match_per_sample_appends(self):
+        # member() builds records with GaugeRecord.from_arrays; the records
+        # must equal what one append per time step per gauge produced.
+        solver = self._solver(16, 16, np.float32)
+        ensemble = solver.initial_ensemble(self._displacements(solver, 3))
+        # lower sea levels -> slower waves -> fewer steps: padded gauge series
+        drop = np.array([0.0, 2000.0, 4000.0], dtype=np.float32)[:, None, None]
+        ensemble.h = np.maximum(ensemble.h - drop, 0.0)
+        result = solver.run_ensemble(ensemble, end_time=600.0, gauges=self.GAUGES)
+        assert len(set(result.num_timesteps.tolist())) > 1, "needs padded series"
+        for m in range(3):
+            valid = int(result.num_timesteps[m]) + 1
+            for g, record in enumerate(result.member(m).gauge_records):
+                expected = GaugeRecord(gauge=self.GAUGES[g])
+                for t, v in zip(result.gauge_times[m, :valid], result.gauge_values[m, :valid, g]):
+                    expected.append(t, v)
+                assert record == expected
+                assert all(type(x) is float for x in record.times + record.ssha)
