@@ -18,10 +18,8 @@ comparing
 
 Beyond the per-level timings, the payload records the array-backend
 availability matrix (NumPy / CuPy / torch — the latter two are exercised only
-when installed), an estimator-parity check (a seeded two-level MLMCMC
-estimate under the ``float32-coarse`` ladder vs all-double), and a
-paired-dispatch check (the same estimate with the (coarse, fine) correction
-QOIs batched through one evaluator call — asserted bitwise identical).
+when installed) and an estimator-parity check (a seeded two-level MLMCMC
+estimate under the ``float32-coarse`` ladder vs all-double).
 
 The paper-proportioned ladder matters for interpreting the numbers: with the
 paper's subsampling rates ``rho_l = [-, 25, 5]`` the coarse and middle
@@ -242,39 +240,6 @@ def estimator_parity(quick: bool) -> dict:
     }
 
 
-def paired_dispatch_check(quick: bool) -> dict:
-    """The same seeded estimate with and without paired correction dispatch."""
-    from repro.core import MLMCMCSampler
-
-    num_samples = [4, 2] if quick else [8, 4]
-    runs = {}
-    for paired in (False, True):
-        factory = _estimator_factory(quick)
-        tic = time.perf_counter()
-        result = MLMCMCSampler(
-            factory, num_samples=num_samples, burnin=[1, 1], seed=SEED,
-            paired_dispatch=paired,
-        ).run()
-        runs[paired] = {"result": result, "wall_time_seconds": time.perf_counter() - tic}
-    identical = bool(
-        np.array_equal(runs[False]["result"].mean, runs[True]["result"].mean)
-    )
-    if not identical:
-        raise AssertionError("paired dispatch changed the multilevel estimate")
-    return {
-        "num_samples": num_samples,
-        "seed": SEED,
-        "estimate_identical": identical,
-        "pair_dispatches": [
-            int(s.pair_dispatches) for s in runs[True]["result"].evaluation_stats
-        ],
-        "wall_time_seconds": {
-            "scalar": runs[False]["wall_time_seconds"],
-            "paired": runs[True]["wall_time_seconds"],
-        },
-    }
-
-
 def run(num_levels: int, batch_size: int, end_time: float, repeats: int, quick: bool) -> dict:
     backends = {name: backend_available(name) for name in KNOWN_BACKENDS}
     results = []
@@ -301,7 +266,6 @@ def run(num_levels: int, batch_size: int, end_time: float, repeats: int, quick: 
         "backends": backends,
         "results": results,
         "estimator_parity": estimator_parity(quick),
-        "paired_dispatch": paired_dispatch_check(quick),
     }
 
 
@@ -327,15 +291,10 @@ def report(payload: dict) -> None:
         rows,
     )
     parity = payload["estimator_parity"]
-    paired = payload["paired_dispatch"]
     print(
         f"\nestimator parity (seed {parity['seed']}): "
         f"|float32-coarse - float64| = {parity['delta_norm_km']:.4f} km "
         f"(stderr {parity['stderr_norm_km']:.4f} km)"
-    )
-    print(
-        f"paired dispatch: estimate identical = {paired['estimate_identical']}, "
-        f"pair dispatches per level = {paired['pair_dispatches']}"
     )
 
 

@@ -26,7 +26,6 @@ reproduction of every table and figure of the paper.
 # Explicit re-exports (kept flat so `import repro` gives the main entry points).
 from repro.core import (
     AbstractSamplingProblem,
-    AdaptiveMLMCMCSampler,
     BayesianSamplingProblem,
     GaussianTargetProblem,
     MIComponentFactory,
@@ -65,7 +64,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "AbstractSamplingProblem",
-    "AdaptiveMLMCMCSampler",
     "BayesianSamplingProblem",
     "GaussianTargetProblem",
     "MIComponentFactory",

@@ -50,16 +50,8 @@ from repro.core.allocation import (
 )
 from repro.core.diagnostics import ChainDiagnostics, diagnose_collection, gelman_rubin
 from repro.core.mlmcmc import MLMCMCResult, MLMCMCSampler, run_single_level_mcmc
-from repro.core.adaptive import (
-    AdaptiveAllocation,
-    AdaptiveMLMCMCResult,
-    AdaptiveMLMCMCSampler,
-)
 
 __all__ = [
-    "AdaptiveAllocation",
-    "AdaptiveMLMCMCResult",
-    "AdaptiveMLMCMCSampler",
     "AllocationPolicy",
     "AllocationRound",
     "ContinuationAllocation",

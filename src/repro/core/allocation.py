@@ -26,10 +26,6 @@ The same policy objects drive the sequential
 :class:`~repro.core.mlmcmc.MLMCMCSampler` and the parallel machine's root
 process, and the live targets are fed back to the phonebook so the load
 balancer can weigh *estimated remaining work* instead of the static plan.
-
-(The older two-phase :class:`~repro.core.adaptive.AdaptiveMLMCMCSampler`
-discards its pilot chains and re-runs from scratch; this layer supersedes it
-for budgeted runs but both remain available.)
 """
 
 from __future__ import annotations

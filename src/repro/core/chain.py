@@ -93,14 +93,6 @@ class SingleChainMCMC:
 
         if self._steps_taken > self.burnin:
             if self.evaluate_qoi:
-                coarse_state = result.metadata.get("coarse_state")
-                if coarse_state is not None and getattr(
-                    self.kernel, "paired_dispatch", False
-                ):
-                    # Warm both QOI caches through one paired evaluator
-                    # dispatch before reading them individually below.
-                    self.kernel._paired_qoi(self._current, coarse_state)
-                    result.metadata["coarse_qoi"] = coarse_state.qoi
                 # Fine QOI of the (possibly repeated) current state.
                 fine_qoi = self._problem_qoi(self._current)
                 coarse_qoi = result.metadata.get("coarse_qoi")
@@ -174,20 +166,11 @@ class SubsampledChainSource(ChainSampleSource):
     through the phonebook.
     """
 
-    def __init__(
-        self,
-        chain: SingleChainMCMC,
-        subsampling_rate: int = 1,
-        precompute_qoi: bool = True,
-    ) -> None:
+    def __init__(self, chain: SingleChainMCMC, subsampling_rate: int = 1) -> None:
         if subsampling_rate < 0:
             raise ValueError("subsampling rate must be non-negative")
         self.chain = chain
         self._rate = int(subsampling_rate)
-        # A paired-dispatch fine kernel wants the coarse QOI left cold so it
-        # can batch it with the fine QOI in one evaluator call; everyone else
-        # wants it warm so the fine level never re-runs the coarse model.
-        self.precompute_qoi = bool(precompute_qoi)
 
     @property
     def subsampling_rate(self) -> int:
@@ -198,8 +181,7 @@ class SubsampledChainSource(ChainSampleSource):
         for _ in range(steps):
             self.chain.step()
         state = self.chain.current_state
-        if self.precompute_qoi:
-            # Make sure the handed-out sample carries its QOI so the fine level
-            # never re-evaluates the coarse model for the correction term.
-            self.chain._problem_qoi(state)
+        # Make sure the handed-out sample carries its QOI so the fine level
+        # never re-evaluates the coarse model for the correction term.
+        self.chain._problem_qoi(state)
         return state.copy()

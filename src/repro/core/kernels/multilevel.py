@@ -53,15 +53,6 @@ class MultilevelKernel(TransitionKernel):
         when parameter dimensions are identical across levels.
     interpolation:
         Combines coarse and fine blocks; defaults to the identity.
-    paired_dispatch:
-        When ``True``, the kernel stops eagerly caching the coarse QOI at the
-        end of every step; the consuming chain instead calls
-        :meth:`_paired_qoi` for each *recorded* step, which requests the
-        (fine, coarse) QOI pair through one
-        :meth:`repro.evaluation.Evaluator.forward_pair_batch` call.  Both
-        state-level QOI caches are filled from the paired result, so consumers
-        see bitwise-identical values to scalar dispatch — while burn-in steps
-        and embedded coarse-source chains skip QOI work entirely.
     """
 
     def __init__(
@@ -71,7 +62,6 @@ class MultilevelKernel(TransitionKernel):
         coarse_proposal: SubsamplingProposal,
         fine_proposal: MCMCProposal | None = None,
         interpolation: MIInterpolation | None = None,
-        paired_dispatch: bool = False,
     ) -> None:
         super().__init__()
         self.fine_problem = fine_problem
@@ -79,7 +69,6 @@ class MultilevelKernel(TransitionKernel):
         self.coarse_proposal = coarse_proposal
         self.fine_proposal = fine_proposal
         self.interpolation = interpolation or IdentityInterpolation()
-        self.paired_dispatch = bool(paired_dispatch)
 
     # ------------------------------------------------------------------
     def initialize(self, parameters: np.ndarray) -> SamplingState:
@@ -89,29 +78,6 @@ class MultilevelKernel(TransitionKernel):
         coarse_params = self.interpolation.coarse_part(state.parameters)
         state.coarse_log_density = self.coarse_problem.log_density(coarse_params)
         return state
-
-    # ------------------------------------------------------------------
-    def _paired_qoi(self, fine_state: SamplingState, coarse_state: SamplingState) -> None:
-        """Warm both QOI caches with one paired evaluator dispatch.
-
-        Sides whose state cache is already warm are skipped (a rejected fine
-        chain serves the same state again and again), so re-served states stay
-        free exactly as under scalar dispatch.
-        """
-        fine_needed = fine_state.qoi is None
-        coarse_needed = coarse_state.qoi is None
-        if fine_needed and coarse_needed:
-            fine_vals, coarse_vals = self.fine_problem.evaluator.forward_pair_batch(
-                fine_state.parameters,
-                coarse_state.parameters,
-                coarse_evaluator=self.coarse_problem.evaluator,
-            )
-            fine_state.qoi = np.atleast_1d(np.asarray(fine_vals[0], dtype=float)).ravel()
-            coarse_state.qoi = np.atleast_1d(np.asarray(coarse_vals[0], dtype=float)).ravel()
-        elif fine_needed:
-            self.fine_problem.qoi(fine_state)
-        elif coarse_needed:
-            self.coarse_problem.qoi(coarse_state)
 
     # ------------------------------------------------------------------
     def step(self, current: SamplingState, rng: np.random.Generator) -> KernelResult:
@@ -163,17 +129,11 @@ class MultilevelKernel(TransitionKernel):
             self.fine_proposal.adapt(self._num_steps, new_state, accepted)
 
         # The coarse sample this fine step is coupled with (for the telescoping
-        # correction).  Scalar dispatch caches its QOI right here so collectors
-        # never re-run the coarse model; paired dispatch leaves cold caches
-        # alone so the consuming chain can warm fine and coarse together in
-        # one evaluator call — and only for steps whose QOIs are recorded.
-        if self.paired_dispatch:
-            coarse_qoi = coarse_state.qoi
-        else:
-            coarse_qoi = self.coarse_problem.qoi(coarse_state)
+        # correction).  Its QOI is cached right here so collectors never re-run
+        # the coarse model.
         metadata = {
             "coarse_state": coarse_state,
-            "coarse_qoi": coarse_qoi,
+            "coarse_qoi": self.coarse_problem.qoi(coarse_state),
             "coarse_log_density": float(coarse_log_density_proposed),
         }
         return KernelResult(

@@ -82,10 +82,6 @@ class MLMCMCSampler:
         used when level ``l`` draws from level ``l-1``; entry 0 is ignored).
     seed:
         Seed of the random source from which all chain generators are spawned.
-    paired_dispatch:
-        Forwarded to every correction level's :class:`MultilevelKernel`: batch
-        the (coarse, fine) QOI evaluations of each correction step through one
-        evaluator call.  Estimates are bitwise identical either way.
     allocation:
         An :class:`repro.core.allocation.AllocationPolicy` driving the
         continuation loop.  ``None`` wraps ``num_samples`` in a
@@ -108,7 +104,6 @@ class MLMCMCSampler:
         burnin: Sequence[int] | None = None,
         subsampling_rates: Sequence[int] | None = None,
         seed: int | None = None,
-        paired_dispatch: bool = False,
         allocation: AllocationPolicy | None = None,
         cost_model=None,
     ) -> None:
@@ -140,7 +135,6 @@ class MLMCMCSampler:
             [int(r) for r in subsampling_rates] if subsampling_rates is not None else None
         )
         self.random_source = RandomSource(seed)
-        self.paired_dispatch = bool(paired_dispatch)
         self.cost_model = cost_model
         self._problem_cache: dict[MultiIndex, object] = {}
 
@@ -163,9 +157,8 @@ class MLMCMCSampler:
         Only the top chain of each level's estimator records QOIs and
         corrections; the embedded coarse-source chains are built with
         ``evaluate_qoi=False`` — their collections are never consumed, and
-        skipping the per-step QOI warm-up both avoids evaluating QOIs of
-        subsampled-away states and hands genuinely cold states to a
-        paired-dispatch fine kernel.
+        skipping the per-step QOI warm-up avoids evaluating QOIs of
+        subsampled-away states.
         """
         indices = self.index_set.coarse_to_fine()
         index = indices[level]
@@ -190,9 +183,7 @@ class MLMCMCSampler:
             level - 1, chain_id=f"{chain_id}/coarse{level - 1}", evaluate_qoi=False
         )
         coarse_source = SubsampledChainSource(
-            coarse_chain,
-            subsampling_rate=self._subsampling_rate(level, index),
-            precompute_qoi=not self.paired_dispatch,
+            coarse_chain, subsampling_rate=self._subsampling_rate(level, index)
         )
         coarse_proposal = self.factory.coarse_proposal(index, coarse_problem, coarse_source)
         fine_proposal = (
@@ -206,7 +197,6 @@ class MLMCMCSampler:
             coarse_proposal=coarse_proposal,
             fine_proposal=fine_proposal,
             interpolation=self.factory.interpolation(index),
-            paired_dispatch=self.paired_dispatch,
         )
         return SingleChainMCMC(
             kernel=kernel,

@@ -31,16 +31,18 @@ __all__ = ["SampleCollection", "CorrectionCollection"]
 class SampleCollection:
     """An ordered collection of chain states with multiplicities.
 
-    Alongside the stored states, a weighted Welford accumulator tracks the
-    parameter moments incrementally, so mid-run variance snapshots
-    (:meth:`streaming_mean` / :meth:`streaming_variance`) are O(dim) reads —
-    cheap enough for an adaptive allocation loop to poll every round — while
-    the batch statistics (:meth:`mean`, :meth:`variance`) keep their original
+    Alongside the stored states, a running sample count and a weighted
+    Welford accumulator track the multiplicities and parameter moments
+    incrementally, so :attr:`num_samples` is O(1) and mid-run variance
+    snapshots (:meth:`streaming_mean` / :meth:`streaming_variance`) are O(dim)
+    reads — cheap enough for a chain to poll every step — while the batch
+    statistics (:meth:`mean`, :meth:`variance`) keep their original
     recompute-from-scratch semantics bitwise.
     """
 
     def __init__(self) -> None:
         self._states: list[SamplingState] = []
+        self._num_samples = 0
         self._streaming = WeightedRunningMoments()
 
     # ------------------------------------------------------------------
@@ -48,6 +50,7 @@ class SampleCollection:
         """Append a state; consecutive duplicates just increase the weight."""
         if weight <= 0:
             raise ValueError("weight must be positive")
+        self._num_samples += weight
         if self._states and self._states[-1] is state:
             self._states[-1].weight += weight
             self._streaming.push(state.parameters, weight)
@@ -76,7 +79,7 @@ class SampleCollection:
     @property
     def num_samples(self) -> int:
         """Total number of samples including multiplicities."""
-        return sum(s.weight for s in self._states)
+        return self._num_samples
 
     @property
     def num_unique(self) -> int:
@@ -153,6 +156,7 @@ class SampleCollection:
         return self._streaming.frequency_variance(ddof=1)
 
     def _rebuild_streaming(self) -> None:
+        self._num_samples = sum(state.weight for state in self._states)
         self._streaming = WeightedRunningMoments()
         for state in self._states:
             self._streaming.push(state.parameters, state.weight)
@@ -175,6 +179,7 @@ class SampleCollection:
     def merge(self, other: "SampleCollection") -> "SampleCollection":
         """Concatenate another collection (used by distributed collectors)."""
         self._states.extend(other._states)
+        self._num_samples += other._num_samples
         self._streaming.merge(other._streaming)
         return self
 
@@ -202,8 +207,9 @@ class SampleCollection:
         """Raise ``ValueError`` unless the collection is internally consistent.
 
         Used on salvaged crash-path state: every stored state must carry a
-        positive integer weight, and the expanded count must equal the sum of
-        weights (a torn snapshot or a half-applied merge breaks either).
+        positive integer weight, and the weights must sum to the running
+        :attr:`num_samples` counter (a torn snapshot or a half-applied merge
+        breaks either).
         """
         total = 0
         for i, state in enumerate(self._states):

@@ -88,7 +88,6 @@ class EvaluatorStats:
     log_density_evaluations: int = 0
     qoi_evaluations: int = 0
     batch_calls: int = 0
-    pair_dispatches: int = 0
     cache_hits: int = 0
     qoi_cache_hits: int = 0
     cache_misses: int = 0
@@ -261,46 +260,6 @@ class Evaluator(ABC):
         """
         thetas = np.atleast_2d(np.asarray(parameters, dtype=float))
         return np.array([self.log_density(theta) for theta in thetas], dtype=float)
-
-    def qoi_batch(self, parameters: np.ndarray) -> list[np.ndarray]:
-        """QOIs of an ``(n, dim)`` array of parameter vectors.
-
-        Default: a loop over :meth:`qoi`, so every backend's caching and
-        accounting semantics apply row by row and the results are bitwise
-        identical to scalar dispatch.  A multi-row block is counted as one
-        batched dispatch in the statistics.
-        """
-        thetas = np.atleast_2d(np.asarray(parameters, dtype=float))
-        values = [np.asarray(self.qoi(theta), dtype=float) for theta in thetas]
-        if thetas.shape[0] > 1:
-            self.stats.batch_calls += 1
-        return values
-
-    def forward_pair_batch(
-        self,
-        fine_parameters: np.ndarray,
-        coarse_parameters: np.ndarray,
-        coarse_evaluator: "Evaluator | None" = None,
-    ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        """The (fine, coarse) QOI evaluations of a correction level, batched.
-
-        The telescoping hot loop of a correction level needs ``Q_l(theta)``
-        and ``Q_{l-1}(theta')`` per accepted step; this entry point turns the
-        alternating scalar dispatches into batched ones.  When both sides are
-        served by this evaluator the rows are *stacked* into a single
-        :meth:`qoi_batch` call; with a separate ``coarse_evaluator`` (the
-        usual multilevel setup — one evaluator per level) each side issues one
-        batched dispatch, preserving per-level caching and cost accounting.
-        """
-        fine = np.atleast_2d(np.asarray(fine_parameters, dtype=float))
-        coarse = np.atleast_2d(np.asarray(coarse_parameters, dtype=float))
-        self.stats.pair_dispatches += 1
-        if coarse_evaluator is None or coarse_evaluator is self:
-            if fine.shape[1] == coarse.shape[1]:
-                stacked = self.qoi_batch(np.concatenate([fine, coarse], axis=0))
-                return stacked[: fine.shape[0]], stacked[fine.shape[0] :]
-            coarse_evaluator = self
-        return self.qoi_batch(fine), coarse_evaluator.qoi_batch(coarse)
 
     # ------------------------------------------------------------------
     def close(self) -> None:

@@ -401,7 +401,6 @@ def run_sequential(spec: ExperimentSpec) -> DriverResult:
 
     factory = _spec_factory(spec)
     num_samples = _num_samples(spec)
-    paired = bool(spec.sampler.get("paired_dispatch", False))
     policy = _budget_policy(spec, num_samples)
     # An adaptive run with a declared cost_per_level prices its allocation
     # snapshots from that model instead of measured wall time, so the
@@ -417,7 +416,6 @@ def run_sequential(spec: ExperimentSpec) -> DriverResult:
         burnin=_burnin(spec, num_samples),
         subsampling_rates=spec.sampler.get("subsampling_rates"),
         seed=spec.seed,
-        paired_dispatch=paired,
         allocation=policy,
         cost_model=cost_model,
     )
@@ -434,11 +432,6 @@ def run_sequential(spec: ExperimentSpec) -> DriverResult:
         payload["num_allocation_rounds"] = len(result.allocation_rounds)
         payload["final_targets"] = [
             int(t) for t in result.allocation_rounds[-1].targets
-        ]
-    if paired:
-        payload["paired_dispatch"] = True
-        payload["pair_dispatches"] = [
-            int(stats.pair_dispatches) for stats in result.evaluation_stats
         ]
     if hasattr(factory, "exact_mean"):
         exact = factory.exact_mean()

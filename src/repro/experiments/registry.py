@@ -472,20 +472,6 @@ register(ExperimentSpec(
 ))
 
 register(ExperimentSpec(
-    name="poisson-paired-dispatch",
-    driver="sequential",
-    application="poisson",
-    paper_ref="Algorithm 2",
-    description="Poisson inversion with paired coarse/fine correction batching",
-    problem={"preset": "scaled"},
-    sampler={"num_samples": [600, 150, 50], "burnin_floor": 5,
-             "paired_dispatch": True},
-    seed=33,
-    quick={"sampler": _POISSON_QUICK_SAMPLES},
-    tags=("performance",),
-))
-
-register(ExperimentSpec(
     name="fem-hotpath",
     driver="fem-hotpath",
     application="fem",

@@ -18,8 +18,7 @@ groups — is a property of this scheduling structure, which the simulation
 reproduces faithfully; only the absolute wall-clock seconds are virtual.
 """
 
-from repro.parallel.simmpi.message import Message
-from repro.parallel.simmpi.process import Compute, RankProcess, Receive, Send
+from repro.parallel.transport import Compute, Message, RankProcess, Receive, Send
 from repro.parallel.simmpi.world import VirtualWorld
 
 __all__ = ["Message", "RankProcess", "VirtualWorld", "Compute", "Send", "Receive"]

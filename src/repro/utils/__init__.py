@@ -1,11 +1,10 @@
-"""Shared utilities: RNG management, running statistics, options, logging, timing.
+"""Shared utilities: RNG management, running statistics, array backends.
 
 These helpers are deliberately dependency-light; every other subpackage builds
 on them.  They mirror the kind of infrastructure MUQ provides in C++
-(boost::property_tree-style option handling, sample statistics, etc.).
+(random streams, sample statistics, etc.).
 """
 
-from repro.utils.options import Options
 from repro.utils.random import RandomSource, spawn_rngs
 from repro.utils.stats import (
     RunningMoments,
@@ -15,11 +14,8 @@ from repro.utils.stats import (
     effective_sample_size,
     autocorrelation,
 )
-from repro.utils.timing import Timer, TimingRegistry
-from repro.utils.logging import get_logger
 
 __all__ = [
-    "Options",
     "RandomSource",
     "spawn_rngs",
     "RunningMoments",
@@ -28,7 +24,4 @@ __all__ = [
     "integrated_autocorrelation_time",
     "effective_sample_size",
     "autocorrelation",
-    "Timer",
-    "TimingRegistry",
-    "get_logger",
 ]

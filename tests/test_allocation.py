@@ -9,10 +9,13 @@ hash stability, manifest schema v5, runner/CLI overrides).
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
 from repro.core import (
+    AllocationRound,
     ContinuationAllocation,
     FixedAllocation,
     LevelSnapshot,
@@ -85,6 +88,33 @@ class TestFixedAllocation:
         assert policy.initial_targets(3) == [100, 20, 5]
         snapshots = _snapshots([100, 20, 5], [1.0, 0.1, 0.01], [1.0, 4.0, 16.0])
         assert policy.update(snapshots) is None
+
+    def test_rejects_negative_counts_and_level_mismatch(self):
+        with pytest.raises(ValueError):
+            FixedAllocation([10, -1])
+        with pytest.raises(ValueError):
+            FixedAllocation([10, 5]).initial_targets(3)
+
+
+class TestAllocationRound:
+    def test_as_dict_is_json_safe(self):
+        row = AllocationRound(
+            round_index=np.int64(1),
+            targets=[np.int64(40), 12],
+            collected=[np.int32(40), 12],
+            variances=[np.float32(0.5), 0.25],
+            costs_per_sample=[1.0, np.float64(4.0)],
+            spent_cost=np.float64(88.0),
+        )
+        payload = row.as_dict()
+        assert json.loads(json.dumps(payload)) == {
+            "round": 1,
+            "targets": [40, 12],
+            "collected": [40, 12],
+            "variances": [0.5, 0.25],
+            "costs_per_sample": [1.0, 4.0],
+            "spent_cost": 88.0,
+        }
 
 
 class TestContinuationAllocation:
@@ -164,6 +194,53 @@ class TestContinuationAllocation:
         )
         assert increment <= cap - spent + 1e-9
 
+    def test_pilot_entries_are_floored_at_two(self):
+        # a level needs two samples before its variance can be measured
+        explicit = ContinuationAllocation(
+            SamplingBudget(target_mse=1e-3), pilot=[0, 1, 5]
+        )
+        assert explicit.initial_targets(3) == [2, 2, 5]
+        ladder = ContinuationAllocation(
+            SamplingBudget(target_mse=1e-3), pilot_base=1
+        )
+        assert ladder.initial_targets(2) == [4, 2]
+
+    def test_tighter_target_mse_allocates_more_samples(self):
+        def targets(target_mse):
+            policy = ContinuationAllocation(
+                SamplingBudget(target_mse=target_mse, growth_factor=1e6),
+                pilot=[20, 20, 20],
+            )
+            return policy.update(
+                _snapshots([20, 20, 20], [1.0, 0.1, 0.01], [1.0, 4.0, 16.0])
+            )
+
+        loose, tight = targets(1e-2), targets(1e-4)
+        assert loose is not None and tight is not None
+        assert sum(tight) > sum(loose)
+        assert all(t >= n for t, n in zip(tight, loose))
+
+    def test_cheap_high_variance_level_gets_most_samples(self):
+        policy = ContinuationAllocation(
+            SamplingBudget(target_mse=1e-4, growth_factor=1e6), pilot=[4, 4, 4]
+        )
+        targets = policy.update(
+            _snapshots([4, 4, 4], [1.0, 0.1, 0.01], [1.0, 4.0, 16.0])
+        )
+        assert targets is not None
+        assert targets[0] >= targets[1] >= targets[2]
+        assert targets[0] > 4
+
+    def test_zero_variance_and_zero_cost_levels_are_floored(self):
+        # a constant-QOI pilot and a fully cached level must neither divide
+        # by zero nor starve: the update still yields finite integer targets
+        policy = ContinuationAllocation(
+            SamplingBudget(target_mse=1e-3), pilot=[8, 8]
+        )
+        targets = policy.update(_snapshots([8, 8], [0.0, 1.0], [1.0, 0.0]))
+        assert targets is not None
+        assert all(isinstance(t, int) and t >= 8 for t in targets)
+
     def test_cost_capped_allocation_fits_cap(self):
         variances = np.array([1.0, 0.1, 0.01])
         costs = np.array([1.0, 4.0, 16.0])
@@ -191,6 +268,13 @@ class TestPolicyFromBudget:
             num_samples=[600, 150, 50],
         )
         assert policy.initial_targets(3) == [8, 4, 2]
+
+    def test_derived_pilot_never_below_four(self):
+        policy = policy_from_budget(
+            {"policy": "adaptive", "target_mse": 1e-3},
+            num_samples=[40, 16, 8],
+        )
+        assert policy.initial_targets(3) == [5, 4, 4]
 
 
 @pytest.fixture(scope="module")
@@ -232,6 +316,18 @@ class TestSequentialAllocation:
                 b >= a for a, b in zip(earlier.targets, later.targets)
             )
         assert [len(c) for c in result.corrections] == rounds[-1].collected
+
+    def test_adaptive_estimate_is_close_to_exact_mean(self, gaussian_factory):
+        policy = ContinuationAllocation(
+            SamplingBudget(target_mse=5e-3, max_rounds=4), pilot=[16, 8, 4]
+        )
+        result = MLMCMCSampler(
+            gaussian_factory, seed=23, allocation=policy
+        ).run()
+        error = np.abs(result.mean - gaussian_factory.exact_mean())
+        # loose sanity bound: a few standard errors of the requested tolerance
+        assert np.all(error < 0.5)
+        assert result.estimate.num_levels == 3
 
     def test_cost_model_makes_trajectory_deterministic(self, gaussian_factory):
         prices = [1.0, 4.0, 16.0]

@@ -128,6 +128,24 @@ class TestMultilevelKernel:
         assert result.metadata["coarse_state"] is coarse
         assert np.isfinite(result.metadata["coarse_log_density"])
 
+    def test_step_caches_coarse_qoi_on_the_coupled_state(self):
+        rng = np.random.default_rng(4)
+        buffered = BufferedChainSource()
+        kernel = self._make_kernel([0.0], [0.3], buffered)
+        state = kernel.initialize(np.zeros(1))
+        coarse = SamplingState(parameters=np.array([0.7]))
+        kernel.coarse_problem.log_density(coarse)
+        buffered.push(coarse)
+        result = kernel.step(state, rng)
+        stats = kernel.coarse_problem.evaluation_stats
+        assert coarse.qoi is not None
+        assert stats.qoi_evaluations == 1
+        # collectors reading the correction's coarse QOI hit the state cache
+        np.testing.assert_array_equal(
+            kernel.coarse_problem.qoi(coarse), result.metadata["coarse_qoi"]
+        )
+        assert stats.qoi_evaluations == 1
+
     def test_block_interpolation_with_fine_proposal(self):
         rng = np.random.default_rng(5)
         coarse = GaussianTargetProblem(np.zeros(1), 1.0)
@@ -191,6 +209,59 @@ class TestSampleCollection:
         a.merge(b)
         assert a.num_samples == 2
         assert a.subset(1).num_samples == 1
+
+    def _weighted(self, weights) -> SampleCollection:
+        collection = SampleCollection()
+        for i, weight in enumerate(weights):
+            state = SamplingState(parameters=np.array([float(i)]), weight=weight)
+            collection.add(state, weight=weight)
+        return collection
+
+    def test_num_samples_counts_duplicate_adds(self):
+        collection = SampleCollection()
+        state = SamplingState(parameters=np.array([1.0]))
+        collection.add(state)
+        collection.add(state, weight=2)
+        assert collection.num_unique == 1
+        assert collection.num_samples == 3
+        collection.validate()
+
+    def test_num_samples_through_merge_subset_and_state_dict(self):
+        a, b = self._weighted([2, 1]), self._weighted([4, 3, 1])
+        a.merge(b)
+        assert a.num_samples == 11
+        assert a.subset(1, 3).num_samples == 5
+        assert a.subset(2).num_samples == 8
+        restored = SampleCollection.from_state_dict(a.state_dict())
+        assert restored.num_samples == 11
+        restored.add(SamplingState(parameters=np.zeros(1), weight=2), weight=2)
+        assert restored.num_samples == 13
+        for collection in (a, restored, a.subset(1, 3)):
+            collection.validate()
+
+    def test_validate_catches_weight_changed_behind_its_back(self):
+        collection = self._weighted([2, 3])
+        collection.validate()
+        collection[1].weight = 4
+        with pytest.raises(ValueError, match="does not match num_samples"):
+            collection.validate()
+
+    def test_num_samples_of_empty_collections(self):
+        empty = SampleCollection()
+        assert empty.num_samples == 0
+        empty.validate()
+        filled = self._weighted([3])
+        filled.merge(SampleCollection())
+        assert filled.num_samples == 3
+        assert filled.subset(1).num_samples == 0
+        filled.validate()
+
+    def test_validate_catches_half_applied_merge(self):
+        a, b = self._weighted([1, 2]), self._weighted([5])
+        # states appended without the bookkeeping a real merge does
+        a._states.extend(b._states)
+        with pytest.raises(ValueError, match="does not match num_samples"):
+            a.validate()
 
     def test_ess_of_repeated_samples_is_low(self, rng):
         collection = SampleCollection()
@@ -268,6 +339,48 @@ class TestSingleChain:
         assert sample.qoi is not None
         source.next_sample()
         assert chain.steps_taken == 14
+
+    def test_subsampled_source_warms_qoi_of_handed_out_states_only(self):
+        # an embedded coarse-source chain records no QOIs itself; the source
+        # still hands out QOI-carrying states, and skips subsampled-away ones
+        problem = GaussianTargetProblem(np.zeros(1), 1.0)
+        kernel = MHKernel(problem, GaussianRandomWalkProposal(1.0, dim=1))
+        chain = SingleChainMCMC(
+            kernel, np.zeros(1), np.random.default_rng(3), evaluate_qoi=False
+        )
+        source = SubsampledChainSource(chain, subsampling_rate=5)
+        for _ in range(6):
+            sample = source.next_sample()
+            np.testing.assert_array_equal(sample.qoi, sample.parameters)
+        assert chain.steps_taken == 30
+        assert len(chain.corrections) == 0
+        assert 1 <= problem.evaluation_stats.qoi_evaluations <= 6
+
+    def test_correction_chain_never_re_evaluates_coarse_model(self):
+        coarse_problem = GaussianTargetProblem(np.zeros(1), 1.0)
+        fine_problem = GaussianTargetProblem(np.array([0.4]), 1.0)
+        coarse_chain = SingleChainMCMC(
+            MHKernel(coarse_problem, GaussianRandomWalkProposal(1.0, dim=1)),
+            np.zeros(1),
+            np.random.default_rng(8),
+            evaluate_qoi=False,
+        )
+        source = SubsampledChainSource(coarse_chain, subsampling_rate=3)
+        kernel = MultilevelKernel(
+            fine_problem=fine_problem,
+            coarse_problem=coarse_problem,
+            coarse_proposal=SubsamplingProposal(source),
+        )
+        chain = SingleChainMCMC(
+            kernel, np.zeros(1), np.random.default_rng(9), burnin=5, level=1
+        )
+        chain.run(40)
+        assert len(chain.corrections) == 40
+        assert chain.corrections.has_coarse
+        # at most one coarse QOI per coarse sample the fine chain drew
+        handed_out = coarse_chain.steps_taken // 3
+        assert handed_out == chain.steps_taken
+        assert coarse_problem.evaluation_stats.qoi_evaluations <= handed_out
 
     def test_acceptance_rate_reported(self):
         problem = GaussianTargetProblem(np.zeros(1), 1.0)

@@ -1,16 +1,13 @@
-"""Mixed-precision ladder, array-API shim, and paired-dispatch tests.
+"""Mixed-precision ladder and array-API shim tests.
 
-Covers the three guarantees the precision subsystem makes:
+Covers the two guarantees the precision subsystem makes:
 
 * dtype parity — float32 forward solves agree with float64 within round-off
   on every application (analytic Gaussian, Poisson FEM, tsunami SWE), and
   observables always cross the observation boundary as ``float64``;
 * estimator validity — a ``float32-coarse`` multilevel estimate stays within
   the statistical error of the all-double estimate (the telescoping sum
-  absorbs coarse round-off bias like discretisation bias);
-* paired dispatch — batching the (fine, coarse) correction QOIs through one
-  evaluator call is bitwise identical to scalar dispatch, and never does
-  *more* model work.
+  absorbs coarse round-off bias like discretisation bias).
 """
 
 from __future__ import annotations
@@ -218,37 +215,6 @@ class TestMixedPrecisionEstimate:
         r64, r32c = run(None), run("float32-coarse")
         stderr = self._stderr(r64)
         assert np.max(np.abs(r32c.mean - r64.mean)) <= 4.0 * max(stderr, 1e-12)
-
-
-class TestPairedDispatch:
-    def _run(self, paired: bool):
-        factory = GaussianHierarchyFactory(num_levels=3, dim=2)
-        sampler = MLMCMCSampler(
-            factory,
-            num_samples=[120, 40, 15],
-            burnin=[20, 6, 3],
-            subsampling_rates=[0, 5, 4],
-            seed=123,
-            paired_dispatch=paired,
-        )
-        return sampler.run()
-
-    def test_bitwise_identical_to_scalar_dispatch(self):
-        scalar, paired = self._run(False), self._run(True)
-        assert np.array_equal(scalar.mean, paired.mean)
-        for level, (cs, cp) in enumerate(zip(scalar.corrections, paired.corrections)):
-            assert len(cs) == len(cp)
-            assert np.array_equal(cs.differences(), cp.differences()), level
-
-    def test_pairs_fire_and_never_add_model_work(self):
-        scalar, paired = self._run(False), self._run(True)
-        pair_counts = [s.pair_dispatches for s in paired.evaluation_stats]
-        assert all(s.pair_dispatches == 0 for s in scalar.evaluation_stats)
-        # level 0 has no correction pair; both correction levels batch
-        assert pair_counts[0] == 0
-        assert pair_counts[1] > 0 and pair_counts[2] > 0
-        for s_scalar, s_paired in zip(scalar.evaluation_stats, paired.evaluation_stats):
-            assert s_paired.qoi_evaluations <= s_scalar.qoi_evaluations
 
 
 class TestCacheKeys:

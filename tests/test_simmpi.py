@@ -188,6 +188,20 @@ class TestVirtualWorld:
         assert world.now == pytest.approx(count * (1.0 + 2 * latency), rel=1e-6)
 
 
+class TestPublicNames:
+    @pytest.mark.parametrize(
+        "name", ["Message", "RankProcess", "Compute", "Send", "Receive"]
+    )
+    def test_simmpi_names_are_the_transport_classes(self, name):
+        # one class per primitive: rank generators written against either
+        # import path run unchanged on every transport
+        import repro.parallel.simmpi as simmpi
+        import repro.parallel.transport as transport
+
+        assert name in simmpi.__all__
+        assert getattr(simmpi, name) is getattr(transport, name)
+
+
 class TestTraceRecorder:
     def test_utilization_and_gantt(self):
         trace = TraceRecorder()

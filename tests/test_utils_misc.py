@@ -1,11 +1,10 @@
-"""Tests for repro.utils options, random-source and timing helpers."""
+"""Tests for the repro.utils random-source helpers."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.utils.options import Options
 from repro.utils.random import (
     RandomSource,
     as_generator,
@@ -13,49 +12,6 @@ from repro.utils.random import (
     spawn_rngs,
     stratified_indices,
 )
-from repro.utils.timing import Timer, TimingRegistry
-
-
-class TestOptions:
-    def test_attribute_and_item_access(self):
-        opts = Options({"chain": {"num_samples": 100}}, burnin=10)
-        assert opts.chain.num_samples == 100
-        assert opts["burnin"] == 10
-
-    def test_nested_dicts_become_options(self):
-        opts = Options({"a": {"b": {"c": 1}}})
-        assert isinstance(opts.a, Options)
-        assert opts.a.b.c == 1
-
-    def test_to_dict_round_trip(self):
-        source = {"a": 1, "b": {"c": [1, 2, 3]}}
-        assert Options(source).to_dict() == source
-
-    def test_merged_does_not_mutate_original(self):
-        base = Options({"a": 1, "nested": {"x": 1}})
-        merged = base.merged({"nested": {"y": 2}}, a=5)
-        assert base.a == 1 and "y" not in base.nested
-        assert merged.a == 5 and merged.nested.x == 1 and merged.nested.y == 2
-
-    def test_setdefaults_only_fills_missing(self):
-        opts = Options({"a": 1})
-        opts.setdefaults({"a": 99, "b": 2})
-        assert opts.a == 1 and opts.b == 2
-
-    def test_require_raises_listing_missing(self):
-        opts = Options({"a": 1})
-        with pytest.raises(KeyError, match="b"):
-            opts.require("a", "b")
-
-    def test_coerce_accepts_none_dict_and_options(self):
-        assert Options.coerce(None, x=1).x == 1
-        assert Options.coerce({"x": 2}).x == 2
-        assert Options.coerce(Options({"x": 3}), y=4).y == 4
-
-    def test_deletion_and_len(self):
-        opts = Options({"a": 1, "b": 2})
-        del opts["a"]
-        assert len(opts) == 1 and "a" not in opts
 
 
 class TestRandomSource:
@@ -100,28 +56,3 @@ class TestRandomSource:
         picked = choice_without_replacement(rng, range(10), 4)
         assert len(picked) == 4 and len(set(picked)) == 4
         assert choice_without_replacement(rng, range(3), 10) == [0, 1, 2]
-
-
-class TestTiming:
-    def test_timer_accumulates(self):
-        timer = Timer()
-        with timer.measure():
-            pass
-        with timer.measure():
-            pass
-        assert timer.count == 2
-        assert timer.elapsed >= 0.0
-        assert timer.mean >= 0.0
-
-    def test_timer_stop_without_start_raises(self):
-        with pytest.raises(RuntimeError):
-            Timer().stop()
-
-    def test_registry_report(self):
-        registry = TimingRegistry()
-        with registry.measure("solve"):
-            pass
-        report = registry.report()
-        assert "solve" in report and report["solve"]["count"] == 1
-        assert registry.total("missing") == 0.0
-        assert registry.mean("missing") == 0.0
