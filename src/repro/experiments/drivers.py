@@ -1115,7 +1115,15 @@ def run_swe_hotpath(spec: ExperimentSpec) -> DriverResult:
 
 @driver("fem-hotpath")
 def run_fem_hotpath(spec: ExperimentSpec) -> DriverResult:
-    """Per-sample FEM phases: fast path vs the reference path, per mesh."""
+    """Per-sample FEM solve: the banded solve path vs the reference path, per mesh.
+
+    The reference assembles the full operator, eliminates the Dirichlet
+    rows/columns and calls ``spsolve`` (:func:`assemble_diffusion_system` +
+    :func:`apply_dirichlet`).
+    """
+    from scipy.sparse.linalg import spsolve
+
+    from repro.fem.assembly import apply_dirichlet, assemble_diffusion_system
     from repro.fem.grid import StructuredGrid
     from repro.fem.poisson import PoissonSolver
     from repro.models.poisson import PAPER_OBSERVATION_COORDS
@@ -1137,9 +1145,16 @@ def run_fem_hotpath(spec: ExperimentSpec) -> DriverResult:
         fast = solver.solve_and_observe(kappa, points)
         t_fast = time.perf_counter() - tic
 
+        left, right = grid.boundary_nodes("left"), grid.boundary_nodes("right")
         tic = time.perf_counter()
-        reference_solution = solver.solve_reference(kappa)
-        reference = solver.evaluate(reference_solution, points)
+        stiffness, load = assemble_diffusion_system(grid, kappa)
+        stiffness, load = apply_dirichlet(
+            stiffness,
+            load,
+            np.concatenate([left, right]),
+            np.concatenate([np.zeros(left.size), np.ones(right.size)]),
+        )
+        reference = solver.evaluate(spsolve(stiffness.tocsc(), load), points)
         t_reference = time.perf_counter() - tic
 
         rows.append(

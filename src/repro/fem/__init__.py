@@ -6,18 +6,16 @@ diffusion operator with an element-wise (log-normal random field) coefficient,
 Dirichlet boundary conditions on the left/right edges and natural Neumann
 conditions elsewhere.
 
-Per-sample solves run on the persistent-structure fast path: a
-:class:`~repro.fem.assembly.AssemblyPlan` precomputes, per ``(grid, Dirichlet
-set)`` pair, the CSR sparsity, a ``data = S @ kappa`` coefficient scatter and
-the interior-DOF reduction, so assembling a proposed coefficient field is one
-O(nnz) product and each sample solves the smaller SPD system ``K_ii u_i = b_i
-- K_ib u_b`` (direct ``splu`` by default, or prior-mean-preconditioned CG via
-``PoissonSolver(solver="cg")``).  Observations apply a cached sparse Q1
-interpolation operator.  The original assemble-then-eliminate path is kept as
-:meth:`~repro.fem.poisson.PoissonSolver.solve_reference` /
+Per-sample solves run on one path: a :class:`~repro.fem.assembly.AssemblyPlan`
+precomputes, per ``(grid, Dirichlet set)`` pair, a scatter map from the
+per-element coefficients straight into LAPACK lower band storage of the SPD
+interior block ``K_ii`` (half-bandwidth ``nx`` in natural node ordering) and
+a lifting operator for ``K_ib u_b``, so each sample is two sparse products
+and one banded Cholesky solve (``?pbsv``) of ``K_ii u_i = b_i - K_ib u_b``.
+Observations apply a cached sparse Q1 interpolation operator.
 :func:`~repro.fem.assembly.assemble_diffusion_system` +
-:func:`~repro.fem.assembly.apply_dirichlet` and serves as the parity
-reference for the fast path.
+:func:`~repro.fem.assembly.apply_dirichlet` assemble and eliminate the full
+system and serve as the reference for the solve path.
 
 Typical usage::
 
@@ -26,7 +24,7 @@ Typical usage::
 
     solver = PoissonSolver(StructuredGrid(32))          # plan built once
     kappa = np.exp(np.random.default_rng(0).normal(size=solver.grid.num_elements))
-    u = solver.solve(kappa)                             # one O(nnz) assembly + SPD solve
+    u = solver.solve(kappa)                             # band assembly + banded Cholesky
     points = np.array([[0.25, 0.5], [0.75, 0.5]])
     obs = solver.solve_and_observe(kappa, points)       # B @ u, cached operator
     batch = solver.solve_and_observe_batch(np.tile(kappa, (8, 1)), points)

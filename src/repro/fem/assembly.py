@@ -8,18 +8,21 @@ new operator for every proposed parameter.
 
 Two assembly paths exist:
 
-* :func:`assemble_diffusion_system` + :func:`apply_dirichlet` — the original
-  reference path; builds a fresh COO matrix per call and eliminates Dirichlet
+* :func:`assemble_diffusion_system` + :func:`apply_dirichlet` — the reference
+  path; builds a fresh COO matrix per call and eliminates Dirichlet
   rows/columns on the assembled operator.
-* :class:`AssemblyPlan` — the fast path.  Everything that depends only on the
-  ``(grid, Dirichlet set)`` pair — the CSR sparsity, a ``data = S @ kappa``
-  scatter operator, and the interior-DOF reduction — is precomputed once, so
-  per-sample assembly is a single sparse mat-vec into the CSR ``data`` array
-  with no COO round trip and no Python loops, and each sample solves the
-  smaller SPD system ``K_ii u_i = b_i - K_ib u_b`` directly.
+* :class:`AssemblyPlan` — the solve path.  Everything that depends only on
+  the ``(grid, Dirichlet set)`` pair is precomputed once: a scatter map from
+  the per-element coefficients straight into LAPACK lower band storage of
+  the SPD interior block ``K_ii`` (banded with half-bandwidth ``nx`` in
+  natural node ordering) and the interior/boundary split.  Per sample the
+  reduced system ``K_ii u_i = b_i - K_ib u_b`` is two sparse products — no
+  ``scipy.sparse`` matrix is built — ready for a banded Cholesky solve.
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterator
 
 import numpy as np
 import scipy.sparse as sp
@@ -34,6 +37,22 @@ __all__ = [
     "assemble_mass_matrix",
     "AssemblyPlan",
 ]
+
+
+def _check_coefficients(kappa: np.ndarray, num_elements: int) -> np.ndarray:
+    """Validate per-element coefficients: one vector or a block of rows.
+
+    Rejects a wrong element count and any entry that is not positive and
+    finite: NaN fails ``min > 0`` (the reductions propagate it) and inf fails
+    ``max < inf``.
+    """
+    if kappa.shape[-1] != num_elements:
+        raise ValueError(
+            f"expected {num_elements} element coefficients, got {kappa.shape[-1]}"
+        )
+    if not (kappa.min() > 0 and kappa.max() < np.inf):
+        raise ValueError("diffusion coefficients must be positive and finite")
+    return kappa
 
 
 def assemble_diffusion_system(
@@ -60,13 +79,9 @@ def assemble_diffusion_system(
         ``K`` is the CSR stiffness matrix (without boundary conditions),
         ``b`` the load vector.
     """
-    kappa = np.asarray(element_coefficients, dtype=np.float64).ravel()
-    if kappa.shape[0] != grid.num_elements:
-        raise ValueError(
-            f"expected {grid.num_elements} element coefficients, got {kappa.shape[0]}"
-        )
-    if np.any(kappa <= 0):
-        raise ValueError("diffusion coefficients must be positive")
+    kappa = _check_coefficients(
+        np.asarray(element_coefficients, dtype=np.float64).ravel(), grid.num_elements
+    )
 
     conn = grid.element_connectivity()
     ke_unit = Q1Element.local_stiffness(grid.hx, grid.hy, coefficient=1.0)
@@ -147,25 +162,25 @@ def apply_dirichlet(
 
 
 class AssemblyPlan:
-    """Precomputed assembly and interior-reduction structure for one grid.
+    """Precomputed assembly and banded interior-reduction structure for one grid.
 
     Built once per ``(grid, Dirichlet node set)`` pair; afterwards every
-    per-sample operation is O(nnz) vectorized work:
+    per-sample operation is a sparse product with a fixed operator:
 
     * ``assemble(kappa)`` — the full stiffness matrix.  The CSR sparsity
       (``indptr`` / ``indices``) is fixed; the ``data`` array is produced by
       one sparse product ``scatter @ kappa``, where ``scatter`` maps the
-      per-element coefficient directly into summed CSR slots (the COO
-      triplet construction and duplicate summation happened once, at plan
-      build time).
-    * ``reduced_system(kappa, values)`` — the interior block ``K_ii`` and the
-      right-hand side ``b_i - K_ib u_b`` of the symmetric positive definite
-      reduced system.  The interior/boundary index split and the CSR
-      structures of ``K_ii`` / ``K_ib`` are precomputed; per sample only
-      their ``data`` arrays are written (``scatter_ii @ kappa`` and
-      ``scatter_ib @ kappa``).
-    * ``expand(u_i, values)`` — scatter an interior solution back to the full
-      nodal vector.
+      per-element coefficient directly into summed CSR slots.
+    * ``band_systems(kappa_block, lifting)`` — the symmetric positive
+      definite interior systems ``K_ii u_i = b_i - K_ib u_b`` of a coefficient
+      block, one member at a time.  ``K_ii`` is written straight into LAPACK
+      lower band storage by ``band_scatter @ kappa``; :attr:`bandwidth` is the half-bandwidth
+      measured on the plan's own interior structure (``nx`` for the
+      left/right Dirichlet split in natural node ordering).  The boundary
+      coupling ``K_ib u_b`` is ``lifting @ kappa`` with the fixed operator
+      built once by :meth:`lifting`.
+    * ``expand(u_i, values)`` — scatter interior solutions back to the full
+      nodal vectors.
 
     Parameters
     ----------
@@ -202,6 +217,8 @@ class AssemblyPlan:
         # COO triplets of the full operator (element-major, 16 per element).
         rows = np.repeat(conn, 4, axis=1).ravel()
         cols = np.tile(conn, (1, 4)).ravel()
+        elements = np.repeat(np.arange(grid.num_elements), 16)
+        weights = np.tile(ke_unit.ravel(), grid.num_elements)
 
         pattern = sp.coo_matrix(
             (np.ones(rows.size), (rows, cols)), shape=(num_nodes, num_nodes)
@@ -222,10 +239,7 @@ class AssemblyPlan:
         #: sparse ``(nnz, num_elements)`` operator with
         #: ``scatter @ kappa == assembled CSR data``
         self.scatter = sp.coo_matrix(
-            (
-                np.tile(ke_unit.ravel(), grid.num_elements).astype(self.dtype),
-                (slots, np.repeat(np.arange(grid.num_elements), 16)),
-            ),
+            (weights.astype(self.dtype), (slots, elements)),
             shape=(nnz, grid.num_elements),
         ).tocsr()
 
@@ -240,9 +254,7 @@ class AssemblyPlan:
             np.add.at(load, conn.ravel(), np.repeat(contrib, 4))
         self.load = load.astype(self.dtype, copy=False)
 
-        # Interior-DOF reduction: split nodes into interior/boundary once and
-        # record, for K_ii and K_ib, which full-matrix data slot feeds each of
-        # their data slots (via a locator matrix whose data are slot ids).
+        # Interior-DOF reduction: split nodes into interior/boundary once.
         if dirichlet_nodes is None:
             dirichlet_nodes = np.empty(0, dtype=int)
         self.dirichlet_nodes = np.asarray(dirichlet_nodes, dtype=int).ravel()
@@ -252,21 +264,36 @@ class AssemblyPlan:
         mask[self.dirichlet_nodes] = True
         #: interior (non-Dirichlet) node indices, ascending
         self.interior = np.nonzero(~mask)[0]
+        self.load_interior = self.load[self.interior]
 
-        locator = sp.csr_matrix(
-            (np.arange(1, nnz + 1, dtype=np.int64), self.indices, self.indptr),
-            shape=(num_nodes, num_nodes),
+        # Row/column position of every triplet in the interior ordering
+        # (-1 for Dirichlet nodes).
+        position = np.full(num_nodes, -1, dtype=np.int64)
+        position[self.interior] = np.arange(self.interior.size)
+        row, col = position[rows], position[cols]
+
+        # K_ii in lower band storage: entry (i, j), i >= j, of member k lives
+        # at ``bands[k, j, i - j]``, i.e. flat index j * (bandwidth + 1) + i - j.
+        lower = (col >= 0) & (row >= col)
+        offsets = row[lower] - col[lower]
+        #: half-bandwidth of ``K_ii`` (0 when the interior is empty)
+        self.bandwidth = int(offsets.max()) if offsets.size else 0
+        #: sparse ``((bandwidth + 1) * num_interior, num_elements)`` operator
+        #: with ``band_scatter @ kappa == K_ii`` in lower band storage
+        self.band_scatter = sp.coo_matrix(
+            (
+                weights[lower].astype(self.dtype),
+                (col[lower] * (self.bandwidth + 1) + offsets, elements[lower]),
+            ),
+            shape=((self.bandwidth + 1) * self.interior.size, grid.num_elements),
+        ).tocsr()
+
+        # K_ib triplets, kept for :meth:`lifting` (interior row, Dirichlet
+        # node, element, unit-coefficient weight).
+        coupling = (row >= 0) & (col < 0)
+        self._coupling = (
+            row[coupling], cols[coupling], elements[coupling], weights[coupling]
         )
-        interior_rows = locator[self.interior]
-        block_ii = interior_rows[:, self.interior].tocsr()
-        block_ii.sort_indices()
-        block_ib = interior_rows[:, self.dirichlet_nodes].tocsr()
-        block_ib.sort_indices()
-        self.ii_indptr, self.ii_indices = block_ii.indptr, block_ii.indices
-        self.ib_indptr, self.ib_indices = block_ib.indptr, block_ib.indices
-        #: scatter operators writing the reduced blocks' CSR data directly
-        self.scatter_ii = self.scatter[block_ii.data - 1]
-        self.scatter_ib = self.scatter[block_ib.data - 1]
 
     # ------------------------------------------------------------------
     @property
@@ -275,20 +302,18 @@ class AssemblyPlan:
         return self.interior.size
 
     def coefficients(self, element_coefficients: np.ndarray) -> np.ndarray:
-        """Validate a per-element coefficient vector (same checks as assembly).
+        """Validate per-element coefficients (same checks as assembly).
 
-        Validation runs in double; the returned vector carries the plan dtype
+        Accepts one vector (any shape, flattened) or an ``(n, num_elements)``
+        block.  Validation runs in double; the result carries the plan dtype
         so the scatter products stay in the level's precision.
         """
-        kappa = np.asarray(element_coefficients, dtype=np.float64).ravel()
-        if kappa.shape[0] != self.grid.num_elements:
-            raise ValueError(
-                f"expected {self.grid.num_elements} element coefficients, "
-                f"got {kappa.shape[0]}"
-            )
-        if np.any(kappa <= 0):
-            raise ValueError("diffusion coefficients must be positive")
-        return kappa.astype(self.dtype, copy=False)
+        kappa = np.asarray(element_coefficients, dtype=np.float64)
+        if kappa.ndim != 2:
+            kappa = kappa.ravel()
+        return _check_coefficients(kappa, self.grid.num_elements).astype(
+            self.dtype, copy=False
+        )
 
     # ------------------------------------------------------------------
     def assemble(self, element_coefficients: np.ndarray) -> tuple[sp.csr_matrix, np.ndarray]:
@@ -306,36 +331,51 @@ class AssemblyPlan:
         )
         return stiffness, self.load.copy()
 
-    def reduced_system(
-        self,
-        element_coefficients: np.ndarray,
-        dirichlet_values: np.ndarray | float,
-    ) -> tuple[sp.csr_matrix, np.ndarray]:
-        """The SPD interior system ``(K_ii, b_i - K_ib u_b)`` for one sample."""
-        kappa = self.coefficients(element_coefficients)
-        values = np.broadcast_to(
-            np.asarray(dirichlet_values, dtype=self.dtype), self.dirichlet_nodes.shape
-        )
-        k_ii = sp.csr_matrix(
-            (self.scatter_ii @ kappa, self.ii_indices.copy(), self.ii_indptr.copy()),
-            shape=(self.num_interior, self.num_interior),
-        )
-        k_ib = sp.csr_matrix(
-            (self.scatter_ib @ kappa, self.ib_indices.copy(), self.ib_indptr.copy()),
-            shape=(self.num_interior, self.dirichlet_nodes.size),
-        )
-        rhs = self.load[self.interior] - k_ib @ values
-        return k_ii, rhs
+    def lifting(self, dirichlet_values: np.ndarray | float) -> sp.csr_matrix:
+        """Fixed ``(num_interior, num_elements)`` operator ``R`` of the boundary data.
+
+        ``R @ kappa == K_ib @ u_b`` for the given Dirichlet values, so a
+        solver with fixed boundary data builds it once.  Entries are
+        accumulated in double and rounded once to the plan dtype.
+        """
+        boundary = np.zeros(self.grid.num_nodes)
+        boundary[self.dirichlet_nodes] = dirichlet_values
+        row, node, element, weight = self._coupling
+        return sp.coo_matrix(
+            (weight * boundary[node], (row, element)),
+            shape=(self.num_interior, self.grid.num_elements),
+        ).tocsr().astype(self.dtype)
+
+    def band_systems(
+        self, coefficient_block: np.ndarray, lifting: sp.csr_matrix
+    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """The banded SPD interior systems of an ``(n, num_elements)`` block.
+
+        Validates the whole block, computes every right-hand side
+        ``b_i - K_ib u_b`` in one product (``lifting`` from :meth:`lifting`),
+        then yields ``(band, rhs)`` per member: ``band`` is that member's
+        ``K_ii`` as a fresh Fortran-contiguous ``(bandwidth + 1,
+        num_interior)`` array in LAPACK lower band storage, ready for
+        ``?pbsv``.  Bands are built one at a time because each one is dense
+        over the band: a block never holds more than one.
+        """
+        kappa = np.atleast_2d(self.coefficients(coefficient_block))
+        rhs = self.load_interior - (lifting @ kappa.T).T
+        shape = (self.num_interior, self.bandwidth + 1)
+        for member, member_rhs in zip(kappa, rhs):
+            yield (self.band_scatter @ member).reshape(shape).T, member_rhs
 
     def expand(
         self,
         interior_solution: np.ndarray,
         dirichlet_values: np.ndarray | float,
     ) -> np.ndarray:
-        """Scatter an interior solution and the boundary values to all nodes."""
-        full = np.empty(self.grid.num_nodes, dtype=self.dtype)
-        full[self.interior] = interior_solution
-        full[self.dirichlet_nodes] = np.broadcast_to(
-            np.asarray(dirichlet_values, dtype=self.dtype), self.dirichlet_nodes.shape
+        """Scatter interior solutions (one vector or a block of rows) and the
+        boundary values to all nodes."""
+        interior_solution = np.asarray(interior_solution)
+        full = np.empty(
+            interior_solution.shape[:-1] + (self.grid.num_nodes,), dtype=self.dtype
         )
+        full[..., self.interior] = interior_solution
+        full[..., self.dirichlet_nodes] = np.asarray(dirichlet_values, dtype=self.dtype)
         return full

@@ -9,29 +9,33 @@ random field at element midpoints).
 Per-sample work is the method's hot path: parallel multilevel MCMC exists to
 amortize exactly this solve, so everything that depends only on the fixed
 discretisation is precomputed once in an :class:`~repro.fem.assembly.AssemblyPlan`
-(CSR sparsity, coefficient scatter map, interior-DOF reduction) and a sparse
-observation operator.  A sample then costs one O(nnz) scatter product, one
-factorization of the reduced SPD system and one sparse mat-vec for the
-observations.
+(band-storage scatter map of the interior block, boundary lifting operator)
+and a sparse observation operator.  The reduced interior system on the
+structured grid is SPD and banded (half-bandwidth ``nx`` in natural node
+ordering), so a sample costs one sparse product into LAPACK band storage,
+one for the right-hand side, one banded Cholesky solve (``?pbsv``) and one
+sparse mat-vec for the observations.  Scalar :meth:`PoissonSolver.solve` is
+the one-member case of :meth:`PoissonSolver.solve_batch`: there is one solve
+path.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
-from repro.fem.assembly import AssemblyPlan, apply_dirichlet, assemble_diffusion_system
+from repro.fem.assembly import AssemblyPlan
 from repro.fem.grid import StructuredGrid
 from repro.fem.q1 import Q1Element
 from repro.utils.array_api import resolve_dtype
 
 __all__ = ["PoissonSolver"]
 
-#: SuperLU options for the reduced system: it is symmetric positive definite,
-#: so the symmetric-pattern ordering roughly halves factorization time
-#: compared to the default column ordering.
-_SPD_SPLU_KWARGS = dict(permc_spec="MMD_AT_PLUS_A", options=dict(SymmetricMode=True))
+#: banded Cholesky solvers by dtype character.  Looked up per call and never
+#: stored on a solver: LAPACK routine objects do not pickle, and
+#: ``PoolEvaluator`` pickles bound problems.
+_PBSV = {"d": lapack.dpbsv, "f": lapack.spbsv}
 
 
 class PoissonSolver:
@@ -43,15 +47,6 @@ class PoissonSolver:
         Structured grid of the unit square (or a custom rectangle).
     left_value, right_value:
         Dirichlet values on the left/right edges (0 and 1 in the paper).
-    solver:
-        Strategy for the reduced interior system:
-
-        * ``"splu"`` (default) — sparse LU per sample with an SPD-friendly
-          ordering; exact to factorization rounding.
-        * ``"cg"`` — conjugate gradients preconditioned by a one-time LU
-          factorization of the prior-mean operator (``kappa = 1``); cheaper
-          per sample on fine meshes when the coefficient field stays close
-          to its mean, at iterative-tolerance accuracy.
     dtype:
         Solve dtype (``float32`` or ``float64``, default double): assembly,
         factorization and nodal solutions run at this precision; observations
@@ -61,10 +56,11 @@ class PoissonSolver:
     Notes
     -----
     The solver precomputes an :class:`~repro.fem.assembly.AssemblyPlan` for
-    its ``(grid, Dirichlet set)`` pair; every call to :meth:`solve` writes a
-    fresh coefficient field into the fixed sparsity and solves the reduced
-    SPD system ``K_ii u_i = b_i - K_ib u_b``.  :meth:`solve_reference` keeps
-    the original assemble-then-eliminate path for parity testing.
+    its ``(grid, Dirichlet set)`` pair and the plan's lifting operator for
+    its boundary data; every solve writes the coefficient fields into LAPACK
+    lower band storage and solves the reduced SPD systems
+    ``K_ii u_i = b_i - K_ib u_b`` by banded Cholesky factorization.  The
+    factor fills the band: ``(nx + 1) * num_interior`` entries per solve.
     """
 
     def __init__(
@@ -72,16 +68,12 @@ class PoissonSolver:
         grid: StructuredGrid,
         left_value: float = 0.0,
         right_value: float = 1.0,
-        solver: str = "splu",
         dtype=None,
     ) -> None:
-        if solver not in ("splu", "cg"):
-            raise ValueError(f"unknown solver strategy {solver!r}")
         self.grid = grid
         self.dtype = resolve_dtype(dtype)
         self.left_value = float(left_value)
         self.right_value = float(right_value)
-        self.solver_strategy = solver
         left_nodes = grid.boundary_nodes("left")
         right_nodes = grid.boundary_nodes("right")
         self._dirichlet_nodes = np.concatenate([left_nodes, right_nodes])
@@ -92,18 +84,9 @@ class PoissonSolver:
             ]
         )
         self.plan = AssemblyPlan(grid, self._dirichlet_nodes, dtype=self.dtype)
-        self._cg_preconditioner: spla.LinearOperator | None = None
+        self._lifting = self.plan.lifting(self._dirichlet_values)
         self._observation_operators: dict[tuple, sp.csr_matrix] = {}
         self._solve_count = 0
-
-    # ------------------------------------------------------------------
-    def __getstate__(self) -> dict:
-        # The CG preconditioner wraps a SuperLU factorization, which cannot
-        # cross process boundaries (PoolEvaluator pickles bound problems);
-        # drop it — it is rebuilt lazily on first use.
-        state = self.__dict__.copy()
-        state["_cg_preconditioner"] = None
-        return state
 
     # ------------------------------------------------------------------
     @property
@@ -121,71 +104,35 @@ class PoissonSolver:
         return self.grid.element_centers()
 
     # ------------------------------------------------------------------
-    def _preconditioner(self) -> spla.LinearOperator:
-        """Cached LU preconditioner built from the prior-mean operator."""
-        if self._cg_preconditioner is None:
-            k_mean, _ = self.plan.reduced_system(
-                np.ones(self.grid.num_elements), self._dirichlet_values
-            )
-            lu = spla.splu(k_mean.tocsc(), **_SPD_SPLU_KWARGS)
-            self._cg_preconditioner = spla.LinearOperator(
-                k_mean.shape, matvec=lu.solve
-            )
-        return self._cg_preconditioner
-
-    def _solve_reduced(self, k_ii: sp.csr_matrix, rhs: np.ndarray) -> np.ndarray:
-        """Solve the reduced SPD system with the configured strategy."""
-        if rhs.size == 0:
-            return rhs
-        if self.solver_strategy == "cg":
-            # Near machine epsilon for the solve dtype: 1e-12 is unreachable
-            # in float32 arithmetic and would always fall through to splu.
-            rtol = 1e-12 if self.dtype == np.dtype(np.float64) else 1e-6
-            solution, info = spla.cg(
-                k_ii, rhs, rtol=rtol, atol=0.0, M=self._preconditioner()
-            )
-            if info == 0:
-                return solution
-            # Non-convergence: fall through to the direct solve.
-        return spla.splu(k_ii.tocsc(), **_SPD_SPLU_KWARGS).solve(rhs)
-
     def solve(self, element_coefficients: np.ndarray) -> np.ndarray:
         """Solve for the nodal solution given per-element diffusion coefficients."""
-        k_ii, rhs = self.plan.reduced_system(element_coefficients, self._dirichlet_values)
-        interior_solution = self._solve_reduced(k_ii, rhs)
-        self._solve_count += 1
-        return self.plan.expand(interior_solution, self._dirichlet_values)
+        return self.solve_batch(np.reshape(element_coefficients, (1, -1)))[0]
 
     def solve_batch(self, coefficient_block: np.ndarray) -> np.ndarray:
         """Nodal solutions of an ``(n, num_elements)`` coefficient block.
 
-        Assembly reuses the precomputed plan per sample (one O(nnz) scatter
-        product each, no Python-level triplet work); the factorizations remain
-        per sample, which is what dominates.  Returns ``(n, num_dofs)``.
+        The right-hand-side product runs once for the whole block; then each
+        member is one band-scatter product and one banded Cholesky solve,
+        factored in place.  Returns ``(n, num_dofs)``.
+
+        Raises
+        ------
+        numpy.linalg.LinAlgError
+            If LAPACK reports a failed factorization (``info != 0``).
         """
-        block = np.atleast_2d(np.asarray(coefficient_block, dtype=np.float64))
-        solutions = np.empty((block.shape[0], self.grid.num_nodes), dtype=self.dtype)
-        for k, kappa in enumerate(block):
-            k_ii, rhs = self.plan.reduced_system(kappa, self._dirichlet_values)
-            solutions[k] = self.plan.expand(
-                self._solve_reduced(k_ii, rhs), self._dirichlet_values
-            )
+        block = np.atleast_2d(coefficient_block)
+        solutions = np.empty((block.shape[0], self.plan.num_interior), dtype=self.dtype)
+        pbsv = _PBSV[self.dtype.char]
+        for k, (band, rhs) in enumerate(self.plan.band_systems(block, self._lifting)):
+            if rhs.size:  # an nx = 1 grid has no interior unknowns
+                _, rhs, info = pbsv(band, rhs, lower=1, overwrite_ab=1, overwrite_b=1)
+                if info != 0:
+                    raise np.linalg.LinAlgError(
+                        f"banded Cholesky solve failed (LAPACK info={info})"
+                    )
+            solutions[k] = rhs
         self._solve_count += block.shape[0]
-        return solutions
-
-    def solve_reference(self, element_coefficients: np.ndarray) -> np.ndarray:
-        """The original full-system path (assemble, eliminate, ``spsolve``).
-
-        Kept as the parity reference for the plan-based fast path; the two
-        agree to factorization rounding (~1e-13 on the paper's finest mesh).
-        """
-        stiffness, rhs = assemble_diffusion_system(self.grid, element_coefficients)
-        stiffness, rhs = apply_dirichlet(
-            stiffness, rhs, self._dirichlet_nodes, self._dirichlet_values
-        )
-        solution = spla.spsolve(stiffness.tocsc(), rhs)
-        self._solve_count += 1
-        return solution
+        return self.plan.expand(solutions, self._dirichlet_values)
 
     # ------------------------------------------------------------------
     def observation_operator(self, points: np.ndarray) -> sp.csr_matrix:

@@ -72,7 +72,7 @@ class PoissonForwardModel:
     Implements the :class:`repro.models.base.ForwardModel` contract.  The KL
     mode matrix at the level's element midpoints is precomputed once so a
     forward evaluation is (i) a matrix-vector product, (ii) an exponential,
-    (iii) one sparse FEM solve and (iv) point evaluation at the observation
+    (iii) one banded FEM solve and (iv) point evaluation at the observation
     points.
     """
 
@@ -81,14 +81,13 @@ class PoissonForwardModel:
         spec: PoissonLevelSpec,
         field: GaussianRandomField,
         observation_points: np.ndarray,
-        solver: str = "splu",
         dtype=None,
     ) -> None:
         self.spec = spec
         self.field = field
         self.grid = StructuredGrid(spec.mesh_size)
         self.dtype = resolve_dtype(dtype)
-        self.solver = PoissonSolver(self.grid, solver=solver, dtype=self.dtype)
+        self.solver = PoissonSolver(self.grid, dtype=self.dtype)
         self.observation_points = np.atleast_2d(np.asarray(observation_points, dtype=float))
         midpoints = self.solver.element_midpoints()
         #: precomputed scaled KL modes at element midpoints, (num_elements, m)
@@ -185,10 +184,6 @@ class PoissonInverseProblemFactory(MLComponentFactory):
         (e.g. ``cache_size``); instance-valued options such as the caching
         backend's ``inner`` must be zero-argument callables, since each level
         builds a fresh backend from the same options.
-    fem_solver:
-        Strategy of each level's reduced FEM solve: ``"splu"`` (default,
-        direct) or ``"cg"`` (conjugate gradients with a cached prior-mean
-        preconditioner); see :class:`repro.fem.poisson.PoissonSolver`.
     precision:
         Precision-ladder policy (``"float64"``, ``"float32-coarse"``,
         ``"float32"``) mapping each level to its FEM solve dtype; parameters,
@@ -213,12 +208,10 @@ class PoissonInverseProblemFactory(MLComponentFactory):
         quadrature_points_per_dim: int = 24,
         evaluation_backend: str | None = None,
         evaluator_options: dict | None = None,
-        fem_solver: Literal["splu", "cg"] = "splu",
         precision: str | None = None,
     ) -> None:
         self.evaluation_backend = evaluation_backend
         self.evaluator_options = dict(evaluator_options or {})
-        self.fem_solver = fem_solver
         self.specs = [PoissonLevelSpec(level=l, mesh_size=int(n)) for l, n in enumerate(mesh_sizes)]
         self.precision = precision or "float64"
         self._level_dtypes = level_dtypes(self.precision, len(self.specs))
@@ -280,7 +273,6 @@ class PoissonInverseProblemFactory(MLComponentFactory):
                 self.specs[level],
                 self.field,
                 self.observation_points,
-                solver=self.fem_solver,
                 dtype=self._level_dtypes[level],
             )
         return self._forward_models[level]
@@ -312,7 +304,7 @@ class PoissonInverseProblemFactory(MLComponentFactory):
             qoi=lambda theta, _pred: self.qoi_map(theta),
         )
         # Nominal cost: proportional to the number of degrees of freedom (the
-        # sparse solve dominates); the parallel layer can override this with
+        # FEM solve dominates); the parallel layer can override this with
         # measured or paper-reported timings.
         cost = float(self.specs[level].num_dofs) / float(self.specs[0].num_dofs)
         return BayesianSamplingProblem(

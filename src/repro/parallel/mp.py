@@ -44,7 +44,10 @@ survives dying ranks instead of aborting:
   :meth:`~repro.parallel.transport.RankProcess.restart_message` bootstrap
   into the rank's (persistent) queue.  The queue survives the death, so
   fetch orders addressed to the dead incarnation are served by the
-  replacement — at-least-once delivery,
+  replacement — at-least-once delivery.  Orders the dead incarnation had
+  already consumed are gone with it, so every other running rank also gets
+  its :meth:`~repro.parallel.transport.RankProcess.peer_restart_message`
+  notice and re-issues what it was waiting on,
 * a global **restart budget** bounds recovery; when it is exhausted (or a
   non-restartable rank — root, phonebook — dies) the run either degrades
   into a partial result carrying a
@@ -457,21 +460,31 @@ class _RunHandles:
     * ``spawn(rank, with_chaos)`` — start a (replacement) incarnation,
     * ``inject(rank, message)`` — deliver a driver bootstrap message into the
       rank's *persistent* inbound store (must survive the rank's death),
-    * ``drain()`` — flush buffered inbound stores before joining children,
+    * ``drain()`` — flush buffered inbound stores; called repeatedly while
+      children are joined, so it must be cheap and non-blocking,
+    * ``settle(rank)`` — wait (bounded) until everything a rank whose
+      process has exited sent is on ``result_queue``,
     * ``close()`` — final backend teardown after children are joined.
     """
 
-    def __init__(self, children, result_queue, spawn, inject, drain=None, close=None):
+    def __init__(
+        self, children, result_queue, spawn, inject, drain=None, close=None, settle=None
+    ):
         self.children = children
         self.result_queue = result_queue
         self.spawn = spawn
         self.inject = inject
         self._drain = drain
         self._close = close
+        self._settle = settle
 
     def drain(self) -> None:
         if self._drain is not None:
             self._drain()
+
+    def settle(self, rank: int) -> None:
+        if self._settle is not None:
+            self._settle(rank)
 
     def close(self) -> None:
         if self._close is not None:
@@ -746,6 +759,14 @@ class MultiprocessWorld:
             # and burn the whole budget on one rank.
             children[rank] = handles.spawn(rank, with_chaos=False)
             last_heartbeat[rank] = time.monotonic()
+            for peer in sorted(pending - {rank}):
+                notice = self._processes[peer].peer_restart_message(rank, process.role)
+                if notice is not None:
+                    tag, payload = notice
+                    handles.inject(
+                        peer,
+                        Message(source=DRIVER_RANK, dest=peer, tag=tag, payload=payload),
+                    )
             config = getattr(process, "config", None)
             reassignments.append(
                 Reassignment(
@@ -764,46 +785,54 @@ class MultiprocessWorld:
                 ft.max_rank_restarts,
             )
 
+        def take_queued(timeout: float) -> list:
+            items = []
+            try:
+                items.append(result_queue.get(timeout=timeout))
+                while True:
+                    items.append(result_queue.get(timeout=0))
+            except queue_module.Empty:
+                pass
+            return items
+
+        def absorb(rank: int, status: str, payload) -> None:
+            nonlocal root_done
+            if status == "heartbeat":
+                if rank in last_heartbeat:
+                    last_heartbeat[rank] = time.monotonic()
+                    heartbeat_meta[rank] = payload
+                    self._heartbeats_received += 1
+            elif status == "ok":
+                pending.discard(rank)
+                process = self._processes[rank]
+                process._state.finished = True
+                process.absorb(payload["harvest"])
+                self.trace.extend(payload["events"])
+                self._messages_sent += payload["messages_sent"]
+                self._events_processed += payload["events_processed"]
+                self._messages_dropped += payload.get("messages_dropped", 0)
+                self._chaos_dropped += payload.get("chaos_dropped", 0)
+                wire = payload.get("wire")
+                if wire:
+                    self._wire_totals.add(wire)
+                    self._rank_wire[rank] = dict(wire)
+                if rank == root_rank:
+                    root_done = True
+            elif ft is not None and rank in pending:
+                handle_death(rank, f"rank reported an exception:\n{payload}")
+            else:
+                failures[rank] = payload
+
         try:
             while pending and not failures and exhausted is None:
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
                     break
-                try:
-                    rank, status, payload = result_queue.get(
-                        timeout=min(remaining, 0.2 if ft is not None else 1.0)
-                    )
-                except queue_module.Empty:
-                    pass
-                else:
-                    if status == "heartbeat":
-                        if rank in last_heartbeat:
-                            last_heartbeat[rank] = time.monotonic()
-                            heartbeat_meta[rank] = payload
-                            self._heartbeats_received += 1
-                    elif status == "ok":
-                        pending.discard(rank)
-                        process = self._processes[rank]
-                        process._state.finished = True
-                        process.absorb(payload["harvest"])
-                        self.trace.extend(payload["events"])
-                        self._messages_sent += payload["messages_sent"]
-                        self._events_processed += payload["events_processed"]
-                        self._messages_dropped += payload.get("messages_dropped", 0)
-                        self._chaos_dropped += payload.get("chaos_dropped", 0)
-                        wire = payload.get("wire")
-                        if wire:
-                            self._wire_totals.add(wire)
-                            self._rank_wire[rank] = dict(wire)
-                        if rank == root_rank:
-                            root_done = True
-                    else:
-                        if ft is not None and rank in pending:
-                            handle_death(
-                                rank, f"rank reported an exception:\n{payload}"
-                            )
-                        else:
-                            failures[rank] = payload
+                # Take everything already queued before the liveness check
+                # below: a dead rank's last heartbeats (its restart metadata)
+                # may still sit behind other ranks' items.
+                for item in take_queued(min(remaining, 0.2 if ft is not None else 1.0)):
+                    absorb(*item)
                 # -- failure detection ------------------------------------
                 if ft is None:
                     for r in list(pending):
@@ -821,9 +850,22 @@ class MultiprocessWorld:
                             break
                         child = children[r]
                         if not child.is_alive() and child.exitcode not in (0, None):
+                            # Let the dead incarnation's last heartbeat reach
+                            # the queue and take it (restart metadata) before
+                            # acting; results that arrived meanwhile wait, so
+                            # the death is handled as of when it was seen.
+                            handles.settle(r)
+                            later = []
+                            for item in take_queued(0.0):
+                                if item[1] == "heartbeat":
+                                    absorb(*item)
+                                else:
+                                    later.append(item)
                             handle_death(
                                 r, f"process exited with code {child.exitcode}"
                             )
+                            for item in later:
+                                absorb(*item)
                         elif now_mono - last_heartbeat[r] > grace:
                             handle_death(
                                 r,
@@ -831,14 +873,21 @@ class MultiprocessWorld:
                                 f"{now_mono - last_heartbeat[r]:.1f}s (hung)",
                             )
         finally:
-            handles.drain()
             # One *shared* deadline for the whole shutdown: the happy path
             # previously waited up to 10s per child serially, so a machine of
             # N stragglers could stall the driver for 10·N seconds.
             clean = not (pending or failures or exhausted is not None)
             join_deadline = time.monotonic() + (10.0 if clean else 1.0)
-            for child in children.values():
-                child.join(timeout=max(0.0, join_deadline - time.monotonic()))
+            # Keep draining while children exit: a rank still flushing late
+            # sends after one drain would otherwise block its exit on a full
+            # pipe until the deadline.
+            while True:
+                handles.drain()
+                alive = [child for child in children.values() if child.is_alive()]
+                remaining = join_deadline - time.monotonic()
+                if not alive or remaining <= 0:
+                    break
+                alive[0].join(timeout=min(remaining, 0.05))
             for child in children.values():
                 if child.is_alive():
                     child.terminate()

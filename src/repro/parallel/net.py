@@ -164,6 +164,9 @@ _HELLO = struct.Struct("!i")
 #: ACK body: the highest consumed sequence number (cumulative)
 _ACK = struct.Struct("!q")
 
+#: how long a finished rank waits for the hub's EOF before closing anyway
+_CLOSE_DRAIN_S = 5.0
+
 
 class ProtocolVersionError(WireProtocolError):
     """The peer speaks a different protocol version; never retried."""
@@ -439,9 +442,10 @@ class _HubClient:
         self._consumed_seq = -1
         self._acked_seq = -1
         self.inbox = _ClientInbox(self)
-        threading.Thread(
+        self._reader = threading.Thread(
             target=self._read_loop, name=f"repro-net-inbox-{rank}", daemon=True
-        ).start()
+        )
+        self._reader.start()
 
     def _read_loop(self) -> None:
         try:
@@ -502,10 +506,20 @@ class _HubClient:
         )
 
     def close(self) -> None:
+        """Graceful close: send FIN, drain until the hub's EOF, release.
+
+        Closing with unread bytes in the receive buffer (late messages this
+        rank never consumed) makes the kernel send RST instead of FIN, and a
+        hub that receives RST may discard frames it has not read yet — this
+        rank's RESULT among them.  So only the write side is shut down; the
+        reader keeps draining until the hub, having read up to the FIN,
+        closes its end.
+        """
         try:
-            self._sock.shutdown(socket.SHUT_RDWR)
+            self._sock.shutdown(socket.SHUT_WR)
         except OSError:
             pass
+        self._reader.join(timeout=_CLOSE_DRAIN_S)
         self._sock.close()
 
 
@@ -560,14 +574,20 @@ class _RankLink:
     without a single pickle round-trip.
     """
 
-    __slots__ = ("rank", "lock", "conn", "conn_id", "next_seq", "unacked", "pending")
+    __slots__ = (
+        "rank", "lock", "conn", "conn_id", "reader", "next_seq", "unacked", "pending"
+    )
 
     def __init__(self, rank: int) -> None:
         self.rank = rank
         self.lock = threading.Lock()
+        #: the connection the hub *writes* to; its reader thread owns (and
+        #: eventually closes) the socket itself
         self.conn: socket.socket | None = None
         #: bumped per registered connection so a stale reader can tell it was replaced
         self.conn_id = 0
+        #: reader thread of the latest registered connection
+        self.reader: threading.Thread | None = None
         self.next_seq = 0
         #: seq → encoded body, written to a connection but not yet consumed
         self.unacked: OrderedDict[int, bytearray] = OrderedDict()
@@ -594,6 +614,8 @@ class _Hub:
         self.address: tuple[str, int] = (addr[0], addr[1])
         self._closed = threading.Event()
         self._threads: list[threading.Thread] = []
+        #: every registered connection, so teardown can wake its reader
+        self._conns: list[socket.socket] = []
         self._accept_thread = threading.Thread(
             target=self._accept_loop, name="repro-net-accept", daemon=True
         )
@@ -644,28 +666,37 @@ class _Hub:
             self._register(link, conn)
 
     def _register(self, link: _RankLink, conn: socket.socket) -> None:
+        # A replacement may say HELLO before the old connection EOF'd (the
+        # usual case right after a kill).  The hub just stops writing to the
+        # corpse; its reader still drains whatever the dead incarnation sent
+        # and closes it at EOF.
         with link.lock:
-            old = link.conn
             link.conn_id += 1
             conn_id = link.conn_id
             link.conn = conn
             self._requeue_unacked_locked(link)
             self._flush_locked(link)
-        if old is not None:
-            # A replacement said HELLO before the old connection EOF'd (the
-            # usual case right after a kill); drop the corpse.
-            try:
-                old.close()
-            except OSError:
-                pass
+        self._conns.append(conn)
         thread = threading.Thread(
             target=self._serve_rank,
             args=(link, conn, conn_id),
             name=f"repro-net-rank-{link.rank}",
             daemon=True,
         )
+        link.reader = thread
         thread.start()
         self._threads.append(thread)
+
+    def settle(self, rank: int, timeout: float = 1.0) -> None:
+        """Wait (bounded) until the reader of ``rank``'s latest connection hit EOF.
+
+        Called once the rank's process has exited: afterwards every frame the
+        dead incarnation sent — its last heartbeat above all — has been
+        routed or handed to the result sink.
+        """
+        link = self._links.get(rank)
+        if link is not None and link.reader is not None:
+            link.reader.join(timeout=timeout)
 
     # -- delivery (all three helpers expect link.lock held) ------------
     def _requeue_unacked_locked(self, link: _RankLink) -> None:
@@ -678,11 +709,10 @@ class _Hub:
             link.unacked.clear()
 
     def _disconnect_locked(self, link: _RankLink) -> None:
-        if link.conn is not None:
-            try:
-                link.conn.close()
-            except OSError:
-                pass
+        # Only stop *writing*: closing here would pull the socket out from
+        # under the connection's reader thread, and the rank's last frames
+        # (its RESULT among them) may still sit unread in the receive buffer
+        # behind a failed forward.  The reader closes the socket at EOF.
         link.conn = None
         self._requeue_unacked_locked(link)
 
@@ -781,11 +811,10 @@ class _Hub:
             with link.lock:
                 if link.conn_id == conn_id:
                     self._disconnect_locked(link)
-                else:
-                    try:
-                        conn.close()
-                    except OSError:
-                        pass
+            try:
+                conn.close()
+            except OSError:
+                pass
 
     # -- teardown -------------------------------------------------------
     def close(self) -> None:
@@ -793,21 +822,22 @@ class _Hub:
         if self._closed.is_set():
             return
         self._closed.set()
-        try:
-            self._listener.close()
-        except OSError:
-            pass
         for link in self._links.values():
             with link.lock:
-                if link.conn is not None:
-                    try:
-                        link.conn.close()
-                    except OSError:
-                        pass
-                    link.conn = None
+                link.conn = None
+        # ``close()`` alone does not wake a thread blocked in ``accept`` or
+        # ``recv`` on Linux; ``shutdown`` does, so the accept thread and every
+        # reader return and close their own sockets.
+        for sock in (self._listener, *self._conns):
+            try:
+                sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
         deadline = time.monotonic() + 2.0
         for thread in (*self._threads, self._accept_thread):
             thread.join(timeout=max(0.0, deadline - time.monotonic()))
+        for sock in (self._listener, *self._conns):
+            sock.close()
 
 
 # ----------------------------------------------------------------------
@@ -984,4 +1014,5 @@ class SocketWorld(MultiprocessWorld):
             inject=inject,
             drain=None,
             close=hub.close,
+            settle=hub.settle,
         )

@@ -56,6 +56,12 @@ class CollectorProcess(RankProcess):
             return None
         return (Tags.COLLECT, {"level": int(level), "target": int(target)})
 
+    def peer_restart_message(self, rank: int, role: str) -> tuple[str, dict] | None:
+        # A respawned controller may have died holding our fetch order.
+        if role != "controller":
+            return None
+        return (Tags.PEER_RESTARTED, {"rank": int(rank)})
+
     # ------------------------------------------------------------------
     def run(self) -> Generator:
         config = self.config
@@ -94,9 +100,17 @@ class CollectorProcess(RankProcess):
                         {"level": self.level, "requester": self.rank, "count": count},
                     )
                     outstanding = count
-                message = yield self.recv(Tags.CORRECTIONS, Tags.SHUTDOWN)
+                message = yield self.recv(
+                    Tags.CORRECTIONS, Tags.SHUTDOWN, Tags.PEER_RESTARTED
+                )
                 if message.tag == Tags.SHUTDOWN:
                     return
+                if message.tag == Tags.PEER_RESTARTED:
+                    # The request may have died with a controller: re-issue
+                    # it (a late answer to the old one only tops up the
+                    # collection, which stops at its target).
+                    outstanding = 0
+                    continue
                 pairs = message.payload["pairs"]
                 # Responses produced by a controller that has since switched levels
                 # are discarded; the request is simply re-issued on the next round.
@@ -142,8 +156,10 @@ class CollectorProcess(RankProcess):
             # cumulative COLLECT order) while absorbing late messages.
             message = None
             while True:
-                message = yield self.recv(Tags.SHUTDOWN, Tags.CORRECTIONS, Tags.COLLECT)
-                if message.tag != Tags.CORRECTIONS:
+                message = yield self.recv(
+                    Tags.SHUTDOWN, Tags.CORRECTIONS, Tags.COLLECT, Tags.PEER_RESTARTED
+                )
+                if message.tag not in (Tags.CORRECTIONS, Tags.PEER_RESTARTED):
                     break
             if message.tag == Tags.SHUTDOWN:
                 return

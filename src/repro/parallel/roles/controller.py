@@ -116,6 +116,12 @@ class ControllerProcess(RankProcess):
             return None
         return (Tags.ASSIGN, {"level": int(level)})
 
+    def peer_restart_message(self, rank: int, role: str) -> tuple[str, dict] | None:
+        # A respawned controller may have died holding our coarse-sample fetch.
+        if role != "controller":
+            return None
+        return (Tags.PEER_RESTARTED, {"rank": int(rank)})
+
     # ------------------------------------------------------------------
     def run(self) -> Generator:
         message = yield self.recv(Tags.ASSIGN, Tags.SHUTDOWN)
@@ -279,11 +285,14 @@ class ControllerProcess(RankProcess):
                     Tags.REASSIGN,
                     Tags.SHUTDOWN,
                     Tags.COARSE_SAMPLE,
+                    Tags.PEER_RESTARTED,
                 )
                 if pending is None:
                     break
                 if pending.tag == Tags.SHUTDOWN:
                     return "shutdown", None
+                if pending.tag == Tags.PEER_RESTARTED:
+                    continue  # no coarse-sample request is outstanding here
                 if pending.tag == Tags.REASSIGN:
                     yield from self._flush_obligations(
                         pending_sample_fetches, pending_correction_fetches, chain,
@@ -309,7 +318,17 @@ class ControllerProcess(RankProcess):
                         Tags.FETCH_CORRECTION,
                         Tags.REASSIGN,
                         Tags.SHUTDOWN,
+                        Tags.PEER_RESTARTED,
                     )
+                    if message.tag == Tags.PEER_RESTARTED:
+                        # Our fetch may have died with that controller: ask
+                        # again (a late duplicate is dropped as a stray).
+                        yield self.send(
+                            phonebook,
+                            Tags.SAMPLE_REQUEST,
+                            {"level": level - 1, "requester": self.rank},
+                        )
+                        continue
                     if message.tag == Tags.COARSE_SAMPLE:
                         # Guard against stale samples requested before a reassignment:
                         # only accept samples coming from the expected coarser level.

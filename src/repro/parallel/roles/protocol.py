@@ -59,6 +59,9 @@ class Tags:
     # collector -> root
     COLLECTOR_DONE = "COLLECTOR_DONE"
 
+    # driver -> requesters: a controller was respawned (real-process recovery)
+    PEER_RESTARTED = "PEER_RESTARTED"
+
 
 class SharedProblemCache:
     """Construct-once cache of per-level sampling problems.

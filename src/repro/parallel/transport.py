@@ -296,6 +296,16 @@ class RankProcess:
         """
         return None
 
+    def peer_restart_message(self, rank: int, role: str) -> tuple[str, Any] | None:
+        """Notice ``(tag, payload)`` to inject when *another* rank was respawned.
+
+        A dead incarnation takes with it the requests it had consumed but
+        not answered yet (and any sends still buffered in its outbox), so
+        roles that wait on answers from ``role`` re-issue their outstanding
+        request on this notice.  ``None`` means no notice needed.
+        """
+        return None
+
     # -- state shipping (multiprocess transport) ----------------------------
     def prepare_for_transport(self) -> None:
         """Hook run on the rank's host process before the generator starts.

@@ -137,6 +137,11 @@ class TestAssembly:
         grid = StructuredGrid(3)
         with pytest.raises(ValueError):
             assemble_diffusion_system(grid, -np.ones(grid.num_elements))
+        for bad in (np.nan, np.inf):
+            kappa = np.ones(grid.num_elements)
+            kappa[2] = bad
+            with pytest.raises(ValueError):
+                assemble_diffusion_system(grid, kappa)
 
     def test_source_term_enters_load(self):
         grid = StructuredGrid(4)

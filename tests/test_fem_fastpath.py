@@ -1,16 +1,20 @@
-"""Tests for the persistent-structure FEM fast path.
+"""Tests for the plan-based FEM solve path.
 
-Covers the parity guarantees the fast path promises against the original
-reference implementations: plan-based assembly vs. the COO path, the reduced
-interior system vs. full ``apply_dirichlet`` elimination, the sparse
-observation operator vs. the ``evaluate()`` loop, ``solve_batch`` vs. looped
-``solve``, and the boundary-clamp edge cases of point location.
+Covers the parity guarantees the solve path promises against the reference
+implementations: plan-based assembly vs. the COO path, the banded interior
+system vs. full ``apply_dirichlet`` elimination, the banded Cholesky solve vs.
+an assemble-eliminate-``spsolve`` oracle, the sparse observation operator vs.
+the ``evaluate()`` loop, ``solve_batch`` vs. looped ``solve``, and the
+boundary-clamp edge cases of point location.
 """
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from repro.fem.assembly import (
     AssemblyPlan,
@@ -23,6 +27,32 @@ from repro.fem.poisson import PoissonSolver
 
 def _random_kappa(grid: StructuredGrid, rng: np.random.Generator) -> np.ndarray:
     return np.exp(rng.normal(0.0, 1.0, size=grid.num_elements))
+
+
+def _reference_solve(grid: StructuredGrid, kappa: np.ndarray) -> np.ndarray:
+    """Oracle: assemble the full system, eliminate u = 0 | 1 on the left |
+    right edges, ``spsolve``."""
+    left, right = grid.boundary_nodes("left"), grid.boundary_nodes("right")
+    stiffness, load = assemble_diffusion_system(grid, kappa)
+    stiffness, load = apply_dirichlet(
+        stiffness,
+        load,
+        np.concatenate([left, right]),
+        np.concatenate([np.zeros(left.size), np.ones(right.size)]),
+    )
+    return spla.spsolve(stiffness.tocsc(), load)
+
+
+def _band_to_dense(band: np.ndarray) -> np.ndarray:
+    """Symmetric matrix from LAPACK lower band storage ``(kd + 1, n)``."""
+    kd, n = band.shape[0] - 1, band.shape[1]
+    dense = np.zeros((n, n))
+    for offset in range(kd + 1):
+        diagonal = band[offset, : n - offset]
+        dense += np.diag(diagonal, -offset)
+        if offset:
+            dense += np.diag(diagonal, offset)
+    return dense
 
 
 class TestGridCaching:
@@ -111,6 +141,13 @@ class TestAssemblyPlanParity:
             plan.assemble(np.ones(5))
         with pytest.raises(ValueError):
             plan.assemble(-np.ones(grid.num_elements))
+        for bad in (np.nan, np.inf):
+            kappa = np.ones(grid.num_elements)
+            kappa[4] = bad
+            with pytest.raises(ValueError):
+                plan.assemble(kappa)
+            with pytest.raises(ValueError):
+                list(plan.band_systems(np.vstack([np.ones_like(kappa), kappa]), plan.lifting(0.0)))
 
     def test_duplicate_dirichlet_nodes_rejected(self):
         grid = StructuredGrid(3)
@@ -136,8 +173,11 @@ class TestAssemblyPlanParity:
         kappa = _random_kappa(grid, rng)
         plan = AssemblyPlan(grid, dirichlet_nodes=nodes)
 
-        k_ii, rhs_i = plan.reduced_system(kappa, values)
-        reduced = np.linalg.solve(k_ii.toarray(), rhs_i)
+        [(band, rhs_i)] = plan.band_systems(kappa, plan.lifting(values))
+        assert plan.bandwidth == grid.nx
+        assert band.shape == (grid.nx + 1, plan.num_interior)
+        assert band.flags.f_contiguous
+        reduced = np.linalg.solve(_band_to_dense(band), rhs_i)
         full_solution = plan.expand(reduced, values)
 
         stiffness, load = assemble_diffusion_system(grid, kappa)
@@ -147,25 +187,45 @@ class TestAssemblyPlanParity:
 
 
 class TestFastPathSolver:
-    def test_solve_matches_reference_to_machine_precision(self, rng):
-        grid = StructuredGrid(16)
+    @pytest.mark.parametrize("shape", [(16, 16), (6, 3), (20, 14)])
+    def test_solve_matches_reference_to_machine_precision(self, shape, rng):
+        grid = StructuredGrid(*shape)
         solver = PoissonSolver(grid)
         kappa = _random_kappa(grid, rng)
-        fast = solver.solve(kappa)
-        reference = solver.solve_reference(kappa)
-        np.testing.assert_allclose(fast, reference, atol=1e-11)
-        assert solver.num_solves == 2
+        np.testing.assert_allclose(
+            solver.solve(kappa), _reference_solve(grid, kappa), rtol=0.0, atol=1e-12
+        )
+        assert solver.num_solves == 1
 
-    def test_cg_strategy_matches_direct(self, rng):
-        grid = StructuredGrid(12)
+    def test_float32_solve_matches_reference_to_round_off(self, rng):
+        grid = StructuredGrid(16)
+        solver = PoissonSolver(grid, dtype=np.float32)
         kappa = _random_kappa(grid, rng)
-        direct = PoissonSolver(grid, solver="splu").solve(kappa)
-        iterative = PoissonSolver(grid, solver="cg").solve(kappa)
-        np.testing.assert_allclose(iterative, direct, atol=1e-9)
+        solution = solver.solve(kappa)
+        assert solution.dtype == np.float32
+        np.testing.assert_allclose(solution, _reference_solve(grid, kappa), atol=1e-5)
 
-    def test_unknown_strategy_rejected(self):
-        with pytest.raises(ValueError):
-            PoissonSolver(StructuredGrid(4), solver="magic")
+    def test_non_finite_coefficients_rejected(self):
+        solver = PoissonSolver(StructuredGrid(4))
+        for bad in (np.nan, np.inf, -np.inf, 0.0):
+            kappa = np.ones(solver.grid.num_elements)
+            kappa[3] = bad
+            with pytest.raises(ValueError):
+                solver.solve(kappa)
+
+    def test_failed_factorization_raises(self, monkeypatch):
+        # Positive coefficients always give an SPD band; feed the solver a
+        # negated one to reach the LAPACK failure branch.
+        solver = PoissonSolver(StructuredGrid(4))
+        band_systems = solver.plan.band_systems
+
+        def negated(block, lifting):
+            for band, rhs in band_systems(block, lifting):
+                yield -band, rhs
+
+        monkeypatch.setattr(solver.plan, "band_systems", negated)
+        with pytest.raises(np.linalg.LinAlgError):
+            solver.solve(np.ones(solver.grid.num_elements))
 
     def test_solve_batch_matches_looped_solve(self, rng):
         grid = StructuredGrid(10)
@@ -218,19 +278,16 @@ class TestFastPathSolver:
         assert batch.shape == (4, 3)
         np.testing.assert_allclose(batch, loop, rtol=1e-13, atol=1e-15)
 
-    def test_solver_picklable_after_cg_solve(self, rng):
-        # PoolEvaluator pickles bound problems; the cached SuperLU-backed
-        # preconditioner must be dropped (and lazily rebuilt), not pickled.
-        import pickle
-
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_solver_pickle_round_trip_after_solve(self, dtype, rng):
+        # PoolEvaluator pickles bound problems: nothing unpicklable (such as
+        # a LAPACK routine) may be cached on the solver by a solve.
         grid = StructuredGrid(8)
-        solver = PoissonSolver(grid, solver="cg")
+        solver = PoissonSolver(grid, dtype=dtype)
         kappa = _random_kappa(grid, rng)
         expected = solver.solve(kappa)
-        assert solver._cg_preconditioner is not None
         clone = pickle.loads(pickle.dumps(solver))
-        assert clone._cg_preconditioner is None
-        np.testing.assert_allclose(clone.solve(kappa), expected, atol=1e-10)
+        np.testing.assert_array_equal(clone.solve(kappa), expected)
 
     def test_single_column_grid_pins_all_nodes(self):
         # nx = 1 makes every node a Dirichlet node: the reduced system is

@@ -196,6 +196,48 @@ class TestCollectorAndWorker:
         assert len(collection) == 7
         np.testing.assert_allclose(collection.mean(), [0.5])
 
+    def test_collector_reissues_request_after_controller_respawn(self):
+        # The first request dies with a controller; only the PEER_RESTARTED
+        # notice the driver injects after the respawn can unblock the collector.
+        config = make_config()
+        world = VirtualWorld(latency=0.01)
+        collector = CollectorProcess(4, config)
+        assert collector.peer_restart_message(5, "worker") is None
+        notice_tag, notice = collector.peer_restart_message(5, "controller")
+        assert notice_tag == Tags.PEER_RESTARTED
+
+        class LossyPhonebook(RankProcess):
+            """Root + phonebook + controller that loses the first request."""
+
+            def __init__(self, rank):
+                super().__init__(rank)
+                self.requests = 0
+                self.done_payload = None
+
+            def run(self):
+                yield self.send(4, Tags.COLLECT, {"level": 1, "target": 2})
+                while True:
+                    msg = yield self.recv(Tags.CORRECTION_REQUEST, Tags.COLLECTOR_DONE)
+                    if msg.tag == Tags.COLLECTOR_DONE:
+                        self.done_payload = msg.payload
+                        yield self.send(4, Tags.SHUTDOWN, {})
+                        return
+                    self.requests += 1
+                    if self.requests == 1:
+                        yield self.send(4, notice_tag, notice)
+                        continue
+                    pairs = [(np.array([1.0]), np.array([0.5]))] * msg.payload["count"]
+                    yield self.send(4, Tags.CORRECTIONS, {"pairs": pairs, "level": 1})
+
+        config.layout.phonebook_rank = 9
+        config.layout.root_rank = 9
+        fake = LossyPhonebook(9)
+        world.add_process(collector)
+        world.add_process(fake)
+        world.run()
+        assert fake.requests == 2
+        assert len(fake.done_payload["collection"]) == 2
+
     def test_worker_mirrors_evaluations(self):
         world = VirtualWorld()
         worker = WorkerProcess(3, controller_rank=2)

@@ -141,6 +141,16 @@ class TestCleanShutdown:
         assert world._hub is not None
         assert world._hub.closed, "hub listener/connections left open"
 
+    def test_socket_hub_threads_exit_after_run(self, factory):
+        # Closing a socket does not wake a thread blocked in accept/recv on
+        # Linux; the hub must shut its sockets down so no thread outlives it.
+        sampler = _sampler(factory, "socket")
+        world, _root, _phonebook = sampler.build_world()
+        world.run()
+        hub = world._hub
+        threads = [hub._accept_thread, *hub._threads]
+        assert [t.name for t in threads if t.is_alive()] == []
+
 
 # ----------------------------------------------------------------------------
 class TestScenarioConformance:
