@@ -25,6 +25,7 @@ __all__ = [
 ]
 
 _LOG_2PI = math.log(2.0 * math.pi)
+_FLOAT64 = np.dtype(float)
 
 
 class Density(ABC):
@@ -56,7 +57,8 @@ class Density(ABC):
         return self.log_density(x)
 
     def _check(self, x: np.ndarray) -> np.ndarray:
-        x = np.atleast_1d(np.asarray(x, dtype=float)).ravel()
+        if not (type(x) is np.ndarray and x.ndim == 1 and x.dtype is _FLOAT64):
+            x = np.atleast_1d(np.asarray(x, dtype=float)).ravel()
         if x.shape[0] != self._dim:
             raise ValueError(f"expected dimension {self._dim}, got {x.shape[0]}")
         return x
@@ -112,7 +114,12 @@ class GaussianDensity(Density):
             self._chol = np.linalg.cholesky(self._cov)
         except np.linalg.LinAlgError as exc:
             raise ValueError("covariance matrix must be positive definite") from exc
-        self._log_det = 2.0 * float(np.sum(np.log(np.diag(self._chol))))
+        diag = np.diag(self._chol)
+        self._log_det = 2.0 * float(np.sum(np.log(diag)))
+        # A diagonal factor (isotropic or diagonal covariance) is applied
+        # elementwise: ``r / d`` and ``d * z`` equal ``solve(diag(d), r)`` and
+        # ``diag(d) @ z`` bitwise, as every row involves one nonzero entry.
+        self._diag = diag.copy() if np.array_equal(self._chol, np.diag(diag)) else None
 
     @property
     def mean(self) -> np.ndarray:
@@ -130,9 +137,11 @@ class GaussianDensity(Density):
         return self._chol.copy()
 
     def log_density(self, x: np.ndarray) -> float:
-        x = self._check(x)
-        resid = x - self._mean
-        alpha = np.linalg.solve(self._chol, resid)
+        resid = self._check(x) - self._mean
+        if self._diag is None:
+            alpha = np.linalg.solve(self._chol, resid)
+        else:
+            alpha = resid / self._diag
         quad = float(alpha @ alpha)
         return -0.5 * (quad + self._log_det + self.dim * _LOG_2PI)
 

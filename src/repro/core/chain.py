@@ -39,8 +39,12 @@ class SingleChainMCMC:
         as a separate phase for exactly this reason).
     level:
         Optional level label (used by correction bookkeeping and diagnostics).
-    evaluate_qoi:
-        Whether to evaluate and record QOIs for recorded (post burn-in) states.
+    record:
+        Whether post-burn-in states are recorded into :attr:`samples` and
+        their QOIs into :attr:`corrections`.  A chain that only feeds coarse
+        proposals to a finer chain (see :class:`SubsampledChainSource`) is
+        built with ``record=False``: its steps keep nothing, and :meth:`run`,
+        which counts recorded samples, raises.
     """
 
     def __init__(
@@ -50,13 +54,13 @@ class SingleChainMCMC:
         rng: np.random.Generator,
         burnin: int = 0,
         level: int = 0,
-        evaluate_qoi: bool = True,
+        record: bool = True,
     ) -> None:
         self.kernel = kernel
         self.rng = rng
         self.burnin = int(burnin)
         self.level = int(level)
-        self.evaluate_qoi = bool(evaluate_qoi)
+        self.record = bool(record)
 
         self.samples = SampleCollection()
         self.corrections = CorrectionCollection(level=self.level)
@@ -91,15 +95,14 @@ class SingleChainMCMC:
         self._current = result.state
         self._steps_taken += 1
 
-        if self._steps_taken > self.burnin:
-            if self.evaluate_qoi:
-                # Fine QOI of the (possibly repeated) current state.
-                fine_qoi = self._problem_qoi(self._current)
-                coarse_qoi = result.metadata.get("coarse_qoi")
-                if coarse_qoi is not None:
-                    self.corrections.add(fine_qoi, coarse_qoi)
-                else:
-                    self.corrections.add(fine_qoi, None if self.level == 0 else fine_qoi)
+        if self.record and self._steps_taken > self.burnin:
+            # Fine QOI of the (possibly repeated) current state.
+            fine_qoi = self._problem_qoi(self._current)
+            coarse_qoi = result.metadata.get("coarse_qoi")
+            if coarse_qoi is not None:
+                self.corrections.add(fine_qoi, coarse_qoi)
+            else:
+                self.corrections.add(fine_qoi, None if self.level == 0 else fine_qoi)
             self.samples.add(self._current.copy(weight=1), weight=1)
         return self._current
 
@@ -110,6 +113,11 @@ class SingleChainMCMC:
 
     def run(self, num_samples: int) -> SampleCollection:
         """Run until ``num_samples`` post-burn-in samples have been recorded."""
+        if not self.record:
+            raise RuntimeError(
+                "chain was built with record=False and keeps no samples; "
+                "advance it with run_steps() or through its sample source"
+            )
         target = int(num_samples)
         while self.samples.num_samples < target:
             self.step()

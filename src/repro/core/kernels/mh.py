@@ -46,7 +46,7 @@ class MHKernel(TransitionKernel):
             0.0,
             proposed_log_density - current_log_density + proposal_result.log_correction,
         )
-        accepted = math.log(rng.random() + 1e-300) < log_alpha if np.isfinite(log_alpha) else False
+        accepted = math.log(rng.random() + 1e-300) < log_alpha if math.isfinite(log_alpha) else False
 
         new_state = proposed if accepted else current
         self._record(accepted)
@@ -55,5 +55,6 @@ class MHKernel(TransitionKernel):
             state=new_state,
             accepted=accepted,
             log_alpha=float(log_alpha),
-            metadata=dict(proposal_result.metadata),
+            # the proposal result is discarded, so its metadata is handed on
+            metadata=proposal_result.metadata,
         )

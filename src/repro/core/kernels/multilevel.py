@@ -120,7 +120,7 @@ class MultilevelKernel(TransitionKernel):
         )
         log_alpha = min(0.0, log_alpha)
         accepted = (
-            math.log(rng.random() + 1e-300) < log_alpha if np.isfinite(log_alpha) else False
+            math.log(rng.random() + 1e-300) < log_alpha if math.isfinite(log_alpha) else False
         )
 
         new_state = proposed if accepted else current

@@ -150,15 +150,15 @@ class MLMCMCSampler:
         return max(0, self.factory.subsampling_rate(index))
 
     def build_chain(
-        self, level: int, chain_id: str = "main", evaluate_qoi: bool = True
+        self, level: int, chain_id: str = "main", record: bool = True
     ) -> SingleChainMCMC:
         """Recursively build the chain stack whose top chain samples level ``level``.
 
-        Only the top chain of each level's estimator records QOIs and
+        Only the top chain of each level's estimator records samples and
         corrections; the embedded coarse-source chains are built with
-        ``evaluate_qoi=False`` — their collections are never consumed, and
-        skipping the per-step QOI warm-up avoids evaluating QOIs of
-        subsampled-away states.
+        ``record=False``.  Nothing would ever read their collections, so
+        their steps copy, store and evaluate nothing beyond the kernel step
+        (QOIs are warmed only for the states handed to the finer chain).
         """
         indices = self.index_set.coarse_to_fine()
         index = indices[level]
@@ -174,13 +174,13 @@ class MLMCMCSampler:
                 rng=rng,
                 burnin=self.burnin[0],
                 level=0,
-                evaluate_qoi=evaluate_qoi,
+                record=record,
             )
 
         coarse_index = indices[level - 1]
         coarse_problem = self._problem(coarse_index)
         coarse_chain = self.build_chain(
-            level - 1, chain_id=f"{chain_id}/coarse{level - 1}", evaluate_qoi=False
+            level - 1, chain_id=f"{chain_id}/coarse{level - 1}", record=False
         )
         coarse_source = SubsampledChainSource(
             coarse_chain, subsampling_rate=self._subsampling_rate(level, index)
@@ -204,7 +204,7 @@ class MLMCMCSampler:
             rng=rng,
             burnin=self.burnin[level],
             level=level,
-            evaluate_qoi=evaluate_qoi,
+            record=record,
         )
 
     # ------------------------------------------------------------------

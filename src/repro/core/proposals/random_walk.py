@@ -40,6 +40,10 @@ class GaussianRandomWalkProposal(MCMCProposal):
         else:
             self._dim = cov.shape[0]
             self._chol = np.linalg.cholesky(0.5 * (cov + cov.T))
+        # A diagonal factor scales elementwise: ``d * z`` equals
+        # ``diag(d) @ z`` bitwise (each row adds exact zeros to one product).
+        diag = np.diag(self._chol)
+        self._diag = diag.copy() if np.array_equal(self._chol, np.diag(diag)) else None
 
     @property
     def dim(self) -> int:
@@ -55,6 +59,7 @@ class GaussianRandomWalkProposal(MCMCProposal):
             raise ValueError(
                 f"proposal dimension {self._dim} does not match state dimension {current.dim}"
             )
-        step = self._chol @ rng.standard_normal(self._dim)
+        z = rng.standard_normal(self._dim)
+        step = self._chol @ z if self._diag is None else self._diag * z
         proposed = SamplingState(parameters=current.parameters + step)
         return ProposalResult(state=proposed, log_correction=0.0)

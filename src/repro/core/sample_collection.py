@@ -20,7 +20,6 @@ import numpy as np
 from repro.core.state import SamplingState
 from repro.utils.stats import (
     RunningMoments,
-    WeightedRunningMoments,
     effective_sample_size,
     integrated_autocorrelation_time,
 )
@@ -31,19 +30,14 @@ __all__ = ["SampleCollection", "CorrectionCollection"]
 class SampleCollection:
     """An ordered collection of chain states with multiplicities.
 
-    Alongside the stored states, a running sample count and a weighted
-    Welford accumulator track the multiplicities and parameter moments
-    incrementally, so :attr:`num_samples` is O(1) and mid-run variance
-    snapshots (:meth:`streaming_mean` / :meth:`streaming_variance`) are O(dim)
-    reads — cheap enough for a chain to poll every step — while the batch
-    statistics (:meth:`mean`, :meth:`variance`) keep their original
-    recompute-from-scratch semantics bitwise.
+    A running sample count tracks the multiplicities, so :attr:`num_samples`
+    is O(1); the statistics (:meth:`mean`, :meth:`variance`, ...) are computed
+    from the stored states on demand.
     """
 
     def __init__(self) -> None:
         self._states: list[SamplingState] = []
         self._num_samples = 0
-        self._streaming = WeightedRunningMoments()
 
     # ------------------------------------------------------------------
     def add(self, state: SamplingState, weight: int = 1) -> None:
@@ -53,13 +47,8 @@ class SampleCollection:
         self._num_samples += weight
         if self._states and self._states[-1] is state:
             self._states[-1].weight += weight
-            self._streaming.push(state.parameters, weight)
             return
-        stored = state if state.weight == weight else state.copy(weight=weight)
-        if stored.weight != weight:
-            stored.weight = weight
-        self._states.append(stored)
-        self._streaming.push(stored.parameters, weight)
+        self._states.append(state if state.weight == weight else state.copy(weight=weight))
 
     def extend(self, states: Iterable[SamplingState]) -> None:
         """Append multiple states."""
@@ -141,25 +130,8 @@ class SampleCollection:
             moments.push(row)
         return moments
 
-    # ------------------------------------------------------------------
-    def streaming_mean(self) -> np.ndarray:
-        """Weighted parameter mean from the incremental accumulator (O(dim))."""
-        return self._streaming.mean()
-
-    def streaming_variance(self) -> np.ndarray:
-        """Per-component parameter variance from the incremental accumulator.
-
-        Frequency-weight semantics (denominator ``num_samples - 1``), matching
-        :meth:`variance` up to floating-point round-off without expanding the
-        chain — the signal an adaptive allocation loop polls mid-run.
-        """
-        return self._streaming.frequency_variance(ddof=1)
-
-    def _rebuild_streaming(self) -> None:
+    def _recount(self) -> None:
         self._num_samples = sum(state.weight for state in self._states)
-        self._streaming = WeightedRunningMoments()
-        for state in self._states:
-            self._streaming.push(state.parameters, state.weight)
 
     def ess(self, use_qoi: bool = False) -> float:
         """Effective sample size (minimum over components)."""
@@ -180,14 +152,13 @@ class SampleCollection:
         """Concatenate another collection (used by distributed collectors)."""
         self._states.extend(other._states)
         self._num_samples += other._num_samples
-        self._streaming.merge(other._streaming)
         return self
 
     def subset(self, start: int = 0, stop: int | None = None) -> "SampleCollection":
         """A view-like copy of a contiguous range of stored states."""
         result = SampleCollection()
         result._states = list(self._states[start:stop])
-        result._rebuild_streaming()
+        result._recount()
         return result
 
     # ------------------------------------------------------------------
@@ -200,7 +171,7 @@ class SampleCollection:
         """Rebuild a collection from a :meth:`state_dict` snapshot."""
         collection = cls()
         collection._states = [s.copy() for s in state["states"]]
-        collection._rebuild_streaming()
+        collection._recount()
         return collection
 
     def validate(self) -> None:

@@ -16,6 +16,8 @@ import numpy as np
 
 __all__ = ["SamplingState"]
 
+_FLOAT64 = np.dtype(float)
+
 
 @dataclass
 class SamplingState:
@@ -50,7 +52,16 @@ class SamplingState:
     metadata: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        self.parameters = np.atleast_1d(np.asarray(self.parameters, dtype=float)).ravel()
+        p = self.parameters
+        # Kernels and proposals hand over fresh contiguous float64 vectors;
+        # only other inputs pay for the conversion.
+        if not (
+            type(p) is np.ndarray
+            and p.ndim == 1
+            and p.dtype is _FLOAT64
+            and p.flags.c_contiguous
+        ):
+            self.parameters = np.atleast_1d(np.asarray(p, dtype=float)).ravel()
 
     # ------------------------------------------------------------------
     @property

@@ -33,14 +33,13 @@ factories return a *fresh* instance per problem; drivers, run manifests and
 :class:`EvaluatorStats` rather than timing model code themselves.
 """
 
-from repro.evaluation.base import EvaluationRecord, Evaluator, EvaluatorStats
+from repro.evaluation.base import Evaluator, EvaluatorStats
 from repro.evaluation.batch import BatchEvaluator
 from repro.evaluation.caching import CachingEvaluator
 from repro.evaluation.inprocess import InProcessEvaluator
 from repro.evaluation.pool import PoolEvaluator
 
 __all__ = [
-    "EvaluationRecord",
     "Evaluator",
     "EvaluatorStats",
     "InProcessEvaluator",

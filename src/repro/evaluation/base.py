@@ -10,9 +10,10 @@ a process pool — and, later, remote model servers.
 
 An evaluator is *bound* to the implementation callables of one sampling
 problem (:meth:`Evaluator.bind`); the problem does this automatically in its
-constructor.  Every evaluation is recorded as an :class:`EvaluationRecord`
-into the evaluator's :class:`EvaluatorStats`, which is where the sequential
-and parallel drivers obtain their evaluation counts and cost accounting.
+constructor.  Every evaluation is recorded into the evaluator's
+:class:`EvaluatorStats` (:meth:`EvaluatorStats.record` updates the counters in
+place), which is where the sequential and parallel drivers obtain their
+evaluation counts and cost accounting.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["EvaluationRecord", "EvaluatorStats", "Evaluator"]
+__all__ = ["EvaluatorStats", "Evaluator"]
 
 
 def _unit_cost() -> float:
@@ -45,33 +46,6 @@ def validated_batch_values(values, expected: int) -> np.ndarray:
             f"{flat.shape[0]} values for {expected} inputs"
         )
     return flat
-
-
-@dataclass(frozen=True)
-class EvaluationRecord:
-    """One evaluation event as seen by an evaluator.
-
-    Attributes
-    ----------
-    kind:
-        ``"log_density"`` or ``"qoi"``.
-    wall_time:
-        Wall-clock seconds spent in model code (virtual seconds in the
-        simulated-MPI world).
-    cost:
-        Nominal cost units of the event (``batch_size *`` the problem's
-        ``evaluation_cost()`` for model evaluations).
-    cache_hit:
-        Whether the result came out of a cache instead of the model.
-    batch_size:
-        Number of parameter vectors covered by the event.
-    """
-
-    kind: str
-    wall_time: float
-    cost: float
-    cache_hit: bool = False
-    batch_size: int = 1
 
 
 @dataclass
@@ -95,24 +69,49 @@ class EvaluatorStats:
     cost_units: float = 0.0
 
     # ------------------------------------------------------------------
-    def record(self, record: EvaluationRecord) -> None:
-        """Fold one evaluation event into the statistics."""
-        if record.kind not in ("log_density", "qoi"):
-            raise ValueError(f"unknown evaluation kind: {record.kind!r}")
-        if record.cache_hit:
-            if record.kind == "qoi":
-                self.qoi_cache_hits += record.batch_size
-            else:
-                self.cache_hits += record.batch_size
-            return
-        if record.kind == "log_density":
-            self.log_density_evaluations += record.batch_size
+    def record(
+        self,
+        kind: str,
+        wall_time: float,
+        cost: float,
+        *,
+        cache_hit: bool = False,
+        batch_size: int = 1,
+    ) -> None:
+        """Fold one evaluation event into the counters, in place.
+
+        Parameters
+        ----------
+        kind:
+            ``"log_density"`` or ``"qoi"``.
+        wall_time:
+            Wall-clock seconds spent in model code (virtual seconds in the
+            simulated-MPI world).
+        cost:
+            Nominal cost units of the event (``batch_size *`` the problem's
+            ``evaluation_cost()`` for model evaluations).
+        cache_hit:
+            Whether the result came out of a cache instead of the model; a
+            hit only moves the hit counter of its kind.
+        batch_size:
+            Number of parameter vectors covered by the event.
+        """
+        if kind == "log_density":
+            if cache_hit:
+                self.cache_hits += batch_size
+                return
+            self.log_density_evaluations += batch_size
+        elif kind == "qoi":
+            if cache_hit:
+                self.qoi_cache_hits += batch_size
+                return
+            self.qoi_evaluations += batch_size
         else:
-            self.qoi_evaluations += record.batch_size
-        if record.batch_size > 1:
+            raise ValueError(f"unknown evaluation kind: {kind!r}")
+        if batch_size > 1:
             self.batch_calls += 1
-        self.wall_time += float(record.wall_time)
-        self.cost_units += float(record.cost)
+        self.wall_time += float(wall_time)
+        self.cost_units += float(cost)
 
     # ------------------------------------------------------------------
     @property
@@ -228,9 +227,7 @@ class Evaluator(ABC):
         self._require_bound()
         start = time.perf_counter()
         value = float(self._log_density_fn(theta))
-        self.stats.record(
-            EvaluationRecord("log_density", time.perf_counter() - start, self._cost_fn())
-        )
+        self.stats.record("log_density", time.perf_counter() - start, self._cost_fn())
         return value
 
     def _evaluate_qoi(self, theta: np.ndarray) -> np.ndarray:
@@ -238,9 +235,7 @@ class Evaluator(ABC):
         self._require_bound()
         start = time.perf_counter()
         value = np.asarray(self._qoi_fn(theta), dtype=float)
-        self.stats.record(
-            EvaluationRecord("qoi", time.perf_counter() - start, self._cost_fn())
-        )
+        self.stats.record("qoi", time.perf_counter() - start, self._cost_fn())
         return value
 
     # -- the evaluation interface ---------------------------------------

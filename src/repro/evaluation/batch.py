@@ -6,7 +6,7 @@ import time
 
 import numpy as np
 
-from repro.evaluation.base import EvaluationRecord, validated_batch_values
+from repro.evaluation.base import validated_batch_values
 from repro.evaluation.inprocess import InProcessEvaluator
 
 __all__ = ["BatchEvaluator"]
@@ -51,12 +51,10 @@ class BatchEvaluator(InProcessEvaluator):
             tic = time.perf_counter()
             values = validated_batch_values(self._batch_fn(block), block.shape[0])
             self.stats.record(
-                EvaluationRecord(
-                    "log_density",
-                    time.perf_counter() - tic,
-                    self._cost_fn() * block.shape[0],
-                    batch_size=block.shape[0],
-                )
+                "log_density",
+                time.perf_counter() - tic,
+                self._cost_fn() * block.shape[0],
+                batch_size=block.shape[0],
             )
             chunks.append(values)
         return np.concatenate(chunks)

@@ -15,7 +15,7 @@ from collections import OrderedDict
 
 import numpy as np
 
-from repro.evaluation.base import EvaluationRecord, Evaluator
+from repro.evaluation.base import Evaluator
 from repro.evaluation.inprocess import InProcessEvaluator
 
 __all__ = ["CachingEvaluator"]
@@ -91,7 +91,7 @@ class CachingEvaluator(Evaluator):
     def _lookup(self, key: tuple):
         if key in self._cache:
             self._cache.move_to_end(key)
-            self.stats.record(EvaluationRecord(key[0], 0.0, 0.0, cache_hit=True))
+            self.stats.record(key[0], 0.0, 0.0, cache_hit=True)
             return self._cache[key]
         self.stats.cache_misses += 1
         return None
@@ -133,7 +133,7 @@ class CachingEvaluator(Evaluator):
         for i, theta in enumerate(thetas):
             key = self._key("log_density", theta)
             if key in miss_rows:
-                self.stats.record(EvaluationRecord("log_density", 0.0, 0.0, cache_hit=True))
+                self.stats.record("log_density", 0.0, 0.0, cache_hit=True)
                 miss_rows[key].append(i)
                 continue
             cached = self._lookup(key)

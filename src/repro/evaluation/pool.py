@@ -21,7 +21,7 @@ import time
 
 import numpy as np
 
-from repro.evaluation.base import EvaluationRecord, validated_batch_values
+from repro.evaluation.base import validated_batch_values
 from repro.evaluation.inprocess import InProcessEvaluator
 
 __all__ = ["PoolEvaluator"]
@@ -102,12 +102,10 @@ class PoolEvaluator(InProcessEvaluator):
                 pool.map(self._log_density_fn, list(thetas)), dtype=float
             )
         self.stats.record(
-            EvaluationRecord(
-                "log_density",
-                time.perf_counter() - tic,
-                self._cost_fn() * thetas.shape[0],
-                batch_size=thetas.shape[0],
-            )
+            "log_density",
+            time.perf_counter() - tic,
+            self._cost_fn() * thetas.shape[0],
+            batch_size=thetas.shape[0],
         )
         return values
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Generator
 
-from repro.evaluation import EvaluationRecord, EvaluatorStats
+from repro.evaluation import EvaluatorStats
 from repro.parallel.roles.protocol import Tags
 from repro.parallel.transport import RankProcess
 
@@ -62,9 +62,7 @@ class WorkerProcess(RankProcess):
                 continue
             payload = message.payload
             duration = float(payload["duration"])
-            self.stats.record(
-                EvaluationRecord("log_density", wall_time=duration, cost=duration)
-            )
+            self.stats.record("log_density", wall_time=duration, cost=duration)
             yield self.compute(
                 duration,
                 kind=str(payload.get("kind", "model_eval")),

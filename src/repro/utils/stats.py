@@ -233,18 +233,6 @@ class WeightedRunningMoments:
             return np.zeros(self._dim or 0)
         return self._m2 / denom
 
-    def frequency_variance(self, ddof: int = 1) -> np.ndarray:
-        """Sample variance under *frequency* weights (denominator ``W - ddof``).
-
-        For integer multiplicities (repeated MCMC states) this matches
-        ``np.var(expanded_rows, ddof=ddof)`` up to round-off, which is the
-        semantics sample collections report; :meth:`variance` is the
-        reliability-weighted variant for non-integer weights.
-        """
-        if self._m2 is None or self._wsum <= ddof:
-            return np.zeros(self._dim or 0)
-        return self._m2 / (self._wsum - ddof)
-
 
 def autocorrelation(series: np.ndarray, max_lag: int | None = None) -> np.ndarray:
     """Normalised autocorrelation function of a 1-D series via FFT.

@@ -357,76 +357,78 @@ class TestSequentialAllocation:
 
 
 class TestStreamingVariance:
-    """Satellite: pin the incremental Welford snapshots against batch results."""
+    """Pin the incremental Welford snapshots (and the sample counter) against batch results."""
 
-    def test_sample_collection_matches_batch_variance(self):
+    def test_sample_collection_batch_statistics_match_numpy(self):
         rng = np.random.default_rng(5)
         collection = SampleCollection()
         for _ in range(200):
             collection.add(SamplingState(parameters=rng.normal(size=3)))
-        np.testing.assert_allclose(
-            collection.streaming_variance(), collection.variance(), rtol=1e-10
+        assert collection.num_samples == 200
+        np.testing.assert_array_equal(
+            collection.variance(), np.var(collection.parameters(), axis=0, ddof=1)
         )
         np.testing.assert_allclose(
-            collection.streaming_mean(), collection.mean(), rtol=1e-10
-        )
-        np.testing.assert_allclose(
-            collection.streaming_variance(),
-            np.var(collection.parameters(), axis=0, ddof=1),
-            rtol=1e-10,
+            collection.mean(), collection.parameters().mean(axis=0), rtol=1e-12
         )
 
     def test_weighted_duplicates_match_expanded_chain(self):
-        # rejected MCMC proposals repeat the previous state: the streaming
-        # accumulator must weight duplicates like the expanded chain does
+        # rejected MCMC proposals repeat the previous state: re-adding the
+        # same object bumps its weight, and the statistics weight it like the
+        # expanded chain does
         rng = np.random.default_rng(6)
         collection = SampleCollection()
         state = SamplingState(parameters=rng.normal(size=2))
+        unique = 1
         for _ in range(50):
             if rng.random() < 0.4:
                 state = SamplingState(parameters=rng.normal(size=2))
+                unique += 1
             collection.add(state)
+        assert collection.num_samples == 50
+        assert collection.num_unique <= unique
+        assert sum(s.weight for s in collection) == 50
         np.testing.assert_allclose(
-            collection.streaming_variance(),
+            collection.variance(),
             np.var(collection.parameters(expand=True), axis=0, ddof=1),
-            rtol=1e-10,
+            rtol=1e-12,
         )
 
     def test_empty_and_single_sample_edge_cases(self):
         empty = SampleCollection()
-        assert empty.streaming_variance().size == 0
+        assert empty.num_samples == 0
+        assert empty.variance().size == 0
         single = SampleCollection()
         single.add(SamplingState(parameters=np.array([1.0, 2.0])))
-        np.testing.assert_array_equal(
-            single.streaming_variance(), np.zeros(2)
-        )
+        assert single.num_samples == 1
+        np.testing.assert_array_equal(single.variance(), np.zeros(2))
 
-    def test_merge_and_subset_keep_streaming_consistent(self):
+    def test_merge_and_subset_keep_counter_consistent(self):
         rng = np.random.default_rng(7)
         left, right = SampleCollection(), SampleCollection()
         for _ in range(30):
             left.add(SamplingState(parameters=rng.normal(size=2)))
             right.add(SamplingState(parameters=rng.normal(2.0, 3.0, size=2)))
         left.merge(right)
-        np.testing.assert_allclose(
-            left.streaming_variance(), left.variance(), rtol=1e-10
+        assert left.num_samples == 60
+        left.validate()
+        np.testing.assert_array_equal(
+            left.variance(), np.var(left.parameters(), axis=0, ddof=1)
         )
         tail = left.subset(10)
-        np.testing.assert_allclose(
-            tail.streaming_variance(), tail.variance(), rtol=1e-10
-        )
+        assert tail.num_samples == 50
+        tail.validate()
+        np.testing.assert_array_equal(tail.parameters(), left.parameters()[10:])
 
-    def test_state_dict_round_trip_rebuilds_accumulator(self):
+    def test_state_dict_round_trip_rebuilds_counter(self):
         rng = np.random.default_rng(8)
         collection = SampleCollection()
         for _ in range(25):
-            collection.add(SamplingState(parameters=rng.normal(size=2)))
+            collection.add(SamplingState(parameters=rng.normal(size=2)), weight=2)
         restored = SampleCollection.from_state_dict(collection.state_dict())
-        np.testing.assert_allclose(
-            restored.streaming_variance(),
-            collection.streaming_variance(),
-            rtol=1e-12,
-        )
+        assert restored.num_samples == collection.num_samples == 50
+        restored.validate()
+        np.testing.assert_array_equal(restored.variance(), collection.variance())
 
     def test_correction_collection_with_and_without_coarse(self):
         rng = np.random.default_rng(9)

@@ -346,7 +346,7 @@ class TestSingleChain:
         problem = GaussianTargetProblem(np.zeros(1), 1.0)
         kernel = MHKernel(problem, GaussianRandomWalkProposal(1.0, dim=1))
         chain = SingleChainMCMC(
-            kernel, np.zeros(1), np.random.default_rng(3), evaluate_qoi=False
+            kernel, np.zeros(1), np.random.default_rng(3), record=False
         )
         source = SubsampledChainSource(chain, subsampling_rate=5)
         for _ in range(6):
@@ -363,7 +363,7 @@ class TestSingleChain:
             MHKernel(coarse_problem, GaussianRandomWalkProposal(1.0, dim=1)),
             np.zeros(1),
             np.random.default_rng(8),
-            evaluate_qoi=False,
+            record=False,
         )
         source = SubsampledChainSource(coarse_chain, subsampling_rate=3)
         kernel = MultilevelKernel(

@@ -9,7 +9,6 @@ from repro.core import DensitySamplingProblem, GaussianTargetProblem, MLMCMCSamp
 from repro.evaluation import (
     BatchEvaluator,
     CachingEvaluator,
-    EvaluationRecord,
     EvaluatorStats,
     InProcessEvaluator,
     PoolEvaluator,
@@ -26,9 +25,9 @@ def _quadratic_log_density(theta: np.ndarray) -> float:
 class TestEvaluatorStats:
     def test_record_and_derived_quantities(self):
         stats = EvaluatorStats()
-        stats.record(EvaluationRecord("log_density", wall_time=0.5, cost=2.0))
-        stats.record(EvaluationRecord("qoi", wall_time=0.25, cost=1.0))
-        stats.record(EvaluationRecord("log_density", 0.0, 0.0, cache_hit=True))
+        stats.record("log_density", wall_time=0.5, cost=2.0)
+        stats.record("qoi", wall_time=0.25, cost=1.0)
+        stats.record("log_density", 0.0, 0.0, cache_hit=True)
         assert stats.log_density_evaluations == 1
         assert stats.qoi_evaluations == 1
         assert stats.cache_hits == 1
@@ -41,19 +40,19 @@ class TestEvaluatorStats:
 
     def test_batch_record(self):
         stats = EvaluatorStats()
-        stats.record(EvaluationRecord("log_density", wall_time=1.0, cost=8.0, batch_size=8))
+        stats.record("log_density", wall_time=1.0, cost=8.0, batch_size=8)
         assert stats.log_density_evaluations == 8
         assert stats.batch_calls == 1
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
-            EvaluatorStats().record(EvaluationRecord("solve", 0.0, 0.0))
+            EvaluatorStats().record("solve", 0.0, 0.0)
 
     def test_snapshot_delta_merge(self):
         stats = EvaluatorStats()
-        stats.record(EvaluationRecord("log_density", 0.1, 1.0))
+        stats.record("log_density", 0.1, 1.0)
         before = stats.snapshot()
-        stats.record(EvaluationRecord("log_density", 0.2, 1.0))
+        stats.record("log_density", 0.2, 1.0)
         delta = stats.delta(before)
         assert delta.log_density_evaluations == 1
         assert delta.wall_time == pytest.approx(0.2)
@@ -332,15 +331,15 @@ class TestMLMCMCWithEvaluators:
         from repro.parallel.costmodel import cost_model_from_stats
 
         stats = EvaluatorStats()
-        stats.record(EvaluationRecord("log_density", wall_time=2.0, cost=1.0))
-        stats.record(EvaluationRecord("log_density", wall_time=4.0, cost=1.0))
+        stats.record("log_density", wall_time=2.0, cost=1.0)
+        stats.record("log_density", wall_time=4.0, cost=1.0)
         # QOI events must not dilute the per-density-evaluation mean ...
-        stats.record(EvaluationRecord("qoi", wall_time=0.0, cost=1.0))
+        stats.record("qoi", wall_time=0.0, cost=1.0)
         model = cost_model_from_stats({0: stats})
         assert model.mean(0) == pytest.approx(3.0)
         assert model.num_observations(0) == 1  # one snapshot = one observation
         # ... and QOI-only snapshots are ignored entirely
         qoi_only = EvaluatorStats()
-        qoi_only.record(EvaluationRecord("qoi", wall_time=1.0, cost=1.0))
+        qoi_only.record("qoi", wall_time=1.0, cost=1.0)
         model.observe_stats(0, qoi_only)
         assert model.num_observations(0) == 1

@@ -213,10 +213,24 @@ class TestSimulatedChaos:
 
 
 # ----------------------------------------------------------------------------
+# Kill points of the real-process recovery tests.  A kill only tests recovery
+# if it fires before the run can complete; after that the death is shutdown
+# noise and no respawn is the designed outcome.  The root waits for no
+# particular controller or worker, and a worker's n-th event needs its
+# controller to have sent it about n/2 evaluation orders, so the kills sit at
+# the rank's first few events: the worker's first evaluation order, the
+# controller's first chain steps after registering.
+CONTROLLER_KILL_EVENTS = 6
+WORKER_KILL_EVENTS = 3
+
+
 class TestMultiprocessRecovery:
     def test_killed_controller_is_respawned_and_run_completes(self, factory):
         plan = FaultPlan(
-            seed=7, kills=[RankKill(after_events=40, role="controller", index=0)]
+            seed=7,
+            kills=[
+                RankKill(after_events=CONTROLLER_KILL_EVENTS, role="controller", index=0)
+            ],
         )
         result = _sampler(
             factory,
@@ -277,7 +291,10 @@ class TestSocketRecovery:
 
     def test_killed_controller_is_respawned_and_run_completes(self, factory):
         plan = FaultPlan(
-            seed=7, kills=[RankKill(after_events=40, role="controller", index=0)]
+            seed=7,
+            kills=[
+                RankKill(after_events=CONTROLLER_KILL_EVENTS, role="controller", index=0)
+            ],
         )
         result = _sampler(
             factory,
@@ -320,7 +337,7 @@ class TestSocketRecovery:
 
     def test_killed_worker_is_respawned_and_run_completes(self, factory):
         plan = FaultPlan(
-            seed=5, kills=[RankKill(after_events=30, role="worker", index=0)]
+            seed=5, kills=[RankKill(after_events=WORKER_KILL_EVENTS, role="worker", index=0)]
         )
         result = _sampler(
             factory,

@@ -143,6 +143,75 @@ class TestWeightedRunningMoments:
             weighted.push(np.array([1.0]), -1.0)
 
 
+_blocks = st.lists(st.integers(0, 12), min_size=3, max_size=3)
+
+
+def _split(data: np.ndarray, sizes: list[int]) -> list[np.ndarray]:
+    cuts = np.cumsum(sizes)[:-1]
+    return np.split(data, np.minimum(cuts, data.shape[0]))
+
+
+class TestMergeProperties:
+    """Chan merges are associative and agree with one sequential pass."""
+
+    @given(sizes=_blocks, dim=st.integers(1, 3), seed=st.integers(0, 1000))
+    @settings(max_examples=60, deadline=None)
+    def test_running_moments_merge_is_associative(self, sizes, dim, seed):
+        data = np.random.default_rng(seed).normal(2.0, 3.0, size=(sum(sizes), dim))
+        parts = _split(data, sizes)
+
+        def acc(rows):
+            moments = RunningMoments(track_covariance=True)
+            moments.extend(rows)
+            return moments
+
+        def part(i):
+            return acc(parts[i])
+
+        left = part(0).merge(part(1)).merge(part(2))
+        right = part(0).merge(part(1).merge(part(2)))
+        sequential = acc(data)
+        for merged in (left, right):
+            assert merged.count == sequential.count == data.shape[0]
+            np.testing.assert_allclose(merged.mean(), sequential.mean(), atol=1e-12)
+            np.testing.assert_allclose(merged.variance(), sequential.variance(), atol=1e-10)
+            np.testing.assert_allclose(
+                merged.covariance(), sequential.covariance(), atol=1e-10
+            )
+
+    @given(
+        sizes=_blocks,
+        weights=st.lists(st.integers(1, 5), min_size=36, max_size=36),
+        seed=st.integers(0, 1000),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_weighted_moments_merge_is_associative(self, sizes, weights, seed):
+        n = sum(sizes)
+        data = np.random.default_rng(seed).normal(-1.0, 2.0, size=(n, 2))
+        w = np.asarray(weights[:n], dtype=float)
+        parts, part_weights = _split(data, sizes), _split(w, sizes)
+
+        def acc(rows, row_weights):
+            moments = WeightedRunningMoments()
+            for row, weight in zip(rows, row_weights):
+                moments.push(row, weight)
+            return moments
+
+        def part(i):
+            return acc(parts[i], part_weights[i])
+
+        left = part(0).merge(part(1)).merge(part(2))
+        right = part(0).merge(part(1).merge(part(2)))
+        sequential = acc(data, w)
+        for merged in (left, right):
+            assert merged.weight_sum == sequential.weight_sum == w.sum()
+            np.testing.assert_allclose(merged.mean(), sequential.mean(), atol=1e-12)
+            np.testing.assert_allclose(merged.variance(), sequential.variance(), atol=1e-10)
+        if n:
+            expanded = np.repeat(data, w.astype(int), axis=0)
+            np.testing.assert_allclose(sequential.mean(), expanded.mean(axis=0), atol=1e-12)
+
+
 class TestAutocorrelation:
     def test_iid_series_has_unit_iact(self, rng):
         series = rng.standard_normal(20_000)
