@@ -15,6 +15,8 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.utils.array_api import float_vector
+
 __all__ = [
     "Density",
     "GaussianDensity",
@@ -57,8 +59,9 @@ class Density(ABC):
         return self.log_density(x)
 
     def _check(self, x: np.ndarray) -> np.ndarray:
+        # a float64 vector is used as it is (checked inline: once per density call)
         if not (type(x) is np.ndarray and x.ndim == 1 and x.dtype is _FLOAT64):
-            x = np.atleast_1d(np.asarray(x, dtype=float)).ravel()
+            x = float_vector(x)
         if x.shape[0] != self._dim:
             raise ValueError(f"expected dimension {self._dim}, got {x.shape[0]}")
         return x
@@ -117,8 +120,8 @@ class GaussianDensity(Density):
         diag = np.diag(self._chol)
         self._log_det = 2.0 * float(np.sum(np.log(diag)))
         # A diagonal factor (isotropic or diagonal covariance) is applied
-        # elementwise: ``r / d`` and ``d * z`` equal ``solve(diag(d), r)`` and
-        # ``diag(d) @ z`` bitwise, as every row involves one nonzero entry.
+        # elementwise: ``d * z`` and ``r / d`` equal ``diag(d) @ z`` and
+        # ``solve(diag(d), r)`` bitwise, as every row involves one nonzero entry.
         self._diag = diag.copy() if np.array_equal(self._chol, np.diag(diag)) else None
 
     @property
@@ -136,12 +139,16 @@ class GaussianDensity(Density):
         """Lower-triangular Cholesky factor of the covariance."""
         return self._chol.copy()
 
+    def apply_cholesky(self, z: np.ndarray) -> np.ndarray:
+        """``L @ z`` for the Cholesky factor ``L`` of the covariance."""
+        return self._chol @ z if self._diag is None else self._diag * z
+
+    def solve_cholesky(self, r: np.ndarray) -> np.ndarray:
+        """``L^{-1} r`` for the Cholesky factor ``L`` of the covariance."""
+        return np.linalg.solve(self._chol, r) if self._diag is None else r / self._diag
+
     def log_density(self, x: np.ndarray) -> float:
-        resid = self._check(x) - self._mean
-        if self._diag is None:
-            alpha = np.linalg.solve(self._chol, resid)
-        else:
-            alpha = resid / self._diag
+        alpha = self.solve_cholesky(self._check(x) - self._mean)
         quad = float(alpha @ alpha)
         return -0.5 * (quad + self._log_det + self.dim * _LOG_2PI)
 
@@ -155,13 +162,7 @@ class GaussianDensity(Density):
         return -0.5 * (quad + self._log_det + self.dim * _LOG_2PI)
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
-        z = rng.standard_normal(self.dim)
-        return self._mean + self._chol @ z
-
-    def conditional_shift(self, x: np.ndarray, beta: float) -> np.ndarray:
-        """Helper for pCN proposals: ``mean + sqrt(1-beta^2) (x-mean)``."""
-        x = self._check(x)
-        return self._mean + math.sqrt(max(0.0, 1.0 - beta * beta)) * (x - self._mean)
+        return self._mean + self.apply_cholesky(rng.standard_normal(self.dim))
 
 
 class UniformBoxDensity(Density):

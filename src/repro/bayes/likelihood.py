@@ -14,6 +14,8 @@ from typing import Callable
 
 import numpy as np
 
+from repro.utils.array_api import float_vector
+
 __all__ = ["Likelihood", "GaussianLikelihood", "UnphysicalModelOutput"]
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -110,12 +112,12 @@ class GaussianLikelihood(Likelihood):
         return self._unphysical
 
     def log_likelihood(self, prediction: np.ndarray) -> float:
-        pred = np.atleast_1d(np.asarray(prediction, dtype=float)).ravel()
+        pred = float_vector(prediction)
         if pred.shape[0] != self.dim:
             raise ValueError(
                 f"prediction dimension {pred.shape[0]} does not match data dimension {self.dim}"
             )
-        if not np.all(np.isfinite(pred)):
+        if not np.isfinite(pred).all():
             return self._unphysical
         resid = pred - self._data
         if self._full_cov is None:
@@ -148,8 +150,7 @@ class GaussianLikelihood(Likelihood):
 
     def misfit(self, prediction: np.ndarray) -> float:
         """Covariance-weighted squared misfit (the quadratic form only)."""
-        pred = np.atleast_1d(np.asarray(prediction, dtype=float)).ravel()
-        resid = pred - self._data
+        resid = float_vector(prediction) - self._data
         if self._full_cov is None:
             return float(np.sum(resid * resid / self._diag))
         alpha = np.linalg.solve(self._chol, resid)

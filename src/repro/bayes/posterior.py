@@ -16,6 +16,7 @@ import numpy as np
 
 from repro.bayes.distributions import Density
 from repro.bayes.likelihood import Likelihood, UnphysicalModelOutput, GaussianLikelihood
+from repro.utils.array_api import float_vector
 
 __all__ = ["Posterior"]
 
@@ -76,19 +77,19 @@ class Posterior:
     # ------------------------------------------------------------------
     def forward(self, theta: np.ndarray) -> np.ndarray:
         """Evaluate (and cache) the forward model at ``theta``."""
-        theta = np.atleast_1d(np.asarray(theta, dtype=float)).ravel()
-        if (
-            self._last_theta is not None
-            and self._last_theta.shape == theta.shape
-            and np.array_equal(self._last_theta, theta)
-            and self._last_prediction is not None
-        ):
+        theta = float_vector(theta)
+        if self._is_last_theta(theta) and self._last_prediction is not None:
             return self._last_prediction
-        prediction = np.atleast_1d(np.asarray(self._forward(theta), dtype=float)).ravel()
+        prediction = float_vector(self._forward(theta))
         self._evaluations += 1
         self._last_theta = theta.copy()
         self._last_prediction = prediction
         return prediction
+
+    def _is_last_theta(self, theta: np.ndarray) -> bool:
+        """Whether ``theta`` (a float vector) equals the cached parameter."""
+        last = self._last_theta
+        return last is not None and last.shape == theta.shape and bool((last == theta).all())
 
     def log_prior(self, theta: np.ndarray) -> float:
         """Log prior density."""
@@ -107,7 +108,7 @@ class Posterior:
     def log_density(self, theta: np.ndarray) -> float:
         """Unnormalised log posterior density."""
         lp = self.log_prior(theta)
-        if not np.isfinite(lp):
+        if not math.isfinite(lp):
             return -math.inf
         return lp + self.log_likelihood(theta)
 
@@ -197,13 +198,11 @@ class Posterior:
         Defaults to the parameter itself (the tsunami application's choice)
         when no QOI map was supplied.
         """
-        theta = np.atleast_1d(np.asarray(theta, dtype=float)).ravel()
+        theta = float_vector(theta)
         if self._qoi is None:
             return theta.copy()
-        prediction = None
-        if self._last_theta is not None and np.array_equal(self._last_theta, theta):
-            prediction = self._last_prediction
-        return np.atleast_1d(np.asarray(self._qoi(theta, prediction), dtype=float)).ravel()
+        prediction = self._last_prediction if self._is_last_theta(theta) else None
+        return float_vector(self._qoi(theta, prediction))
 
     def __call__(self, theta: np.ndarray) -> float:
         return self.log_density(theta)

@@ -165,9 +165,11 @@ class MultilevelEstimate:
         contributions = []
         for level, collection in enumerate(corrections):
             diffs = collection.differences()
-            est_var = np.array(
-                [batch_means_variance(diffs[:, j]) for j in range(diffs.shape[1])]
-            ) if diffs.ndim == 2 and diffs.shape[0] > 1 else np.zeros(0)
+            est_var = (
+                batch_means_variance(diffs)
+                if diffs.ndim == 2 and diffs.shape[0] > 1
+                else np.zeros(0)
+            )
             contributions.append(
                 LevelContribution(
                     level=level,

@@ -39,6 +39,7 @@ class PreconditionedCrankNicolsonProposal(MCMCProposal):
         if not 0.0 < beta <= 1.0:
             raise ValueError("beta must lie in (0, 1]")
         self._prior = prior
+        self._mean = prior.mean
         self._beta = float(beta)
         self._contraction = math.sqrt(1.0 - self._beta**2)
 
@@ -53,8 +54,8 @@ class PreconditionedCrankNicolsonProposal(MCMCProposal):
         return self._prior
 
     def propose(self, current: SamplingState, rng: np.random.Generator) -> ProposalResult:
-        mean = self._prior.mean
-        noise = self._prior.cholesky @ rng.standard_normal(self._prior.dim)
+        prior, mean = self._prior, self._mean
+        noise = prior.apply_cholesky(rng.standard_normal(prior.dim))
         proposed_params = mean + self._contraction * (current.parameters - mean) + self._beta * noise
         proposed = SamplingState(parameters=proposed_params)
         # MH correction: log q(current | proposed) - log q(proposed | current).
@@ -65,8 +66,7 @@ class PreconditionedCrankNicolsonProposal(MCMCProposal):
 
     def _log_transition(self, target: np.ndarray, source: np.ndarray) -> float:
         """``log q(target | source)`` under the pCN kernel."""
-        mean = self._prior.mean
-        center = mean + self._contraction * (source - mean)
-        resid = target - center
-        alpha = np.linalg.solve(self._prior.cholesky, resid) / self._beta
+        mean = self._mean
+        resid = target - (mean + self._contraction * (source - mean))
+        alpha = self._prior.solve_cholesky(resid) / self._beta
         return -0.5 * float(alpha @ alpha)

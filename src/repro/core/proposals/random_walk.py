@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.bayes.distributions import GaussianDensity
 from repro.core.proposals.base import MCMCProposal, ProposalResult
 from repro.core.state import SamplingState
 
@@ -25,25 +26,11 @@ class GaussianRandomWalkProposal(MCMCProposal):
 
     def __init__(self, covariance: np.ndarray | float, dim: int | None = None) -> None:
         cov = np.asarray(covariance, dtype=float)
-        if cov.ndim == 0:
-            if dim is None:
-                raise ValueError("dim is required for a scalar covariance")
-            if cov <= 0:
-                raise ValueError("covariance must be positive")
-            self._dim = int(dim)
-            self._chol = np.eye(self._dim) * float(np.sqrt(cov))
-        elif cov.ndim == 1:
-            if np.any(cov <= 0):
-                raise ValueError("diagonal covariance entries must be positive")
-            self._dim = cov.shape[0]
-            self._chol = np.diag(np.sqrt(cov))
-        else:
-            self._dim = cov.shape[0]
-            self._chol = np.linalg.cholesky(0.5 * (cov + cov.T))
-        # A diagonal factor scales elementwise: ``d * z`` equals
-        # ``diag(d) @ z`` bitwise (each row adds exact zeros to one product).
-        diag = np.diag(self._chol)
-        self._diag = diag.copy() if np.array_equal(self._chol, np.diag(diag)) else None
+        if cov.ndim == 0 and dim is None:
+            raise ValueError("dim is required for a scalar covariance")
+        #: ``N(0, C)``: its factor operations apply a diagonal factor elementwise
+        self._step = GaussianDensity(0.0, cov, dim=dim if cov.ndim == 0 else cov.shape[0])
+        self._dim = self._step.dim
 
     @property
     def dim(self) -> int:
@@ -59,7 +46,6 @@ class GaussianRandomWalkProposal(MCMCProposal):
             raise ValueError(
                 f"proposal dimension {self._dim} does not match state dimension {current.dim}"
             )
-        z = rng.standard_normal(self._dim)
-        step = self._chol @ z if self._diag is None else self._diag * z
+        step = self._step.apply_cholesky(rng.standard_normal(self._dim))
         proposed = SamplingState(parameters=current.parameters + step)
         return ProposalResult(state=proposed, log_correction=0.0)

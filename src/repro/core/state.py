@@ -14,6 +14,8 @@ from typing import Any
 
 import numpy as np
 
+from repro.utils.array_api import float_vector
+
 __all__ = ["SamplingState"]
 
 _FLOAT64 = np.dtype(float)
@@ -54,14 +56,14 @@ class SamplingState:
     def __post_init__(self) -> None:
         p = self.parameters
         # Kernels and proposals hand over fresh contiguous float64 vectors;
-        # only other inputs pay for the conversion.
+        # only other inputs pay for the conversion (``float_vector``, inlined).
         if not (
             type(p) is np.ndarray
             and p.ndim == 1
             and p.dtype is _FLOAT64
             and p.flags.c_contiguous
         ):
-            self.parameters = np.atleast_1d(np.asarray(p, dtype=float)).ravel()
+            self.parameters = float_vector(p)
 
     # ------------------------------------------------------------------
     @property

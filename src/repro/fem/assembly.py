@@ -167,10 +167,6 @@ class AssemblyPlan:
     Built once per ``(grid, Dirichlet node set)`` pair; afterwards every
     per-sample operation is a sparse product with a fixed operator:
 
-    * ``assemble(kappa)`` — the full stiffness matrix.  The CSR sparsity
-      (``indptr`` / ``indices``) is fixed; the ``data`` array is produced by
-      one sparse product ``scatter @ kappa``, where ``scatter`` maps the
-      per-element coefficient directly into summed CSR slots.
     * ``band_systems(kappa_block, lifting)`` — the symmetric positive
       definite interior systems ``K_ii u_i = b_i - K_ib u_b`` of a coefficient
       block, one member at a time.  ``K_ii`` is written straight into LAPACK
@@ -198,7 +194,7 @@ class AssemblyPlan:
         scatter operators, the load vector and every per-sample matrix/vector
         the plan produces carry this dtype, so a coarse level of the precision
         ladder assembles and solves in single precision.  The plan geometry
-        (sparsity, slot mapping) is computed in double either way.
+        (band positions, interior split) is computed in double either way.
     """
 
     def __init__(
@@ -219,29 +215,6 @@ class AssemblyPlan:
         cols = np.tile(conn, (1, 4)).ravel()
         elements = np.repeat(np.arange(grid.num_elements), 16)
         weights = np.tile(ke_unit.ravel(), grid.num_elements)
-
-        pattern = sp.coo_matrix(
-            (np.ones(rows.size), (rows, cols)), shape=(num_nodes, num_nodes)
-        ).tocsr()  # canonical: duplicates summed, indices sorted
-        self.indptr = pattern.indptr
-        self.indices = pattern.indices
-        nnz = pattern.nnz
-
-        # CSR slot of each COO triplet: both key arrays are (row, col) pairs
-        # encoded as row * num_nodes + col, and the CSR keys are sorted.
-        csr_rows = np.repeat(
-            np.arange(num_nodes, dtype=np.int64), np.diff(self.indptr)
-        )
-        csr_keys = csr_rows * num_nodes + self.indices
-        coo_keys = rows.astype(np.int64) * num_nodes + cols
-        slots = np.searchsorted(csr_keys, coo_keys)
-
-        #: sparse ``(nnz, num_elements)`` operator with
-        #: ``scatter @ kappa == assembled CSR data``
-        self.scatter = sp.coo_matrix(
-            (weights.astype(self.dtype), (slots, elements)),
-            shape=(nnz, grid.num_elements),
-        ).tocsr()
 
         #: fixed load vector for the plan's source term (accumulated in double,
         #: rounded once to the plan dtype)
@@ -316,21 +289,6 @@ class AssemblyPlan:
         )
 
     # ------------------------------------------------------------------
-    def assemble(self, element_coefficients: np.ndarray) -> tuple[sp.csr_matrix, np.ndarray]:
-        """Full stiffness matrix and load vector (no boundary conditions).
-
-        Matches :func:`assemble_diffusion_system` to rounding of the duplicate
-        summation order.
-        """
-        kappa = self.coefficients(element_coefficients)
-        # Structure arrays are copied: callers may mutate the returned matrix
-        # (eliminate_zeros etc.) without corrupting the plan's sparsity.
-        stiffness = sp.csr_matrix(
-            (self.scatter @ kappa, self.indices.copy(), self.indptr.copy()),
-            shape=(self.grid.num_nodes, self.grid.num_nodes),
-        )
-        return stiffness, self.load.copy()
-
     def lifting(self, dirichlet_values: np.ndarray | float) -> sp.csr_matrix:
         """Fixed ``(num_interior, num_elements)`` operator ``R`` of the boundary data.
 

@@ -38,7 +38,7 @@ from repro.multiindex import MultiIndex
 from repro.fem.poisson import PoissonSolver
 from repro.randomfield.covariance import ExponentialCovariance
 from repro.randomfield.field import GaussianRandomField
-from repro.utils.array_api import level_dtypes, resolve_dtype
+from repro.utils.array_api import float_vector, level_dtypes, resolve_dtype
 
 __all__ = ["PoissonLevelSpec", "PoissonForwardModel", "PoissonInverseProblemFactory"]
 
@@ -106,8 +106,7 @@ class PoissonForwardModel:
 
     def diffusion_coefficients(self, theta: np.ndarray) -> np.ndarray:
         """Per-element diffusion coefficient ``kappa`` for the given parameters."""
-        theta = np.atleast_1d(np.asarray(theta, dtype=float)).ravel()
-        log_kappa = self._mean_log + self.mode_matrix @ theta
+        log_kappa = self._mean_log + self.mode_matrix @ float_vector(theta)
         return np.exp(log_kappa)
 
     def diffusion_coefficients_batch(self, thetas: np.ndarray) -> np.ndarray:
@@ -279,8 +278,7 @@ class PoissonInverseProblemFactory(MLComponentFactory):
 
     def qoi_map(self, theta: np.ndarray) -> np.ndarray:
         """QOI: the diffusion coefficient ``kappa`` on the QOI grid."""
-        theta = np.atleast_1d(np.asarray(theta, dtype=float)).ravel()
-        return np.exp(self._qoi_modes @ theta)
+        return np.exp(self._qoi_modes @ float_vector(theta))
 
     def true_qoi(self) -> np.ndarray:
         """QOI of the synthetic truth (the field the estimator should recover)."""

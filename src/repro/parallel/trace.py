@@ -17,6 +17,9 @@ import numpy as np
 
 __all__ = ["TraceEvent", "TraceRecorder"]
 
+#: activity kinds :meth:`TraceRecorder.utilization` counts as busy
+BUSY_KINDS = ("model_eval", "burnin", "compute")
+
 
 @dataclass(frozen=True)
 class TraceEvent:
@@ -79,10 +82,18 @@ class TraceRecorder:
         """Latest event end time."""
         return max((e.end for e in self._events), default=0.0)
 
-    def busy_time(self, rank: int, kinds: Iterable[str] = ("model_eval", "burnin", "compute")) -> float:
-        """Total time ``rank`` spent in the given activity kinds."""
+    def _busy_times(self, kinds: Iterable[str]) -> dict[int, float]:
+        """Every rank's busy time in one pass, summed in recording order."""
         wanted = set(kinds)
-        return sum(e.duration for e in self._events if e.rank == rank and e.kind in wanted)
+        totals: dict[int, float] = {}
+        for e in self._events:
+            if e.kind in wanted:
+                totals[e.rank] = totals.get(e.rank, 0.0) + e.duration
+        return totals
+
+    def busy_time(self, rank: int, kinds: Iterable[str] = BUSY_KINDS) -> float:
+        """Total time ``rank`` spent in the given activity kinds."""
+        return self._busy_times(kinds).get(rank, 0.0)
 
     def utilization(self, ranks: Iterable[int] | None = None) -> float:
         """Mean fraction of the makespan the given ranks spent busy.
@@ -101,8 +112,8 @@ class TraceRecorder:
         ranks = list(ranks)
         if not ranks:
             return 0.0
-        fractions = [self.busy_time(rank) / span for rank in ranks]
-        return float(np.mean(fractions))
+        busy = self._busy_times(BUSY_KINDS)
+        return float(np.mean([busy.get(rank, 0.0) / span for rank in ranks]))
 
     def per_level_busy_time(self) -> dict[int, float]:
         """Total model-evaluation time per level across all ranks."""
@@ -123,7 +134,10 @@ class TraceRecorder:
         return rows
 
     def render_ascii(self, width: int = 80, kinds_symbols: dict[str, str] | None = None) -> str:
-        """A coarse ASCII rendering of the Gantt chart (for examples / logs)."""
+        """A coarse ASCII rendering of the Gantt chart (for examples / logs).
+
+        Every cell shows the last interval, in :meth:`gantt_rows` order, covering it.
+        """
         symbols = kinds_symbols or {
             "model_eval": "#",
             "burnin": "o",
@@ -133,14 +147,26 @@ class TraceRecorder:
         span = self.makespan
         if span <= 0:
             return "(empty trace)"
-        lines = []
-        for rank, intervals in sorted(self.gantt_rows().items()):
-            row = [" "] * width
-            for start, end, kind, _level in intervals:
-                lo = int(start / span * (width - 1))
-                hi = max(lo + 1, int(end / span * (width - 1)))
-                symbol = symbols.get(kind, "?")
-                for pos in range(lo, min(hi, width)):
-                    row[pos] = symbol
-            lines.append(f"rank {rank:4d} |{''.join(row)}|")
+        events = self._events
+        n = len(events)
+        ranks = np.fromiter((e.rank for e in events), np.int64, n)
+        starts = np.fromiter((e.start for e in events), float, n)
+        order = np.lexsort((starts, ranks))  # stable, like ``gantt_rows``
+        ordered = [events[k] for k in order]
+        row_ranks, rows = np.unique(ranks[order], return_inverse=True)
+        lo = (starts[order] / span * (width - 1)).astype(np.int32)
+        hi = (np.fromiter((e.end for e in ordered), float, n) / span * (width - 1)).astype(np.int32)
+        counts = np.minimum(np.maximum(lo + 1, hi), width) - lo
+        # one entry per painted cell, painters ascending: its flat cell index
+        painter = np.repeat(np.arange(n, dtype=np.int32), counts)
+        first_cell = rows.astype(np.int32) * width + lo - (np.cumsum(counts) - counts)
+        cells = np.arange(painter.size, dtype=np.int32) + np.repeat(first_cell, counts)
+        owner = np.full(row_ranks.size * width, -1, dtype=np.int32)
+        np.maximum.at(owner, cells, painter)  # the last painter wins
+        # owner -1 (no painter) picks the trailing blank
+        painted = [symbols.get(e.kind, "?") for e in ordered] + [" "]
+        lines = [
+            f"rank {int(rank):4d} |{''.join([painted[k] for k in row])}|"
+            for rank, row in zip(row_ranks, owner.reshape(-1, width))
+        ]
         return "\n".join(lines)

@@ -42,6 +42,7 @@ __all__ = [
     "array_namespace",
     "backend_available",
     "backend_name",
+    "float_vector",
     "level_dtype",
     "level_dtypes",
     "resolve_backend",
@@ -135,6 +136,17 @@ def backend_name(namespace) -> str:
 
 # ---------------------------------------------------------------------------
 # dtype handling and the precision ladder
+_FLOAT64 = np.dtype(np.float64)
+
+
+def float_vector(x) -> np.ndarray:
+    """``x`` as a contiguous 1-D float64 array: returned as it is if it
+    already is one (what the sampler hands around), else converted."""
+    if type(x) is np.ndarray and x.ndim == 1 and x.dtype is _FLOAT64 and x.flags.c_contiguous:
+        return x
+    return np.atleast_1d(np.asarray(x, dtype=np.float64)).ravel()
+
+
 def resolve_dtype(dtype) -> np.dtype:
     """Canonicalise a dtype spec (``None`` means double precision).
 

@@ -308,20 +308,22 @@ def effective_sample_size(series: np.ndarray) -> float:
     return float(min(ess))
 
 
-def batch_means_variance(series: np.ndarray, num_batches: int = 20) -> float:
+def batch_means_variance(series: np.ndarray, num_batches: int = 20) -> float | np.ndarray:
     """Variance of the sample mean estimated by non-overlapping batch means.
 
     Robust to autocorrelation; used for reporting Monte Carlo errors of
-    per-level correction terms.
+    per-level correction terms.  An ``(n, q)`` block gives its ``q`` column
+    values in one pass, each bitwise equal to the single-series call: the
+    columns become contiguous rows, so every reduction runs as it would alone.
     """
-    x = np.asarray(series, dtype=float).ravel()
-    n = x.shape[0]
+    x = np.asarray(series, dtype=float)
+    columns = x.ndim == 2
+    rows = np.ascontiguousarray(x.T) if columns else x.reshape(1, -1)
+    n = rows.shape[1]
     if n < 2:
-        return 0.0
+        return np.zeros(rows.shape[0]) if columns else 0.0
     num_batches = max(2, min(num_batches, n // 2)) if n >= 4 else 2
     batch_size = n // num_batches
-    if batch_size < 1:
-        return float(np.var(x, ddof=1) / n)
-    trimmed = x[: batch_size * num_batches].reshape(num_batches, batch_size)
-    batch_means = trimmed.mean(axis=1)
-    return float(np.var(batch_means, ddof=1) / num_batches)
+    trimmed = rows[:, : batch_size * num_batches].reshape(-1, num_batches, batch_size)
+    variance = np.var(trimmed.mean(axis=2), axis=1, ddof=1) / num_batches
+    return variance if columns else float(variance[0])

@@ -121,17 +121,24 @@ class TestPCN:
         np.testing.assert_allclose(samples.mean(axis=0), prior.mean, atol=0.15)
         np.testing.assert_allclose(samples.var(axis=0), [2.0, 0.5], rtol=0.2)
 
-    def test_correction_term_consistency(self, rng):
+    @pytest.mark.parametrize(
+        "covariance",
+        [2.0, np.array([0.5, 3.0]), np.array([[2.0, 0.6], [0.6, 0.9]])],
+        ids=["isotropic", "diagonal", "full"],
+    )
+    def test_correction_term_consistency(self, covariance, rng):
         # For the pCN kernel, posterior ratio + correction must equal the likelihood
         # ratio, i.e. prior ratio + correction == 0.
-        prior = GaussianDensity(np.zeros(2), 2.0)
+        prior = GaussianDensity(np.array([0.5, -1.0]), covariance)
         proposal = PreconditionedCrankNicolsonProposal(prior, beta=0.3)
         current = SamplingState(parameters=prior.sample(rng))
-        result = proposal.propose(current, rng)
-        prior_ratio = prior.log_density(result.state.parameters) - prior.log_density(
-            current.parameters
-        )
-        assert prior_ratio + result.log_correction == pytest.approx(0.0, abs=1e-9)
+        for _ in range(5):
+            result = proposal.propose(current, rng)
+            prior_ratio = prior.log_density(result.state.parameters) - prior.log_density(
+                current.parameters
+            )
+            assert prior_ratio + result.log_correction == pytest.approx(0.0, abs=1e-9)
+            current = result.state
 
     def test_beta_validation(self):
         prior = GaussianDensity(np.zeros(2), 1.0)
@@ -147,11 +154,13 @@ class TestPCN:
         prior = GaussianDensity(np.zeros(2), 1.0)
         proposal = PreconditionedCrankNicolsonProposal(prior, beta=beta)
         x = SamplingState(parameters=prior.sample(rng))
-        y = proposal.propose(x, rng).state
+        result = proposal.propose(x, rng)
+        y = result.state
         forward = proposal._log_transition(y.parameters, x.parameters)
         backward = proposal._log_transition(x.parameters, y.parameters)
-        correction = proposal.propose(x, rng).log_correction
-        assert np.isfinite(forward) and np.isfinite(backward) and np.isfinite(correction)
+        assert np.isfinite(forward) and np.isfinite(backward)
+        # the correction of this very draw is log q(x | y) - log q(y | x)
+        assert result.log_correction == backward - forward
 
 
 class TestIndependence:

@@ -319,12 +319,12 @@ class TestGaussianFactors:
                 seed = int(rng.integers(1 << 30))
                 step = proposal.propose(state, np.random.default_rng(seed)).state.parameters
                 z = np.random.default_rng(seed).standard_normal(dim)
-                assert step.tobytes() == (x + proposal._chol @ z).tobytes()
+                assert step.tobytes() == (x + proposal._step.cholesky @ z).tobytes()
 
     def test_full_covariance_keeps_the_general_solve(self):
         density = GaussianDensity(np.zeros(3), TARGET_COVARIANCES["full"])
         proposal = GaussianRandomWalkProposal(PROPOSAL_COVARIANCES["full"])
-        assert density._diag is None and proposal._diag is None
+        assert density._diag is None and proposal._step._diag is None
         # a diagonal matrix given in full form is still applied elementwise
         assert GaussianDensity(np.zeros(3), np.diag([1.0, 2.0, 3.0]))._diag is not None
 

@@ -237,3 +237,55 @@ class TestTraceRecorder:
         art = trace.render_ascii(width=20)
         assert "rank    0" in art and "#" in art and "o" in art
         assert TraceRecorder().render_ascii() == "(empty trace)"
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_one_pass_summaries_match_the_interval_loops(self, seed):
+        # overlapping intervals, ties on (rank, start) and intervals narrower
+        # than one column: the last interval painted over a cell wins
+        rng = np.random.default_rng(seed)
+        trace = TraceRecorder()
+        kinds = ["model_eval", "burnin", "wait", "compute", "serialize"]
+        for _ in range(int(rng.integers(1, 400))):
+            if rng.random() < 0.5:
+                start = float(rng.integers(0, 12)) * 0.5
+                end = start + float(rng.integers(1, 4)) * 0.5
+            else:
+                start = float(rng.uniform(0.0, 6.0))
+                end = start + float(rng.exponential(0.3))
+            trace.record(int(rng.integers(0, 9)), start, end, str(rng.choice(kinds)))
+
+        def render(width, symbols):
+            span = trace.makespan
+            lines = []
+            for rank, intervals in sorted(trace.gantt_rows().items()):
+                row = [" "] * width
+                for start, end, kind, _level in intervals:
+                    lo = int(start / span * (width - 1))
+                    hi = max(lo + 1, int(end / span * (width - 1)))
+                    for pos in range(lo, min(hi, width)):
+                        row[pos] = symbols.get(kind, "?")
+                lines.append(f"rank {rank:4d} |{''.join(row)}|")
+            return "\n".join(lines)
+
+        default = {"model_eval": "#", "burnin": "o", "wait": ".", "compute": "+"}
+        for width in (1, 2, 7, 20, 80, 100):
+            assert trace.render_ascii(width=width) == render(width, default)
+        assert trace.render_ascii(30, {"wait": "w", "compute": "<>"}) == render(
+            30, {"wait": "w", "compute": "<>"}
+        )
+
+        busy_kinds = {"model_eval", "burnin", "compute"}
+
+        def busy(rank):
+            return sum(
+                e.duration for e in trace.events() if e.rank == rank and e.kind in busy_kinds
+            )
+
+        ranks = sorted({e.rank for e in trace.events()})
+        expected = float(np.mean([busy(rank) / trace.makespan for rank in ranks]))
+        assert trace.utilization() == expected
+        assert trace.utilization([0, 3, 99]) == float(
+            np.mean([busy(rank) / trace.makespan for rank in (0, 3, 99)])
+        )
+        for rank in ranks:
+            assert trace.busy_time(rank) == busy(rank)

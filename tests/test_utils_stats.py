@@ -264,3 +264,22 @@ class TestAutocorrelation:
 
     def test_batch_means_variance_short_series(self):
         assert batch_means_variance(np.array([1.0])) == 0.0
+        assert batch_means_variance(np.ones((1, 3))).tobytes() == np.zeros(3).tobytes()
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 19, 20, 21, 41, 360])
+    @pytest.mark.parametrize("q", [1, 3, 289])
+    def test_batch_means_variance_columns_match_the_per_column_loop(self, n, q):
+        def one_series(series, num_batches=20):
+            # the single-series formula, written out plainly
+            x = np.asarray(series, dtype=float).ravel()
+            batches = max(2, min(num_batches, x.size // 2)) if x.size >= 4 else 2
+            size = x.size // batches
+            means = x[: size * batches].reshape(batches, size).mean(axis=1)
+            return float(np.var(means, ddof=1) / batches)
+
+        rng = np.random.default_rng(1000 * n + q)
+        block = rng.normal(size=(n, q)) * rng.uniform(0.1, 10.0, size=q) + rng.normal(size=q)
+        loop = np.array([one_series(block[:, j]) for j in range(q)])
+        assert batch_means_variance(block).tobytes() == loop.tobytes()
+        assert batch_means_variance(block[:, 0]) == loop[0]
+        assert isinstance(batch_means_variance(block[:, 0]), float)
