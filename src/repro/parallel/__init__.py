@@ -59,7 +59,6 @@ from repro.parallel.scaling import (
 )
 from repro.parallel.mp import MultiprocessWorld
 from repro.parallel.net import (
-    LocalSpawnAgent,
     ProtocolVersionError,
     SocketWorld,
     TruncatedFrameError,
@@ -110,7 +109,6 @@ __all__ = [
     "VirtualWorld",
     "MultiprocessWorld",
     "SocketWorld",
-    "LocalSpawnAgent",
     "WireProtocolError",
     "TruncatedFrameError",
     "ProtocolVersionError",

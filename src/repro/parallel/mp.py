@@ -5,10 +5,11 @@ controllers, workers) on its own ``multiprocessing`` process.  The role
 generators are *identical* to the ones the simulated backend drives — only
 the interpretation of the primitives changes:
 
-* ``Send`` pickles the message onto the destination rank's OS queue,
-* ``Receive`` blocks on the rank's own queue (non-matching messages are
-  parked in the process mailbox, preserving the non-overtaking FIFO-per-pair
-  semantics of the simulated world),
+* ``Send`` encodes the message (:mod:`repro.parallel.wire`) and hands it to
+  the rank's :class:`Link` at the next flush boundary,
+* ``Receive`` blocks on the link (non-matching messages are parked in the
+  process mailbox, preserving the non-overtaking FIFO-per-pair semantics of
+  the simulated world),
 * ``Compute`` no longer advances a virtual clock: the *real* time the
   generator spends until its next yield — which is where the chain step
   following the ``Compute`` executes — is measured with
@@ -16,6 +17,21 @@ the interpretation of the primitives changes:
   :class:`~repro.parallel.trace.TraceRecorder` under the ``Compute``'s
   kind/level/label.  Blocked receives are traced as ``"wait"`` intervals,
   exactly like the virtual world does.
+
+Links and fabrics
+-----------------
+
+How messages travel is the only thing the two real-process backends
+disagree on, and it sits behind two small contracts.  In the child,
+:func:`_rank_main` — the one child entry point — drives its rank over a
+:class:`Link` (ship encoded bodies, receive delivered bodies, report
+``(rank, status, payload)`` tuples, close).  In the driver, the supervise
+loop of :meth:`MultiprocessWorld.run` talks to a :class:`Fabric` (the
+child's link opener, bootstrap injection, the result queue, drain, settle,
+close).  This module's pair is the OS-queue one (:class:`_QueueLink`,
+:class:`_QueueFabric`): one persistent queue per rank, one batch blob
+(:func:`~repro.parallel.wire.pack_bodies`) per destination per flush.
+:mod:`repro.parallel.net` supplies the TCP hub pair.
 
 Each child process rebuilds its own sampling problems (and therefore its own
 evaluators) lazily through its copy of the
@@ -25,7 +41,9 @@ picklability contract :class:`repro.evaluation.PoolEvaluator` established.
 When the generator finishes, the child ships its trace events and a
 role-specific :meth:`~repro.parallel.transport.RankProcess.harvest` payload
 back to the driver, which applies it to the driver-side twin so the
-surrounding result-assembly code runs unchanged on either backend.
+surrounding result-assembly code runs unchanged on either backend.  A rank
+whose process exits without reporting is a named failure as soon as its
+exit is seen.
 
 Fault tolerance
 ---------------
@@ -33,17 +51,17 @@ Fault tolerance
 With a :class:`~repro.parallel.fault.FaultToleranceConfig` the machine
 survives dying ranks instead of aborting:
 
-* every child runs a daemon **heartbeat** thread putting
-  ``(rank, "heartbeat", meta)`` on the result queue; ``meta`` is the role's
+* every child runs a daemon **heartbeat** thread reporting
+  ``(rank, "heartbeat", meta)``; ``meta`` is the role's
   :meth:`~repro.parallel.transport.RankProcess.heartbeat_state` (current
   level, progress counters),
-* the driver's pump loop detects **crashed** ranks (child exited with a
-  non-zero code) and **hung** ranks (no heartbeat for
+* the driver's pump loop detects **crashed** ranks (child exited without
+  reporting) and **hung** ranks (no heartbeat for
   ``heartbeat_grace * heartbeat_interval_s``) and respawns restartable roles
   in place after a linear backoff, injecting the role's
   :meth:`~repro.parallel.transport.RankProcess.restart_message` bootstrap
-  into the rank's (persistent) queue.  The queue survives the death, so
-  fetch orders addressed to the dead incarnation are served by the
+  into the rank's (persistent) fabric store.  The store survives the death,
+  so fetch orders addressed to the dead incarnation are served by the
   replacement — at-least-once delivery.  Orders the dead incarnation had
   already consumed are gone with it, so every other running rank also gets
   its :meth:`~repro.parallel.transport.RankProcess.peer_restart_message`
@@ -65,12 +83,14 @@ deterministic kill rule cannot re-fire and drain the restart budget.
 
 from __future__ import annotations
 
+import functools
 import logging
 import multiprocessing
 import queue as queue_module
 import threading
 import time
 import traceback
+from typing import Callable, Protocol
 
 from repro.parallel.chaos import FaultPlan, RankChaos
 from repro.parallel.fault import (
@@ -91,13 +111,12 @@ from repro.parallel.transport import (
 )
 from repro.parallel.wire import (
     WIRE_SUMMARY_KEYS,
-    MessageBatch,
     WireCounters,
     decode_message,
-    dispose_item,
     encode_message,
-    read_slab,
-    write_slab,
+    iter_bodies,
+    pack_bodies,
+    peek_dest,
 )
 
 __all__ = ["MultiprocessWorld"]
@@ -107,9 +126,151 @@ logger = logging.getLogger(__name__)
 #: rank used as the source of driver-injected bootstrap messages
 DRIVER_RANK = -1
 
-#: default payload size (bytes) above which the multiprocess backend moves an
-#: encoded message through a shared-memory slab instead of the OS queue pipe
-DEFAULT_SHM_THRESHOLD_BYTES = 1 << 18
+#: process start method: fork where available (cheap, children inherit the
+#: already-built factory), the platform default elsewhere — under spawn every
+#: object handed to a rank must be picklable, the contract the evaluation
+#: backends already guarantee
+_CONTEXT = multiprocessing.get_context(
+    "fork" if "fork" in multiprocessing.get_all_start_methods() else None
+)
+
+
+class Link(Protocol):
+    """Child-side channel of one rank: how its encoded messages travel.
+
+    ``counters`` accumulates the endpoint's wire statistics; the link counts
+    its own frames and bytes, the transport its encode/decode work.
+    """
+
+    counters: WireCounters
+
+    def has_rank(self, rank: int) -> bool:
+        """Whether ``rank`` is part of the machine (else a send is dropped)."""
+
+    def ship(self, bodies: list[bytes]) -> None:
+        """Send one flush's encoded message bodies, in order."""
+
+    def receive(self, timeout: float | None) -> list:
+        """The next delivered bodies; ``[]`` after ``timeout`` seconds.
+
+        ``timeout=0`` polls without blocking; ``None`` blocks until something
+        arrives.
+        """
+
+    def report(self, item: tuple) -> None:
+        """Send one ``(rank, status, payload)`` tuple to the driver."""
+
+    def close(self) -> None:
+        """Release the channel once the rank has reported."""
+
+
+class Fabric(Protocol):
+    """Driver side of one run's delivery fabric.
+
+    ``result_queue.get(timeout=...)`` yields the ``(rank, status, payload)``
+    tuples every link reports and raises ``queue.Empty`` on timeout;
+    ``counters`` holds the driver's own wire statistics.
+    """
+
+    result_queue: object
+    counters: WireCounters
+
+    def opener(self, rank: int) -> Callable[[], Link]:
+        """Picklable callable a child runs to open ``rank``'s link."""
+
+    def inject(self, message: Message) -> None:
+        """Deliver a driver message into its destination's *persistent* store.
+
+        The store must survive the rank's death, so a bootstrap injected
+        while a rank is down reaches its next incarnation.
+        """
+
+    def drain(self) -> None:
+        """Discard undelivered items; cheap and non-blocking (shutdown)."""
+
+    def settle(self, rank: int) -> None:
+        """Wait (bounded) until all an exited rank sent is on ``result_queue``."""
+
+    def close(self) -> None:
+        """Final teardown after the children are joined."""
+
+
+class _QueueLink:
+    """:class:`Link` over one OS queue per rank."""
+
+    def __init__(self, rank: int, queues: dict[int, object], result_queue) -> None:
+        self._queues = queues
+        self._inbox = queues[rank]
+        self._results = result_queue
+        self.counters = WireCounters()
+
+    def has_rank(self, rank: int) -> bool:
+        return rank in self._queues
+
+    def ship(self, bodies: list[bytes]) -> None:
+        # One batch blob per destination keeps FIFO per pair: a flush's
+        # bodies for one rank travel, in order, as one queue item.
+        by_dest: dict[int, list[bytes]] = {}
+        for body in bodies:
+            by_dest.setdefault(peek_dest(body), []).append(body)
+        counters = self.counters
+        for dest, group in by_dest.items():
+            if len(group) > 1:
+                counters.coalesced_batches += 1
+                counters.coalesced_messages += len(group)
+            blob = pack_bodies(group)
+            counters.frames_sent += 1
+            counters.bytes_sent += len(blob)
+            self._queues[dest].put(blob)
+
+    def receive(self, timeout: float | None) -> list:
+        try:
+            blob = self._inbox.get(timeout=timeout)
+        except queue_module.Empty:
+            return []
+        self.counters.frames_received += 1
+        self.counters.bytes_received += len(blob)
+        return list(iter_bodies(blob))
+
+    def report(self, item: tuple) -> None:
+        self._results.put(item)
+
+    def close(self) -> None:
+        pass  # the queues' feeder threads flush when the process exits
+
+
+class _QueueFabric:
+    """:class:`Fabric` of the multiprocess backend: persistent OS queues."""
+
+    def __init__(self, ranks) -> None:
+        self._queues = {rank: _CONTEXT.Queue() for rank in ranks}
+        self.result_queue = _CONTEXT.Queue()
+        self.counters = WireCounters()
+
+    def opener(self, rank: int) -> Callable[[], Link]:
+        return functools.partial(_QueueLink, rank, self._queues, self.result_queue)
+
+    def inject(self, message: Message) -> None:
+        blob = pack_bodies([encode_message(message, 0, self.counters)])
+        self.counters.frames_sent += 1
+        self.counters.bytes_sent += len(blob)
+        self._queues[message.dest].put(blob)
+
+    def drain(self) -> None:
+        # Unread late messages keep queue feeder threads alive; drain them so
+        # children can exit and join() cannot hang on a full pipe.
+        for q in (*self._queues.values(), self.result_queue):
+            while True:
+                try:
+                    q.get_nowait()
+                except (queue_module.Empty, OSError):
+                    break
+
+    def settle(self, rank: int) -> None:
+        pass  # a child exits only after its queue feeder flushed the pipe
+
+    def close(self) -> None:
+        pass
 
 
 class _ProcessTransport(Transport):
@@ -118,34 +279,27 @@ class _ProcessTransport(Transport):
     def __init__(
         self,
         rank: int,
-        queues: dict[int, object],
+        link: Link,
         origin: float,
         trace_enabled: bool,
         receive_timeout_s: float | None = None,
         receive_poll_s: float = 1.0,
         chaos: RankChaos | None = None,
-        shm_threshold_bytes: int | None = None,
-        wire_counters: WireCounters | None = None,
     ) -> None:
         self.rank = rank
-        self._queues = queues
-        self._inbox = queues[rank]
+        self.link = link
         self._origin = origin
         self.trace = TraceRecorder(enabled=trace_enabled)
         self.receive_timeout_s = receive_timeout_s
         self.receive_poll_s = receive_poll_s
         self.chaos = chaos
-        self.shm_threshold_bytes = shm_threshold_bytes
-        self.counters = wire_counters if wire_counters is not None else WireCounters()
+        self.counters = link.counters
         self.messages_sent = 0
         self.events_processed = 0
         #: sends addressed to a rank outside the machine (protocol bug telltale)
         self.messages_dropped = 0
-        #: buffered sends awaiting the next flush boundary, grouped by the
-        #: outbound store they go to (per-dest queues on the multiprocess
-        #: backend; one shared hub proxy on the socket backend, so a flush
-        #: there coalesces sends to *different* ranks into one frame)
-        self._outbox: dict[int, tuple[object, list[Message]]] = {}
+        #: buffered sends awaiting the next flush boundary, in send order
+        self._outbox: list[Message] = []
 
     # ------------------------------------------------------------------
     @property
@@ -158,19 +312,15 @@ class _ProcessTransport(Transport):
         self.flush()
         mailbox = process._state.mailbox
         while True:
-            try:
-                item = self._inbox.get_nowait()
-            except queue_module.Empty:
+            bodies = self.link.receive(0)
+            if not bodies:
                 return
-            for message in self._expand(item):
-                message.delivery_time = self.now
-                mailbox.append(message)
+            mailbox.extend(self._decode(bodies))
 
     # ------------------------------------------------------------------
     def _post(self, message: Message) -> None:
         message.send_time = self.now
-        target = self._queues.get(message.dest)
-        if target is None:
+        if not self.link.has_rank(message.dest):
             # A send to a rank outside the machine would otherwise vanish
             # without a trace; count and log it so protocol bugs surface in
             # the run summary instead of as mysterious hangs.
@@ -191,15 +341,11 @@ class _ProcessTransport(Transport):
                 return
             if delay > 0.0:
                 time.sleep(delay)
-        bucket = self._outbox.get(id(target))
-        if bucket is None:
-            self._outbox[id(target)] = (target, [message])
-        else:
-            bucket[1].append(message)
+        self._outbox.append(message)
         self.messages_sent += 1
 
     def flush(self) -> None:
-        """Encode and ship every buffered send (one batch per outbound store).
+        """Encode every buffered send and ship them over the link in one go.
 
         Flush boundaries are the places the generator gives up control:
         entering a blocking receive, resuming after a ``Compute``, and every
@@ -208,57 +354,20 @@ class _ProcessTransport(Transport):
         """
         if not self._outbox:
             return
-        outbox = self._outbox
-        self._outbox = {}
+        outbox, self._outbox = self._outbox, []
         counters = self.counters
         start = self.now
-        for target, messages in outbox.values():
-            bodies = [encode_message(message, 0, counters) for message in messages]
-            if len(bodies) > 1:
-                counters.coalesced_batches += 1
-                counters.coalesced_messages += len(bodies)
-            put_encoded = getattr(target, "put_encoded", None)
-            if put_encoded is not None:
-                # Socket backend: the proxy frames the batch onto the hub
-                # connection and does its own byte accounting.
-                put_encoded(bodies)
-                continue
-            entries: list[tuple[int, object]] = []
-            for body in bodies:
-                if (
-                    self.shm_threshold_bytes is not None
-                    and len(body) >= self.shm_threshold_bytes
-                ):
-                    entries.append((MessageBatch.LANE_SHM, write_slab(body)))
-                    counters.shm_messages += 1
-                    counters.shm_bytes += len(body)
-                else:
-                    entries.append((MessageBatch.LANE_INLINE, body))
-                counters.bytes_sent += len(body)
-            counters.frames_sent += 1
-            target.put(MessageBatch(entries))
+        self.link.ship([encode_message(message, 0, counters) for message in outbox])
         self.trace.record(self.rank, start, self.now, "serialize", None, "")
 
-    def _expand(self, item) -> tuple[Message, ...]:
-        """Decode one inbound queue item into its messages.
-
-        Driver injections arrive as plain :class:`Message` objects; rank
-        traffic arrives as :class:`MessageBatch` items whose entries are
-        encoded bodies (inline or parked in a shared-memory slab).
-        """
-        if isinstance(item, Message):
-            return (item,)
-        if isinstance(item, MessageBatch):
-            counters = self.counters
-            counters.frames_received += 1
-            messages = []
-            for lane, data in item.entries:
-                body = read_slab(data) if lane == MessageBatch.LANE_SHM else data
-                counters.bytes_received += len(body)
-                _seq, message = decode_message(body, counters)
-                messages.append(message)
-            return tuple(messages)
-        raise TypeError(f"rank {self.rank} received unsupported queue item {item!r}")
+    def _decode(self, bodies) -> list[Message]:
+        """Decode delivered bodies into messages stamped with their delivery."""
+        messages = []
+        for body in bodies:
+            _seq, message = decode_message(body, self.counters)
+            message.delivery_time = self.now
+            messages.append(message)
+        return messages
 
     def _blocking_receive(self, process: RankProcess, spec: Receive) -> Message:
         self.flush()
@@ -272,21 +381,19 @@ class _ProcessTransport(Transport):
         # The poll interval bounds how late a ReceiveTimeout can fire past
         # the configured deadline; it is injectable (FaultToleranceConfig.
         # receive_poll_s) so tests never wait out hard-coded sleeps.
-        poll = self.receive_poll_s
+        poll = None if timeout is None else self.receive_poll_s
         while True:
-            try:
-                item = self._inbox.get(timeout=None if timeout is None else poll)
-            except queue_module.Empty:
+            bodies = self.link.receive(poll)
+            if not bodies:
                 waited = self.now - blocked_since
-                if timeout is not None and waited >= timeout:
+                if waited >= timeout:
                     # A peer that should have answered is probably dead; die
                     # loudly so the driver's recovery machinery sees us
                     # instead of blocking forever.
                     raise ReceiveTimeout(process.rank, spec, waited)
                 continue
             result: Message | None = None
-            for message in self._expand(item):
-                message.delivery_time = self.now
+            for message in self._decode(bodies):
                 if result is None and RankProcess.matches(message, spec):
                     result = message
                 else:
@@ -363,25 +470,20 @@ class _ProcessTransport(Transport):
 
 def _rank_main(
     process: RankProcess,
-    queues: dict[int, object],
-    result_queue,
+    open_link: Callable[[], Link],
     origin: float,
     trace_enabled: bool,
     heartbeat_interval_s: float | None = None,
     receive_timeout_s: float | None = None,
     receive_poll_s: float = 1.0,
     fault_plan: FaultPlan | None = None,
-    shm_threshold_bytes: int | None = None,
-    wire_counters: WireCounters | None = None,
 ) -> None:
-    """Child entry point: drive one rank and ship the outcome back.
+    """Child entry point of both backends: drive one rank, report the outcome.
 
-    Transport-agnostic: ``queues`` only needs ``[own_rank]`` → an inbound
-    store with ``get``/``get_nowait`` and ``.get(dest)`` → an outbound store
-    with ``put`` (or ``None`` for ranks outside the machine), and
-    ``result_queue`` only needs ``put``.  The multiprocess backend passes OS
-    queues; the socket backend passes facades over one TCP connection.
+    ``open_link`` comes from the run's :meth:`Fabric.opener`; everything the
+    rank sends, receives and reports goes through the link it opens.
     """
+    link = open_link()
     chaos: RankChaos | None = None
     if fault_plan is not None:
         candidate = RankChaos(fault_plan, process.rank)
@@ -389,14 +491,12 @@ def _rank_main(
             chaos = candidate
     transport = _ProcessTransport(
         process.rank,
-        queues,
+        link,
         origin,
         trace_enabled,
         receive_timeout_s=receive_timeout_s,
         receive_poll_s=receive_poll_s,
         chaos=chaos,
-        shm_threshold_bytes=shm_threshold_bytes,
-        wire_counters=wire_counters,
     )
 
     stop_heartbeat = threading.Event()
@@ -404,15 +504,15 @@ def _rank_main(
         # One synchronous beat before any work: the driver learns this
         # incarnation is up (and gets its initial role metadata) even if a
         # chaos kill fires before the first interval elapses.
-        result_queue.put((process.rank, "heartbeat", dict(process.heartbeat_state())))
+        link.report((process.rank, "heartbeat", dict(process.heartbeat_state())))
 
         def _beat() -> None:
             while not stop_heartbeat.wait(heartbeat_interval_s):
                 try:
-                    result_queue.put(
+                    link.report(
                         (process.rank, "heartbeat", dict(process.heartbeat_state()))
                     )
-                except Exception:  # pragma: no cover - queue torn down
+                except Exception:  # pragma: no cover - link torn down
                     return
 
         threading.Thread(
@@ -422,7 +522,7 @@ def _rank_main(
     try:
         transport.drive(process)
         stop_heartbeat.set()
-        result_queue.put(
+        link.report(
             (
                 process.rank,
                 "ok",
@@ -440,55 +540,11 @@ def _rank_main(
     except BaseException:
         stop_heartbeat.set()
         try:
-            result_queue.put((process.rank, "error", traceback.format_exc()))
+            link.report((process.rank, "error", traceback.format_exc()))
         except Exception:  # pragma: no cover - best effort
             pass
-
-
-class _RunHandles:
-    """Backend-specific runtime of one supervised run.
-
-    The supervise/recovery loop in :meth:`MultiprocessWorld.run` only touches
-    the machinery through this surface, so transports that deliver messages
-    differently (OS queues, TCP sockets) plug in by returning their own
-    handles from ``_launch``:
-
-    * ``children`` — rank → process handle (``is_alive`` / ``exitcode`` /
-      ``join`` / ``terminate``),
-    * ``result_queue`` — ``get(timeout=...)`` yielding
-      ``(rank, status, payload)`` tuples, raising ``queue.Empty`` on timeout,
-    * ``spawn(rank, with_chaos)`` — start a (replacement) incarnation,
-    * ``inject(rank, message)`` — deliver a driver bootstrap message into the
-      rank's *persistent* inbound store (must survive the rank's death),
-    * ``drain()`` — flush buffered inbound stores; called repeatedly while
-      children are joined, so it must be cheap and non-blocking,
-    * ``settle(rank)`` — wait (bounded) until everything a rank whose
-      process has exited sent is on ``result_queue``,
-    * ``close()`` — final backend teardown after children are joined.
-    """
-
-    def __init__(
-        self, children, result_queue, spawn, inject, drain=None, close=None, settle=None
-    ):
-        self.children = children
-        self.result_queue = result_queue
-        self.spawn = spawn
-        self.inject = inject
-        self._drain = drain
-        self._close = close
-        self._settle = settle
-
-    def drain(self) -> None:
-        if self._drain is not None:
-            self._drain()
-
-    def settle(self, rank: int) -> None:
-        if self._settle is not None:
-            self._settle(rank)
-
-    def close(self) -> None:
-        if self._close is not None:
-            self._close()
+    finally:
+        link.close()
 
 
 class MultiprocessWorld:
@@ -506,12 +562,6 @@ class MultiprocessWorld:
         Optional :class:`TraceRecorder` (one is created when omitted).  Child
         processes record locally with real ``perf_counter`` timestamps against
         a shared origin; the events are merged here after the run.
-    start_method:
-        ``multiprocessing`` start method; defaults to ``"fork"`` where
-        available (cheap, children inherit the already-built factory) and the
-        platform default elsewhere.  Under ``"spawn"`` every object handed to
-        a rank must be picklable — the contract the evaluation backends
-        already guarantee.
     join_timeout:
         Hard deadline in real seconds for the whole run; on expiry children
         are terminated and a :class:`RuntimeError` names the unfinished ranks
@@ -525,24 +575,17 @@ class MultiprocessWorld:
         shipped into each rank's first incarnation only.
     """
 
+    #: backend name used in run-failure messages
+    backend = "multiprocess"
+
     def __init__(
         self,
         trace: TraceRecorder | None = None,
-        start_method: str | None = None,
         join_timeout: float = 600.0,
         fault_tolerance: FaultToleranceConfig | None = None,
         fault_plan: FaultPlan | None = None,
-        shm_threshold_bytes: int | None = DEFAULT_SHM_THRESHOLD_BYTES,
     ) -> None:
         self.trace = trace if trace is not None else TraceRecorder()
-        self.shm_threshold_bytes = (
-            None if shm_threshold_bytes is None else int(shm_threshold_bytes)
-        )
-        if start_method is None:
-            start_method = (
-                "fork" if "fork" in multiprocessing.get_all_start_methods() else None
-            )
-        self._start_method = start_method
         self.join_timeout = float(join_timeout)
         self.fault_tolerance = fault_tolerance
         if fault_plan is not None and not fault_plan.resolved:
@@ -561,6 +604,8 @@ class MultiprocessWorld:
         self._wire_totals = WireCounters()
         #: per-rank wire counter dicts (ranks that reported "ok")
         self._rank_wire: dict[int, dict[str, float]] = {}
+        #: the last run's delivery fabric
+        self._fabric: Fabric | None = None
 
     # ------------------------------------------------------------------
     @property
@@ -604,72 +649,32 @@ class MultiprocessWorld:
         return [rank for rank, proc in self._processes.items() if not proc._state.finished]
 
     # ------------------------------------------------------------------
-    def _launch(self, origin: float) -> "_RunHandles":
-        """Start the backend machinery and every first-incarnation rank.
+    def _open_fabric(self) -> Fabric:
+        """The delivery fabric of one run (the socket backend's differs)."""
+        return _QueueFabric(tuple(self._processes))
 
-        The multiprocess backend builds one persistent OS queue per rank plus
-        a shared result queue; subclasses (the socket backend) override this
-        to stand up their own delivery fabric while reusing the supervise /
-        recovery loop in :meth:`run` unchanged.
-        """
-        ctx = (
-            multiprocessing.get_context(self._start_method)
-            if self._start_method is not None
-            else multiprocessing.get_context()
-        )
-        queues = {rank: ctx.Queue() for rank in self._processes}
-        result_queue = ctx.Queue()
+    def _spawn(self, rank: int, origin: float, with_chaos: bool):
+        """Start one incarnation of ``rank`` on a fresh OS process."""
+        process = self._processes[rank]
+        process.world = None  # children attach their own transport
         ft = self.fault_tolerance
-
-        def spawn(rank: int, with_chaos: bool) -> multiprocessing.Process:
-            process = self._processes[rank]
-            process.world = None  # children attach their own transport
-            child = ctx.Process(
-                target=_rank_main,
-                args=(
-                    process,
-                    queues,
-                    result_queue,
-                    origin,
-                    self.trace.enabled,
-                    ft.heartbeat_interval_s if ft is not None else None,
-                    ft.receive_timeout_s if ft is not None else None,
-                    ft.receive_poll_s if ft is not None else 1.0,
-                    self.fault_plan if with_chaos else None,
-                    self.shm_threshold_bytes,
-                ),
-                name=f"repro-rank-{rank}-{process.role}",
-                daemon=True,
-            )
-            child.start()
-            return child
-
-        def inject(rank: int, message: Message) -> None:
-            queues[rank].put(message)
-
-        def drain() -> None:
-            # Unread late messages keep queue feeder threads alive; drain them
-            # so children can exit and join() cannot hang on a full pipe.
-            for q in (*queues.values(), result_queue):
-                while True:
-                    try:
-                        item = q.get_nowait()
-                    except (queue_module.Empty, OSError):
-                        break
-                    # Unconsumed batches may carry shared-memory slab handles;
-                    # unlink them here or the slabs outlive the run in /dev/shm.
-                    dispose_item(item)
-
-        children: dict[int, multiprocessing.Process] = {
-            rank: spawn(rank, with_chaos=True) for rank in self._processes
-        }
-        return _RunHandles(
-            children=children,
-            result_queue=result_queue,
-            spawn=spawn,
-            inject=inject,
-            drain=drain,
+        child = _CONTEXT.Process(
+            target=_rank_main,
+            args=(
+                process,
+                self._fabric.opener(rank),
+                origin,
+                self.trace.enabled,
+                ft.heartbeat_interval_s if ft is not None else None,
+                ft.receive_timeout_s if ft is not None else None,
+                ft.receive_poll_s if ft is not None else 1.0,
+                self.fault_plan if with_chaos else None,
+            ),
+            name=f"repro-rank-{rank}-{process.role}",
+            daemon=True,
         )
+        child.start()
+        return child
 
     def run(self, until: float | None = None) -> float:
         """Run all ranks on real processes until every generator finishes.
@@ -682,9 +687,11 @@ class MultiprocessWorld:
         """
         origin = time.perf_counter()
         ft = self.fault_tolerance
-        handles = self._launch(origin)
-        children = handles.children
-        result_queue = handles.result_queue
+        fabric = self._fabric = self._open_fabric()
+        result_queue = fabric.result_queue
+        children = {
+            rank: self._spawn(rank, origin, with_chaos=True) for rank in self._processes
+        }
 
         pending = set(self._processes)
         failures: dict[int, str] = {}
@@ -751,21 +758,19 @@ class MultiprocessWorld:
             bootstrap = process.restart_message(meta)
             if bootstrap is not None:
                 tag, payload = bootstrap
-                handles.inject(
-                    rank,
-                    Message(source=DRIVER_RANK, dest=rank, tag=tag, payload=payload),
+                fabric.inject(
+                    Message(source=DRIVER_RANK, dest=rank, tag=tag, payload=payload)
                 )
             # Respawn chaos-free so a deterministic kill rule cannot re-fire
             # and burn the whole budget on one rank.
-            children[rank] = handles.spawn(rank, with_chaos=False)
+            children[rank] = self._spawn(rank, origin, with_chaos=False)
             last_heartbeat[rank] = time.monotonic()
             for peer in sorted(pending - {rank}):
                 notice = self._processes[peer].peer_restart_message(rank, process.role)
                 if notice is not None:
                     tag, payload = notice
-                    handles.inject(
-                        peer,
-                        Message(source=DRIVER_RANK, dest=peer, tag=tag, payload=payload),
+                    fabric.inject(
+                        Message(source=DRIVER_RANK, dest=peer, tag=tag, payload=payload)
                     )
             config = getattr(process, "config", None)
             reassignments.append(
@@ -823,6 +828,33 @@ class MultiprocessWorld:
             else:
                 failures[rank] = payload
 
+        def exited(rank: int, child) -> None:
+            # Let everything the exited incarnation sent reach the result
+            # queue first.  Exit code 0 means it returned normally, so its
+            # report (ok or error) decides; otherwise the death is handled as
+            # of when it was seen — only its last heartbeats (restart
+            # metadata) are taken before, results that arrived meanwhile after.
+            fabric.settle(rank)
+            items = take_queued(0.0)
+            crashed = ft is not None and child.exitcode != 0
+            for item in items:
+                if not crashed or item[1] == "heartbeat":
+                    absorb(*item)
+            if rank in pending and rank not in failures and children[rank] is child:
+                role = self._processes[rank].role
+                reason = (
+                    f"rank {rank} ({role}) exited with code {child.exitcode} "
+                    "without reporting"
+                )
+                if ft is None:
+                    failures[rank] = reason
+                else:
+                    handle_death(rank, reason)
+            if crashed:
+                for item in items:
+                    if item[1] != "heartbeat":
+                        absorb(*item)
+
         try:
             while pending and not failures and exhausted is None:
                 remaining = deadline - time.monotonic()
@@ -834,44 +866,24 @@ class MultiprocessWorld:
                 for item in take_queued(min(remaining, 0.2 if ft is not None else 1.0)):
                     absorb(*item)
                 # -- failure detection ------------------------------------
-                if ft is None:
-                    for r in list(pending):
-                        child = children[r]
-                        if not child.is_alive() and child.exitcode not in (0, None):
-                            failures[r] = (
-                                f"rank {r} exited with code {child.exitcode} "
-                                "without reporting"
-                            )
-                else:
-                    now_mono = time.monotonic()
-                    grace = ft.heartbeat_grace * ft.heartbeat_interval_s
-                    for r in list(pending):
-                        if exhausted is not None:
-                            break
-                        child = children[r]
-                        if not child.is_alive() and child.exitcode not in (0, None):
-                            # Let the dead incarnation's last heartbeat reach
-                            # the queue and take it (restart metadata) before
-                            # acting; results that arrived meanwhile wait, so
-                            # the death is handled as of when it was seen.
-                            handles.settle(r)
-                            later = []
-                            for item in take_queued(0.0):
-                                if item[1] == "heartbeat":
-                                    absorb(*item)
-                                else:
-                                    later.append(item)
-                            handle_death(
-                                r, f"process exited with code {child.exitcode}"
-                            )
-                            for item in later:
-                                absorb(*item)
-                        elif now_mono - last_heartbeat[r] > grace:
-                            handle_death(
-                                r,
-                                f"no heartbeat for "
-                                f"{now_mono - last_heartbeat[r]:.1f}s (hung)",
-                            )
+                now_mono = time.monotonic()
+                for r in list(pending):
+                    if exhausted is not None:
+                        break
+                    if r not in pending:
+                        continue  # reported while an earlier exit settled
+                    child = children[r]
+                    if child.exitcode is not None:
+                        exited(r, child)
+                    elif ft is not None and (
+                        now_mono - last_heartbeat[r]
+                        > ft.heartbeat_grace * ft.heartbeat_interval_s
+                    ):
+                        handle_death(
+                            r,
+                            f"no heartbeat for "
+                            f"{now_mono - last_heartbeat[r]:.1f}s (hung)",
+                        )
         finally:
             # One *shared* deadline for the whole shutdown: the happy path
             # previously waited up to 10s per child serially, so a machine of
@@ -882,7 +894,7 @@ class MultiprocessWorld:
             # sends after one drain would otherwise block its exit on a full
             # pipe until the deadline.
             while True:
-                handles.drain()
+                fabric.drain()
                 alive = [child for child in children.values() if child.is_alive()]
                 remaining = join_deadline - time.monotonic()
                 if not alive or remaining <= 0:
@@ -894,7 +906,7 @@ class MultiprocessWorld:
             for child in children.values():
                 if child.is_alive():
                     child.join(timeout=1.0)
-            handles.close()
+            fabric.close()
 
         self.now = time.perf_counter() - origin
 
@@ -913,7 +925,7 @@ class MultiprocessWorld:
             if ft.on_exhausted == "raise":
                 self.failure_report = report
                 raise RuntimeError(
-                    f"multiprocess MLMCMC recovery exhausted: {exhausted}"
+                    f"{self.backend} MLMCMC recovery exhausted: {exhausted}"
                 )
             self.failure_report = report
             return self.now
@@ -921,10 +933,10 @@ class MultiprocessWorld:
             details = "\n".join(
                 f"rank {rank}: {text}" for rank, text in sorted(failures.items())
             )
-            raise RuntimeError(f"multiprocess MLMCMC rank failure(s):\n{details}")
+            raise RuntimeError(f"{self.backend} MLMCMC rank failure(s):\n{details}")
         if pending:
             timeout_reason = (
-                "multiprocess MLMCMC did not terminate within "
+                f"{self.backend} MLMCMC did not terminate within "
                 f"{self.join_timeout:.0f}s; unfinished ranks: {sorted(pending)}"
             )
             if ft is not None and ft.on_exhausted == "degrade":
@@ -949,8 +961,11 @@ class MultiprocessWorld:
         """
         if not self.trace.enabled:
             return {key: float("nan") for key in WIRE_SUMMARY_KEYS}
-        totals = self._wire_totals.as_dict()
-        return {key: float(totals[key]) for key in WIRE_SUMMARY_KEYS}
+        totals = WireCounters(**self._wire_totals.as_dict())
+        if self._fabric is not None:
+            # the driver's own traffic: injections, and the hub's routing
+            totals.add(self._fabric.counters.as_dict())
+        return {key: float(value) for key, value in totals.as_dict().items()}
 
     def summary(self) -> dict[str, float | int]:
         """Run-wide statistics (same layout as the virtual world's).

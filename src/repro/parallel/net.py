@@ -1,12 +1,12 @@
 """TCP socket transport for the parallel MLMCMC machine.
 
 Runs the *unchanged* role generators (root, phonebook, collectors,
-controllers, workers) on separate processes-or-machines, connected by TCP
-instead of OS queues.  The child-side runtime is literally
-:func:`repro.parallel.mp._rank_main` — the multiprocess driver loop — handed
-queue facades that frame messages onto a single hub connection, so chaos
-injection, receive timeouts, tracing and heartbeats behave identically on
-both real-process backends.
+controllers, workers) on separate processes, connected by TCP instead of OS
+queues.  Only the delivery fabric differs from :mod:`repro.parallel.mp`: the
+child runs the same :func:`~repro.parallel.mp._rank_main` over a
+:class:`_HubClient` link, and the driver runs the same supervise loop over a
+:class:`_Hub` fabric, so chaos injection, receive timeouts, tracing and
+heartbeats behave identically on both real-process backends.
 
 Wire format
 -----------
@@ -71,17 +71,16 @@ delivery):
 Launching
 ---------
 
-:class:`LocalSpawnAgent` starts one process per rank on this machine — the
-localhost smoke topology (``127.0.0.1``, N processes, one ephemeral hub
-port).  It is the deployment seam: a multi-node launcher replaces the agent
-(ssh/srun/batch submit pointing at a routable hub address) while hub, wire
-format and supervision stay as they are.
+:class:`SocketWorld` starts one process per rank on this machine exactly as
+the multiprocess backend does — the localhost topology (``127.0.0.1``, N
+processes, one ephemeral hub port).  Launching ranks on other hosts is not
+provided.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
-import multiprocessing
 import pickle
 import queue as queue_module
 import socket
@@ -89,10 +88,10 @@ import struct
 import threading
 import time
 from collections import OrderedDict, deque
+from typing import Callable
 
-from repro.parallel.chaos import FaultPlan
-from repro.parallel.mp import MultiprocessWorld, _rank_main, _RunHandles
-from repro.parallel.transport import Message, RankProcess
+from repro.parallel.mp import MultiprocessWorld
+from repro.parallel.transport import Message
 from repro.parallel.wire import (
     TruncatedFrameError,
     WireCounters,
@@ -103,6 +102,7 @@ from repro.parallel.wire import (
     pack_bodies,
     patch_seq,
     peek_dest,
+    peek_seq,
 )
 
 __all__ = [
@@ -118,7 +118,6 @@ __all__ = [
     "read_frame",
     "write_frame",
     "connect_with_backoff",
-    "LocalSpawnAgent",
     "SocketWorld",
 ]
 
@@ -314,134 +313,29 @@ def connect_with_backoff(
 
 
 # ----------------------------------------------------------------------
-# child side: facades matching the queue contract of mp._rank_main
+# child side: the link over one hub connection
 # ----------------------------------------------------------------------
 
 
-class _ClientInbox:
-    """Queue facade over message *bodies* the hub delivered to this rank.
-
-    Bodies stay encoded until the transport ``get``s them (decode happens on
-    the consuming thread, against the client's wire counters).  Consumption
-    feeds the cumulative ACK watermark: anything delivered to an incarnation
-    that died before consuming it is replayed to the replacement
-    (at-least-once, mirroring the persistent OS queues of the multiprocess
-    backend).
-    """
-
-    def __init__(self, client: "_HubClient") -> None:
-        self._client = client
-        self._queue: queue_module.Queue = queue_module.Queue()
-
-    def _deliver(self, body) -> None:
-        self._queue.put(body)
-
-    def _decode(self, body) -> Message:
-        seq, message = decode_message(body, self._client.counters)
-        self._client.note_consumed(seq)
-        return message
-
-    def get(self, timeout: float | None = None):
-        if self._queue.empty():
-            # Idle boundary: about to actually block, so let the hub retire
-            # everything consumed so far with one ACK frame.  While a burst
-            # is still buffered we keep consuming without touching the
-            # socket — the watermark covers the whole burst at the end.
-            self._client.flush_acks()
-        return self._decode(self._queue.get(timeout=timeout))
-
-    def get_nowait(self):
-        try:
-            body = self._queue.get_nowait()
-        except queue_module.Empty:
-            self._client.flush_acks()
-            raise
-        return self._decode(body)
-
-
-class _SendProxy:
-    """Queue-like store that frames message bodies onto the hub connection.
-
-    One instance serves *every* destination rank (the hub routes per body),
-    so the transport's per-store outbox coalesces sends to different ranks
-    into a single BATCH frame.
-    """
-
-    __slots__ = ("_client",)
-
-    def __init__(self, client: "_HubClient") -> None:
-        self._client = client
-
-    def put(self, message: Message) -> None:
-        self._client.send_bodies(
-            [encode_message(message, 0, self._client.counters)]
-        )
-
-    def put_encoded(self, bodies) -> None:
-        self._client.send_bodies(bodies)
-
-
-class _ClientQueueMap:
-    """The ``queues`` mapping `mp._rank_main` expects, over one connection.
-
-    ``[own_rank]`` is the inbound store; ``.get(other_rank)`` is the shared
-    send proxy for every rank of the machine and ``None`` otherwise, so the
-    transport's dropped-message accounting works unchanged.
-    """
-
-    def __init__(self, client: "_HubClient", ranks) -> None:
-        self._client = client
-        self._ranks = frozenset(ranks)
-        self._proxy = _SendProxy(client)
-
-    def __getitem__(self, rank: int):
-        if rank == self._client.rank:
-            return self._client.inbox
-        if rank in self._ranks:
-            return self._proxy
-        raise KeyError(rank)
-
-    def get(self, rank: int, default=None):
-        try:
-            return self[rank]
-        except KeyError:
-            return default
-
-
-class _ClientResultQueue:
-    """Result-queue facade: ``(rank, status, payload)`` tuples become frames."""
-
-    __slots__ = ("_client",)
-
-    def __init__(self, client: "_HubClient") -> None:
-        self._client = client
-
-    def put(self, item) -> None:
-        _rank, status, _payload = item
-        kind = FRAME_HEARTBEAT if status == "heartbeat" else FRAME_RESULT
-        self._client.send_result(kind, item)
-
-
 class _HubClient:
-    """One rank's connection to the hub: writer lock + reader thread."""
+    """:class:`~repro.parallel.mp.Link` over one rank's connection to the hub.
 
-    def __init__(
-        self,
-        rank: int,
-        address: tuple[str, int],
-        connect_attempts: int = 10,
-        connect_base_delay: float = 0.05,
-    ) -> None:
-        self.rank = rank
-        self._sock = connect_with_backoff(
-            address, hello=rank, attempts=connect_attempts, base_delay=connect_base_delay
-        )
+    A reader thread queues the bodies of each delivered MESSAGE / BATCH frame;
+    they stay encoded until the transport decodes them.  Handing bodies to the
+    transport consumes them and advances the cumulative ACK watermark:
+    anything delivered to an incarnation that died before consuming it is
+    replayed to the replacement (at-least-once, mirroring the persistent OS
+    queues of the multiprocess backend).
+    """
+
+    def __init__(self, rank: int, address: tuple[str, int], ranks) -> None:
+        self._ranks = frozenset(ranks)
+        self._sock = connect_with_backoff(address, hello=rank)
         self._write_lock = threading.Lock()
         self.counters = WireCounters()
-        self._ack_lock = threading.Lock()
+        self._inbox: queue_module.Queue = queue_module.Queue()
         self._consumed_seq = -1
         self._acked_seq = -1
-        self.inbox = _ClientInbox(self)
         self._reader = threading.Thread(
             target=self._read_loop, name=f"repro-net-inbox-{rank}", daemon=True
         )
@@ -455,15 +349,14 @@ class _HubClient:
                     return
                 kind, body = frame
                 if kind == FRAME_MESSAGE:
-                    self.counters.frames_received += 1
-                    self.counters.bytes_received += HEADER_SIZE + len(body)
-                    self.inbox._deliver(body)
+                    bodies = [body]
                 elif kind == FRAME_BATCH:
-                    self.counters.frames_received += 1
-                    self.counters.bytes_received += HEADER_SIZE + len(body)
-                    for inner in iter_bodies(body):
-                        self.inbox._deliver(inner)
-                # the hub sends nothing else after WELCOME; tolerate quietly
+                    bodies = list(iter_bodies(body))
+                else:
+                    continue  # the hub sends nothing else after WELCOME
+                self.counters.frames_received += 1
+                self.counters.bytes_received += HEADER_SIZE + len(body)
+                self._inbox.put(bodies)
         except (OSError, WireProtocolError):
             # Connection gone: the generator will hit a receive timeout (or a
             # failed send) and the driver's failure detection takes it from
@@ -474,33 +367,38 @@ class _HubClient:
         with self._write_lock:
             self._sock.sendall(frame)
 
-    def send_bodies(self, bodies) -> None:
-        """Ship encoded message bodies: one MESSAGE frame, or one BATCH."""
+    def has_rank(self, rank: int) -> bool:
+        return rank in self._ranks
+
+    def ship(self, bodies: list[bytes]) -> None:
+        """One MESSAGE frame, or one BATCH for a whole flush (any destinations)."""
         if len(bodies) == 1:
             frame = encode_frame(FRAME_MESSAGE, bytes(bodies[0]))
         else:
             frame = encode_frame(FRAME_BATCH, pack_bodies(bodies))
+            self.counters.coalesced_batches += 1
+            self.counters.coalesced_messages += len(bodies)
         self.counters.frames_sent += 1
         self.counters.bytes_sent += len(frame)
         self._send(frame)
 
-    def note_consumed(self, seq: int) -> None:
-        """Advance the cumulative ACK watermark (delivery is FIFO per link)."""
-        if seq >= 0:
-            with self._ack_lock:
-                if seq > self._consumed_seq:
-                    self._consumed_seq = seq
+    def receive(self, timeout: float | None) -> list:
+        if self._inbox.empty() and self._consumed_seq > self._acked_seq:
+            # Idle boundary: about to wait, so let the hub retire everything
+            # consumed so far with one ACK frame.  While a burst is still
+            # queued the watermark just advances — one ACK covers the burst.
+            self._acked_seq = self._consumed_seq
+            self._send(encode_frame(FRAME_ACK, _ACK.pack(self._acked_seq)))
+        try:
+            bodies = self._inbox.get(timeout=timeout)
+        except queue_module.Empty:
+            return []
+        # Delivery is FIFO per link, so the last body carries the highest seq.
+        self._consumed_seq = max(self._consumed_seq, peek_seq(bodies[-1]))
+        return bodies
 
-    def flush_acks(self) -> None:
-        """Send one cumulative ACK covering everything consumed so far."""
-        with self._ack_lock:
-            seq = self._consumed_seq
-            if seq <= self._acked_seq:
-                return
-            self._acked_seq = seq
-        self._send(encode_frame(FRAME_ACK, _ACK.pack(seq)))
-
-    def send_result(self, kind: int, item) -> None:
+    def report(self, item: tuple) -> None:
+        kind = FRAME_HEARTBEAT if item[1] == "heartbeat" else FRAME_RESULT
         self._send(
             encode_frame(kind, pickle.dumps(item, protocol=pickle.HIGHEST_PROTOCOL))
         )
@@ -521,43 +419,6 @@ class _HubClient:
             pass
         self._reader.join(timeout=_CLOSE_DRAIN_S)
         self._sock.close()
-
-
-def _socket_rank_main(
-    process: RankProcess,
-    ranks: tuple[int, ...],
-    address: tuple[str, int],
-    origin: float,
-    trace_enabled: bool,
-    heartbeat_interval_s: float | None,
-    receive_timeout_s: float | None,
-    receive_poll_s: float,
-    fault_plan: FaultPlan | None,
-    connect_attempts: int,
-    connect_base_delay: float,
-) -> None:
-    """Child entry point: rendezvous with the hub, then run `mp._rank_main`."""
-    client = _HubClient(
-        process.rank,
-        tuple(address),
-        connect_attempts=connect_attempts,
-        connect_base_delay=connect_base_delay,
-    )
-    try:
-        _rank_main(
-            process,
-            _ClientQueueMap(client, ranks),
-            _ClientResultQueue(client),
-            origin,
-            trace_enabled,
-            heartbeat_interval_s=heartbeat_interval_s,
-            receive_timeout_s=receive_timeout_s,
-            receive_poll_s=receive_poll_s,
-            fault_plan=fault_plan,
-            wire_counters=client.counters,
-        )
-    finally:
-        client.close()
 
 
 # ----------------------------------------------------------------------
@@ -596,17 +457,18 @@ class _RankLink:
 
 
 class _Hub:
-    """Rendezvous listener + hub-and-spoke message router of one run.
+    """Rendezvous listener + hub-and-spoke router: the socket backend's fabric.
 
-    Owns the per-rank persistent delivery state (see :class:`_RankLink`) and
-    forwards ``HEARTBEAT``/``RESULT`` frames into ``result_sink`` as the same
+    Implements :class:`~repro.parallel.mp.Fabric`.  Owns the per-rank
+    persistent delivery state (see :class:`_RankLink`) and forwards
+    ``HEARTBEAT``/``RESULT`` frames into ``result_queue`` as the same
     ``(rank, status, payload)`` tuples the multiprocess result queue carries,
     so the supervise loop consumes either backend identically.
     """
 
-    def __init__(self, ranks, host: str, port: int, result_sink) -> None:
+    def __init__(self, ranks, host: str, port: int) -> None:
         self._links = {rank: _RankLink(rank) for rank in ranks}
-        self._result_sink = result_sink
+        self.result_queue: queue_module.Queue = queue_module.Queue()
         self._listener = socket.create_server(
             (host, port), backlog=max(8, len(self._links))
         )
@@ -623,11 +485,12 @@ class _Hub:
         self.messages_routed = 0
         #: messages replayed to replacement incarnations
         self.replays = 0
-        #: driver-side wire counters (merged into SocketWorld.wire_summary)
+        #: driver-side wire counters (merged into the world's wire_summary)
         self.counters = WireCounters()
-
-    def start(self) -> None:
         self._accept_thread.start()
+
+    def opener(self, rank: int) -> Callable[[], _HubClient]:
+        return functools.partial(_HubClient, rank, self.address, tuple(self._links))
 
     @property
     def closed(self) -> bool:
@@ -751,8 +614,13 @@ class _Hub:
             for seq, body in zip(seqs, chunk):
                 link.unacked[seq] = body
 
-    def post(self, message: Message) -> None:
-        """Route one driver-side message to its destination (buffered if offline)."""
+    def inject(self, message: Message) -> None:
+        """Route one driver message to its destination.
+
+        The hub's per-rank buffers are the persistent store: a bootstrap
+        injected while the rank is down is replayed to the replacement
+        incarnation in order.
+        """
         self._route_bodies([bytearray(encode_message(message, 0, self.counters))])
 
     def _route_bodies(self, bodies) -> None:
@@ -799,7 +667,7 @@ class _Hub:
                         while link.unacked and next(iter(link.unacked)) <= seq:
                             link.unacked.popitem(last=False)
                 elif kind in (FRAME_HEARTBEAT, FRAME_RESULT):
-                    self._result_sink.put(pickle.loads(body))
+                    self.result_queue.put(pickle.loads(body))
                 else:
                     raise WireProtocolError(
                         f"unexpected frame kind {kind} from rank {link.rank}"
@@ -817,6 +685,9 @@ class _Hub:
                 pass
 
     # -- teardown -------------------------------------------------------
+    def drain(self) -> None:
+        pass  # undelivered bodies die with the hub
+
     def close(self) -> None:
         """Stop accepting, close every connection, join the service threads."""
         if self._closed.is_set():
@@ -840,179 +711,46 @@ class _Hub:
             sock.close()
 
 
-# ----------------------------------------------------------------------
-# launching
-# ----------------------------------------------------------------------
-
-
-class LocalSpawnAgent:
-    """Starts rank host processes for a socket run on *this* machine.
-
-    The launcher seam of the socket backend: :meth:`spawn` must start
-    :func:`_socket_rank_main` for one rank somewhere that can reach
-    ``address`` and return a handle with the ``multiprocessing.Process``
-    control surface (``is_alive`` / ``exitcode`` / ``terminate`` /
-    ``join``).  This implementation covers the localhost smoke topology —
-    ``127.0.0.1``, N processes, one ephemeral hub port; a multi-node
-    deployment replaces the agent (ssh/srun/batch submit against a routable
-    address) while the hub, wire format and supervision stay unchanged.
-    """
-
-    def __init__(
-        self,
-        address: tuple[str, int],
-        ranks,
-        start_method: str | None = None,
-        connect_attempts: int = 10,
-        connect_base_delay: float = 0.05,
-    ) -> None:
-        if start_method is None:
-            start_method = (
-                "fork" if "fork" in multiprocessing.get_all_start_methods() else None
-            )
-        self._ctx = (
-            multiprocessing.get_context(start_method)
-            if start_method is not None
-            else multiprocessing.get_context()
-        )
-        self.address = tuple(address)
-        self._ranks = tuple(ranks)
-        self._connect_attempts = int(connect_attempts)
-        self._connect_base_delay = float(connect_base_delay)
-
-    def spawn(
-        self,
-        process: RankProcess,
-        *,
-        origin: float,
-        trace_enabled: bool,
-        heartbeat_interval_s: float | None,
-        receive_timeout_s: float | None,
-        receive_poll_s: float,
-        fault_plan: FaultPlan | None,
-    ):
-        """Start one rank-host process dialed into the hub."""
-        child = self._ctx.Process(
-            target=_socket_rank_main,
-            args=(
-                process,
-                self._ranks,
-                self.address,
-                origin,
-                trace_enabled,
-                heartbeat_interval_s,
-                receive_timeout_s,
-                receive_poll_s,
-                fault_plan,
-                self._connect_attempts,
-                self._connect_base_delay,
-            ),
-            name=f"repro-net-rank-{process.rank}-{process.role}",
-            daemon=True,
-        )
-        child.start()
-        return child
-
-
 class SocketWorld(MultiprocessWorld):
     """The networked machine: one process per rank, TCP hub delivery.
 
     Driver-facing surface (``add_process`` / ``run`` / ``trace`` /
     ``summary`` / ``failure_report`` …) is identical to
-    :class:`MultiprocessWorld` — only :meth:`_launch` differs: instead of OS
-    queues it stands up a :class:`_Hub` rendezvous listener plus a
-    :class:`LocalSpawnAgent`, and the supervise/recovery loop runs unchanged
-    on ``(rank, status, payload)`` tuples arriving over TCP.
+    :class:`MultiprocessWorld`; only the fabric differs: a :class:`_Hub`
+    rendezvous listener instead of OS queues, so the supervise/recovery loop
+    runs unchanged on ``(rank, status, payload)`` tuples arriving over TCP.
 
     Parameters beyond :class:`MultiprocessWorld`'s:
 
     host, port:
         Hub bind address.  The defaults (``127.0.0.1``, ephemeral port) are
-        the localhost smoke topology; bind a routable host to accept ranks
-        from other machines.
-    connect_attempts, connect_base_delay:
-        Rank-side rendezvous backoff budget (see
-        :func:`connect_with_backoff`).
+        the localhost topology.
     """
+
+    backend = "socket"
 
     def __init__(
         self,
         trace=None,
         host: str = "127.0.0.1",
         port: int = 0,
-        start_method: str | None = None,
         join_timeout: float = 600.0,
         fault_tolerance=None,
         fault_plan=None,
-        connect_attempts: int = 10,
-        connect_base_delay: float = 0.05,
     ) -> None:
         super().__init__(
             trace=trace,
-            start_method=start_method,
             join_timeout=join_timeout,
             fault_tolerance=fault_tolerance,
             fault_plan=fault_plan,
-            # Ranks may live on other machines: everything travels the TCP
-            # fabric, never a shared-memory slab.
-            shm_threshold_bytes=None,
         )
         self.host = str(host)
         self.port = int(port)
-        self.connect_attempts = int(connect_attempts)
-        self.connect_base_delay = float(connect_base_delay)
-        #: the last run's hub (tests assert clean shutdown through `.closed`)
-        self._hub: _Hub | None = None
 
-    def wire_summary(self) -> dict[str, float]:
-        """Rank-side wire counters plus the hub's own routing traffic."""
-        summary = super().wire_summary()
-        if self.trace.enabled and self._hub is not None:
-            for key, value in self._hub.counters.as_dict().items():
-                summary[key] += float(value)
-        return summary
+    @property
+    def _hub(self) -> _Hub | None:
+        """The last run's hub (tests assert clean shutdown through it)."""
+        return self._fabric
 
-    def _launch(self, origin: float) -> _RunHandles:
-        result_queue: queue_module.Queue = queue_module.Queue()
-        ranks = tuple(self._processes)
-        hub = _Hub(ranks, self.host, self.port, result_queue)
-        hub.start()
-        self._hub = hub
-        agent = LocalSpawnAgent(
-            hub.address,
-            ranks,
-            start_method=self._start_method,
-            connect_attempts=self.connect_attempts,
-            connect_base_delay=self.connect_base_delay,
-        )
-        ft = self.fault_tolerance
-
-        def spawn(rank: int, with_chaos: bool):
-            process = self._processes[rank]
-            process.world = None  # children attach their own transport
-            return agent.spawn(
-                process,
-                origin=origin,
-                trace_enabled=self.trace.enabled,
-                heartbeat_interval_s=ft.heartbeat_interval_s if ft is not None else None,
-                receive_timeout_s=ft.receive_timeout_s if ft is not None else None,
-                receive_poll_s=ft.receive_poll_s if ft is not None else 1.0,
-                fault_plan=self.fault_plan if with_chaos else None,
-            )
-
-        def inject(rank: int, message: Message) -> None:
-            # The hub's per-rank buffers are the persistent store: a
-            # bootstrap injected while the rank is down is replayed to the
-            # replacement incarnation in order.
-            hub.post(message)
-
-        children = {rank: spawn(rank, with_chaos=True) for rank in ranks}
-        return _RunHandles(
-            children=children,
-            result_queue=result_queue,
-            spawn=spawn,
-            inject=inject,
-            drain=None,
-            close=hub.close,
-            settle=hub.settle,
-        )
+    def _open_fabric(self) -> _Hub:
+        return _Hub(tuple(self._processes), self.host, self.port)

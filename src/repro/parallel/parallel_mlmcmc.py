@@ -199,9 +199,8 @@ class ParallelMLMCMCSampler:
         entirely on localhost).
     backend_options:
         Extra keyword arguments for the selected backend's world constructor
-        (``start_method`` / ``join_timeout`` for
-        :class:`repro.parallel.mp.MultiprocessWorld`; additionally ``host`` /
-        ``port`` / ``connect_attempts`` / ``connect_base_delay`` for
+        (``join_timeout`` for :class:`repro.parallel.mp.MultiprocessWorld`;
+        additionally ``host`` / ``port`` for
         :class:`repro.parallel.net.SocketWorld`; ``max_events`` for
         :class:`repro.parallel.simmpi.VirtualWorld`).  Unknown options raise
         a ``TypeError`` from the world constructor rather than being ignored.

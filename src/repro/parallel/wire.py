@@ -27,17 +27,11 @@ sequence number (:func:`patch_seq`) without touching payload bytes at all.
 
 **Batch frames** — :func:`pack_bodies` / :func:`iter_bodies` concatenate
 several encoded messages into one blob (``u32 count`` then length-prefixed
-bodies), the coalescing unit of both transports; :class:`MessageBatch` is the
-matching wrapper for OS queues.
-
-**Shared-memory lane** — :func:`write_slab` / :func:`read_slab` move an
-encoded body through a :mod:`multiprocessing.shared_memory` slab, leaving
-only a tiny :class:`ShmSlabRef` handle on the queue.  The receiver copies the
-slab once, unlinks it, and decodes from the copy, so slab lifetime never
-outlives one delivery.
+bodies), the coalescing unit of both transports: the body of a socket
+``BATCH`` frame, and the item a multiprocess flush puts on a rank's queue.
 
 All counters of the fast path (bytes, frames, coalescing, out-of-band
-arrays, shared-memory traffic, serialization time) accumulate in a
+arrays, serialization time) accumulate in a
 :class:`WireCounters`, which the transports surface through world summaries
 and :class:`~repro.parallel.trace.TraceRecorder` ``"serialize"`` intervals.
 """
@@ -60,8 +54,6 @@ __all__ = [
     "WireProtocolError",
     "TruncatedFrameError",
     "WireCounters",
-    "MessageBatch",
-    "ShmSlabRef",
     "encode_payload",
     "decode_payload",
     "encode_message",
@@ -71,10 +63,7 @@ __all__ = [
     "patch_seq",
     "pack_bodies",
     "iter_bodies",
-    "write_slab",
-    "read_slab",
     "payload_array_nbytes",
-    "dispose_item",
 ]
 
 #: bumped on any incompatible change to the payload codec layout
@@ -121,8 +110,9 @@ class WireCounters:
     coalesced_messages: int = 0
     oob_arrays: int = 0
     oob_bytes: int = 0
+    #: always 0: the shared-memory lane is gone, but the benchmark's per-layer
+    #: metrics still read the ``wire_shm_messages`` summary key
     shm_messages: int = 0
-    shm_bytes: int = 0
     serialize_s: float = 0.0
     deserialize_s: float = 0.0
 
@@ -446,102 +436,3 @@ def iter_bodies(blob: bytes | bytearray | memoryview) -> Iterator[memoryview]:
             )
         yield view[offset : offset + length]
         offset += length
-
-
-class MessageBatch:
-    """One coalesced flush of encoded messages, as an OS-queue item.
-
-    ``entries`` is a list of ``(lane, data)`` pairs: ``LANE_INLINE`` carries
-    the encoded body itself, ``LANE_SHM`` carries a :class:`ShmSlabRef` whose
-    slab holds the body.
-    """
-
-    LANE_INLINE = 0
-    LANE_SHM = 1
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries: list[tuple[int, Any]]) -> None:
-        self.entries = entries
-
-    def __reduce__(self):
-        return (MessageBatch, (self.entries,))
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
-# ----------------------------------------------------------------------
-# shared-memory lane (multiprocess backend)
-# ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ShmSlabRef:
-    """Handle to an encoded message body parked in a shared-memory slab."""
-
-    name: str
-    nbytes: int
-
-
-def _untrack(shm) -> None:
-    # Ownership of the slab passes through the queue to the receiver: neither
-    # endpoint's resource tracker may unlink it behind the other's back
-    # (Python 3.12's track= parameter is not available on this floor).
-    try:
-        from multiprocessing import resource_tracker
-
-        resource_tracker.unregister(shm._name, "shared_memory")
-    except Exception:  # pragma: no cover - tracker is an implementation detail
-        pass
-
-
-def write_slab(body: bytes | bytearray) -> ShmSlabRef:
-    """Park one encoded body in a fresh shared-memory slab."""
-    from multiprocessing import shared_memory
-
-    shm = shared_memory.SharedMemory(create=True, size=max(1, len(body)))
-    try:
-        shm.buf[: len(body)] = body
-        ref = ShmSlabRef(shm.name, len(body))
-    finally:
-        _untrack(shm)
-        shm.close()
-    return ref
-
-
-def read_slab(ref: ShmSlabRef) -> bytes:
-    """Copy a slab's body out and unlink the slab (single-delivery lifetime).
-
-    No explicit tracker bookkeeping here: attaching registered the slab with
-    this process's resource tracker, and ``unlink()`` unregisters it again —
-    exactly balanced (an extra unregister would make the tracker complain at
-    shutdown about a name it never knew).
-    """
-    from multiprocessing import shared_memory
-
-    shm = shared_memory.SharedMemory(name=ref.name)
-    try:
-        body = bytes(shm.buf[: ref.nbytes])
-    finally:
-        shm.close()
-        try:
-            shm.unlink()
-        except FileNotFoundError:  # pragma: no cover - already reclaimed
-            _untrack(shm)
-    return body
-
-
-def dispose_item(item: Any) -> None:
-    """Release transport resources of an unconsumed queue item.
-
-    Queue drains at shutdown must not leak shared-memory slabs referenced by
-    undelivered batches; inline entries and plain messages need no cleanup.
-    """
-    if isinstance(item, MessageBatch):
-        for lane, data in item.entries:
-            if lane == MessageBatch.LANE_SHM:
-                try:
-                    read_slab(data)
-                except (OSError, ValueError):  # pragma: no cover - best effort
-                    pass

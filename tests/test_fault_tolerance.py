@@ -40,7 +40,7 @@ from repro.parallel import (
     ParallelMLMCMCSampler,
     RankKill,
 )
-from repro.parallel.mp import _ProcessTransport
+from repro.parallel.mp import _ProcessTransport, _QueueLink
 from repro.parallel.transport import Message
 
 
@@ -384,7 +384,7 @@ class TestTimeoutInjection:
         process = RootProcess(0, _sampler(factory).config)
         transport = _ProcessTransport(
             rank=0,
-            queues={0: queue_module.Queue()},
+            link=_QueueLink(0, {0: queue_module.Queue()}, queue_module.Queue()),
             origin=time_module.perf_counter(),
             trace_enabled=False,
             receive_timeout_s=0.1,
@@ -459,9 +459,9 @@ class TestCheckpointResume:
 # ----------------------------------------------------------------------------
 class TestDropAccounting:
     def test_send_to_unknown_rank_is_counted_not_lost_silently(self):
-        inbox = queue_module.Queue()
+        link = _QueueLink(0, {0: queue_module.Queue()}, queue_module.Queue())
         transport = _ProcessTransport(
-            rank=0, queues={0: inbox}, origin=0.0, trace_enabled=False
+            rank=0, link=link, origin=0.0, trace_enabled=False
         )
         transport._post(Message(source=0, dest=99, tag="X", payload=None))
         assert transport.messages_dropped == 1

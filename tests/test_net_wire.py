@@ -254,11 +254,9 @@ class TestConnectWithBackoff:
 
 from repro.parallel.wire import (  # noqa: E402  (grouped with the suite they test)
     WIRE_CODEC_VERSION,
-    MessageBatch,
     WireCounters,
     _ArraySlot,
     decode_payload,
-    dispose_item,
     encode_payload,
     iter_bodies,
     pack_bodies,
@@ -266,8 +264,6 @@ from repro.parallel.wire import (  # noqa: E402  (grouped with the suite they te
     payload_array_nbytes,
     peek_dest,
     peek_seq,
-    read_slab,
-    write_slab,
 )
 
 
@@ -429,30 +425,3 @@ class TestEnvelopeHelpers:
             list(iter_bodies(blob[:-3]))
         with pytest.raises(TruncatedFrameError):
             list(iter_bodies(blob[:2]))
-
-
-class TestSharedMemoryLane:
-    def test_slab_roundtrip_and_single_delivery_lifetime(self):
-        body = encode_message(
-            Message(source=1, dest=2, tag="BIG", payload=np.arange(50_000.0))
-        )
-        ref = write_slab(body)
-        assert ref.nbytes == len(body)
-        assert read_slab(ref) == body
-        # the read unlinked the slab: a second delivery must fail loudly
-        from multiprocessing import shared_memory
-
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=ref.name)
-
-    def test_dispose_item_unlinks_unconsumed_slabs(self):
-        from multiprocessing import shared_memory
-
-        ref = write_slab(b"x" * 4096)
-        dispose_item(MessageBatch([(MessageBatch.LANE_SHM, ref)]))
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=ref.name)
-
-    def test_dispose_item_ignores_plain_messages_and_inline_entries(self):
-        dispose_item(Message(source=0, dest=1, tag="A", payload=None))
-        dispose_item(MessageBatch([(MessageBatch.LANE_INLINE, b"body")]))

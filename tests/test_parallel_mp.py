@@ -8,12 +8,16 @@ Covers the transport abstraction introduced for the parallel MLMCMC machine:
 * the multiprocess backend runs the same role machine on real OS processes
   and satisfies the same collection targets,
 * the failure modes fixed alongside: missing level reports fail loudly, and
-  disabled tracing yields NaN utilization instead of a fake 0.0.
+  disabled tracing yields NaN utilization instead of a fake 0.0,
+* the link/fabric contract both real-process backends implement, and a rank
+  that exits without reporting failing the run within seconds.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import time
 
 import numpy as np
 import pytest
@@ -21,10 +25,16 @@ import pytest
 from repro.experiments import get_scenario, run_scenario
 from repro.experiments.runner import BackendNotApplicableError
 from repro.models.gaussian import GaussianHierarchyFactory
-from repro.parallel import ConstantCostModel, ParallelMLMCMCSampler
-from repro.parallel.mp import MultiprocessWorld
+from repro.parallel import (
+    ConstantCostModel,
+    FaultToleranceConfig,
+    ParallelMLMCMCSampler,
+)
+from repro.parallel.mp import DRIVER_RANK, MultiprocessWorld, _ProcessTransport, _QueueFabric
+from repro.parallel.net import SocketWorld, _Hub
 from repro.parallel.trace import TraceRecorder
-from repro.parallel.transport import RankProcess
+from repro.parallel.transport import Message, RankProcess, Receive, ReceiveTimeout
+from repro.parallel.wire import decode_message
 
 
 @pytest.fixture(scope="module")
@@ -245,15 +255,12 @@ class _FabricConsumer(RankProcess):
 
 
 class TestWireFabric:
-    """Coalescing, the shared-memory lane and the byte-accounting contract."""
+    """Coalescing and the byte-accounting contract."""
 
     ROUNDS, BURST = 2, 8
 
-    def _run_world(self, *, trace_enabled, shm_threshold_bytes):
-        world = MultiprocessWorld(
-            trace=TraceRecorder(enabled=trace_enabled),
-            shm_threshold_bytes=shm_threshold_bytes,
-        )
+    def _run_world(self, *, trace_enabled):
+        world = MultiprocessWorld(trace=TraceRecorder(enabled=trace_enabled))
         consumer = _FabricConsumer(1, 0, self.ROUNDS, self.BURST)
         world.add_process(_FabricProducer(0, 1, self.ROUNDS, self.BURST))
         world.add_process(consumer)
@@ -264,22 +271,12 @@ class TestWireFabric:
         assert consumer.checksums == expected, "payloads corrupted in transit"
         return world
 
-    def test_shm_lane_carries_large_coalesced_batches(self):
-        # 16 KiB float64 payloads against a 4 KiB threshold: every flushed
-        # batch must ride the shared-memory lane, and the payloads must
-        # survive the slab round-trip bitwise (checksums checked above).
-        world = self._run_world(trace_enabled=True, shm_threshold_bytes=4096)
-        wire = world.wire_summary()
-        assert wire["shm_messages"] > 0
-        assert wire["shm_bytes"] > 2048 * 8
-        assert wire["oob_arrays"] >= self.ROUNDS * self.BURST
-
     def test_bursts_coalesce_into_batches(self):
-        world = self._run_world(trace_enabled=True, shm_threshold_bytes=None)
+        world = self._run_world(trace_enabled=True)
         wire = world.wire_summary()
         assert wire["coalesced_batches"] > 0
         assert wire["coalesced_messages"] > wire["coalesced_batches"]
-        assert wire["shm_messages"] == 0  # lane disabled
+        assert wire["oob_arrays"] >= self.ROUNDS * self.BURST
         summary = world.summary()
         assert summary["bytes_sent"] > 0
         for rank in (0, 1):
@@ -287,9 +284,144 @@ class TestWireFabric:
             assert summary[f"rank{rank}_bytes_received"] > 0
 
     def test_byte_accounting_nan_when_tracing_off(self):
-        world = self._run_world(trace_enabled=False, shm_threshold_bytes=4096)
+        world = self._run_world(trace_enabled=False)
         assert all(math.isnan(v) for v in world.wire_summary().values())
         summary = world.summary()
         assert math.isnan(summary["bytes_sent"])
         assert math.isnan(summary["rank0_bytes_sent"])
         assert math.isnan(summary["rank1_bytes_received"])
+
+
+# ----------------------------------------------------------------------------
+@pytest.fixture(params=["multiprocess", "socket"])
+def fabric(request):
+    """A two-rank fabric of either real-process backend, in this process."""
+    if request.param == "multiprocess":
+        fabric = _QueueFabric((0, 1))
+    else:
+        fabric = _Hub((0, 1), "127.0.0.1", 0)
+    yield fabric
+    fabric.drain()
+    fabric.close()
+
+
+def _transport(link, **options):
+    return _ProcessTransport(0, link, time.perf_counter(), False, **options)
+
+
+def _receive(link, count, timeout_s=5.0):
+    """Decode delivered messages until ``count`` arrived (or the deadline)."""
+    messages = []
+    deadline = time.monotonic() + timeout_s
+    while len(messages) < count and time.monotonic() < deadline:
+        messages.extend(decode_message(body)[1] for body in link.receive(0.05))
+    return messages
+
+
+class TestLinkContract:
+    """What `_rank_main` relies on, checked on both links."""
+
+    def test_fifo_per_pair_across_coalesced_bursts(self, fabric):
+        sender, receiver = fabric.opener(0)(), fabric.opener(1)()
+        transport = _transport(sender)
+        for burst in range(2):
+            for i in range(5):
+                n = 5 * burst + i
+                payload = np.full(4, float(n))
+                transport._post(Message(source=0, dest=1, tag="DATA", payload=payload))
+                transport._post(Message(source=0, dest=0, tag="SELF", payload=n))
+            transport.flush()
+        data = _receive(receiver, 10)
+        own = _receive(sender, 10)
+        assert [float(m.payload[0]) for m in data] == [float(n) for n in range(10)]
+        assert [m.payload for m in own] == list(range(10))
+        assert {m.source for m in data + own} == {0}
+        assert sender.counters.coalesced_batches >= 2
+        sender.close()
+        receiver.close()
+
+    def test_unknown_destination_counted_as_dropped(self, fabric):
+        link = fabric.opener(0)()
+        transport = _transport(link)
+        transport._post(Message(source=0, dest=99, tag="X", payload=None))
+        assert (transport.messages_dropped, transport.messages_sent) == (1, 0)
+        transport._post(Message(source=0, dest=1, tag="X", payload=None))
+        assert (transport.messages_dropped, transport.messages_sent) == (1, 1)
+        link.close()
+
+    def test_driver_injection_reaches_the_next_incarnation(self, fabric):
+        first = fabric.opener(1)()
+        fabric.inject(Message(source=DRIVER_RANK, dest=1, tag="ORDER", payload=1))
+        first.close()  # dies without consuming the order
+        fabric.inject(Message(source=DRIVER_RANK, dest=1, tag="RESTART", payload=2))
+        second = fabric.opener(1)()
+        messages = _receive(second, 2)
+        assert [(m.source, m.tag, m.payload) for m in messages] == [
+            (DRIVER_RANK, "ORDER", 1),
+            (DRIVER_RANK, "RESTART", 2),
+        ]
+        second.close()
+
+    def test_receive_timeout_bound(self, fabric):
+        link = fabric.opener(0)()
+        start = time.perf_counter()
+        assert link.receive(0) == []
+        assert time.perf_counter() - start < 0.1  # polls, never blocks
+        transport = _transport(link, receive_timeout_s=0.1, receive_poll_s=0.02)
+        start = time.perf_counter()
+        with pytest.raises(ReceiveTimeout):
+            transport._blocking_receive(_Waiter(0), Receive(tags=("NEVER_SENT",)))
+        # deadline + at most one poll interval of overshoot (plus margin)
+        assert 0.1 <= time.perf_counter() - start < 0.5
+        link.close()
+
+
+# ----------------------------------------------------------------------------
+class _Waiter(RankProcess):
+    """Waits for a message nobody sends."""
+
+    role = "waiter"
+
+    def run(self):
+        yield self.recv("NEVER_SENT")
+
+
+class _SilentExit(RankProcess):
+    """Exits cleanly without ever reporting back to the driver."""
+
+    role = "quitter"
+
+    def run(self):
+        time.sleep(0.1)  # let a first heartbeat leave before the exit
+        os._exit(0)
+        yield  # pragma: no cover - makes run() a generator
+
+
+@pytest.mark.parametrize("world_cls", [MultiprocessWorld, SocketWorld])
+class TestExitWithoutReporting:
+    REASON = "rank 1 (quitter) exited with code 0 without reporting"
+
+    def _world(self, world_cls, **options):
+        world = world_cls(join_timeout=60.0, **options)
+        world.add_process(_Waiter(0))
+        world.add_process(_SilentExit(1))
+        return world
+
+    def test_run_fails_within_seconds(self, world_cls):
+        world = self._world(world_cls)
+        start = time.perf_counter()
+        with pytest.raises(RuntimeError, match="without reporting") as info:
+            world.run()
+        assert time.perf_counter() - start < 10.0
+        message = str(info.value)
+        assert self.REASON in message
+        assert message.startswith(f"{world.backend} MLMCMC")
+
+    def test_fault_tolerant_run_records_the_named_reason(self, world_cls):
+        world = self._world(world_cls, fault_tolerance=FaultToleranceConfig())
+        start = time.perf_counter()
+        world.run()
+        assert time.perf_counter() - start < 10.0
+        report = world.failure_report
+        assert [f.reason for f in report.failures] == [self.REASON]
+        assert "not restartable" in report.exhausted_reason
