@@ -26,15 +26,17 @@ single states of shape ``(nx, ny)`` and on ensembles with a leading batch
 axis, shape ``(B, nx, ny)``.  There is one time loop:
 :meth:`ShallowWaterSolver2D.run_ensemble` advances a whole parameter ensemble
 as one array program and :meth:`ShallowWaterSolver2D.run` is its one-member
-case.  By default every member integrates with its *own* CFL time step (a
-per-member ``dt`` column broadcast into the update), so a member's result
-does not depend on its block — the property the batch evaluation backends
-rely on.  Whenever the input allows, the loop steps through fused,
-buffer-reusing kernels bound once per run (:meth:`ShallowWaterSolver2D._fused_plan`)
-that are bitwise identical to the generic ones; the generic kernels remain
-the fallback (HLL flux, hand-built states) and the reference the tests
-compare against.  The fused workspace belongs to the solver instance, which
-is therefore not safe to share across threads.
+case.  Every member integrates with its *own* CFL time step (a per-member
+``dt`` column broadcast into the update), so a member's result does not
+depend on its block — the property the batch evaluation backends rely on,
+and what lets large ensembles run as consecutive cache-sized sub-blocks of
+at most ``BLOCK_CELLS`` cells.  Whenever the input allows, the loop steps
+through fused, buffer-reusing kernels bound once per sub-block
+(:meth:`ShallowWaterSolver2D._fused_plan`) that are bitwise identical to the
+generic ones; the generic kernels remain the fallback (HLL flux, hand-built
+states) and the reference the tests compare against.  The fused workspace
+belongs to the solver instance, which is therefore not safe to share across
+threads.
 """
 
 from __future__ import annotations
@@ -56,14 +58,19 @@ from repro.utils.array_api import array_namespace, resolve_backend, resolve_dtyp
 
 __all__ = ["ShallowWaterSolver2D", "SimulationResult", "EnsembleSimulationResult"]
 
-#: Blocks of fewer cells than this (``B * nx * ny``) step lane-stacked (see
-#: :meth:`ShallowWaterSolver2D._fused_plan`).  Stacking halves the flux-stage
-#: call count but adds transposed copies and strided reads, so it pays only
-#: while a step is dispatch-bound.  Measured per-member time, stacked over
-#: two-sweep, n = 16..64 and B = 1..32 (table in docs/architecture.md):
-#: 0.81-0.89 at B = 1, 0.89-0.97 at 4096-4608 cells, 0.98-1.03 at 8192,
-#: 1.02-1.07 at 9216 and up to 1.15 beyond — the crossover is ~8000 cells.
-LANE_STACKING_MAX_CELLS = 8_000
+#: The most cells (``B * nx * ny``) one fused block holds.  The fused
+#: workspace costs ~700 bytes per cell and per-member time rises once a
+#: block's buffers fall out of cache, so an ensemble past the cap runs in
+#: sub-blocks of ``max(1, BLOCK_CELLS // (nx * ny))`` members
+#: (:meth:`ShallowWaterSolver2D._integrate`).  A block within it steps
+#: lane-stacked (:meth:`ShallowWaterSolver2D._fused_plan`), which halves the
+#: flux-stage call count but adds transposed copies and strided reads, so it
+#: pays only up to about the same size.  Measured (tables in
+#: docs/architecture.md): per-member time is flat for blocks of ~4000-10000
+#: cells and 1.5-1.8x that for unsplit 16-member blocks of 48^2-72^2 grids;
+#: stacked over two-sweep is 0.81-0.89 at B = 1, 0.98-1.03 at 8192 cells
+#: and 1.02-1.15 beyond.
+BLOCK_CELLS = 8_000
 
 
 @dataclass
@@ -243,7 +250,7 @@ class ShallowWaterSolver2D:
         #: (lazy; shared by every ensemble step on this grid)
         self._interface_bathymetry: tuple[np.ndarray, np.ndarray] | None = None
         #: preallocated buffers of the fused ensemble step; grown to the
-        #: largest batch seen, smaller batches use leading-axis views
+        #: largest (sub-)block seen, smaller blocks use leading-axis views
         self._ensemble_workspace: dict[str, np.ndarray] = {}
 
     # ------------------------------------------------------------------
@@ -506,15 +513,6 @@ class ShallowWaterSolver2D:
             )
         return self._interface_bathymetry
 
-    def release_ensemble_buffers(self) -> None:
-        """Free the fused-step workspace (it regrows on the next solve).
-
-        One buffer set sized for the largest batch seen stays alive between
-        solves (that reuse is the point of the workspace); long-lived solvers
-        that are done with forward work can drop it explicitly.
-        """
-        self._ensemble_workspace = {}
-
     def _buf(self, ws: dict[str, np.ndarray], name: str, shape: tuple[int, ...], dtype) -> np.ndarray:
         """A preallocated buffer of the given shape and dtype, reused across runs.
 
@@ -523,7 +521,9 @@ class ShallowWaterSolver2D:
         view.  Callers like ``Posterior.log_density_batch`` forward only the
         physical rows of each block, so consecutive ensemble solves arrive
         with varying batch sizes — growing in place keeps exactly one buffer
-        set alive per solver instead of one per batch size.
+        set alive per solver instead of one per batch size.  Ensembles past
+        ``BLOCK_CELLS`` are bound one sub-block at a time, so the workspace
+        never outgrows one sub-block.
         """
         array = ws.get(name)
         if (
@@ -716,8 +716,9 @@ class ShallowWaterSolver2D:
         once, not per step: at 16–48 cells a step is bound by interpreter
         dispatch, not arithmetic.
 
-        On square grids with ``dx == dy`` and a small block, the y-sweep runs
-        as an x-sweep on transposed cell fields stacked behind the x lanes
+        On square grids with ``dx == dy`` and a block of at most
+        ``BLOCK_CELLS`` cells (every block but a single oversized member), the
+        y-sweep runs as an x-sweep on transposed cell fields stacked behind the x lanes
         (*lane stacking*): one ``(2B, n, n)`` block goes through one flux +
         divergence pass and the update reads the y lanes back transposed —
         elementwise the same arithmetic in half the flux-stage calls.
@@ -732,7 +733,7 @@ class ShallowWaterSolver2D:
             return self._buf(ws, name, shape, dtype)
 
         stacked = (
-            nx == ny and self.dx == self.dy and batch * nx * ny < LANE_STACKING_MAX_CELLS
+            nx == ny and self.dx == self.dy and batch * nx * ny <= BLOCK_CELLS
         )
         lanes = 2 * batch if stacked else batch
         eta_all, u_all, v_all = (buf(name, lanes, nx, ny) for name in ("eta", "u", "v"))
@@ -816,29 +817,20 @@ class ShallowWaterSolver2D:
         max_steps: int = 1_000_000,
         record_max_eta: bool = True,
         gauge_cells: Sequence[tuple[int, int]] | None = None,
-        time_stepping: Literal["per-member", "sync-min"] = "per-member",
     ) -> EnsembleSimulationResult:
         """Advance a whole ensemble to ``end_time`` as one array program.
 
-        Every iteration advances all still-running members by one explicit
-        Euler step (the grid lives in the last two axes); finished members
-        receive ``dt = 0`` and stay bitwise frozen.  :meth:`run` is the
-        one-member case of this loop.
-
-        Parameters
-        ----------
-        time_stepping:
-            ``"per-member"`` (default): each member uses its own CFL step, so
-            its trajectory — and therefore its gauge observables — is
-            elementwise identical to a scalar :meth:`run` of that member.
-            ``"sync-min"``: all members share the ensemble-minimum CFL step
-            (a time-synchronized ensemble, at the price of smaller steps for
-            the faster members and results that differ from the scalar path
-            at discretisation order).
+        Every iteration advances all still-running members of a block by one
+        explicit Euler step (the grid lives in the last two axes); finished
+        members receive ``dt = 0`` and stay bitwise frozen.  Each member uses
+        its own CFL step, so its trajectory — and therefore its gauge
+        observables — is elementwise identical to a scalar :meth:`run` of
+        that member, whatever block it shares.  Ensembles of more than
+        ``BLOCK_CELLS`` cells run as consecutive cache-sized sub-blocks
+        (see :meth:`_integrate`).  :meth:`run` is the one-member case.
         """
         return self._integrate(
-            initial_state.copy(), end_time, gauges, max_steps, record_max_eta,
-            gauge_cells, time_stepping,
+            initial_state.copy(), end_time, gauges, max_steps, record_max_eta, gauge_cells
         )
 
     def _integrate(
@@ -849,18 +841,18 @@ class ShallowWaterSolver2D:
         max_steps: int = 1_000_000,
         record_max_eta: bool = True,
         gauge_cells: Sequence[tuple[int, int]] | None = None,
-        time_stepping: str = "per-member",
     ) -> EnsembleSimulationResult:
         """The time loop, on a state the caller hands over (advanced in place).
 
-        Steps through the fused kernels (:meth:`_fused_plan`) when
-        :meth:`_fused_eligible` holds and through the generic
-        :meth:`step` / :meth:`stable_timesteps` otherwise.
+        An ensemble of more than ``BLOCK_CELLS // (nx * ny)`` members (at
+        least one) is split into contiguous sub-blocks of that many members,
+        each a basic-slice view of ``state`` run through the loop on its own
+        (:meth:`_integrate_block`), so the fused workspace stays sized for
+        one cache-resident block.  Members never interact, so the split is
+        exact; sub-blocks that take fewer steps have their gauge series
+        padded by repeating the last sample — what a finished (``dt = 0``)
+        member records inside one block.
         """
-        if time_stepping not in ("per-member", "sync-min"):
-            raise ValueError(f"unknown time_stepping policy {time_stepping!r}")
-        xp = self._xp
-        batch = state.batch_size
         gauges = list(gauges or [])
         if gauge_cells is None:
             gauge_cells = [self.locate_cell(g.x, g.y) for g in gauges]
@@ -868,6 +860,66 @@ class ShallowWaterSolver2D:
             raise ValueError("gauge_cells must supply one (i, j) pair per gauge")
         gauge_i = np.array([i for i, _ in gauge_cells], dtype=int)
         gauge_j = np.array([j for _, j in gauge_cells], dtype=int)
+        batch = state.batch_size
+        block = max(1, BLOCK_CELLS // (self.nx * self.ny))
+        if batch <= block:
+            return self._integrate_block(
+                state, end_time, gauges, gauge_i, gauge_j, max_steps, record_max_eta
+            )
+
+        parts = [
+            self._integrate_block(
+                ShallowWaterEnsembleState(
+                    *(f[start : start + block] for f in (state.h, state.hu, state.hv, state.b)),
+                    dry_tolerance=state.dry_tolerance,
+                ),
+                end_time, gauges, gauge_i, gauge_j, max_steps, record_max_eta,
+            )
+            for start in range(0, batch, block)
+        ]
+        xp = self._xp
+        samples = max(part.gauge_times.shape[1] for part in parts)
+
+        def joined(name: str) -> np.ndarray:
+            arrays = [getattr(part, name) for part in parts]
+            if name.startswith("gauge_"):  # pad with the last sample
+                arrays = [
+                    xp.concatenate([a, xp.broadcast_to(
+                        a[:, -1:], (a.shape[0], samples - a.shape[1]) + a.shape[2:]
+                    )], axis=1)
+                    for a in arrays
+                ]
+            return xp.concatenate(arrays)
+
+        return EnsembleSimulationResult(
+            state=state,
+            gauges=gauges,
+            num_timesteps=joined("num_timesteps"),
+            simulated_time=joined("simulated_time"),
+            dof_updates=joined("dof_updates"),
+            gauge_times=joined("gauge_times"),
+            gauge_values=joined("gauge_values"),
+            max_eta_field=joined("max_eta_field"),
+        )
+
+    def _integrate_block(
+        self,
+        state: ShallowWaterEnsembleState,
+        end_time: float,
+        gauges: list[Gauge],
+        gauge_i: np.ndarray,
+        gauge_j: np.ndarray,
+        max_steps: int,
+        record_max_eta: bool,
+    ) -> EnsembleSimulationResult:
+        """The fused time loop over one block (advanced in place).
+
+        Steps through the fused kernels (:meth:`_fused_plan`) when
+        :meth:`_fused_eligible` holds and through the generic
+        :meth:`step` / :meth:`stable_timesteps` otherwise.
+        """
+        xp = self._xp
+        batch = state.batch_size
         # Index-then-add instead of materialising the full (B, nx, ny) free
         # surface every step: (h + b)[:, i, j] == h[:, i, j] + b[:, i, j]
         # exactly, and the bathymetry at the gauge cells is static.
@@ -903,8 +955,6 @@ class ShallowWaterSolver2D:
             running = (times < end_time) & (steps < max_steps) & (dts > 0.0)
             if not bool(running.any()):
                 break
-            if time_stepping == "sync-min":
-                dts = xp.full(batch, dts[running].min())
             dt_step = xp.where(running, dts, 0.0)
             advance(dt_step)
             times = times + dt_step  # a fresh array: safe to keep in the series

@@ -12,7 +12,7 @@ from repro.swe.bathymetry import (
     smooth_bathymetry,
     tohoku_like_bathymetry,
 )
-from repro.swe.fv2d import LANE_STACKING_MAX_CELLS, ShallowWaterSolver2D
+from repro.swe.fv2d import BLOCK_CELLS, ShallowWaterSolver2D
 from repro.swe.gauges import Gauge, GaugeRecord, wave_observables
 from repro.swe.riemann import hll_flux, physical_flux_x, rusanov_flux
 from repro.swe.state import GRAVITY, ShallowWaterEnsembleState, ShallowWaterState
@@ -308,16 +308,6 @@ class TestEnsembleSolver:
             )
             np.testing.assert_array_equal(result.state.h[m], scalar.state.h)
 
-    def test_sync_min_time_stepping_synchronizes_members(self):
-        solver, displacements, _ = self._setup()
-        ensemble = solver.initial_ensemble(displacements)
-        result = solver.run_ensemble(ensemble, end_time=300.0, time_stepping="sync-min")
-        # all members share the ensemble-minimum dt, so their clocks agree
-        assert np.all(result.simulated_time == result.simulated_time[0])
-        assert np.all(result.num_timesteps == result.num_timesteps[0])
-        with pytest.raises(ValueError):
-            solver.run_ensemble(ensemble, end_time=10.0, time_stepping="bogus")
-
     def test_lake_at_rest_preserved_for_the_whole_ensemble(self):
         solver, _, _ = self._setup()
         ensemble = ShallowWaterEnsembleState.lake_at_rest(solver.bathymetry, 4)
@@ -369,8 +359,12 @@ class TestEnsembleSolver:
             solver.run_ensemble(ensemble, end_time=50.0)
         # one buffer set per solver, sized for the largest batch seen
         assert solver._ensemble_workspace["rhs"].shape[0] == 3
-        solver.release_ensemble_buffers()
-        assert not solver._ensemble_workspace
+        # past the cap the ensemble runs in sub-blocks: the workspace holds
+        # one sub-block's lanes, not the whole ensemble's
+        block = BLOCK_CELLS // (solver.nx * solver.ny)
+        ensemble = solver.initial_ensemble(np.repeat(displacements[:1], 2 * block + 1, axis=0))
+        solver.run_ensemble(ensemble, end_time=50.0)
+        assert solver._ensemble_workspace["rhs"].shape[0] == block
 
     def test_displacement_shape_validation(self):
         solver, _, _ = self._setup()
@@ -465,9 +459,10 @@ class TestOneTimeLoopAgainstGenericKernels:
         [
             (16, 16, 1, 600.0, True),  # the MCMC hot path: scalar run, lane-stacked
             (16, 16, 3, 600.0, True),
-            (24, 24, 16, 300.0, False),  # square, but past the size gate
-            (92, 92, 1, 120.0, False),  # a scalar run past the size gate
+            (24, 24, 16, 300.0, True),  # past the block cap: sub-blocks of 13 + 3
+            (92, 92, 1, 120.0, False),  # one member past the cap: two sweeps
             (20, 14, 2, 600.0, False),  # nx != ny: always two sweeps
+            (48, 48, 5, 300.0, True),  # sub-blocks of 3 + 2
         ],
     )
     def test_fused_loop_equals_generic_kernel_loop(
@@ -475,7 +470,9 @@ class TestOneTimeLoopAgainstGenericKernels:
     ):
         solver = self._solver(nx, ny, dtype)
         square = nx == ny and solver.dx == solver.dy
-        assert (square and batch * nx * ny < LANE_STACKING_MAX_CELLS) == stacked
+        # lane stacking is decided per sub-block; ``stacked`` is the first one's
+        block = min(batch, max(1, BLOCK_CELLS // (nx * ny)))
+        assert (square and block * nx * ny <= BLOCK_CELLS) == stacked
         displacements = self._displacements(solver, batch)
         cells = [solver.locate_cell(g.x, g.y) for g in self.GAUGES]
         ensemble = solver.initial_ensemble(displacements)
@@ -521,6 +518,41 @@ class TestOneTimeLoopAgainstGenericKernels:
         solver.run(state, end_time=120.0)
         np.testing.assert_array_equal(state.h, before.h)
         np.testing.assert_array_equal(state.hu, before.hu)
+
+    def test_sub_blocks_equal_one_member_runs(self):
+        # Members past the block cap run in separate sub-blocks that take
+        # different numbers of steps; the joined result must still equal
+        # one-member runs, the padded gauge tail included.
+        solver = self._solver(48, 48, np.float32)
+        block = BLOCK_CELLS // (48 * 48)
+        batch = block + 2
+        displacements = self._displacements(solver, batch)
+        ensemble = solver.initial_ensemble(displacements)
+        # lower sea levels -> slower waves -> fewer steps in the later blocks
+        drop = np.linspace(0.0, 4000.0, batch, dtype=np.float32)[:, None, None]
+        ensemble.h = np.maximum(ensemble.h - drop, 0.0)
+        result = solver.run_ensemble(ensemble, end_time=300.0, gauges=self.GAUGES)
+        counts = result.num_timesteps.tolist()
+        assert max(counts[block:]) < min(counts[:block]), "needs a padded sub-block"
+        samples = result.gauge_times.shape[1]
+        for m in range(batch):
+            single = ShallowWaterEnsembleState(
+                h=ensemble.h[m : m + 1], hu=ensemble.hu[m : m + 1],
+                hv=ensemble.hv[m : m + 1], b=ensemble.b[m : m + 1],
+            )
+            alone = solver.run_ensemble(single, end_time=300.0, gauges=self.GAUGES)
+            tail = samples - alone.gauge_times.shape[1]
+            for name in ("gauge_times", "gauge_values"):
+                own = getattr(alone, name)[0]
+                padded = np.concatenate([own, np.repeat(own[-1:], tail, axis=0)])
+                np.testing.assert_array_equal(getattr(result, name)[m], padded)
+            assert result.num_timesteps[m] == alone.num_timesteps[0]
+            assert result.simulated_time[m] == alone.simulated_time[0]
+            np.testing.assert_array_equal(result.max_eta_field[m], alone.max_eta_field[0])
+            for name in ("h", "hu", "hv"):
+                np.testing.assert_array_equal(
+                    getattr(result.state, name)[m], getattr(alone.state, name)[0]
+                )
 
     def test_member_records_match_per_sample_appends(self):
         # member() builds records with GaugeRecord.from_arrays; the records
