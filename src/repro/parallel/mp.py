@@ -676,14 +676,11 @@ class MultiprocessWorld:
         child.start()
         return child
 
-    def run(self, until: float | None = None) -> float:
+    def run(self) -> float:
         """Run all ranks on real processes until every generator finishes.
 
-        ``until`` is accepted for signature parity with the virtual world but
-        ignored — real processes cannot be paused at a clock value; use
-        ``join_timeout`` to bound the run.
-
-        Returns the real wall-clock duration in seconds.
+        ``join_timeout`` bounds the run.  Returns the real wall-clock
+        duration in seconds.
         """
         origin = time.perf_counter()
         ft = self.fault_tolerance

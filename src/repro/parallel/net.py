@@ -126,8 +126,9 @@ logger = logging.getLogger(__name__)
 #: first bytes of every frame; anything else on the socket is not our protocol
 MAGIC = b"RMLM"
 #: bumped on any incompatible change to framing or envelopes
-#: (v2: out-of-band ndarray payload codec + BATCH frames + cumulative ACKs)
-PROTOCOL_VERSION = 2
+#: (v2: out-of-band ndarray payload codec + BATCH frames + cumulative ACKs;
+#: v3: a message body carries its payload alone, without a metadata dict)
+PROTOCOL_VERSION = 3
 
 #: magic, protocol version, frame kind, pad, body length (big-endian)
 _HEADER = struct.Struct("!4sHBxI")

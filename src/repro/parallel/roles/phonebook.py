@@ -6,6 +6,11 @@ fresh samples, and it matches sample requests (from finer chains and from
 collectors) to providers.  Because every request and every availability
 notification passes through it, it can infer the computational load per level
 — the basis of the dynamic load balancer (Section 4.3) it hosts.
+
+Every message of the run passes through this one rank, so its per-message
+work is kept O(levels): per-level views of the directory are rebuilt only when
+membership changes, and per-level totals of buffered samples and queued
+collector requests are updated at every change instead of being re-summed.
 """
 
 from __future__ import annotations
@@ -29,6 +34,8 @@ __all__ = ["PhonebookProcess"]
 
 class _ControllerInfo:
     """Phonebook-side view of one controller."""
+
+    __slots__ = ("rank", "level", "available_samples", "available_corrections")
 
     def __init__(self, rank: int, level: int) -> None:
         self.rank = rank
@@ -60,6 +67,13 @@ class PhonebookProcess(RankProcess):
         )
         # directory state
         self._controllers: dict[int, _ControllerInfo] = {}
+        # ``_controllers`` split by level (in dict order), rebuilt on
+        # membership changes only, plus running per-level totals of buffered
+        # samples / corrections and of queued collector-request counts.
+        self._by_level: list[list[_ControllerInfo]] = [[] for _ in range(config.num_levels)]
+        self._buffered_samples = [0] * config.num_levels
+        self._buffered_corrections = [0] * config.num_levels
+        self._collector_requested = [0] * config.num_levels
         self._chain_requests: dict[int, deque[int]] = {
             level: deque() for level in range(config.num_levels)
         }
@@ -116,21 +130,29 @@ class PhonebookProcess(RankProcess):
         tag, payload = message.tag, message.payload
         if tag == Tags.REGISTER:
             rank, level = int(payload["rank"]), int(payload["level"])
+            # A re-REGISTER of a live rank keeps its dict slot but starts over
+            # with an empty buffer, possibly on another level.
+            self._drop_buffered(self._controllers.get(rank))
             self._controllers[rank] = _ControllerInfo(rank, level)
             self._migrating.discard(rank)
+            self._rebuild_levels()
         elif tag == Tags.UNREGISTER:
-            self._controllers.pop(int(payload["rank"]), None)
+            self._remove_controller(int(payload["rank"]))
         elif tag == Tags.SAMPLE_READY:
             info = self._controllers.get(int(payload["rank"]))
             if info is not None:
-                info.available_samples += int(payload.get("count", 1))
+                count = int(payload.get("count", 1))
+                info.available_samples += count
+                self._buffered_samples[info.level] += count
             duration = payload.get("duration")
             if duration is not None:
                 self.measured_costs.observe(int(payload["level"]), float(duration))
         elif tag == Tags.CORRECTION_READY:
             info = self._controllers.get(int(payload["rank"]))
             if info is not None:
-                info.available_corrections += int(payload.get("count", 1))
+                count = int(payload.get("count", 1))
+                info.available_corrections += count
+                self._buffered_corrections[info.level] += count
             duration = payload.get("duration")
             if duration is not None:
                 self.measured_costs.observe(int(payload["level"]), float(duration))
@@ -139,9 +161,9 @@ class PhonebookProcess(RankProcess):
             self._chain_requests[level].append(int(payload["requester"]))
         elif tag == Tags.CORRECTION_REQUEST:
             level = int(payload["level"])
-            self._collector_requests[level].append(
-                (int(payload["requester"]), int(payload.get("count", 1)))
-            )
+            count = int(payload.get("count", 1))
+            self._collector_requests[level].append((int(payload["requester"]), count))
+            self._collector_requested[level] += count
         elif tag == Tags.LEVEL_DONE:
             self._level_done[int(payload["level"])] = True
         elif tag == Tags.TARGETS_UPDATE:
@@ -149,45 +171,65 @@ class PhonebookProcess(RankProcess):
             self._collected_reported = [int(c) for c in payload["collected"]]
 
     # ------------------------------------------------------------------
-    def _controllers_on_level(self, level: int) -> list[_ControllerInfo]:
-        return [info for info in self._controllers.values() if info.level == level]
+    def _rebuild_levels(self) -> None:
+        """Re-derive the per-level views after a membership change."""
+        by_level: list[list[_ControllerInfo]] = [[] for _ in self._by_level]
+        for info in self._controllers.values():
+            by_level[info.level].append(info)
+        self._by_level = by_level
+
+    def _drop_buffered(self, info: _ControllerInfo | None) -> None:
+        """Take a departing entry's buffered samples out of its level's totals."""
+        if info is not None:
+            self._buffered_samples[info.level] -= info.available_samples
+            self._buffered_corrections[info.level] -= info.available_corrections
+
+    def _remove_controller(self, rank: int) -> None:
+        info = self._controllers.pop(rank, None)
+        if info is not None:
+            self._drop_buffered(info)
+            self._rebuild_levels()
 
     def _dispatch_matches(self) -> Generator:
-        """Match queued requests against available samples and send FETCH orders."""
+        """Match queued requests against available samples and send FETCH orders.
+
+        Providers are served in directory order, each until its buffer or the
+        queue runs dry; a level with nothing buffered is skipped unscanned.
+        """
         for level in range(self.config.num_levels):
+            providers = self._by_level[level]
             # Chain requests first: an unanswered chain request stalls a chain.
             queue = self._chain_requests[level]
-            while queue:
-                provider = next(
-                    (c for c in self._controllers_on_level(level) if c.available_samples > 0),
-                    None,
-                )
-                if provider is None:
-                    break
-                requester = queue.popleft()
-                provider.available_samples -= 1
-                yield self.send(
-                    provider.rank,
-                    Tags.FETCH_SAMPLE,
-                    {"requester": requester, "level": level},
-                )
+            if queue and self._buffered_samples[level]:
+                for provider in providers:
+                    while queue and provider.available_samples > 0:
+                        requester = queue.popleft()
+                        provider.available_samples -= 1
+                        self._buffered_samples[level] -= 1
+                        yield self.send(
+                            provider.rank,
+                            Tags.FETCH_SAMPLE,
+                            {"requester": requester, "level": level},
+                        )
+                    if not queue:
+                        break
             cqueue = self._collector_requests[level]
-            while cqueue:
-                provider = next(
-                    (c for c in self._controllers_on_level(level) if c.available_corrections > 0),
-                    None,
-                )
-                if provider is None:
-                    break
-                requester, count = cqueue.popleft()
-                take = min(count, provider.available_corrections)
-                provider.available_corrections -= take
-                self._corrections_dispatched[level] += take
-                yield self.send(
-                    provider.rank,
-                    Tags.FETCH_CORRECTION,
-                    {"requester": requester, "count": take, "level": level},
-                )
+            if cqueue and self._buffered_corrections[level]:
+                for provider in providers:
+                    while cqueue and provider.available_corrections > 0:
+                        requester, count = cqueue.popleft()
+                        take = min(count, provider.available_corrections)
+                        provider.available_corrections -= take
+                        self._buffered_corrections[level] -= take
+                        self._collector_requested[level] -= count
+                        self._corrections_dispatched[level] += take
+                        yield self.send(
+                            provider.rank,
+                            Tags.FETCH_CORRECTION,
+                            {"requester": requester, "count": take, "level": level},
+                        )
+                    if not cqueue:
+                        break
 
     # ------------------------------------------------------------------
     def _integrate_loads(self) -> None:
@@ -196,13 +238,11 @@ class PhonebookProcess(RankProcess):
         if dt <= 0:
             return
         for level in range(self.config.num_levels):
-            controllers = self._controllers_on_level(level)
             integrals = self._load_integrals[level]
             integrals["chain"] += dt * len(self._chain_requests[level])
-            integrals["coll"] += dt * sum(c for _, c in self._collector_requests[level])
+            integrals["coll"] += dt * self._collector_requested[level]
             integrals["avail"] += dt * (
-                sum(c.available_samples for c in controllers)
-                + sum(c.available_corrections for c in controllers)
+                self._buffered_samples[level] + self._buffered_corrections[level]
             )
         self._last_integration_time = self.now
 
@@ -231,7 +271,6 @@ class PhonebookProcess(RankProcess):
                 remaining_costs[level] = outstanding * self.measured_costs.mean(level)
         total_remaining = sum(remaining_costs)
         for level in range(self.config.num_levels):
-            controllers = self._controllers_on_level(level)
             # A level is needed as a proposal source as long as ANY finer level
             # still has work to do: level l feeds l+1, which feeds l+2, and so on.
             finer_done = all(
@@ -245,7 +284,7 @@ class PhonebookProcess(RankProcess):
                 queued_collector_requests=integrals["coll"] / window,
                 available_samples=integrals["avail"] / window,
                 available_corrections=0.0,
-                num_groups=len(controllers),
+                num_groups=len(self._by_level[level]),
                 done=self._level_done[level],
                 needed_as_proposal_source=not finer_done,
                 estimated_remaining_work=(
@@ -276,9 +315,7 @@ class PhonebookProcess(RankProcess):
     def _apply_rebalance(self, decision: RebalanceDecision) -> Generator:
         """Pick a controller on the donor level and order it to switch levels."""
         candidates = [
-            c
-            for c in self._controllers_on_level(decision.source_level)
-            if c.rank not in self._migrating
+            c for c in self._by_level[decision.source_level] if c.rank not in self._migrating
         ]
         if not candidates:
             return
@@ -287,7 +324,7 @@ class PhonebookProcess(RankProcess):
         self._migrating.add(chosen.rank)
         # Remove it from the donor level's directory immediately so repeated
         # decisions do not keep choosing the same group; it re-registers on arrival.
-        self._controllers.pop(chosen.rank, None)
+        self._remove_controller(chosen.rank)
         self.rebalance_log.append((self.now, decision))
         yield self.send(
             chosen.rank,

@@ -135,10 +135,13 @@ class RunConfiguration:
     checkpoint: CheckpointConfig | None = None
     allocation: AllocationPolicy | None = None
     problems: SharedProblemCache = field(init=False)
+    #: number of levels (one collector each); read on every message, so
+    #: computed once
+    num_levels: int = field(init=False)
 
     def __post_init__(self) -> None:
         self.problems = SharedProblemCache(self.factory)
-        num_levels = len(self.layout.collector_ranks)
+        self.num_levels = num_levels = len(self.layout.collector_ranks)
         if len(self.num_samples) != num_levels:
             raise ValueError("num_samples must have one entry per level")
         if len(self.burnin) != num_levels:
@@ -147,11 +150,6 @@ class RunConfiguration:
             raise ValueError("subsampling_rates must have one entry per level")
 
     # ------------------------------------------------------------------
-    @property
-    def num_levels(self) -> int:
-        """Number of levels."""
-        return len(self.layout.collector_ranks)
-
     @property
     def finest_level(self) -> int:
         """Index of the finest level."""

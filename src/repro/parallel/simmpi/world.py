@@ -6,10 +6,16 @@ primitive:
 
 * ``Compute`` schedules the process's resumption ``duration`` later and records
   a trace interval,
-* ``Send`` enqueues a delivery event at ``now + latency`` (plus an optional
-  per-byte-ish payload cost) — sends are treated as non-blocking (buffered),
+* ``Send`` enqueues a delivery event at ``now + latency`` — sends are treated
+  as non-blocking (buffered),
 * ``Receive`` either consumes a matching message already in the mailbox or
   blocks the process until one is delivered.
+
+Events are plain tuples ``(time, seq, process, value, kind)`` that
+:meth:`VirtualWorld.run` dispatches on ``kind``: resume (or start) a process
+with ``value`` (the message it waited for, else ``None``), deliver the
+message ``value``, or call ``value()`` (fault-injection watchdogs only).
+No event allocates a closure.
 
 Determinism: ties in time are broken by an increasing sequence number, and all
 randomness lives in the processes' own NumPy generators, so a run is exactly
@@ -26,6 +32,9 @@ from repro.parallel.trace import TraceRecorder
 from repro.parallel.transport import Compute, Message, RankProcess, Receive, Send, Transport
 
 __all__ = ["VirtualWorld"]
+
+# Event kinds; ``seq`` is unique, so heap order never compares past it.
+_RESUME, _DELIVER, _CALL = range(3)
 
 
 class VirtualWorld(Transport):
@@ -58,7 +67,7 @@ class VirtualWorld(Transport):
         self.now = 0.0
         self._processes: dict[int, RankProcess] = {}
         self._generators: dict[int, object] = {}
-        self._event_queue: list[tuple[float, int, Callable[[], None]]] = []
+        self._event_queue: list[tuple] = []
         self._sequence = itertools.count()
         self._events_processed = 0
         self._messages_sent = 0
@@ -98,109 +107,103 @@ class VirtualWorld(Transport):
 
     # ------------------------------------------------------------------
     def _schedule(self, time: float, action: Callable[[], None]) -> None:
-        heapq.heappush(self._event_queue, (time, next(self._sequence), action))
+        """Run ``action()`` at virtual ``time`` (hook for fault-injection watchdogs)."""
+        heapq.heappush(self._event_queue, (time, next(self._sequence), None, action, _CALL))
 
     def _post_message(self, message: Message) -> None:
         message.send_time = self.now
         message.delivery_time = self.now + self.latency
         self._messages_sent += 1
+        heapq.heappush(
+            self._event_queue,
+            (message.delivery_time, next(self._sequence), None, message, _DELIVER),
+        )
 
-        def deliver() -> None:
-            target = self._processes.get(message.dest)
-            if target is None:
-                return
-            state = target._state
-            if state.finished:
-                return
-            spec = state.waiting_on
-            if spec is not None and RankProcess.matches(message, spec):
-                state.waiting_on = None
-                waited = self.now - state.blocked_since
-                if waited > 0:
-                    self.trace.record(
-                        target.rank, state.blocked_since, self.now, "wait", None, ""
-                    )
-                self._resume(target, message)
-            else:
-                state.mailbox.append(message)
-
-        self._schedule(message.delivery_time, deliver)
+    def _deliver(self, message: Message) -> None:
+        target = self._processes.get(message.dest)
+        if target is None:
+            return
+        state = target._state
+        if state.finished:
+            return
+        spec = state.waiting_on
+        if spec is not None and RankProcess.matches(message, spec):
+            state.waiting_on = None
+            if self.now > state.blocked_since:
+                self.trace.record(target.rank, state.blocked_since, self.now, "wait", None, "")
+            heapq.heappush(
+                self._event_queue, (self.now, next(self._sequence), target, message, _RESUME)
+            )
+        else:
+            state.mailbox.append(message)
 
     # ------------------------------------------------------------------
-    def _start_process(self, process: RankProcess) -> None:
-        generator = process.run()
-        self._generators[process.rank] = generator
-        self._schedule(self.now, lambda: self._advance(process, None, first=True))
-
-    def _resume(self, process: RankProcess, value: Message | None) -> None:
-        self._schedule(self.now, lambda: self._advance(process, value))
-
-    def _advance(self, process: RankProcess, value: Message | None, first: bool = False) -> None:
+    def _advance(self, process: RankProcess, value: Message | None) -> None:
         generator = self._generators.get(process.rank)
         if generator is None:
             return
         state = process._state
         try:
-            item = generator.send(None if first else value) if not first else next(generator)
+            # a fresh generator takes ``send(None)`` as its start
+            item = generator.send(value)
+            while True:
+                kind = type(item)
+                if kind is Send:
+                    self._post_message(
+                        Message(
+                            source=process.rank,
+                            dest=item.dest,
+                            tag=item.tag,
+                            payload=item.payload,
+                        )
+                    )
+                    item = generator.send(None)
+                elif kind is Compute:
+                    start = self.now
+                    end = start + max(0.0, item.duration)
+                    self.trace.record(
+                        process.rank, start, end, item.kind, item.level, item.label
+                    )
+                    heapq.heappush(
+                        self._event_queue, (end, next(self._sequence), process, None, _RESUME)
+                    )
+                    return
+                elif kind is Receive:
+                    matched = RankProcess.match_in_mailbox(state.mailbox, item)
+                    if matched is None:
+                        state.waiting_on = item
+                        state.blocked_since = self.now
+                        return
+                    state.mailbox.remove(matched)
+                    item = generator.send(matched)
+                else:
+                    raise TypeError(
+                        f"process {process.rank} yielded unsupported item {item!r}"
+                    )
         except StopIteration:
             state.finished = True
-            return
-
-        while True:
-            if isinstance(item, Compute):
-                start = self.now
-                end = start + max(0.0, item.duration)
-                self.trace.record(
-                    process.rank, start, end, item.kind, item.level, item.label
-                )
-                self._schedule(end, lambda p=process: self._advance(p, None))
-                return
-            if isinstance(item, Send):
-                self._post_message(
-                    Message(
-                        source=process.rank,
-                        dest=item.dest,
-                        tag=item.tag,
-                        payload=item.payload,
-                    )
-                )
-                try:
-                    item = generator.send(None)
-                except StopIteration:
-                    state.finished = True
-                    return
-                continue
-            if isinstance(item, Receive):
-                matched = RankProcess.match_in_mailbox(state.mailbox, item)
-                if matched is not None:
-                    state.mailbox.remove(matched)
-                    try:
-                        item = generator.send(matched)
-                    except StopIteration:
-                        state.finished = True
-                        return
-                    continue
-                state.waiting_on = item
-                state.blocked_since = self.now
-                return
-            raise TypeError(f"process {process.rank} yielded unsupported item {item!r}")
 
     # ------------------------------------------------------------------
-    def run(self, until: float | None = None) -> float:
-        """Run the simulation until all processes finish, deadlock, or ``until``.
+    def run(self) -> float:
+        """Run the simulation until all processes finish or deadlock.
 
         Returns the final virtual time.
         """
+        queue = self._event_queue
         for process in self._processes.values():
-            self._start_process(process)
+            self._generators[process.rank] = process.run()
+            heapq.heappush(queue, (self.now, next(self._sequence), process, None, _RESUME))
 
-        while self._event_queue and not self._stopped:
-            time, _, action = heapq.heappop(self._event_queue)
-            if until is not None and time > until:
-                self.now = until
-                break
-            self.now = max(self.now, time)
-            action()
+        while queue and not self._stopped:
+            time, _, process, value, kind = heapq.heappop(queue)
+            if time > self.now:
+                self.now = time
+            if kind == _RESUME:
+                self._advance(process, value)
+            elif kind == _DELIVER:
+                self._deliver(value)
+            else:
+                value()
             self._events_processed += 1
             if self._events_processed > self.max_events:
                 raise RuntimeError(

@@ -10,8 +10,7 @@ benchmarks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -21,9 +20,12 @@ __all__ = ["TraceEvent", "TraceRecorder"]
 BUSY_KINDS = ("model_eval", "burnin", "compute")
 
 
-@dataclass(frozen=True)
-class TraceEvent:
-    """One interval in a rank's timeline."""
+class TraceEvent(NamedTuple):
+    """One interval in a rank's timeline.
+
+    A named tuple rather than a dataclass: one is built per ``Compute`` and
+    per blocked receive, and real-process ranks pickle theirs home.
+    """
 
     rank: int
     start: float

@@ -11,15 +11,20 @@ queue directly.  Everything substrate-specific lives behind the
   advances a virtual clock, messages are delivered after a virtual latency,
   and a whole 128-rank machine runs deterministically inside one Python
   process,
-* the **multiprocess** backend (:class:`repro.parallel.mp.MultiprocessWorld`)
-  runs every rank's generator on a real ``multiprocessing`` process:
-  ``Send``/``Receive`` move pickled messages through OS queues, and the span
-  of real work following a ``Compute`` is measured with
+* the **real-process** backends (:class:`repro.parallel.mp.MultiprocessWorld`
+  and its TCP twin :class:`repro.parallel.net.SocketWorld`) run every rank's
+  generator on its own OS process: ``Send``/``Receive`` move
+  :mod:`repro.parallel.wire`-encoded messages over the rank's link, and the
+  span of real work following a ``Compute`` is measured with
   ``time.perf_counter()``.
 
 Both backends drive the *same* role generators — the statistical behaviour of
 the machine is defined once, here and in :mod:`repro.parallel.roles`, and the
 transports only decide where ranks live and what a second means.
+
+One primitive is allocated per yield and one :class:`Message` per send, tens
+of thousands per run, so all four are slotted dataclasses; a message carries
+routing, tag, payload and the two timestamps, nothing else.
 
 A transport must provide:
 
@@ -32,8 +37,8 @@ A transport must provide:
     non-blocking helpers (:meth:`RankProcess.try_recv`, :meth:`~RankProcess.drain`,
     :meth:`~RankProcess.pending_count`) call this before inspecting the
     mailbox; the simulated world delivers straight into mailboxes, so its
-    ``poll`` is a no-op, while the multiprocess transport drains its inbound
-    queue here.
+    ``poll`` is a no-op, while the real-process transports drain their link
+    here.
 """
 
 from __future__ import annotations
@@ -73,7 +78,7 @@ class ReceiveTimeout(RuntimeError):
         self.waited_s = waited_s
 
 
-@dataclass
+@dataclass(slots=True)
 class Message:
     """A point-to-point message.
 
@@ -98,7 +103,6 @@ class Message:
     payload: Any = None
     send_time: float = 0.0
     delivery_time: float = 0.0
-    metadata: dict[str, Any] = field(default_factory=dict)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -107,7 +111,7 @@ class Message:
         )
 
 
-@dataclass
+@dataclass(slots=True)
 class Compute:
     """Advance the process's clock by one unit of model work.
 
@@ -123,7 +127,7 @@ class Compute:
     label: str = ""
 
 
-@dataclass
+@dataclass(slots=True)
 class Send:
     """Post a message to another rank (non-blocking, buffered)."""
 
@@ -132,7 +136,7 @@ class Send:
     payload: Any = None
 
 
-@dataclass
+@dataclass(slots=True)
 class Receive:
     """Block until a message carrying one of ``tags`` (any tag if empty) arrives."""
 
@@ -234,12 +238,15 @@ class RankProcess:
     def try_recv(self, *tags: str, source: int | None = None) -> Message | None:
         """Pop an already-delivered matching message, or ``None``."""
         self._poll()
-        for idx, message in enumerate(self._state.mailbox):
+        mailbox = self._state.mailbox
+        if not mailbox:
+            return None
+        for idx, message in enumerate(mailbox):
             if tags and message.tag not in tags:
                 continue
             if source is not None and message.source != source:
                 continue
-            del self._state.mailbox[idx]
+            del mailbox[idx]
             return message
         return None
 

@@ -333,7 +333,7 @@ def encode_message(
     """
     start = time.perf_counter() if counters is not None else 0.0
     tag = message.tag.encode("utf-8")
-    payload = encode_payload((message.payload, message.metadata), counters)
+    payload = encode_payload(message.payload, counters)
     body = (
         _ENVELOPE.pack(
             seq,
@@ -366,7 +366,7 @@ def decode_message(
     if view.nbytes < _ENVELOPE.size + tag_len:
         raise TruncatedFrameError("message envelope truncated inside the tag")
     tag = bytes(view[_ENVELOPE.size : _ENVELOPE.size + tag_len]).decode("utf-8")
-    payload, metadata = decode_payload(view[_ENVELOPE.size + tag_len :])
+    payload = decode_payload(view[_ENVELOPE.size + tag_len :])
     if counters is not None:
         counters.messages_decoded += 1
         counters.deserialize_s += time.perf_counter() - start
@@ -377,7 +377,6 @@ def decode_message(
         payload=payload,
         send_time=send_time,
         delivery_time=delivery_time,
-        metadata=metadata,
     )
 
 

@@ -1,7 +1,7 @@
 """Wire format and bootstrap of the socket transport (`repro.parallel.net`).
 
 Framing must be *boringly* strict: every `Message` variant round-trips
-bitwise (zero-length payloads, large ndarrays, metadata), while truncated
+bitwise (zero-length payloads, large ndarrays, timestamps), while truncated
 frames, foreign magic and mismatched protocol versions are rejected loudly —
 never silently misparsed.  The rendezvous bootstrap must survive a listener
 that drops the first connection (backoff + retry) and must *not* retry a
@@ -61,7 +61,6 @@ class TestMessageRoundTrip:
         _, decoded = roundtrip(original)
         assert decoded.tag == ""
         assert decoded.payload is None
-        assert decoded.metadata == {}
 
     def test_large_ndarray_payload_is_bitwise_preserved(self):
         rng = np.random.default_rng(0)
@@ -71,7 +70,7 @@ class TestMessageRoundTrip:
         np.testing.assert_array_equal(decoded.payload, array)
         assert decoded.payload.dtype == array.dtype
 
-    def test_timestamps_metadata_and_negative_ranks_survive(self):
+    def test_timestamps_and_negative_ranks_survive(self):
         # DRIVER_RANK injections use source=-1; the envelope must carry it.
         original = Message(
             source=-1,
@@ -80,12 +79,10 @@ class TestMessageRoundTrip:
             payload=(0, 60),
             send_time=1.25,
             delivery_time=2.5,
-            metadata={"resumed": True},
         )
         _, decoded = roundtrip(original)
         assert decoded.source == -1
         assert decoded.send_time == 1.25 and decoded.delivery_time == 2.5
-        assert decoded.metadata == {"resumed": True}
 
     def test_every_role_protocol_tag_roundtrips(self):
         from repro.parallel.roles.protocol import Tags

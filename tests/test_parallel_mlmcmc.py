@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -82,6 +84,30 @@ class TestParallelMLMCMCRun:
         np.testing.assert_allclose(a.mean, b.mean)
         assert a.virtual_time == pytest.approx(b.virtual_time)
         assert a.messages_sent == b.messages_sent
+
+    def test_golden_schedule(self, factory):
+        """A fixed simulated run keeps its exact schedule and estimate.
+
+        Unlike :meth:`test_reproducibility`, which compares a run with
+        itself, this pins constants, so a change to the phonebook, the load
+        balancer or the event loop that reorders even one message fails here.
+        """
+        result = ParallelMLMCMCSampler(
+            factory,
+            num_samples=[300, 100, 40],
+            num_ranks=14,
+            cost_model=ConstantCostModel([0.01, 0.05, 0.2]),
+            dynamic_load_balancing=True,
+            seed=5,
+        ).run()
+        summary = result.summary()
+        assert summary["messages_sent"] == 3337
+        assert summary["events_processed"] == 6374
+        assert len(result.rebalance_log) == 6
+        assert result.virtual_time == float.fromhex("0x1.4b333333332f0p+2")
+        assert hashlib.sha256(result.mean.tobytes()).hexdigest() == (
+            "de911184f7abc244877da34d39912d017e1352d06bec8098ee7eb6d45c834bf1"
+        )
 
     def test_workers_per_group(self, factory):
         sampler = ParallelMLMCMCSampler(
