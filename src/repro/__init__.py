@@ -23,42 +23,7 @@ See ``examples/`` for runnable end-to-end scripts and ``benchmarks/`` for the
 reproduction of every table and figure of the paper.
 """
 
-# Explicit re-exports (kept flat so `import repro` gives the main entry points).
-from repro.core import (
-    AbstractSamplingProblem,
-    BayesianSamplingProblem,
-    GaussianTargetProblem,
-    MIComponentFactory,
-    MLComponentFactory,
-    MLMCMCResult,
-    MLMCMCSampler,
-    MonteCarloEstimate,
-    MultilevelEstimate,
-    SingleChainMCMC,
-    run_single_level_mcmc,
-)
-from repro.evaluation import (
-    BatchEvaluator,
-    CachingEvaluator,
-    Evaluator,
-    EvaluatorStats,
-    InProcessEvaluator,
-    PoolEvaluator,
-    make_evaluator,
-)
-from repro.models import (
-    GaussianHierarchyFactory,
-    PoissonInverseProblemFactory,
-    TsunamiInverseProblemFactory,
-)
-from repro.parallel import (
-    ConstantCostModel,
-    LogNormalCostModel,
-    ParallelMLMCMCResult,
-    ParallelMLMCMCSampler,
-    strong_scaling_study,
-    weak_scaling_study,
-)
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
@@ -92,3 +57,39 @@ __all__ = [
     "weak_scaling_study",
     "__version__",
 ]
+
+# Flat entry points, imported on first access: `import repro` loads no
+# application stack, backend or numerical library until a name is used.
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.core": (
+            "AbstractSamplingProblem",
+            "BayesianSamplingProblem",
+            "GaussianTargetProblem",
+            "MIComponentFactory",
+            "MLComponentFactory",
+            "MLMCMCResult",
+            "MLMCMCSampler",
+            "MonteCarloEstimate",
+            "MultilevelEstimate",
+            "SingleChainMCMC",
+            "run_single_level_mcmc",
+        ),
+        "repro.evaluation": (
+            "BatchEvaluator",
+            "CachingEvaluator",
+            "Evaluator",
+            "EvaluatorStats",
+            "InProcessEvaluator",
+            "PoolEvaluator",
+            "make_evaluator",
+        ),
+        "repro.models.gaussian": ("GaussianHierarchyFactory",),
+        "repro.models.poisson": ("PoissonInverseProblemFactory",),
+        "repro.models.tsunami": ("TsunamiInverseProblemFactory",),
+        "repro.parallel.costmodel": ("ConstantCostModel", "LogNormalCostModel"),
+        "repro.parallel.parallel_mlmcmc": ("ParallelMLMCMCResult", "ParallelMLMCMCSampler"),
+        "repro.parallel.scaling": ("strong_scaling_study", "weak_scaling_study"),
+    },
+)

@@ -15,6 +15,7 @@ calling :func:`repro.experiments.run_scenario`.
 from __future__ import annotations
 
 import contextlib
+import importlib
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable
@@ -191,15 +192,46 @@ def _spec_factory(spec: ExperimentSpec, application: str | None = None):
     )
 
 
-def prewarm(spec: ExperimentSpec) -> None:
-    """Build (and memoise) a spec's factory ahead of the timed driver run.
+#: modules a driver imports while it runs, beyond its factory's (which
+#: :func:`build_factory` imports); the parallel-machine drivers also import
+#: their transport, see :data:`_BACKEND_MODULES`
+_DRIVER_MODULES: dict[str, tuple[str, ...]] = {
+    "parallel": ("repro.parallel.parallel_mlmcmc",),
+    "ablation-load-balancing": ("repro.parallel.parallel_mlmcmc",),
+    "quickstart": ("repro.parallel.parallel_mlmcmc",),
+    "strong-scaling": ("repro.parallel.scaling",),
+    "weak-scaling": ("repro.parallel.scaling",),
+    "scaling-suite": ("repro.parallel.scaling",),
+    "random-field": ("repro.randomfield",),
+    "fem-hotpath": ("scipy.sparse.linalg", "repro.fem", "repro.models.poisson"),
+}
 
-    Factory construction can be expensive one-off setup (the tsunami factory
-    runs its finest forward model to generate synthetic observations); the
-    runner calls this before starting the wall-time clock so ``wall_time_s``
-    measures the experiment, not process-lifetime warm-up — keeping first and
-    warm runs of the same spec comparable.
+#: the module of each transport a parallel-backend driver can run on
+_BACKEND_MODULES = {
+    "simulated": "repro.parallel.simmpi.world",
+    "multiprocess": "repro.parallel.mp",
+    "socket": "repro.parallel.net",
+}
+
+
+def prewarm(spec: ExperimentSpec) -> None:
+    """Import what a spec's run needs and build (memoise) its factory.
+
+    Imports and factory construction are one-off process set-up (the
+    tsunami factory runs its finest forward model to generate synthetic
+    observations); the runner calls this before starting the wall-time clock
+    so ``wall_time_s`` measures the experiment, not process-lifetime warm-up —
+    keeping first and warm runs of the same spec comparable.  After it,
+    ``run_scenario(spec)`` imports no module.
     """
+    modules = _DRIVER_MODULES.get(spec.driver, ())
+    backend = (spec.parallel or {}).get("backend", "simulated")
+    if spec.driver in PARALLEL_BACKEND_DRIVERS and backend in _BACKEND_MODULES:
+        modules += (_BACKEND_MODULES[backend],)
+    if "cost_per_level" in (spec.sampler or {}):
+        modules += ("repro.parallel.costmodel",)
+    for module in modules:
+        importlib.import_module(module)
     if spec.application not in ("gaussian", "poisson", "tsunami"):
         return
     if spec.driver == "evaluator-cache":

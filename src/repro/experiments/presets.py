@@ -152,11 +152,9 @@ def build_factory(
     observations, assembly plans), and rebuilding the tsunami hierarchy means
     re-running its finest forward model to regenerate the data.  Evaluators
     are *not* shared — factories hand out a fresh evaluator per problem.
+    Only the requested application's stack is imported: a Gaussian run never
+    loads scipy, the FEM or the shallow-water solver.
     """
-    from repro.models.gaussian import GaussianHierarchyFactory
-    from repro.models.poisson import PoissonInverseProblemFactory
-    from repro.models.tsunami import TsunamiInverseProblemFactory, TsunamiLevelSpec
-
     options = resolve_problem_options(application, problem)
     key = json.dumps(
         {
@@ -173,6 +171,8 @@ def build_factory(
         return _FACTORY_CACHE[key]
 
     if application == "gaussian":
+        from repro.models.gaussian import GaussianHierarchyFactory
+
         factory = GaussianHierarchyFactory(
             evaluation_backend=evaluation_backend,
             evaluator_options=evaluator_options,
@@ -180,6 +180,8 @@ def build_factory(
             **options,
         )
     elif application == "poisson":
+        from repro.models.poisson import PoissonInverseProblemFactory
+
         if "mesh_sizes" in options:
             options["mesh_sizes"] = tuple(options["mesh_sizes"])
         factory = PoissonInverseProblemFactory(
@@ -189,6 +191,8 @@ def build_factory(
             **options,
         )
     elif application == "tsunami":
+        from repro.models.tsunami import TsunamiInverseProblemFactory, TsunamiLevelSpec
+
         if "level_specs" in options:
             options["level_specs"] = tuple(
                 spec if isinstance(spec, TsunamiLevelSpec) else TsunamiLevelSpec(**spec)

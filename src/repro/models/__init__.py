@@ -15,18 +15,7 @@
   stand-in posterior for scheduler-focused experiments.
 """
 
-from repro.models.base import ForwardModel, ForwardModelBase
-from repro.models.gaussian import GaussianHierarchyFactory, GaussianIdentityForwardModel
-from repro.models.poisson import (
-    PoissonForwardModel,
-    PoissonInverseProblemFactory,
-    PoissonLevelSpec,
-)
-from repro.models.tsunami import (
-    TsunamiForwardModel,
-    TsunamiInverseProblemFactory,
-    TsunamiLevelSpec,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "ForwardModel",
@@ -40,3 +29,23 @@ __all__ = [
     "TsunamiInverseProblemFactory",
     "TsunamiLevelSpec",
 ]
+
+# Each application stack (scipy + FEM for Poisson, the shallow-water solver for
+# the tsunami) is imported only when one of its names is first used.
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.models.base": ("ForwardModel", "ForwardModelBase"),
+        "repro.models.gaussian": ("GaussianHierarchyFactory", "GaussianIdentityForwardModel"),
+        "repro.models.poisson": (
+            "PoissonForwardModel",
+            "PoissonInverseProblemFactory",
+            "PoissonLevelSpec",
+        ),
+        "repro.models.tsunami": (
+            "TsunamiForwardModel",
+            "TsunamiInverseProblemFactory",
+            "TsunamiLevelSpec",
+        ),
+    },
+)

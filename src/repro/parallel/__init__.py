@@ -14,60 +14,7 @@ timing), or real processes over TCP in :mod:`repro.parallel.net` (rendezvous
 hub, versioned wire format, machine-spanning).
 """
 
-from repro.parallel.chaos import (
-    EvaluatorFault,
-    FaultPlan,
-    InjectedEvaluatorError,
-    MessageDelay,
-    MessageDrop,
-    RankKill,
-    apply_chaos_to_virtual,
-)
-from repro.parallel.checkpoint import (
-    CheckpointConfig,
-    CheckpointError,
-    Checkpointer,
-)
-from repro.parallel.costmodel import (
-    ConstantCostModel,
-    CostModel,
-    LogNormalCostModel,
-    MeasuredCostModel,
-    POISSON_PAPER_COSTS,
-    TSUNAMI_PAPER_COSTS,
-    cost_model_from_stats,
-)
-from repro.parallel.fault import (
-    FailureReport,
-    FaultToleranceConfig,
-    RankFailure,
-    Reassignment,
-)
-from repro.parallel.layout import ProcessLayout, WorkGroup
-from repro.parallel.loadbalancer import (
-    DynamicLoadBalancer,
-    LevelLoad,
-    RebalanceDecision,
-    StaticLoadBalancer,
-)
-from repro.parallel.parallel_mlmcmc import ParallelMLMCMCResult, ParallelMLMCMCSampler
-from repro.parallel.scaling import (
-    ScalingPoint,
-    ScalingStudyResult,
-    strong_scaling_study,
-    weak_scaling_study,
-)
-from repro.parallel.mp import MultiprocessWorld
-from repro.parallel.net import (
-    ProtocolVersionError,
-    SocketWorld,
-    TruncatedFrameError,
-    WireProtocolError,
-    connect_with_backoff,
-)
-from repro.parallel.simmpi import Message, RankProcess, VirtualWorld
-from repro.parallel.trace import TraceEvent, TraceRecorder
-from repro.parallel.transport import Compute, Receive, ReceiveTimeout, Send, Transport
+from repro._lazy import lazy_exports
 
 __all__ = [
     "FaultPlan",
@@ -120,3 +67,64 @@ __all__ = [
     "TraceEvent",
     "TraceRecorder",
 ]
+
+# Each transport and subsystem is imported only when one of its names is first
+# used: a simulated run never loads the multiprocess or socket backends.
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.parallel.chaos": (
+            "EvaluatorFault",
+            "FaultPlan",
+            "InjectedEvaluatorError",
+            "MessageDelay",
+            "MessageDrop",
+            "RankKill",
+            "apply_chaos_to_virtual",
+        ),
+        "repro.parallel.checkpoint": ("CheckpointConfig", "CheckpointError", "Checkpointer"),
+        "repro.parallel.costmodel": (
+            "ConstantCostModel",
+            "CostModel",
+            "LogNormalCostModel",
+            "MeasuredCostModel",
+            "POISSON_PAPER_COSTS",
+            "TSUNAMI_PAPER_COSTS",
+            "cost_model_from_stats",
+        ),
+        "repro.parallel.fault": (
+            "FailureReport",
+            "FaultToleranceConfig",
+            "RankFailure",
+            "Reassignment",
+        ),
+        "repro.parallel.layout": ("ProcessLayout", "WorkGroup"),
+        "repro.parallel.loadbalancer": (
+            "DynamicLoadBalancer",
+            "LevelLoad",
+            "RebalanceDecision",
+            "StaticLoadBalancer",
+        ),
+        "repro.parallel.parallel_mlmcmc": ("ParallelMLMCMCResult", "ParallelMLMCMCSampler"),
+        "repro.parallel.scaling": (
+            "ScalingPoint",
+            "ScalingStudyResult",
+            "strong_scaling_study",
+            "weak_scaling_study",
+        ),
+        "repro.parallel.mp": ("MultiprocessWorld",),
+        "repro.parallel.net": ("ProtocolVersionError", "SocketWorld", "connect_with_backoff"),
+        "repro.parallel.simmpi": ("VirtualWorld",),
+        "repro.parallel.trace": ("TraceEvent", "TraceRecorder"),
+        "repro.parallel.transport": (
+            "Compute",
+            "Message",
+            "RankProcess",
+            "Receive",
+            "ReceiveTimeout",
+            "Send",
+            "Transport",
+        ),
+        "repro.parallel.wire": ("TruncatedFrameError", "WireProtocolError"),
+    },
+)

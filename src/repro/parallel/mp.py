@@ -84,8 +84,14 @@ deterministic kill rule cannot re-fire and drain the restart budget.
 from __future__ import annotations
 
 import functools
+import gc
 import logging
 import multiprocessing
+# what the fork context's Queue(), its lock and Process.start() import on first
+# use, loaded with this module so a run's first rank launch imports nothing
+import multiprocessing.popen_fork  # noqa: F401
+import multiprocessing.queues  # noqa: F401
+import multiprocessing.synchronize  # noqa: F401
 import queue as queue_module
 import threading
 import time
@@ -686,9 +692,18 @@ class MultiprocessWorld:
         ft = self.fault_tolerance
         fabric = self._fabric = self._open_fabric()
         result_queue = fabric.result_queue
-        children = {
-            rank: self._spawn(rank, origin, with_chaos=True) for rank in self._processes
-        }
+        # The ranks are forked and share the driver's heap copy-on-write, and
+        # a garbage collection writes to every object it walks: keep the
+        # pre-run heap out of collection while ranks live, so neither the
+        # driver's collections nor a rank's copy the pages they share.
+        gc.freeze()
+        try:
+            children = {
+                rank: self._spawn(rank, origin, with_chaos=True) for rank in self._processes
+            }
+        except BaseException:
+            gc.unfreeze()
+            raise
 
         pending = set(self._processes)
         failures: dict[int, str] = {}
@@ -903,6 +918,7 @@ class MultiprocessWorld:
             for child in children.values():
                 if child.is_alive():
                     child.join(timeout=1.0)
+            gc.unfreeze()
             fabric.close()
 
         self.now = time.perf_counter() - origin

@@ -12,7 +12,6 @@ import math
 from abc import ABC, abstractmethod
 
 import numpy as np
-from scipy.special import gamma, kv
 
 __all__ = [
     "CovarianceKernel",
@@ -90,6 +89,10 @@ class MaternCovariance(CovarianceKernel):
         self.nu = float(nu)
 
     def evaluate_lag(self, lag: np.ndarray) -> np.ndarray:
+        # imported here: no scenario uses this kernel, and scipy.special would
+        # add about 50 ms to every Poisson run's import
+        from scipy.special import gamma, kv
+
         dist = self._distance(lag)
         scaled = math.sqrt(2.0 * self.nu) * dist / self.correlation_length
         result = np.full_like(scaled, self.variance, dtype=float)

@@ -8,9 +8,6 @@ subpackage provides:
 * a robust, well-balanced 2-D finite-volume solver with wetting and drying
   (:mod:`repro.swe.fv2d`) — the production forward model of the tsunami
   hierarchy,
-* a 1-D ADER-DG scheme with a-posteriori FV subcell limiting
-  (:mod:`repro.swe.dg1d`) demonstrating the discretisation family used by
-  ExaHyPE,
 * a synthetic Tohoku-like scenario (bathymetry, source parameterisation,
   buoys) replacing GEBCO bathymetry and DART buoy data
   (:mod:`repro.swe.scenario`),
@@ -32,7 +29,6 @@ from repro.swe.fv2d import (
     SimulationResult,
 )
 from repro.swe.gauges import Gauge, GaugeRecord, wave_observables, wave_observables_batch
-from repro.swe.dg1d import ADERDGSolver1D
 from repro.swe.scenario import ScenarioPlan, TohokuLikeScenario, SourceParameters
 
 __all__ = [
@@ -53,7 +49,6 @@ __all__ = [
     "GaugeRecord",
     "wave_observables",
     "wave_observables_batch",
-    "ADERDGSolver1D",
     "ScenarioPlan",
     "TohokuLikeScenario",
     "SourceParameters",

@@ -16,9 +16,7 @@ is a first-order Godunov-type finite-volume method with
 
 The role of the paper's a-posteriori subcell limiter — falling back to a
 robust FV scheme wherever a high-order candidate is troubled, in particular at
-coastlines — is played here by the solver being robust-FV everywhere; the
-1-D ADER-DG module (:mod:`repro.swe.dg1d`) demonstrates the limiter machinery
-itself.
+coastlines — is played here by the solver being robust-FV everywhere.
 
 The generic flux, source and update kernels (:meth:`ShallowWaterSolver2D.step`)
 index the grid through the *last two* axes, so they operate unchanged on

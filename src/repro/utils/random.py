@@ -13,6 +13,8 @@ import hashlib
 from typing import Iterable, Sequence
 
 import numpy as np
+# numpy 2 would otherwise import this on the first generator, inside a timed run
+import numpy.random  # noqa: F401
 
 
 def spawn_rngs(seed: int | np.random.SeedSequence | None, n: int) -> list[np.random.Generator]:

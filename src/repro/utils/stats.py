@@ -21,6 +21,8 @@ import math
 from typing import Iterable
 
 import numpy as np
+# numpy 2 would otherwise import this on the first autocorrelation, inside a timed run
+import numpy.fft  # noqa: F401
 
 __all__ = [
     "RunningMoments",

@@ -1,4 +1,4 @@
-"""Tests for the 1-D ADER-DG solver with subcell limiting and the tsunami scenario."""
+"""Tests for the gauge observables and the Tohoku-like tsunami scenario."""
 
 from __future__ import annotations
 
@@ -6,74 +6,8 @@ import numpy as np
 import pytest
 
 from repro.bayes.likelihood import UnphysicalModelOutput
-from repro.swe.dg1d import ADERDGSolver1D
 from repro.swe.gauges import Gauge, GaugeRecord, wave_observables
 from repro.swe.scenario import LevelConfiguration, SourceParameters, TohokuLikeScenario
-
-
-class TestADERDG1D:
-    def test_constant_state_is_preserved(self):
-        solver = ADERDGSolver1D(num_cells=20, domain=(0.0, 10.0), order=2)
-        solution = solver.project(lambda x: np.full_like(x, 2.0))
-        final, steps = solver.run(solution, end_time=0.5)
-        averages = final.cell_averages(solver.weights)
-        np.testing.assert_allclose(averages[:, 0], 2.0, atol=1e-10)
-        np.testing.assert_allclose(averages[:, 1], 0.0, atol=1e-10)
-        assert steps > 0
-
-    def test_smooth_wave_mass_conservation_without_limiter(self):
-        solver = ADERDGSolver1D(num_cells=40, domain=(0.0, 10.0), order=2, limiter=False)
-        solution = solver.project(lambda x: 1.0 + 0.01 * np.exp(-((x - 5.0) ** 2)))
-        mass_before = solution.cell_averages(solver.weights)[:, 0].sum()
-        final, _ = solver.run(solution, end_time=0.2)
-        mass_after = final.cell_averages(solver.weights)[:, 0].sum()
-        assert mass_after == pytest.approx(mass_before, rel=1e-8)
-
-    def test_dam_break_limiter_triggers_and_stays_positive(self):
-        solver = ADERDGSolver1D(num_cells=50, domain=(0.0, 10.0), order=2, limiter=True)
-        solution = solver.project(lambda x: np.where(x < 5.0, 2.0, 1.0))
-        final, _ = solver.run(solution, end_time=0.3)
-        averages = final.cell_averages(solver.weights)
-        assert solver.total_limited_cells > 0
-        assert averages[:, 0].min() > 0.0
-        assert np.all(np.isfinite(averages))
-
-    def test_dam_break_without_limiter_is_oscillatory_or_blows_up(self):
-        limited = ADERDGSolver1D(num_cells=50, domain=(0.0, 10.0), order=2, limiter=True)
-        unlimited = ADERDGSolver1D(num_cells=50, domain=(0.0, 10.0), order=2, limiter=False)
-        ic = lambda x: np.where(x < 5.0, 2.0, 1.0)
-        sol_lim, _ = limited.run(limited.project(ic), end_time=0.2)
-        sol_unlim, _ = unlimited.run(unlimited.project(ic), end_time=0.2)
-        # The limited solution stays finite and essentially within [1, 2]; the
-        # raw high-order scheme either overshoots more or blows up entirely —
-        # exactly the failure mode the a-posteriori limiter exists to catch.
-        assert np.all(np.isfinite(sol_lim.coefficients))
-        overshoot_lim = sol_lim.coefficients[..., 0].max() - 2.0
-        assert overshoot_lim < 0.2
-        unlimited_values = sol_unlim.coefficients[..., 0]
-        blew_up = not np.all(np.isfinite(unlimited_values))
-        overshoot_unlim = np.nanmax(unlimited_values) - 2.0 if not blew_up else np.inf
-        assert blew_up or overshoot_unlim >= overshoot_lim - 1e-12
-
-    def test_order_validation(self):
-        with pytest.raises(ValueError):
-            ADERDGSolver1D(num_cells=10, order=0)
-
-    def test_higher_order_is_more_accurate_on_smooth_data(self):
-        # advecting-ish smooth hump; compare orders at identical resolution and time
-        def initial(x):
-            return 1.0 + 0.05 * np.exp(-((x - 5.0) ** 2) / 0.5)
-
-        errors = {}
-        reference_solver = ADERDGSolver1D(num_cells=400, domain=(0.0, 10.0), order=1, limiter=False)
-        ref, _ = reference_solver.run(reference_solver.project(initial), end_time=0.05)
-        ref_avg = ref.cell_averages(reference_solver.weights)[:, 0].reshape(40, 10).mean(axis=1)
-        for order in (1, 2):
-            solver = ADERDGSolver1D(num_cells=40, domain=(0.0, 10.0), order=order, limiter=False)
-            final, _ = solver.run(solver.project(initial), end_time=0.05)
-            avg = final.cell_averages(solver.weights)[:, 0]
-            errors[order] = np.abs(avg - ref_avg).max()
-        assert errors[2] <= errors[1] * 1.5
 
 
 class TestGauges:
@@ -186,17 +120,3 @@ class TestTohokuScenario:
     def test_simulate_batch_rejects_unphysical_rows(self, scenario):
         with pytest.raises(UnphysicalModelOutput):
             scenario.simulate_batch(0, np.array([[0.0, 0.0], [-185.0, 0.0]]))
-
-
-class TestDGBasisCache:
-    def test_basis_matrices_are_shared_between_solvers(self):
-        a = ADERDGSolver1D(num_cells=10, order=2)
-        b = ADERDGSolver1D(num_cells=40, order=2)
-        assert a.nodes is b.nodes
-        assert a.diff_matrix is b.diff_matrix
-        assert a._predictor_basis is b._predictor_basis
-        assert not a.nodes.flags.writeable
-        # different orders get different cached matrices
-        c = ADERDGSolver1D(num_cells=10, order=1)
-        assert c.nodes is not a.nodes
-        assert c.nodes.shape == (2,)
