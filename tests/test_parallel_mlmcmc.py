@@ -109,6 +109,30 @@ class TestParallelMLMCMCRun:
             "de911184f7abc244877da34d39912d017e1352d06bec8098ee7eb6d45c834bf1"
         )
 
+    def test_golden_schedule_heterogeneous_costs(self, factory):
+        """The golden run with log-normal per-evaluation durations.
+
+        Pins the log-normal duration draws and the phonebook's smoothing of
+        the durations controllers report, which the constant-cost golden run
+        never exercises.
+        """
+        result = ParallelMLMCMCSampler(
+            factory,
+            num_samples=[300, 100, 40],
+            num_ranks=14,
+            cost_model=LogNormalCostModel([0.05, 0.2, 0.8], coefficient_of_variation=0.5),
+            dynamic_load_balancing=True,
+            seed=5,
+        ).run()
+        summary = result.summary()
+        assert summary["messages_sent"] == 4290
+        assert summary["events_processed"] == 8803
+        assert len(result.rebalance_log) == 7
+        assert result.virtual_time == float.fromhex("0x1.a67ed817b6f9cp+4")
+        assert hashlib.sha256(result.mean.tobytes()).hexdigest() == (
+            "a466e13d528eda4891beb3ee5e4a2a47f64a14c05701e473c05ad366ec41cd2b"
+        )
+
     def test_workers_per_group(self, factory):
         sampler = ParallelMLMCMCSampler(
             factory,
