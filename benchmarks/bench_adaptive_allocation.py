@@ -47,8 +47,8 @@ if __package__ in (None, ""):  # executed as a plain script
 import numpy as np
 
 from benchmarks.conftest import print_rows
+from repro.core import POISSON_PAPER_COSTS
 from repro.experiments import get_scenario, run_scenario
-from repro.parallel import POISSON_PAPER_COSTS
 
 SCENARIO = "poisson-adaptive"
 

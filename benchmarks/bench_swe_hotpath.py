@@ -16,10 +16,9 @@ comparing
   on a bandwidth-bound kernel, observables still promoted to double at the
   gauge boundary.
 
-Beyond the per-level timings, the payload records the array-backend
-availability matrix (NumPy / CuPy / torch — the latter two are exercised only
-when installed) and an estimator-parity check (a seeded two-level MLMCMC
-estimate under the ``float32-coarse`` ladder vs all-double).
+Beyond the per-level timings, the payload records an estimator-parity check
+(a seeded two-level MLMCMC estimate under the ``float32-coarse`` ladder vs
+all-double).
 
 The paper-proportioned ladder matters for interpreting the numbers: with the
 paper's subsampling rates ``rho_l = [-, 25, 5]`` the coarse and middle
@@ -65,7 +64,6 @@ import numpy as np
 
 from benchmarks.conftest import print_rows
 from repro.swe.scenario import LevelConfiguration, TohokuLikeScenario
-from repro.utils.array_api import KNOWN_BACKENDS, backend_available
 
 SEED = 7
 DEFAULT_BATCH_SIZE = 16
@@ -88,14 +86,12 @@ def _scenario(
     num_levels: int,
     end_time: float,
     precision: str | None = None,
-    backend: str | None = None,
 ) -> TohokuLikeScenario:
     """The benchmark hierarchy (truncated to ``num_levels``)."""
     return TohokuLikeScenario(
         level_configs=BENCH_LEVEL_CONFIGS[:num_levels],
         end_time=end_time,
         precision=precision,
-        backend=backend,
     )
 
 
@@ -241,21 +237,13 @@ def estimator_parity(quick: bool) -> dict:
 
 
 def run(num_levels: int, batch_size: int, end_time: float, repeats: int, quick: bool) -> dict:
-    backends = {name: backend_available(name) for name in KNOWN_BACKENDS}
-    results = []
-    for backend, available in backends.items():
-        if not available:
-            continue
-        backend_arg = None if backend == "numpy" else backend
-        scenario = _scenario(num_levels, end_time, backend=backend_arg)
-        scenario_f32 = _scenario(
-            num_levels, end_time, precision="float32", backend=backend_arg
-        )
-        thetas = _source_block(scenario, batch_size)
-        for level in range(scenario.num_levels):
-            entry = bench_level(scenario, scenario_f32, level, thetas, repeats)
-            entry["backend"] = backend
-            results.append(entry)
+    scenario = _scenario(num_levels, end_time)
+    scenario_f32 = _scenario(num_levels, end_time, precision="float32")
+    thetas = _source_block(scenario, batch_size)
+    results = [
+        bench_level(scenario, scenario_f32, level, thetas, repeats)
+        for level in range(scenario.num_levels)
+    ]
     return {
         "benchmark": "swe_hotpath",
         "created": datetime.now(timezone.utc).isoformat(timespec="seconds"),
@@ -263,7 +251,6 @@ def run(num_levels: int, batch_size: int, end_time: float, repeats: int, quick: 
         "repeats": repeats,
         "batch_size": batch_size,
         "end_time_s": end_time,
-        "backends": backends,
         "results": results,
         "estimator_parity": estimator_parity(quick),
     }
@@ -275,7 +262,6 @@ def report(payload: dict) -> None:
         rows.append(
             {
                 "level": entry["level"],
-                "backend": entry["backend"],
                 "grid": f"{entry['num_cells']}x{entry['num_cells']}",
                 "steps": entry["timesteps"],
                 "scalar/sample [ms]": entry["scalar"]["per_sample"] * 1e3,

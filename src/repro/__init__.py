@@ -35,6 +35,7 @@ __all__ = [
     "MLComponentFactory",
     "MLMCMCResult",
     "MLMCMCSampler",
+    "CostModel",
     "MonteCarloEstimate",
     "MultilevelEstimate",
     "SingleChainMCMC",
@@ -49,8 +50,6 @@ __all__ = [
     "GaussianHierarchyFactory",
     "PoissonInverseProblemFactory",
     "TsunamiInverseProblemFactory",
-    "ConstantCostModel",
-    "LogNormalCostModel",
     "ParallelMLMCMCResult",
     "ParallelMLMCMCSampler",
     "strong_scaling_study",
@@ -71,6 +70,7 @@ __getattr__, __dir__ = lazy_exports(
             "MLComponentFactory",
             "MLMCMCResult",
             "MLMCMCSampler",
+            "CostModel",
             "MonteCarloEstimate",
             "MultilevelEstimate",
             "SingleChainMCMC",
@@ -88,7 +88,6 @@ __getattr__, __dir__ = lazy_exports(
         "repro.models.gaussian": ("GaussianHierarchyFactory",),
         "repro.models.poisson": ("PoissonInverseProblemFactory",),
         "repro.models.tsunami": ("TsunamiInverseProblemFactory",),
-        "repro.parallel.costmodel": ("ConstantCostModel", "LogNormalCostModel"),
         "repro.parallel.parallel_mlmcmc": ("ParallelMLMCMCResult", "ParallelMLMCMCSampler"),
         "repro.parallel.scaling": ("strong_scaling_study", "weak_scaling_study"),
     },

@@ -48,6 +48,7 @@ from repro.core.allocation import (
     SamplingBudget,
     policy_from_budget,
 )
+from repro.core.costmodel import POISSON_PAPER_COSTS, TSUNAMI_PAPER_COSTS, CostModel
 from repro.core.diagnostics import ChainDiagnostics, diagnose_collection, gelman_rubin
 from repro.core.mlmcmc import MLMCMCResult, MLMCMCSampler, run_single_level_mcmc
 
@@ -90,6 +91,9 @@ __all__ = [
     "MultilevelEstimate",
     "MonteCarloEstimate",
     "optimal_sample_allocation",
+    "CostModel",
+    "POISSON_PAPER_COSTS",
+    "TSUNAMI_PAPER_COSTS",
     "ChainDiagnostics",
     "diagnose_collection",
     "gelman_rubin",

@@ -27,6 +27,7 @@ from repro.core.allocation import (
     LevelSnapshot,
 )
 from repro.core.chain import SingleChainMCMC, SubsampledChainSource
+from repro.core.costmodel import CostModel
 from repro.core.estimators import MonteCarloEstimate, MultilevelEstimate
 from repro.core.factory import MIComponentFactory
 from repro.core.kernels.mh import MHKernel
@@ -88,13 +89,12 @@ class MLMCMCSampler:
         :class:`~repro.core.allocation.FixedAllocation` — a single round that
         reproduces the pre-allocation-layer runs bitwise.
     cost_model:
-        Optional cost model (anything with a ``mean(level)`` method, e.g.
-        :class:`repro.parallel.ConstantCostModel`) supplying the per-sample
-        costs the *allocation* snapshots feed back to the policy, instead of
-        the measured evaluator wall time.  Makes adaptive trajectories
-        deterministic across machines — the parallel machine prices its
-        snapshots the same way.  The result's reported ``costs_per_sample``
-        stay measured either way.
+        Optional :class:`repro.core.CostModel` whose per-level means are the
+        per-sample costs the *allocation* snapshots feed back to the policy,
+        instead of the measured evaluator wall time.  Makes adaptive
+        trajectories deterministic across machines — the parallel machine
+        prices its snapshots the same way.  The result's reported
+        ``costs_per_sample`` stay measured either way.
     """
 
     def __init__(
@@ -105,7 +105,7 @@ class MLMCMCSampler:
         subsampling_rates: Sequence[int] | None = None,
         seed: int | None = None,
         allocation: AllocationPolicy | None = None,
-        cost_model=None,
+        cost_model: CostModel | None = None,
     ) -> None:
         self.factory = factory
         self.index_set = factory.index_set()

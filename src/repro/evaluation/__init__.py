@@ -28,9 +28,9 @@ Typical usage — select a backend per hierarchy and read the accounting::
         print(level, stats.log_density_evaluations, stats.cache_hits, stats.hit_rate)
 
 An evaluator serves exactly one sampling problem (binding twice raises), so
-factories return a *fresh* instance per problem; drivers, run manifests and
-:func:`repro.parallel.cost_model_from_stats` all consume the recorded
-:class:`EvaluatorStats` rather than timing model code themselves.
+factories return a *fresh* instance per problem; drivers and run manifests
+consume the recorded :class:`EvaluatorStats` rather than timing model code
+themselves.
 """
 
 from repro.evaluation.base import Evaluator, EvaluatorStats

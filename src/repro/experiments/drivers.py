@@ -228,8 +228,6 @@ def prewarm(spec: ExperimentSpec) -> None:
     backend = (spec.parallel or {}).get("backend", "simulated")
     if spec.driver in PARALLEL_BACKEND_DRIVERS and backend in _BACKEND_MODULES:
         modules += (_BACKEND_MODULES[backend],)
-    if "cost_per_level" in (spec.sampler or {}):
-        modules += ("repro.parallel.costmodel",)
     for module in modules:
         importlib.import_module(module)
     if spec.application not in ("gaussian", "poisson", "tsunami"):
@@ -313,18 +311,14 @@ def _allocation_record(spec: ExperimentSpec, policy, rounds) -> dict:
 
 
 def _cost_model(sampler: dict, num_levels: int):
-    from repro.parallel import ConstantCostModel, LogNormalCostModel, POISSON_PAPER_COSTS
+    from repro.core.costmodel import POISSON_PAPER_COSTS, CostModel
 
     costs = sampler.get("cost_per_level")
     if costs == "poisson-paper":
-        costs = list(POISSON_PAPER_COSTS)
+        costs = POISSON_PAPER_COSTS
     if costs is None:
         costs = [4.0**level for level in range(num_levels)]
-    costs = [float(c) for c in costs][:num_levels]
-    cv = sampler.get("cost_cv")
-    if cv:
-        return LogNormalCostModel(costs, coefficient_of_variation=float(cv))
-    return ConstantCostModel(costs)
+    return CostModel(costs[:num_levels], cv=float(sampler.get("cost_cv") or 0.0))
 
 
 # ----------------------------------------------------------------------------

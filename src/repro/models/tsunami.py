@@ -147,9 +147,6 @@ class TsunamiInverseProblemFactory(MLComponentFactory):
         the synthetic data come from the finest level, which ``float32-coarse``
         keeps in double, and observables are promoted to double at the gauge
         boundary regardless.
-    backend:
-        Explicit array backend name for the per-level solvers (``None`` means
-        NumPy).
     """
 
     def __init__(
@@ -168,7 +165,6 @@ class TsunamiInverseProblemFactory(MLComponentFactory):
         evaluation_backend: str | None = None,
         evaluator_options: dict | None = None,
         precision: str | None = None,
-        backend: str | None = None,
     ) -> None:
         self.evaluation_backend = evaluation_backend
         self.evaluator_options = dict(evaluator_options or {})
@@ -202,7 +198,6 @@ class TsunamiInverseProblemFactory(MLComponentFactory):
             source_amplitude=source_amplitude,
             source_radius=source_radius,
             precision=self.precision,
-            backend=backend,
         )
 
         self._forward_models: dict[int, TsunamiForwardModel] = {}

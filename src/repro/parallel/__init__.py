@@ -32,13 +32,6 @@ __all__ = [
     "RankFailure",
     "Reassignment",
     "ReceiveTimeout",
-    "CostModel",
-    "ConstantCostModel",
-    "LogNormalCostModel",
-    "MeasuredCostModel",
-    "cost_model_from_stats",
-    "POISSON_PAPER_COSTS",
-    "TSUNAMI_PAPER_COSTS",
     "ProcessLayout",
     "WorkGroup",
     "DynamicLoadBalancer",
@@ -83,15 +76,6 @@ __getattr__, __dir__ = lazy_exports(
             "apply_chaos_to_virtual",
         ),
         "repro.parallel.checkpoint": ("CheckpointConfig", "CheckpointError", "Checkpointer"),
-        "repro.parallel.costmodel": (
-            "ConstantCostModel",
-            "CostModel",
-            "LogNormalCostModel",
-            "MeasuredCostModel",
-            "POISSON_PAPER_COSTS",
-            "TSUNAMI_PAPER_COSTS",
-            "cost_model_from_stats",
-        ),
         "repro.parallel.fault": (
             "FailureReport",
             "FaultToleranceConfig",

@@ -19,8 +19,7 @@ run, so it applies equally to MLMC-style samplers (as noted in the paper).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-from repro.parallel.costmodel import CostModel
+from typing import Callable
 
 __all__ = ["LevelLoad", "RebalanceDecision", "DynamicLoadBalancer", "StaticLoadBalancer"]
 
@@ -81,10 +80,11 @@ class DynamicLoadBalancer:
 
     Parameters
     ----------
-    cost_model:
-        Used to rate-limit decisions: a move between a source and a target
-        level is withheld until at least ``rate_limit_factor * max(mean cost
-        of source, mean cost of target)`` has passed since the previous move,
+    level_cost:
+        Mean evaluation time of a level, used to rate-limit decisions: a move
+        between a source and a target level is withheld until at least
+        ``rate_limit_factor * max(level_cost(source), level_cost(target))``
+        has passed since the previous move,
         since the reassigned group only helps once it produced its first
         sample on the levels involved.
     chain_request_weight, collector_request_weight:
@@ -99,7 +99,7 @@ class DynamicLoadBalancer:
         level before a move is made.
     """
 
-    cost_model: CostModel
+    level_cost: Callable[[int], float]
     chain_request_weight: float = 4.0
     collector_request_weight: float = 1.0
     remaining_work_weight: float = 2.0
@@ -158,7 +158,7 @@ class DynamicLoadBalancer:
         # level of the whole hierarchy here would over-throttle cheap
         # coarse-level moves in steep cost hierarchies.
         if self.num_decisions > 0:
-            involved = max(self.cost_model.mean(source), self.cost_model.mean(target))
+            involved = max(self.level_cost(source), self.level_cost(target))
             interval = max(self.rate_limit_factor * involved, self.min_interval)
             if now - self.last_decision_time < interval:
                 return None

@@ -26,6 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.allocation import AllocationPolicy, AllocationRound
+from repro.core.costmodel import CostModel
 from repro.core.estimators import MultilevelEstimate
 from repro.core.factory import MIComponentFactory
 from repro.core.sample_collection import CorrectionCollection
@@ -33,7 +34,6 @@ from repro.evaluation import EvaluatorStats
 from repro.multiindex import MultiIndex
 from repro.parallel.chaos import FaultPlan, apply_chaos_to_virtual
 from repro.parallel.checkpoint import CheckpointConfig
-from repro.parallel.costmodel import ConstantCostModel, CostModel
 from repro.parallel.fault import FailureReport, FaultToleranceConfig, RankFailure
 from repro.parallel.layout import ProcessLayout
 from repro.parallel.roles import (
@@ -166,9 +166,8 @@ class ParallelMLMCMCSampler:
     num_ranks:
         Total virtual MPI ranks.
     cost_model:
-        Virtual evaluation-time model; defaults to constant unit cost per
-        level scaled by ``problem.evaluation_cost()`` is *not* attempted —
-        pass an explicit model to reproduce paper timings.
+        Virtual evaluation time per level; defaults to a unit cost on every
+        level.  Pass the paper's per-level means to reproduce its timings.
     burnin:
         Burn-in per level for every chain (default: 10% of the level target).
     subsampling_rates:
@@ -251,7 +250,7 @@ class ParallelMLMCMCSampler:
         if len(num_samples) != num_levels:
             raise ValueError("num_samples must have one entry per level")
         self.num_samples = [int(n) for n in num_samples]
-        self.cost_model = cost_model or ConstantCostModel([1.0] * num_levels)
+        self.cost_model = cost_model or CostModel([1.0] * num_levels)
         self.burnin = (
             [int(b) for b in burnin]
             if burnin is not None
@@ -472,8 +471,7 @@ class ParallelMLMCMCSampler:
         ordered = [
             corrections.get(level, CorrectionCollection(level)) for level in range(num_levels)
         ]
-        costs = [self.cost_model.mean(level) for level in range(num_levels)]
-        estimate = MultilevelEstimate.from_corrections(ordered, costs_per_sample=costs)
+        estimate = self._estimate(ordered)
 
         stats = self._gather_stats(world)
         result = ParallelMLMCMCResult(
@@ -500,6 +498,11 @@ class ParallelMLMCMCSampler:
         return result
 
     # ------------------------------------------------------------------
+    def _estimate(self, ordered: list[CorrectionCollection]) -> MultilevelEstimate:
+        """The telescoping estimate of per-level collections, priced by the cost model."""
+        costs = [self.cost_model.mean(level) for level in range(len(ordered))]
+        return MultilevelEstimate.from_corrections(ordered, costs_per_sample=costs)
+
     @staticmethod
     def _wire_stats(world) -> dict[str, float]:
         """The world's wire counters, if its transport has a wire fabric."""
@@ -528,11 +531,7 @@ class ParallelMLMCMCSampler:
         if self.backend == "simulated":
             # Per-level model-evaluation statistics straight from the problems'
             # evaluators — the single source of truth for evaluation counts and
-            # measured (real, not virtual) per-evaluation cost.  Callers wanting
-            # a scheduler cost model calibrated from these measurements feed
-            # them to MeasuredCostModel.observe_stats / cost_model_from_stats
-            # explicitly; the run never mutates the cost model it was given
-            # (its other observations are in virtual-time units).  All virtual
+            # measured (real, not virtual) per-evaluation cost.  All virtual
             # controllers share one problem cache, so it is read once here
             # rather than summed per controller.
             built = self.config.problems.built_problems()
@@ -573,8 +572,7 @@ class ParallelMLMCMCSampler:
             corrections.get(level, CorrectionCollection(level))
             for level in range(num_levels)
         ]
-        costs = [self.cost_model.mean(level) for level in range(num_levels)]
-        estimate = MultilevelEstimate.from_corrections(ordered, costs_per_sample=costs)
+        estimate = self._estimate(ordered)
         from repro.parallel.checkpoint import FINAL_SNAPSHOT_NAME
 
         return ParallelMLMCMCResult(
@@ -668,10 +666,7 @@ class ParallelMLMCMCSampler:
         estimate = None
         if all(len(corrections.get(level, ())) > 0 for level in range(num_levels)):
             ordered = [corrections[level] for level in range(num_levels)]
-            costs = [self.cost_model.mean(level) for level in range(num_levels)]
-            estimate = MultilevelEstimate.from_corrections(
-                ordered, costs_per_sample=costs
-            )
+            estimate = self._estimate(ordered)
 
         stats = self._gather_stats(world)
         return ParallelMLMCMCResult(

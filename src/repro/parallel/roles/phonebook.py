@@ -18,7 +18,6 @@ from __future__ import annotations
 from collections import deque
 from typing import Generator
 
-from repro.parallel.costmodel import MeasuredCostModel
 from repro.parallel.loadbalancer import (
     DynamicLoadBalancer,
     LevelLoad,
@@ -52,7 +51,9 @@ class PhonebookProcess(RankProcess):
     def __init__(self, rank: int, config: RunConfiguration) -> None:
         super().__init__(rank)
         self.config = config
-        self.measured_costs = MeasuredCostModel(config.cost_model)
+        # Per-level evaluation time inferred from the durations controllers
+        # report (an exponential moving average); ``None`` until observed.
+        self._measured_cost: list[float | None] = [None] * config.num_levels
         # A freshly reassigned work group only contributes after re-running its
         # burn-in, so decisions are spaced by a fraction of the typical burn-in time.
         burnin_times = [
@@ -61,7 +62,7 @@ class PhonebookProcess(RankProcess):
         ]
         min_interval = 0.25 * float(sum(burnin_times) / max(1, len(burnin_times)))
         self.balancer = (
-            DynamicLoadBalancer(cost_model=self.measured_costs, min_interval=min_interval)
+            DynamicLoadBalancer(level_cost=self.level_cost, min_interval=min_interval)
             if config.dynamic_load_balancing
             else StaticLoadBalancer()
         )
@@ -146,7 +147,7 @@ class PhonebookProcess(RankProcess):
                 self._buffered_samples[info.level] += count
             duration = payload.get("duration")
             if duration is not None:
-                self.measured_costs.observe(int(payload["level"]), float(duration))
+                self._observe_cost(int(payload["level"]), float(duration))
         elif tag == Tags.CORRECTION_READY:
             info = self._controllers.get(int(payload["rank"]))
             if info is not None:
@@ -155,7 +156,7 @@ class PhonebookProcess(RankProcess):
                 self._buffered_corrections[info.level] += count
             duration = payload.get("duration")
             if duration is not None:
-                self.measured_costs.observe(int(payload["level"]), float(duration))
+                self._observe_cost(int(payload["level"]), float(duration))
         elif tag == Tags.SAMPLE_REQUEST:
             level = int(payload["level"])
             self._chain_requests[level].append(int(payload["requester"]))
@@ -171,6 +172,20 @@ class PhonebookProcess(RankProcess):
             self._collected_reported = [int(c) for c in payload["collected"]]
 
     # ------------------------------------------------------------------
+    def _observe_cost(self, level: int, duration: float) -> None:
+        """Blend one reported evaluation duration into the level's estimate."""
+        if duration <= 0:
+            return
+        measured = self._measured_cost[level]
+        self._measured_cost[level] = (
+            duration if measured is None else 0.8 * measured + 0.2 * duration
+        )
+
+    def level_cost(self, level: int) -> float:
+        """The measured evaluation time of a level, else the configured mean."""
+        measured = self._measured_cost[level]
+        return self.config.cost_model.mean(level) if measured is None else measured
+
     def _rebuild_levels(self) -> None:
         """Re-derive the per-level views after a membership change."""
         by_level: list[list[_ControllerInfo]] = [[] for _ in self._by_level]
@@ -268,7 +283,7 @@ class PhonebookProcess(RankProcess):
                     self._collected_reported[level],
                 )
                 outstanding = max(0, self._live_targets[level] - done_count)
-                remaining_costs[level] = outstanding * self.measured_costs.mean(level)
+                remaining_costs[level] = outstanding * self.level_cost(level)
         total_remaining = sum(remaining_costs)
         for level in range(self.config.num_levels):
             # A level is needed as a proposal source as long as ANY finer level
@@ -308,8 +323,8 @@ class PhonebookProcess(RankProcess):
             # The reassigned group must redo burn-in before it helps; freeze
             # further decisions for that long (plus one model evaluation of slack).
             target = decision.target_level
-            burnin_time = self.config.burnin[target] * self.measured_costs.mean(target)
-            self._rebalance_cooldown_until = self.now + burnin_time + self.measured_costs.mean(target)
+            burnin_time = self.config.burnin[target] * self.level_cost(target)
+            self._rebalance_cooldown_until = self.now + burnin_time + self.level_cost(target)
         return decision
 
     def _apply_rebalance(self, decision: RebalanceDecision) -> Generator:

@@ -15,11 +15,11 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.core.allocation import AllocationPolicy
+from repro.core.costmodel import CostModel
 from repro.core.factory import MIComponentFactory
 from repro.core.problem import AbstractSamplingProblem
 from repro.multiindex import MultiIndex
 from repro.parallel.checkpoint import CheckpointConfig
-from repro.parallel.costmodel import CostModel
 from repro.parallel.layout import ProcessLayout
 
 __all__ = ["Tags", "RunConfiguration", "SharedProblemCache"]

@@ -19,8 +19,8 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.core.costmodel import CostModel
 from repro.core.factory import MIComponentFactory
-from repro.parallel.costmodel import CostModel
 from repro.parallel.parallel_mlmcmc import ParallelMLMCMCResult, ParallelMLMCMCSampler
 
 __all__ = ["ScalingPoint", "ScalingStudyResult", "strong_scaling_study", "weak_scaling_study"]

@@ -52,7 +52,7 @@ from repro.swe.state import (
     ShallowWaterEnsembleState,
     ShallowWaterState,
 )
-from repro.utils.array_api import array_namespace, resolve_backend, resolve_dtype
+from repro.utils.array_api import array_namespace, resolve_dtype
 
 __all__ = ["ShallowWaterSolver2D", "SimulationResult", "EnsembleSimulationResult"]
 
@@ -204,10 +204,6 @@ class ShallowWaterSolver2D:
         kernel preserves it; the CFL control plane (per-member step sizes and
         simulation times) stays double so float32 members take the same steps
         a scalar run of the same member would.
-    backend:
-        Explicit array backend name (``"numpy"``, ``"cupy"``, ``"torch"``);
-        ``None`` infers the namespace from the bathymetry array (NumPy for
-        plain arrays).  All kernels run through the resolved namespace.
     """
 
     def __init__(
@@ -221,7 +217,6 @@ class ShallowWaterSolver2D:
         flux: Literal["rusanov", "hll"] = "rusanov",
         dry_tolerance: float = DRY_TOLERANCE,
         dtype=None,
-        backend: str | None = None,
     ) -> None:
         self.nx = int(nx)
         self.ny = int(ny)
@@ -230,7 +225,7 @@ class ShallowWaterSolver2D:
         self.dx = (x1 - x0) / self.nx
         self.dy = (y1 - y0) / self.ny
         self.dtype = resolve_dtype(dtype)
-        xp = resolve_backend(backend) if backend else array_namespace(bathymetry)
+        xp = array_namespace(bathymetry)
         self._xp = xp
         bathy = xp.asarray(bathymetry, dtype=self.dtype)
         if bathy.shape != (self.nx, self.ny):

@@ -168,9 +168,6 @@ class TohokuLikeScenario:
         ``"float32"``) mapping each level to its solve dtype.  Parameters and
         observables stay double regardless — only the forward solves run at
         the level's dtype.
-    backend:
-        Explicit array backend name passed through to the per-level solvers
-        (``None`` means NumPy / inferred from the bathymetry arrays).
     """
 
     #: gauge locations loosely mimicking DART buoys 21418 and 21419 relative
@@ -191,7 +188,6 @@ class TohokuLikeScenario:
         gauges: tuple[Gauge, ...] | None = None,
         cfl: float = 0.45,
         precision: str | None = None,
-        backend: str | None = None,
     ) -> None:
         self.extent = extent
         self.epicenter = epicenter
@@ -211,7 +207,6 @@ class TohokuLikeScenario:
             )
         )
         self.precision = precision or "float64"
-        self.backend = backend
         self._level_dtypes = level_dtypes(self.precision, len(self.level_configs))
         self._plan_cache: dict[tuple[int, int, str], ScenarioPlan] = {}
 
@@ -252,7 +247,6 @@ class TohokuLikeScenario:
                 bathymetry=self.level_bathymetry(level),
                 cfl=self.cfl,
                 dtype=dtype,
-                backend=self.backend,
             )
             cell_x, cell_y = solver.cell_centers()
             self._plan_cache[key] = ScenarioPlan(

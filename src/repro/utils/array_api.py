@@ -2,24 +2,10 @@
 
 The ensemble kernels (:mod:`repro.swe.fv2d`, :mod:`repro.fem.assembly`) are
 written against a namespace object ``xp`` instead of a hard ``import numpy``:
-every array operation is spelled ``xp.add(a, b, out=c)``-style, so the same
-kernel source runs on any backend whose module exposes the NumPy ufunc
-surface.  NumPy is the default and the only backend guaranteed present; CuPy
-is a drop-in replacement when installed (same ufunc signatures, same ``out=``
-semantics), and PyTorch is accepted best-effort through its ``torch.*``
-function namespace.  Neither optional backend is imported at module load —
-:func:`resolve_backend` imports lazily and raises a helpful error when the
-requested backend is not installed, so the import graph stays NumPy-only on
-machines without accelerators.
-
-Two resolution paths exist:
-
-* :func:`array_namespace` — infer ``xp`` from the arrays flowing through a
-  kernel (the array-API ``__array_namespace__`` protocol first, module origin
-  second, NumPy as the fallback for plain Python sequences).
-* :func:`resolve_backend` — map an explicit option string (``"numpy"``,
-  ``"cupy"``, ``"torch"``) to its namespace, for call sites configured by
-  name rather than by the data they receive.
+every array operation is spelled ``xp.add(a, b, out=c)``-style, so the kernel
+source does not name its array library.  :func:`array_namespace` infers
+``xp`` from the arrays flowing through a kernel: the array-API
+``__array_namespace__`` protocol first, NumPy for anything else.
 
 The second half of the module is the *precision ladder* used by
 ``ExperimentSpec.precision``: a named policy mapping each level of a model
@@ -37,20 +23,13 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "KNOWN_BACKENDS",
     "PRECISION_LADDERS",
     "array_namespace",
-    "backend_available",
-    "backend_name",
     "float_vector",
     "level_dtype",
     "level_dtypes",
-    "resolve_backend",
     "resolve_dtype",
 ]
-
-#: backend option strings understood by :func:`resolve_backend`
-KNOWN_BACKENDS = ("numpy", "cupy", "torch")
 
 #: precision-ladder policies understood by :func:`level_dtypes`:
 #: ``float64`` solves every level in double (the seed behaviour),
@@ -61,77 +40,29 @@ PRECISION_LADDERS = ("float64", "float32-coarse", "float32")
 
 # ---------------------------------------------------------------------------
 # namespace resolution
-def resolve_backend(name: str | None):
-    """The array namespace for an explicit backend option string.
-
-    ``None`` and ``"numpy"`` return NumPy; ``"cupy"`` and ``"torch"`` are
-    imported lazily and raise ``ImportError`` with an actionable message when
-    the package is not installed (nothing in this repository installs them —
-    they are opt-in accelerator backends).
-    """
-    if name is None or name == "numpy":
-        return np
-    if name not in KNOWN_BACKENDS:
-        raise ValueError(
-            f"unknown array backend {name!r}; known backends: {', '.join(KNOWN_BACKENDS)}"
-        )
-    try:
-        return __import__(name)
-    except ImportError as error:
-        raise ImportError(
-            f"array backend {name!r} requested but the {name!r} package is not "
-            f"installed; install it or use backend='numpy'"
-        ) from error
-
-
-def backend_available(name: str) -> bool:
-    """Whether :func:`resolve_backend` would succeed for ``name``."""
-    try:
-        resolve_backend(name)
-    except ImportError:
-        return False
-    return True
-
-
 def array_namespace(*arrays):
     """Infer the ``xp`` namespace from the arrays a kernel received.
 
-    Resolution order per array: the array-API standard's
-    ``__array_namespace__`` hook, then the defining module's top-level package
-    (which maps ``cupy.ndarray`` to ``cupy`` and ``torch.Tensor`` to
-    ``torch``), then NumPy for anything NumPy can coerce.  Mixing arrays from
-    different backends is an error — silent device transfers are exactly the
-    failure mode this helper exists to prevent.
+    An array's array-API ``__array_namespace__`` hook names its namespace;
+    anything without one (Python scalars and sequences) is NumPy.  Mixing
+    arrays from different namespaces is an error, never a silent transfer.
     """
     namespaces = []
     for array in arrays:
         if array is None:
             continue
         hook = getattr(array, "__array_namespace__", None)
-        if hook is not None:
-            namespace = hook()
-        elif isinstance(array, np.ndarray) or np.isscalar(array):
-            namespace = np
-        else:
-            module = type(array).__module__.partition(".")[0]
-            namespace = resolve_backend(module) if module in KNOWN_BACKENDS else np
+        namespace = hook() if hook is not None else np
         if all(namespace is not seen for seen in namespaces):
             namespaces.append(namespace)
     if not namespaces:
         return np
     if len(namespaces) > 1:
-        names = sorted(backend_name(ns) for ns in namespaces)
+        names = sorted(getattr(ns, "__name__", str(ns)) for ns in namespaces)
         raise TypeError(
-            f"arrays from different backends cannot be mixed: {', '.join(names)}"
+            f"arrays from different namespaces cannot be mixed: {', '.join(names)}"
         )
     return namespaces[0]
-
-
-def backend_name(namespace) -> str:
-    """Short name of a namespace object (``"numpy"``, ``"cupy"``, ...)."""
-    name = getattr(namespace, "__name__", str(namespace))
-    # numpy's array-API hook returns the main module; keep the top package name
-    return name.partition(".")[0]
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ import pytest
 from repro.core import (
     AllocationRound,
     ContinuationAllocation,
+    CostModel,
     FixedAllocation,
     LevelSnapshot,
     MLMCMCSampler,
@@ -30,7 +31,6 @@ from repro.core.sample_collection import (
     SamplingState,
 )
 from repro.models.gaussian import GaussianHierarchyFactory
-from repro.parallel import ConstantCostModel
 
 
 def _snapshots(counts, variances, costs):
@@ -340,7 +340,7 @@ class TestSequentialAllocation:
                 gaussian_factory,
                 seed=7,
                 allocation=policy,
-                cost_model=ConstantCostModel(prices),
+                cost_model=CostModel(prices),
             ).run()
 
         first, second = run_once(), run_once()

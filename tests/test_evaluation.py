@@ -304,10 +304,11 @@ class TestMLMCMCWithEvaluators:
         assert all(cost > 0.0 for cost in result.costs_per_sample)
 
     def test_parallel_result_carries_evaluator_stats(self):
-        from repro.parallel import ConstantCostModel, MeasuredCostModel, ParallelMLMCMCSampler
+        from repro.core import CostModel
+        from repro.parallel import ParallelMLMCMCSampler
 
         factory = GaussianHierarchyFactory(dim=2, num_levels=2, subsampling=2)
-        cost_model = ConstantCostModel([0.01, 0.04])
+        cost_model = CostModel([0.01, 0.04])
         result = ParallelMLMCMCSampler(
             factory,
             num_samples=[120, 40],
@@ -320,26 +321,3 @@ class TestMLMCMCWithEvaluators:
         assert result.model_evaluations[0] > result.model_evaluations[1]
         # worker-free layouts still aggregate stats (possibly empty)
         assert result.worker_busy_time() >= 0.0
-        # measured cost models consume the result's evaluator statistics
-        measured = MeasuredCostModel(ConstantCostModel([1.0, 1.0]))
-        for level, stats in result.evaluation_stats.items():
-            measured.observe_stats(level, stats)
-        assert measured.num_observations(0) == 1
-        assert 0.0 < measured.mean(0) < 1.0  # real per-eval seconds, not the prior
-
-    def test_cost_model_from_stats(self):
-        from repro.parallel.costmodel import cost_model_from_stats
-
-        stats = EvaluatorStats()
-        stats.record("log_density", wall_time=2.0, cost=1.0)
-        stats.record("log_density", wall_time=4.0, cost=1.0)
-        # QOI events must not dilute the per-density-evaluation mean ...
-        stats.record("qoi", wall_time=0.0, cost=1.0)
-        model = cost_model_from_stats({0: stats})
-        assert model.mean(0) == pytest.approx(3.0)
-        assert model.num_observations(0) == 1  # one snapshot = one observation
-        # ... and QOI-only snapshots are ignored entirely
-        qoi_only = EvaluatorStats()
-        qoi_only.record("qoi", wall_time=1.0, cost=1.0)
-        model.observe_stats(0, qoi_only)
-        assert model.num_observations(0) == 1

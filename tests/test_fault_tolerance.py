@@ -20,6 +20,7 @@ import queue as queue_module
 import numpy as np
 import pytest
 
+from repro.core import CostModel
 from repro.core.chain import SingleChainMCMC
 from repro.core.kernels import MHKernel
 from repro.core.problem import GaussianTargetProblem
@@ -32,7 +33,6 @@ from repro.parallel import (
     CheckpointConfig,
     CheckpointError,
     Checkpointer,
-    ConstantCostModel,
     EvaluatorFault,
     FaultPlan,
     FaultToleranceConfig,
@@ -53,7 +53,7 @@ def _sampler(factory, **overrides):
     options = dict(
         num_samples=[60, 24, 10],
         num_ranks=10,
-        cost_model=ConstantCostModel([0.01, 0.04, 0.16]),
+        cost_model=CostModel([0.01, 0.04, 0.16]),
         seed=5,
     )
     options.update(overrides)

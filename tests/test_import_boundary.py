@@ -75,8 +75,6 @@ class TestImportBoundary:
 
         # values without a __module__ of their own, by defining module
         constants = {
-            "POISSON_PAPER_COSTS": "repro.parallel.costmodel",
-            "TSUNAMI_PAPER_COSTS": "repro.parallel.costmodel",
             "__version__": "repro",
         }
         for package in ("repro", "repro.models", "repro.parallel"):
@@ -107,6 +105,12 @@ PURITY_SPECS = {
     "sequential-gaussian": """ExperimentSpec(
         name="purity", driver="sequential", application="gaussian",
         problem={"dim": 2, "num_levels": 2}, sampler={"num_samples": [40, 10]}, seed=0)""",
+    "sequential-priced": """ExperimentSpec(
+        name="purity", driver="sequential", application="gaussian",
+        problem={"dim": 2, "num_levels": 2},
+        sampler={"num_samples": [40, 10], "cost_per_level": [1.0, 4.0], "cost_cv": 0.3},
+        budget={"policy": "adaptive", "target_mse": 1e-2, "pilot": [8, 4], "max_rounds": 2},
+        seed=0)""",
     "sequential-tsunami": 'get_scenario("table4-tsunami-multilevel").resolved(quick=True)',
     "parallel-simulated": 'get_scenario("fig09-load-balancing").resolved(quick=True)',
     "parallel-multiprocess": """get_scenario("poisson-parallel").resolved(
@@ -128,4 +132,14 @@ def test_timed_region_imports_nothing(case):
     run_scenario(spec)
     added = sorted(set(sys.modules) - before)
     assert not added, added
+    """)
+
+
+def test_sequential_run_with_declared_costs_loads_no_parallel_module():
+    """A sequential run prices its allocation with ``repro.core.CostModel``."""
+    _fresh(f"""
+    from repro.experiments import ExperimentSpec, run_scenario
+
+    run_scenario({PURITY_SPECS["sequential-priced"]})
+    assert not loaded("repro.parallel"), loaded("repro.parallel")
     """)

@@ -1,4 +1,4 @@
-"""Tests for layout, cost models and the load-balancing policy."""
+"""Tests for layout, the cost model and the load-balancing policy."""
 
 from __future__ import annotations
 
@@ -7,13 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.parallel.costmodel import (
-    ConstantCostModel,
-    LogNormalCostModel,
-    MeasuredCostModel,
-    POISSON_PAPER_COSTS,
-    TSUNAMI_PAPER_COSTS,
-)
+from repro.core import POISSON_PAPER_COSTS, TSUNAMI_PAPER_COSTS, CostModel
 from repro.parallel.layout import ProcessLayout
 from repro.parallel.loadbalancer import (
     DynamicLoadBalancer,
@@ -93,45 +87,39 @@ class TestProcessLayout:
         assert all(len(layout.groups_for_level(level)) >= 1 for level in range(num_levels))
 
 
-class TestCostModels:
-    def test_constant(self):
-        model = ConstantCostModel([1.0, 10.0], group_sizes=[1, 4])
-        rng = np.random.default_rng(0)
+class TestCostModel:
+    def test_means_clamp_to_last_level(self):
+        model = CostModel([1.0, 10.0])
         assert model.mean(0) == 1.0
-        assert model.sample(1, rng) == 10.0
-        assert model.group_size(1) == 4
-        # out-of-range level clamps to the last entry
+        assert model.mean(1) == 10.0
         assert model.mean(5) == 10.0
 
-    def test_constant_validation(self):
-        with pytest.raises(ValueError):
-            ConstantCostModel([0.0, 1.0])
+    @pytest.mark.parametrize("means", [[0.0, 1.0], [1.0, -2.0], []])
+    def test_means_must_be_positive(self, means):
+        with pytest.raises(ValueError, match="positive"):
+            CostModel(means)
+
+    def test_negative_cv_rejected(self):
+        with pytest.raises(ValueError, match="cv"):
+            CostModel([1.0], cv=-0.1)
+
+    def test_zero_cv_returns_the_mean_and_leaves_rng_untouched(self):
+        model = CostModel([3.0, 5.0])
+        rng = np.random.default_rng(2)
+        before = rng.bit_generator.state
+        assert model.sample(0, rng) == 3.0
+        assert model.sample(7, rng) == 5.0
+        assert rng.bit_generator.state == before
 
     def test_lognormal_mean_and_variability(self):
-        model = LogNormalCostModel([2.0], coefficient_of_variation=0.5)
+        model = CostModel([2.0], cv=0.5)
         rng = np.random.default_rng(1)
+        before = rng.bit_generator.state
         draws = np.array([model.sample(0, rng) for _ in range(20000)])
+        assert rng.bit_generator.state != before
         assert draws.mean() == pytest.approx(2.0, rel=0.05)
         assert draws.std() / draws.mean() == pytest.approx(0.5, rel=0.1)
         assert np.all(draws > 0)
-
-    def test_lognormal_zero_cv_is_deterministic(self):
-        model = LogNormalCostModel([3.0], coefficient_of_variation=0.0)
-        rng = np.random.default_rng(2)
-        assert model.sample(0, rng) == 3.0
-
-    def test_measured_blends_observations(self):
-        prior = ConstantCostModel([1.0, 1.0])
-        model = MeasuredCostModel(prior, smoothing=0.5)
-        rng = np.random.default_rng(0)
-        assert model.mean(0) == 1.0
-        model.observe(0, 3.0)
-        assert model.mean(0) == 3.0
-        model.observe(0, 1.0)
-        assert model.mean(0) == pytest.approx(2.0)
-        assert model.num_observations(0) == 2
-        assert model.mean(1) == 1.0  # unobserved level falls back to the prior
-        assert model.sample(0, rng) == model.mean(0)
 
     def test_paper_cost_constants(self):
         assert len(POISSON_PAPER_COSTS) == 3 and len(TSUNAMI_PAPER_COSTS) == 3
@@ -150,7 +138,7 @@ def _loads(chain0=0, chain1=0, avail0=0, avail1=0, groups=(2, 2), done=(False, F
 
 class TestLoadBalancer:
     def _balancer(self, **kwargs):
-        return DynamicLoadBalancer(cost_model=ConstantCostModel([1.0, 2.0]), **kwargs)
+        return DynamicLoadBalancer(level_cost=CostModel([1.0, 2.0]).mean, **kwargs)
 
     def test_no_decision_without_pressure(self):
         balancer = self._balancer()
@@ -203,7 +191,7 @@ class TestLoadBalancer:
         # cheap coarse levels was suppressed for 5 x the finest level's run
         # time even though neither level was involved.
         balancer = DynamicLoadBalancer(
-            cost_model=ConstantCostModel([0.01, 0.02, 1000.0]),
+            level_cost=CostModel([0.01, 0.02, 1000.0]).mean,
             pressure_threshold=1.0,
             rate_limit_factor=5.0,
         )

@@ -7,10 +7,9 @@ import hashlib
 import numpy as np
 import pytest
 
+from repro.core import CostModel
 from repro.models.gaussian import GaussianHierarchyFactory
 from repro.parallel import (
-    ConstantCostModel,
-    LogNormalCostModel,
     ParallelMLMCMCSampler,
     strong_scaling_study,
     weak_scaling_study,
@@ -24,7 +23,7 @@ def factory():
 
 @pytest.fixture(scope="module")
 def cost_model():
-    return ConstantCostModel([0.01, 0.04, 0.16])
+    return CostModel([0.01, 0.04, 0.16])
 
 
 @pytest.fixture(scope="module")
@@ -96,7 +95,7 @@ class TestParallelMLMCMCRun:
             factory,
             num_samples=[300, 100, 40],
             num_ranks=14,
-            cost_model=ConstantCostModel([0.01, 0.05, 0.2]),
+            cost_model=CostModel([0.01, 0.05, 0.2]),
             dynamic_load_balancing=True,
             seed=5,
         ).run()
@@ -120,7 +119,7 @@ class TestParallelMLMCMCRun:
             factory,
             num_samples=[300, 100, 40],
             num_ranks=14,
-            cost_model=LogNormalCostModel([0.05, 0.2, 0.8], coefficient_of_variation=0.5),
+            cost_model=CostModel([0.05, 0.2, 0.8], cv=0.5),
             dynamic_load_balancing=True,
             seed=5,
         ).run()
@@ -138,7 +137,7 @@ class TestParallelMLMCMCRun:
             factory,
             num_samples=[60, 30, 10],
             num_ranks=24,
-            cost_model=ConstantCostModel([0.01, 0.04, 0.16]),
+            cost_model=CostModel([0.01, 0.04, 0.16]),
             workers_per_group=[0, 1, 2],
             seed=1,
         )
@@ -149,7 +148,7 @@ class TestParallelMLMCMCRun:
         assert worker_busy > 0
 
     def test_static_vs_dynamic_load_balancing(self, factory):
-        cost = ConstantCostModel([0.01, 0.05, 0.2])
+        cost = CostModel([0.01, 0.05, 0.2])
         common = dict(num_samples=[300, 100, 40], num_ranks=14, cost_model=cost, seed=5)
         dynamic = ParallelMLMCMCSampler(factory, dynamic_load_balancing=True, **common).run()
         static = ParallelMLMCMCSampler(factory, dynamic_load_balancing=False, **common).run()
@@ -182,7 +181,7 @@ class TestParallelSequentialConsistency:
             factory,
             num_samples=num_samples,
             num_ranks=16,
-            cost_model=ConstantCostModel([0.01, 0.04, 0.16]),
+            cost_model=CostModel([0.01, 0.04, 0.16]),
             seed=22,
         ).run()
         exact = factory.exact_mean()
@@ -193,7 +192,7 @@ class TestParallelSequentialConsistency:
 
 class TestScalingStudies:
     def test_strong_scaling_improves_then_saturates(self, factory):
-        cost = LogNormalCostModel([0.01, 0.05, 0.2], coefficient_of_variation=0.2)
+        cost = CostModel([0.01, 0.05, 0.2], cv=0.2)
         study = strong_scaling_study(
             factory,
             num_samples=[800, 250, 80],
@@ -211,7 +210,7 @@ class TestScalingStudies:
         assert len(table) == 3 and "efficiency" in table[0]
 
     def test_weak_scaling_efficiency_definition(self, factory):
-        cost = ConstantCostModel([0.01, 0.05, 0.2])
+        cost = CostModel([0.01, 0.05, 0.2])
         study = weak_scaling_study(
             factory,
             base_num_samples=[400, 120, 40],

@@ -22,11 +22,11 @@ import time
 import numpy as np
 import pytest
 
+from repro.core import CostModel
 from repro.experiments import get_scenario, run_scenario
 from repro.experiments.runner import BackendNotApplicableError
 from repro.models.gaussian import GaussianHierarchyFactory
 from repro.parallel import (
-    ConstantCostModel,
     FaultToleranceConfig,
     ParallelMLMCMCSampler,
 )
@@ -46,7 +46,7 @@ def _sampler(factory, **overrides):
     options = dict(
         num_samples=[60, 24, 10],
         num_ranks=10,
-        cost_model=ConstantCostModel([0.01, 0.04, 0.16]),
+        cost_model=CostModel([0.01, 0.04, 0.16]),
         seed=5,
     )
     options.update(overrides)
@@ -145,7 +145,7 @@ class TestFailureModes:
             factory,
             num_samples=[30, 12, 6],
             num_ranks=10,
-            cost_model=ConstantCostModel([0.01, 0.04, 0.16]),
+            cost_model=CostModel([0.01, 0.04, 0.16]),
             seed=3,
         )
         with pytest.raises(RuntimeError, match=r"level\(s\) \[1\]"):

@@ -11,9 +11,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core import CostModel
 from repro.core.sample_collection import CorrectionCollection
 from repro.models.gaussian import GaussianHierarchyFactory
-from repro.parallel.costmodel import ConstantCostModel
 from repro.parallel.layout import ProcessLayout
 from repro.parallel.roles import (
     CollectorProcess,
@@ -32,7 +32,7 @@ def make_config(num_ranks: int = 10, dynamic: bool = True) -> RunConfiguration:
     return RunConfiguration(
         factory=factory,
         layout=layout,
-        cost_model=ConstantCostModel([0.01, 0.05]),
+        cost_model=CostModel([0.01, 0.05]),
         num_samples=[20, 10],
         burnin=[2, 2],
         subsampling_rates=[0, 2],
@@ -72,7 +72,7 @@ class TestRunConfiguration:
         layout = ProcessLayout.create(num_ranks=10, num_levels=2)
         with pytest.raises(ValueError):
             RunConfiguration(
-                factory=factory, layout=layout, cost_model=ConstantCostModel([1.0, 1.0]),
+                factory=factory, layout=layout, cost_model=CostModel([1.0, 1.0]),
                 num_samples=[10], burnin=[1, 1], subsampling_rates=[0, 1],
             )
 

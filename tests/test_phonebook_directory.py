@@ -17,8 +17,8 @@ from typing import Generator
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import CostModel
 from repro.models.gaussian import GaussianHierarchyFactory
-from repro.parallel.costmodel import ConstantCostModel
 from repro.parallel.layout import ProcessLayout
 from repro.parallel.loadbalancer import LevelLoad, RebalanceDecision
 from repro.parallel.roles import PhonebookProcess, RunConfiguration, Tags
@@ -34,7 +34,7 @@ def make_config() -> RunConfiguration:
     return RunConfiguration(
         factory=factory,
         layout=ProcessLayout.create(num_ranks=24, num_levels=NUM_LEVELS),
-        cost_model=ConstantCostModel([0.01, 0.05, 0.2]),
+        cost_model=CostModel([0.01, 0.05, 0.2]),
         num_samples=[40, 20, 10],
         burnin=[2, 2, 2],
         subsampling_rates=[0, 2, 2],
@@ -79,14 +79,14 @@ class _ScanPhonebook(PhonebookProcess):
                 info.available_samples += int(payload.get("count", 1))
             duration = payload.get("duration")
             if duration is not None:
-                self.measured_costs.observe(int(payload["level"]), float(duration))
+                self._observe_cost(int(payload["level"]), float(duration))
         elif tag == Tags.CORRECTION_READY:
             info = self._controllers.get(int(payload["rank"]))
             if info is not None:
                 info.available_corrections += int(payload.get("count", 1))
             duration = payload.get("duration")
             if duration is not None:
-                self.measured_costs.observe(int(payload["level"]), float(duration))
+                self._observe_cost(int(payload["level"]), float(duration))
         elif tag == Tags.SAMPLE_REQUEST:
             level = int(payload["level"])
             self._chain_requests[level].append(int(payload["requester"]))
@@ -324,3 +324,18 @@ class TestIncrementalDirectory:
             dt, (tag, payload) = steps[position]
             clock.now += dt
             feed(tag, payload)
+
+
+class TestMeasuredCost:
+    def test_blends_reported_durations(self):
+        phonebook = PhonebookProcess(1, make_config())
+        assert phonebook.level_cost(0) == 0.01  # unobserved: the configured mean
+        phonebook._observe_cost(0, 0.0)  # a non-positive duration is ignored
+        assert phonebook.level_cost(0) == 0.01
+        phonebook._observe_cost(0, 3.0)  # the first observation is taken as is
+        assert phonebook.level_cost(0) == 3.0
+        phonebook._observe_cost(0, 1.0)
+        assert phonebook.level_cost(0) == 0.8 * 3.0 + 0.2 * 1.0
+        phonebook._observe_cost(0, -1.0)
+        assert phonebook.level_cost(0) == 0.8 * 3.0 + 0.2 * 1.0
+        assert phonebook.level_cost(1) == 0.05  # other levels are unaffected

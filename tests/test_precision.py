@@ -24,43 +24,28 @@ from repro.models.gaussian import GaussianHierarchyFactory, GaussianIdentityForw
 from repro.models.poisson import PoissonInverseProblemFactory
 from repro.models.tsunami import TsunamiInverseProblemFactory, TsunamiLevelSpec
 from repro.utils.array_api import (
-    KNOWN_BACKENDS,
     PRECISION_LADDERS,
     array_namespace,
-    backend_available,
-    backend_name,
     level_dtype,
     level_dtypes,
-    resolve_backend,
     resolve_dtype,
 )
 
 
 class TestArrayApiShim:
-    def test_numpy_is_default_and_always_available(self):
-        assert resolve_backend(None) is np
-        assert resolve_backend("numpy") is np
-        assert backend_available("numpy")
-
-    def test_unknown_backend_name_rejected(self):
-        with pytest.raises(ValueError, match="unknown array backend"):
-            resolve_backend("jax")
-
-    @pytest.mark.parametrize("name", ["cupy", "torch"])
-    def test_optional_backends_gated_not_required(self, name):
-        if backend_available(name):
-            pytest.skip(f"{name} installed in this environment")
-        with pytest.raises(ImportError, match=name):
-            resolve_backend(name)
-
     def test_array_namespace_infers_numpy(self):
         assert array_namespace(np.zeros(3), np.float32(1.0)) is np
         assert array_namespace() is np
         assert array_namespace(None, [1.0, 2.0]) is np
 
-    def test_backend_name_of_numpy(self):
-        assert backend_name(np) == "numpy"
-        assert "numpy" in KNOWN_BACKENDS
+    def test_array_namespace_follows_the_array_api_hook(self):
+        class _Array:
+            def __array_namespace__(self):
+                return "other"
+
+        assert array_namespace(_Array(), None) == "other"
+        with pytest.raises(TypeError, match="cannot be mixed"):
+            array_namespace(_Array(), np.zeros(2))
 
     def test_resolve_dtype(self):
         assert resolve_dtype(None) == np.dtype(np.float64)

@@ -30,10 +30,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from repro.core import CostModel
 from repro.core.allocation import ContinuationAllocation, SamplingBudget
 from repro.experiments import get_scenario, run_scenario, validate_manifest
 from repro.models.gaussian import GaussianHierarchyFactory
-from repro.parallel import ConstantCostModel, ParallelMLMCMCSampler
+from repro.parallel import ParallelMLMCMCSampler
 
 BACKENDS = ("simulated", "multiprocess", "socket")
 REAL_BACKENDS = ("multiprocess", "socket")
@@ -49,7 +50,7 @@ def _sampler(factory, backend, **overrides):
     options = dict(
         num_samples=NUM_SAMPLES,
         num_ranks=8,
-        cost_model=ConstantCostModel([0.01, 0.04, 0.16]),
+        cost_model=CostModel([0.01, 0.04, 0.16]),
         seed=11,
         backend=backend,
     )
