@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -78,6 +80,29 @@ class TestSequentialMLMCMC:
         assert all(evals > 0 for evals in result.model_evaluations)
         assert result.wall_time > 0.0
         assert [len(c) for c in result.corrections] == [300, 100, 50]
+
+    def test_golden_sequential_run(self):
+        """A fixed sequential run keeps its exact estimate and chain counts.
+
+        Pins the ``gaussian_seq`` benchmark hierarchy at small sample counts:
+        any change to how the per-level chain stacks are built, seeded or
+        stepped (including the embedded coarse-source chains, whose work shows
+        in the per-level model-evaluation counts) fails here.
+        """
+        factory = GaussianHierarchyFactory(dim=4, num_levels=3, decay=0.5, subsampling=5)
+        result = MLMCMCSampler(factory, num_samples=[400, 100, 40], seed=1).run()
+        assert hashlib.sha256(result.mean.tobytes()).hexdigest() == (
+            "ae4eab4a61ed3caee461a7aed41c96186dde11b4652611ce9d6701dce86e46a5"
+        )
+        assert [chain.steps_taken for chain in result.chains] == [440, 110, 44]
+        assert [chain.kernel.num_accepted for chain in result.chains] == [114, 90, 40]
+        assert result.model_evaluations == [2095, 333, 45]
+
+        estimate, chain = run_single_level_mcmc(factory, level=2, num_samples=300, seed=2)
+        assert hashlib.sha256(estimate.mean.tobytes()).hexdigest() == (
+            "2309b1be45688dc1253948ce55fc82b85612cac73591f2a534eb80e9f1379520"
+        )
+        assert (chain.steps_taken, chain.kernel.num_accepted) == (330, 63)
 
     def test_num_samples_validation(self, gaussian_factory):
         with pytest.raises(ValueError):
