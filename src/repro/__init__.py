@@ -31,7 +31,6 @@ __all__ = [
     "AbstractSamplingProblem",
     "BayesianSamplingProblem",
     "GaussianTargetProblem",
-    "MIComponentFactory",
     "MLComponentFactory",
     "MLMCMCResult",
     "MLMCMCSampler",
@@ -66,7 +65,6 @@ __getattr__, __dir__ = lazy_exports(
             "AbstractSamplingProblem",
             "BayesianSamplingProblem",
             "GaussianTargetProblem",
-            "MIComponentFactory",
             "MLComponentFactory",
             "MLMCMCResult",
             "MLMCMCSampler",

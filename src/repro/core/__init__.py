@@ -2,8 +2,8 @@
 
 The component architecture mirrors MUQ's sampling stack, which the paper's
 parallel implementation builds on: sampling problems, proposals, transition
-kernels, single chains, sample collections, the multi-index component factory
-and the sequential multilevel driver.
+kernels, single chains, sample collections, the level-indexed component
+factory (levels are integers) and the sequential multilevel driver.
 """
 
 from repro.core.state import SamplingState
@@ -24,14 +24,9 @@ from repro.core.proposals import (
     ChainSampleSource,
 )
 from repro.core.kernels import MHKernel, MultilevelKernel, TransitionKernel, KernelResult
-from repro.core.interpolation import (
-    MIInterpolation,
-    IdentityInterpolation,
-    BlockInterpolation,
-)
 from repro.core.chain import SingleChainMCMC, SubsampledChainSource
 from repro.core.sample_collection import SampleCollection, CorrectionCollection
-from repro.core.factory import MIComponentFactory, MLComponentFactory
+from repro.core.factory import LevelProblems, MLComponentFactory, level_chain
 from repro.core.estimators import (
     LevelContribution,
     MultilevelEstimate,
@@ -78,15 +73,13 @@ __all__ = [
     "MultilevelKernel",
     "TransitionKernel",
     "KernelResult",
-    "MIInterpolation",
-    "IdentityInterpolation",
-    "BlockInterpolation",
     "SingleChainMCMC",
     "SubsampledChainSource",
     "SampleCollection",
     "CorrectionCollection",
-    "MIComponentFactory",
+    "LevelProblems",
     "MLComponentFactory",
+    "level_chain",
     "LevelContribution",
     "MultilevelEstimate",
     "MonteCarloEstimate",

@@ -135,8 +135,8 @@ class SingleChainMCMC:
 
         Captures everything :meth:`load_state_dict` needs to continue the
         chain *bitwise identically* to an uninterrupted run: the RNG's
-        bit-generator state, the kernel counters, the current state and the
-        recorded collections.  Model caches (problems, evaluators) are
+        bit-generator state, the kernel counters and proposal adaptation state,
+        the current state and the recorded collections.  Model caches (problems, evaluators) are
         deliberately excluded — they are rebuilt by the host process.
         """
         return {

@@ -1,11 +1,16 @@
-"""Multi-index component factory.
+"""Level-indexed component factory.
 
-The user-facing interface of the (parallel) MLMCMC implementation mirrors the
-paper's ``MIComponentFactory`` (Fig. 7): for every model index the factory
-provides the sampling problem, the level-specific proposal, how proposals are
-drawn from coarser chains, how coarse and fine parameter blocks are combined,
-and a starting point.  A single implementation of this interface is all a user
-has to supply to run sequential or parallel MLMCMC on their model.
+The user-facing interface of the (parallel) MLMCMC implementation is MUQ's
+multi-index component factory (the paper's Fig. 7) restricted to
+one-dimensional indices: levels are plain integers ``0..L``.  For every level the factory
+provides the sampling problem, the proposal, the starting point and the
+subsampling rate of the coarse chain feeding it.  A single implementation of
+this interface is all a user has to supply to run sequential or parallel
+MLMCMC on their model.
+
+:class:`LevelProblems` and :func:`level_chain` turn a factory into chains;
+the sequential sampler, the parallel controllers and the single-level
+baseline all build their chains through them.
 """
 
 from __future__ import annotations
@@ -14,92 +19,19 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 
-from repro.core.interpolation import IdentityInterpolation, MIInterpolation
+from repro.core.chain import SingleChainMCMC
+from repro.core.kernels.mh import MHKernel
+from repro.core.kernels.multilevel import MultilevelKernel
 from repro.core.problem import AbstractSamplingProblem
 from repro.core.proposals.base import MCMCProposal
 from repro.core.proposals.subsampling import ChainSampleSource, SubsamplingProposal
-from repro.evaluation import Evaluator, make_evaluator
-from repro.multiindex import MultiIndex, MultiIndexSet, multilevel_set
+from repro.evaluation import Evaluator, EvaluatorStats, make_evaluator
 
-__all__ = ["MIComponentFactory", "MLComponentFactory"]
-
-
-class MIComponentFactory(ABC):
-    """Factory describing a model hierarchy for multi-index MCMC."""
-
-    # -- required interface -------------------------------------------------
-    @abstractmethod
-    def sampling_problem(self, index: MultiIndex) -> AbstractSamplingProblem:
-        """The sampling problem (posterior + QOI) for the given model index."""
-
-    @abstractmethod
-    def finest_index(self) -> MultiIndex:
-        """The finest model index the user provides (``L`` in Algorithm 2)."""
-
-    @abstractmethod
-    def proposal(self, index: MultiIndex, problem: AbstractSamplingProblem) -> MCMCProposal:
-        """The level-specific proposal density ``q_l`` (used on the coarsest level
-        for the whole parameter, on finer levels for the fine-only block)."""
-
-    @abstractmethod
-    def starting_point(self, index: MultiIndex) -> np.ndarray:
-        """Starting parameters for chains of the given index."""
-
-    # -- optional hooks --------------------------------------------------------
-    def coarse_proposal(
-        self,
-        index: MultiIndex,
-        coarse_problem: AbstractSamplingProblem,
-        coarse_source: ChainSampleSource,
-    ) -> SubsamplingProposal:
-        """How proposals are drawn from the coarser chain (default: plain subsampling)."""
-        return SubsamplingProposal(coarse_source)
-
-    def interpolation(self, index: MultiIndex) -> MIInterpolation:
-        """How coarse and fine parameter blocks combine (default: identity)."""
-        return IdentityInterpolation()
-
-    def needs_fine_proposal(self, index: MultiIndex) -> bool:
-        """Whether the level needs a fine-block proposal (dimension growth)."""
-        return False
-
-    def subsampling_rate(self, index: MultiIndex) -> int:
-        """Coarse-chain subsampling rate ``rho_l`` used when proposing to level ``index``."""
-        return 1
-
-    def evaluator(self, index: MultiIndex) -> Evaluator | None:
-        """Evaluation backend for the given model index.
-
-        This hook is consulted by the factory's own ``sampling_problem``
-        implementation when it constructs problems (pass the returned backend
-        as the problem's ``evaluator``); the drivers never inject evaluators
-        after construction.  ``None`` (the default) lets the sampling problem
-        fall back to a plain :class:`~repro.evaluation.InProcessEvaluator`.
-        Factories must return a *fresh* evaluator per call — an evaluator
-        serves exactly one problem and refuses to be re-bound.
-        """
-        return None
-
-    def index_set(self) -> MultiIndexSet:
-        """All model indices, coarse to fine (default: a 1-D multilevel ladder)."""
-        finest = self.finest_index()
-        if len(finest) == 1:
-            return multilevel_set(finest.as_level() + 1)
-        raise NotImplementedError(
-            "factories with multi-dimensional indices must override index_set()"
-        )
-
-    def is_parallelizable(self) -> bool:
-        """Whether the factory's models can be evaluated by worker groups."""
-        return True
+__all__ = ["LevelProblems", "MLComponentFactory", "level_chain"]
 
 
-class MLComponentFactory(MIComponentFactory):
-    """Convenience base class for pure multilevel (1-D index) hierarchies.
-
-    Sub-classes implement the ``*_for_level`` hooks in terms of integer levels;
-    the multi-index plumbing is handled here.
-    """
+class MLComponentFactory(ABC):
+    """Factory describing a multilevel model hierarchy, levels ``0..L``."""
 
     #: evaluation backend name handed to :func:`repro.evaluation.make_evaluator`
     #: by the default :meth:`evaluator_for_level` (``None`` = in-process);
@@ -111,55 +43,108 @@ class MLComponentFactory(MIComponentFactory):
     #: callables so every level gets its own instance.
     evaluator_options: dict | None = None
 
-    # -- level-based interface ------------------------------------------------
     @abstractmethod
     def num_levels(self) -> int:
         """Number of levels ``L + 1`` in the hierarchy."""
 
     @abstractmethod
     def problem_for_level(self, level: int) -> AbstractSamplingProblem:
-        """Sampling problem for an integer level."""
+        """The sampling problem (posterior + QOI) of a level."""
 
     @abstractmethod
     def proposal_for_level(self, level: int, problem: AbstractSamplingProblem) -> MCMCProposal:
-        """Proposal for an integer level."""
+        """The proposal density of a level's Metropolis-Hastings chain.
+
+        Level 0 of a multilevel run and the single-level baseline sample with
+        it; finer multilevel levels draw their proposals from the coarser
+        chain.
+        """
 
     @abstractmethod
     def starting_point_for_level(self, level: int) -> np.ndarray:
-        """Starting point for an integer level."""
+        """Starting parameters for chains of a level."""
 
     def subsampling_rate_for_level(self, level: int) -> int:
         """Subsampling rate ``rho_l`` for proposing from level ``level - 1``."""
         return 1
 
     def evaluator_for_level(self, level: int) -> Evaluator | None:
-        """Evaluation backend for an integer level (``None`` = in-process default).
+        """Evaluation backend for a level (``None`` = in-process default).
 
         The default builds a fresh backend from the factory's
         :attr:`evaluation_backend` / :attr:`evaluator_options` attributes (the
         shipped Gaussian/Poisson/tsunami factories expose them as constructor
         parameters); ``problem_for_level`` implementations pass the result as
-        the problem's ``evaluator``.
+        the problem's ``evaluator``.  The drivers never inject evaluators after
+        construction, and an evaluator serves exactly one problem, so every
+        call must return a *fresh* backend.
         """
         if self.evaluation_backend is None:
             return None
         return make_evaluator(self.evaluation_backend, **(self.evaluator_options or {}))
 
-    # -- MIComponentFactory implementation ------------------------------------
-    def sampling_problem(self, index: MultiIndex) -> AbstractSamplingProblem:
-        return self.problem_for_level(MultiIndex(index).as_level())
 
-    def finest_index(self) -> MultiIndex:
-        return MultiIndex(self.num_levels() - 1)
+class LevelProblems:
+    """Construct-once cache of a factory's per-level sampling problems.
 
-    def proposal(self, index: MultiIndex, problem: AbstractSamplingProblem) -> MCMCProposal:
-        return self.proposal_for_level(MultiIndex(index).as_level(), problem)
+    Problems may own expensive PDE solvers, so every chain of a level in one
+    Python process — the sequential sampler's embedded coarse chains, all
+    virtual controllers of a simulated parallel run — shares one instance.
+    Proposals are *not* cached: each chain gets its own, so adaptive
+    proposals adapt independently.
+    """
 
-    def starting_point(self, index: MultiIndex) -> np.ndarray:
-        return self.starting_point_for_level(MultiIndex(index).as_level())
+    def __init__(self, factory: MLComponentFactory) -> None:
+        self.factory = factory
+        self._problems: dict[int, AbstractSamplingProblem] = {}
 
-    def subsampling_rate(self, index: MultiIndex) -> int:
-        return self.subsampling_rate_for_level(MultiIndex(index).as_level())
+    def problem(self, level: int) -> AbstractSamplingProblem:
+        """The sampling problem of a level (constructed on first use)."""
+        problem = self._problems.get(level)
+        if problem is None:
+            problem = self._problems[level] = self.factory.problem_for_level(level)
+        return problem
 
-    def evaluator(self, index: MultiIndex) -> Evaluator | None:
-        return self.evaluator_for_level(MultiIndex(index).as_level())
+    def stats(self) -> dict[int, EvaluatorStats]:
+        """Evaluator statistics snapshots of the problems built so far, by level."""
+        return {
+            level: self._problems[level].evaluation_stats.snapshot()
+            for level in sorted(self._problems)
+        }
+
+
+def level_chain(
+    problems: LevelProblems,
+    level: int,
+    rng: np.random.Generator,
+    burnin: int,
+    coarse_source: ChainSampleSource | None = None,
+    record: bool = True,
+) -> SingleChainMCMC:
+    """Build a chain sampling ``level`` of ``problems.factory``.
+
+    Without a ``coarse_source`` the chain runs a Metropolis-Hastings kernel
+    with the factory's proposal (level 0 of a multilevel run, or the
+    single-level baseline on any level).  With one it runs a
+    :class:`~repro.core.kernels.MultilevelKernel` whose proposals are the
+    level ``l-1`` samples the source hands out.  The caller derives ``rng``
+    and builds ``coarse_source``, since both depend on where the chain runs
+    (a local coarse chain in the sequential sampler, the phonebook's
+    deliveries in a parallel controller).
+    """
+    factory = problems.factory
+    problem = problems.problem(level)
+    if coarse_source is None:
+        kernel = MHKernel(problem, factory.proposal_for_level(level, problem))
+    else:
+        kernel = MultilevelKernel(
+            problem, problems.problem(level - 1), SubsamplingProposal(coarse_source)
+        )
+    return SingleChainMCMC(
+        kernel=kernel,
+        starting_point=factory.starting_point_for_level(level),
+        rng=rng,
+        burnin=burnin,
+        level=level,
+        record=record,
+    )

@@ -31,6 +31,14 @@ class MHKernel(TransitionKernel):
         self.problem = problem
         self.proposal = proposal
 
+    def state_dict(self) -> dict:
+        """Kernel counters plus the proposal's adaptation state."""
+        return {**super().state_dict(), "proposal": self.proposal.state_dict()}
+
+    def load_state_dict(self, state: dict) -> None:
+        super().load_state_dict(state)
+        self.proposal.load_state_dict(state["proposal"])
+
     def initialize(self, parameters: np.ndarray) -> SamplingState:
         state = SamplingState(parameters=np.asarray(parameters, dtype=float))
         self.problem.log_density(state)

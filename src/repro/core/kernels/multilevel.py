@@ -1,15 +1,10 @@
 """Two-level multilevel MCMC transition kernel (Algorithm 2 of the paper).
 
-For level ``l >= 1`` the proposal is composed of
-
-* a *coarse component* drawn from a level ``l-1`` chain (through a
-  :class:`repro.core.proposals.SubsamplingProposal`), and
-* an optional *fine component* drawn from a level-specific proposal density
-  ``q_l`` when the parameter dimension grows across levels,
-
-combined by an :class:`repro.core.interpolation.MIInterpolation`.  The
-acceptance probability contains, in addition to the usual fine-level posterior
-ratio and fine-proposal correction, the *inverse* coarse-posterior ratio
+For level ``l >= 1`` the proposal is a sample of a level ``l-1`` chain,
+drawn through a :class:`repro.core.proposals.SubsamplingProposal` (parameter
+dimensions are identical across levels, so the coarse sample *is* the
+proposed fine state).  The acceptance probability contains, in addition to
+the usual fine-level posterior ratio, the *inverse* coarse-posterior ratio
 ``nu_{l-1}(theta_C) / nu_{l-1}(theta'_C)`` which removes the bias that using
 coarse-chain samples as proposals would otherwise introduce.
 
@@ -25,10 +20,8 @@ import math
 
 import numpy as np
 
-from repro.core.interpolation import IdentityInterpolation, MIInterpolation
 from repro.core.kernels.base import KernelResult, TransitionKernel
 from repro.core.problem import AbstractSamplingProblem
-from repro.core.proposals.base import MCMCProposal
 from repro.core.proposals.subsampling import SubsamplingProposal
 from repro.core.state import SamplingState
 
@@ -48,11 +41,6 @@ class MultilevelKernel(TransitionKernel):
         density from the coarse chain already).
     coarse_proposal:
         Subsampling proposal bound to a coarse-chain sample source.
-    fine_proposal:
-        Proposal density ``q_l`` for the fine-only parameter block; ``None``
-        when parameter dimensions are identical across levels.
-    interpolation:
-        Combines coarse and fine blocks; defaults to the identity.
     """
 
     def __init__(
@@ -60,23 +48,18 @@ class MultilevelKernel(TransitionKernel):
         fine_problem: AbstractSamplingProblem,
         coarse_problem: AbstractSamplingProblem,
         coarse_proposal: SubsamplingProposal,
-        fine_proposal: MCMCProposal | None = None,
-        interpolation: MIInterpolation | None = None,
     ) -> None:
         super().__init__()
         self.fine_problem = fine_problem
         self.coarse_problem = coarse_problem
         self.coarse_proposal = coarse_proposal
-        self.fine_proposal = fine_proposal
-        self.interpolation = interpolation or IdentityInterpolation()
 
     # ------------------------------------------------------------------
     def initialize(self, parameters: np.ndarray) -> SamplingState:
         """Evaluate a starting state under both the fine and the coarse posterior."""
         state = SamplingState(parameters=np.asarray(parameters, dtype=float))
         self.fine_problem.log_density(state)
-        coarse_params = self.interpolation.coarse_part(state.parameters)
-        state.coarse_log_density = self.coarse_problem.log_density(coarse_params)
+        state.coarse_log_density = self.coarse_problem.log_density(state.parameters)
         return state
 
     # ------------------------------------------------------------------
@@ -88,19 +71,7 @@ class MultilevelKernel(TransitionKernel):
         if coarse_log_density_proposed is None:
             coarse_log_density_proposed = self.coarse_problem.log_density(coarse_state)
 
-        # Fine component (only when dimensions differ across levels).
-        fine_log_correction = 0.0
-        fine_block: np.ndarray | None = None
-        if self.fine_proposal is not None:
-            current_fine_block = SamplingState(
-                parameters=self.interpolation.fine_part(current.parameters)
-            )
-            fine_result = self.fine_proposal.propose(current_fine_block, rng)
-            fine_block = fine_result.state.parameters
-            fine_log_correction = fine_result.log_correction
-
-        proposed_params = self.interpolation.interpolate(coarse_state.parameters, fine_block)
-        proposed = SamplingState(parameters=proposed_params)
+        proposed = SamplingState(parameters=np.array(coarse_state.parameters, dtype=float))
         proposed.coarse_log_density = float(coarse_log_density_proposed)
 
         # Densities entering the two-level acceptance ratio.
@@ -108,13 +79,11 @@ class MultilevelKernel(TransitionKernel):
         proposed_fine_log_density = self.fine_problem.log_density(proposed)
 
         if current.coarse_log_density is None:
-            current_coarse_params = self.interpolation.coarse_part(current.parameters)
-            current.coarse_log_density = self.coarse_problem.log_density(current_coarse_params)
+            current.coarse_log_density = self.coarse_problem.log_density(current.parameters)
 
         log_alpha = (
             proposed_fine_log_density
             - current_fine_log_density
-            + fine_log_correction
             + current.coarse_log_density
             - float(coarse_log_density_proposed)
         )
@@ -125,8 +94,6 @@ class MultilevelKernel(TransitionKernel):
 
         new_state = proposed if accepted else current
         self._record(accepted)
-        if self.fine_proposal is not None:
-            self.fine_proposal.adapt(self._num_steps, new_state, accepted)
 
         # The coarse sample this fine step is coupled with (for the telescoping
         # correction).  Its QOI is cached right here so collectors never re-run

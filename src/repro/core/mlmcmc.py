@@ -29,12 +29,9 @@ from repro.core.allocation import (
 from repro.core.chain import SingleChainMCMC, SubsampledChainSource
 from repro.core.costmodel import CostModel
 from repro.core.estimators import MonteCarloEstimate, MultilevelEstimate
-from repro.core.factory import MIComponentFactory
-from repro.core.kernels.mh import MHKernel
-from repro.core.kernels.multilevel import MultilevelKernel
+from repro.core.factory import LevelProblems, MLComponentFactory, level_chain
 from repro.core.sample_collection import CorrectionCollection
 from repro.evaluation import EvaluatorStats
-from repro.multiindex import MultiIndex
 from repro.utils.random import RandomSource
 
 __all__ = ["MLMCMCResult", "MLMCMCSampler", "run_single_level_mcmc"]
@@ -69,7 +66,7 @@ class MLMCMCSampler:
     Parameters
     ----------
     factory:
-        The model hierarchy (an :class:`repro.core.factory.MIComponentFactory`).
+        The model hierarchy (an :class:`repro.core.factory.MLComponentFactory`).
     num_samples:
         Post-burn-in samples per level, coarse to fine (e.g. ``[10_000, 1_000,
         100]`` in the paper's Poisson experiment).  May be omitted when an
@@ -99,7 +96,7 @@ class MLMCMCSampler:
 
     def __init__(
         self,
-        factory: MIComponentFactory,
+        factory: MLComponentFactory,
         num_samples: Sequence[int] | None = None,
         burnin: Sequence[int] | None = None,
         subsampling_rates: Sequence[int] | None = None,
@@ -108,8 +105,7 @@ class MLMCMCSampler:
         cost_model: CostModel | None = None,
     ) -> None:
         self.factory = factory
-        self.index_set = factory.index_set()
-        levels = self.index_set.coarse_to_fine()
+        num_levels = factory.num_levels()
         if allocation is None:
             if num_samples is None:
                 raise ValueError(
@@ -118,10 +114,10 @@ class MLMCMCSampler:
             allocation = FixedAllocation(num_samples)
         self.allocation = allocation
         if num_samples is None:
-            num_samples = allocation.initial_targets(len(levels))
-        if len(num_samples) != len(levels):
+            num_samples = allocation.initial_targets(num_levels)
+        if len(num_samples) != num_levels:
             raise ValueError(
-                f"num_samples must have one entry per level ({len(levels)}), got {len(num_samples)}"
+                f"num_samples must have one entry per level ({num_levels}), got {len(num_samples)}"
             )
         self.num_samples = [int(n) for n in num_samples]
         self.burnin = (
@@ -129,25 +125,20 @@ class MLMCMCSampler:
             if burnin is not None
             else [max(1, n // 10) for n in self.num_samples]
         )
-        if len(self.burnin) != len(levels):
+        if len(self.burnin) != num_levels:
             raise ValueError("burnin must have one entry per level")
         self.subsampling_rates = (
             [int(r) for r in subsampling_rates] if subsampling_rates is not None else None
         )
         self.random_source = RandomSource(seed)
         self.cost_model = cost_model
-        self._problem_cache: dict[MultiIndex, object] = {}
+        self.problems = LevelProblems(factory)
 
     # ------------------------------------------------------------------
-    def _problem(self, index: MultiIndex):
-        if index not in self._problem_cache:
-            self._problem_cache[index] = self.factory.sampling_problem(index)
-        return self._problem_cache[index]
-
-    def _subsampling_rate(self, level: int, index: MultiIndex) -> int:
+    def _subsampling_rate(self, level: int) -> int:
         if self.subsampling_rates is not None and level < len(self.subsampling_rates):
             return max(0, self.subsampling_rates[level])
-        return max(0, self.factory.subsampling_rate(index))
+        return max(0, self.factory.subsampling_rate_for_level(level))
 
     def build_chain(
         self, level: int, chain_id: str = "main", record: bool = True
@@ -160,51 +151,17 @@ class MLMCMCSampler:
         their steps copy, store and evaluate nothing beyond the kernel step
         (QOIs are warmed only for the states handed to the finer chain).
         """
-        indices = self.index_set.coarse_to_fine()
-        index = indices[level]
-        problem = self._problem(index)
         rng = self.random_source.child("chain", chain_id, level)
-
-        if level == 0:
-            proposal = self.factory.proposal(index, problem)
-            kernel = MHKernel(problem, proposal)
-            return SingleChainMCMC(
-                kernel=kernel,
-                starting_point=self.factory.starting_point(index),
-                rng=rng,
-                burnin=self.burnin[0],
-                level=0,
-                record=record,
+        coarse_source = None
+        if level > 0:
+            coarse_chain = self.build_chain(
+                level - 1, chain_id=f"{chain_id}/coarse{level - 1}", record=False
             )
-
-        coarse_index = indices[level - 1]
-        coarse_problem = self._problem(coarse_index)
-        coarse_chain = self.build_chain(
-            level - 1, chain_id=f"{chain_id}/coarse{level - 1}", record=False
-        )
-        coarse_source = SubsampledChainSource(
-            coarse_chain, subsampling_rate=self._subsampling_rate(level, index)
-        )
-        coarse_proposal = self.factory.coarse_proposal(index, coarse_problem, coarse_source)
-        fine_proposal = (
-            self.factory.proposal(index, problem)
-            if self.factory.needs_fine_proposal(index)
-            else None
-        )
-        kernel = MultilevelKernel(
-            fine_problem=problem,
-            coarse_problem=coarse_problem,
-            coarse_proposal=coarse_proposal,
-            fine_proposal=fine_proposal,
-            interpolation=self.factory.interpolation(index),
-        )
-        return SingleChainMCMC(
-            kernel=kernel,
-            starting_point=self.factory.starting_point(index),
-            rng=rng,
-            burnin=self.burnin[level],
-            level=level,
-            record=record,
+            coarse_source = SubsampledChainSource(
+                coarse_chain, subsampling_rate=self._subsampling_rate(level)
+            )
+        return level_chain(
+            self.problems, level, rng, self.burnin[level], coarse_source, record=record
         )
 
     # ------------------------------------------------------------------
@@ -218,8 +175,7 @@ class MLMCMCSampler:
         fixed policy makes this a single round identical — bitwise, including
         the measured costs — to the pre-allocation-layer driver.
         """
-        indices = self.index_set.coarse_to_fine()
-        num_levels = len(indices)
+        num_levels = self.factory.num_levels()
         policy = self.allocation
         targets = [int(t) for t in policy.initial_targets(num_levels)]
 
@@ -232,8 +188,8 @@ class MLMCMCSampler:
 
         start = time.perf_counter()
         while True:
-            for level, index in enumerate(indices):
-                problem = self._problem(index)
+            for level in range(num_levels):
+                problem = self.problems.problem(level)
                 stats_before = problem.evaluation_stats.snapshot()
                 if chains[level] is None:
                     baselines[level] = stats_before
@@ -257,7 +213,7 @@ class MLMCMCSampler:
                 for level in range(num_levels)
             ]
             snapshots = []
-            for level, index in enumerate(indices):
+            for level in range(num_levels):
                 variance = chains[level].corrections.streaming_variance()
                 count = len(chains[level].corrections)
                 if self.cost_model is not None:
@@ -268,7 +224,7 @@ class MLMCMCSampler:
                     spent = cost * count
                 else:
                     cost = costs[level]
-                    spent = self._problem(index).evaluation_stats.delta(
+                    spent = self.problems.problem(level).evaluation_stats.delta(
                         baselines[level]
                     ).wall_time
                 snapshots.append(
@@ -304,9 +260,7 @@ class MLMCMCSampler:
         # Total forward-model (density) evaluations per level across the whole
         # run, including the coarse-chain evaluations embedded in finer-level
         # estimators — this is the quantity cost accounting needs.
-        evaluation_stats = [
-            self._problem(index).evaluation_stats.snapshot() for index in indices
-        ]
+        evaluation_stats = list(self.problems.stats().values())
         evaluations = [stats.log_density_evaluations for stats in evaluation_stats]
 
         estimate = MultilevelEstimate.from_corrections(corrections, costs_per_sample=costs)
@@ -324,7 +278,7 @@ class MLMCMCSampler:
 
 
 def run_single_level_mcmc(
-    factory: MIComponentFactory,
+    factory: MLComponentFactory,
     level: int,
     num_samples: int,
     burnin: int | None = None,
@@ -335,19 +289,11 @@ def run_single_level_mcmc(
     This is the baseline (Algorithm 1 applied to the finest affordable model)
     that the multilevel method is compared against in the complexity analysis.
     """
-    indices = factory.index_set().coarse_to_fine()
-    index = indices[level]
-    problem = factory.sampling_problem(index)
-    proposal = factory.proposal(index, problem)
-    kernel = MHKernel(problem, proposal)
+    problems = LevelProblems(factory)
     rng = RandomSource(seed).child("single-level", level)
-    chain = SingleChainMCMC(
-        kernel=kernel,
-        starting_point=factory.starting_point(index),
-        rng=rng,
-        burnin=burnin if burnin is not None else max(1, num_samples // 10),
-        level=level,
-    )
+    burnin = burnin if burnin is not None else max(1, num_samples // 10)
+    chain = level_chain(problems, level, rng, burnin)
+    problem = problems.problem(level)
     stats_before = problem.evaluation_stats.snapshot()
     chain.run(num_samples)
     # Cost per density request from the evaluator's own accounting, matching

@@ -12,6 +12,8 @@ covariance of the chain history,
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 
 from repro.core.proposals.base import MCMCProposal, ProposalResult
@@ -85,6 +87,19 @@ class AdaptiveMetropolisProposal(MCMCProposal):
     def current_covariance(self) -> np.ndarray:
         """The covariance currently used for proposals."""
         return self._chol @ self._chol.T
+
+    def state_dict(self) -> dict:
+        """The chain history moments, current Cholesky factor and adaptation count."""
+        return {
+            "moments": copy.deepcopy(self._moments),
+            "chol": self._chol.copy(),
+            "num_adaptations": self._num_adaptations,
+        }
+
+    def load_state_dict(self, state: dict) -> None:
+        self._moments = copy.deepcopy(state["moments"])
+        self._chol = np.array(state["chol"], dtype=float)
+        self._num_adaptations = int(state["num_adaptations"])
 
     # ------------------------------------------------------------------
     def propose(self, current: SamplingState, rng: np.random.Generator) -> ProposalResult:

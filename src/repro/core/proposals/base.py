@@ -51,6 +51,13 @@ class MCMCProposal(ABC):
     def adapt(self, iteration: int, state: SamplingState, accepted: bool) -> None:
         """Adaptation hook called by the chain after every step (default: no-op)."""
 
+    def state_dict(self) -> dict:
+        """Serializable adaptation state (default: none, the proposal is fixed)."""
+        return {}
+
+    def load_state_dict(self, state: dict) -> None:
+        """Restore state captured by :meth:`state_dict` (default: nothing to restore)."""
+
     @property
     def is_symmetric(self) -> bool:
         """Whether ``q(a | b) == q(b | a)`` for all pairs (enables shortcuts)."""

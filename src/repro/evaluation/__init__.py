@@ -12,7 +12,7 @@ here:
 Backends compose: ``CachingEvaluator(inner=PoolEvaluator())`` gives a
 memoised pool.  Custom backends subclass :class:`Evaluator` (implement
 ``log_density`` / ``qoi``, optionally ``log_density_batch``) and are plugged
-in per model index through ``MIComponentFactory.evaluator``.
+in per level through ``MLComponentFactory.evaluator_for_level``.
 
 Typical usage — select a backend per hierarchy and read the accounting::
 

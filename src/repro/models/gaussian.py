@@ -19,7 +19,6 @@ from repro.core.problem import AbstractSamplingProblem, GaussianTargetProblem
 from repro.core.proposals.base import MCMCProposal
 from repro.core.proposals.random_walk import GaussianRandomWalkProposal
 from repro.models.base import ForwardModelBase
-from repro.multiindex import MultiIndex
 from repro.utils.array_api import level_dtypes, resolve_dtype
 
 __all__ = ["GaussianHierarchyFactory", "GaussianIdentityForwardModel"]
@@ -184,7 +183,7 @@ class GaussianHierarchyFactory(MLComponentFactory):
             self.level_mean(level),
             self.level_covariance(level),
             cost=self.costs[level],
-            evaluator=self.evaluator(MultiIndex(level)),
+            evaluator=self.evaluator_for_level(level),
         )
 
     def proposal_for_level(self, level: int, problem: AbstractSamplingProblem) -> MCMCProposal:

@@ -34,7 +34,6 @@ from repro.core.proposals.independence import IndependenceProposal
 from repro.core.proposals.pcn import PreconditionedCrankNicolsonProposal
 from repro.core.proposals.random_walk import GaussianRandomWalkProposal
 from repro.fem.grid import StructuredGrid
-from repro.multiindex import MultiIndex
 from repro.fem.poisson import PoissonSolver
 from repro.randomfield.covariance import ExponentialCovariance
 from repro.randomfield.field import GaussianRandomField
@@ -309,7 +308,7 @@ class PoissonInverseProblemFactory(MLComponentFactory):
             posterior,
             qoi_dim=self.qoi_points.shape[0],
             cost=cost,
-            evaluator=self.evaluator(MultiIndex(level)),
+            evaluator=self.evaluator_for_level(level),
         )
 
     def proposal_for_level(self, level: int, problem: AbstractSamplingProblem) -> MCMCProposal:

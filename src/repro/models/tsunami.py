@@ -28,7 +28,6 @@ from repro.core.problem import AbstractSamplingProblem, BayesianSamplingProblem
 from repro.core.proposals.adaptive_metropolis import AdaptiveMetropolisProposal
 from repro.core.proposals.base import MCMCProposal
 from repro.models.base import ForwardModelBase
-from repro.multiindex import MultiIndex
 from repro.swe.scenario import LevelConfiguration, TohokuLikeScenario
 
 __all__ = ["TsunamiLevelSpec", "TsunamiForwardModel", "TsunamiInverseProblemFactory"]
@@ -268,7 +267,7 @@ class TsunamiInverseProblemFactory(MLComponentFactory):
         )
         cost = float(self.specs[level].num_cells**2) / float(self.specs[0].num_cells**2)
         return BayesianSamplingProblem(
-            posterior, qoi_dim=2, cost=cost, evaluator=self.evaluator(MultiIndex(level))
+            posterior, qoi_dim=2, cost=cost, evaluator=self.evaluator_for_level(level)
         )
 
     def proposal_for_level(self, level: int, problem: AbstractSamplingProblem) -> MCMCProposal:

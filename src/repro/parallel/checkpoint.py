@@ -5,10 +5,10 @@ Checkpoints bound the work lost to a dying rank.  Three writers exist:
 * **collectors** snapshot their partial :class:`CorrectionCollection` every
   ``every_samples`` additions (or ``every_seconds``), so a respawned collector
   resumes from its last snapshot instead of re-collecting its whole share,
-* **controllers** snapshot their chain (kernel counters, current state, RNG
-  bit-generator state, correction bookkeeping) on the same cadence, so a
-  respawned controller resumes its subchain mid-flight instead of re-running
-  burn-in,
+* **controllers** snapshot their chain (kernel counters, proposal adaptation
+  state, current state, RNG bit-generator state, correction bookkeeping) on
+  the same cadence, so a respawned controller resumes its subchain
+  mid-flight instead of re-running burn-in,
 * the **driver** writes one ``final`` snapshot after a successful run carrying
   the merged per-level collections — ``--resume`` restarts from it and
   reproduces the estimator bit for bit without redoing any sampling.
@@ -37,7 +37,7 @@ __all__ = [
 ]
 
 #: bump on any backwards-incompatible change to the snapshot payload layout
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 #: rank-scoped snapshot file name pattern
 _SNAPSHOT_NAME = "rank-{rank:04d}-{role}.ckpt"

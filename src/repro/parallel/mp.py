@@ -35,7 +35,7 @@ close).  This module's pair is the OS-queue one (:class:`_QueueLink`,
 
 Each child process rebuilds its own sampling problems (and therefore its own
 evaluators) lazily through its copy of the
-:class:`~repro.parallel.roles.protocol.SharedProblemCache`; nothing holding
+:class:`~repro.core.factory.LevelProblems` cache; nothing holding
 process pools or factorizations crosses a process boundary alive — the same
 picklability contract :class:`repro.evaluation.PoolEvaluator` established.
 When the generator finishes, the child ships its trace events and a

@@ -28,10 +28,9 @@ import numpy as np
 from repro.core.allocation import AllocationPolicy, AllocationRound
 from repro.core.costmodel import CostModel
 from repro.core.estimators import MultilevelEstimate
-from repro.core.factory import MIComponentFactory
+from repro.core.factory import MLComponentFactory
 from repro.core.sample_collection import CorrectionCollection
 from repro.evaluation import EvaluatorStats
-from repro.multiindex import MultiIndex
 from repro.parallel.chaos import FaultPlan, apply_chaos_to_virtual
 from repro.parallel.checkpoint import CheckpointConfig
 from repro.parallel.fault import FailureReport, FaultToleranceConfig, RankFailure
@@ -217,7 +216,7 @@ class ParallelMLMCMCSampler:
 
     def __init__(
         self,
-        factory: MIComponentFactory,
+        factory: MLComponentFactory,
         num_samples: Sequence[int],
         num_ranks: int,
         cost_model: CostModel | None = None,
@@ -246,7 +245,7 @@ class ParallelMLMCMCSampler:
         self.backend = backend
         self.backend_options = dict(backend_options or {})
         self.factory = factory
-        num_levels = len(factory.index_set())
+        num_levels = factory.num_levels()
         if len(num_samples) != num_levels:
             raise ValueError("num_samples must have one entry per level")
         self.num_samples = [int(n) for n in num_samples]
@@ -256,11 +255,10 @@ class ParallelMLMCMCSampler:
             if burnin is not None
             else [max(1, n // 10) for n in self.num_samples]
         )
-        indices = factory.index_set().coarse_to_fine()
         self.subsampling_rates = (
             [int(r) for r in subsampling_rates]
             if subsampling_rates is not None
-            else [max(0, factory.subsampling_rate(ix)) for ix in indices]
+            else [max(0, factory.subsampling_rate_for_level(l)) for l in range(num_levels)]
         )
         if level_weights is None:
             # Expected number of chain steps per level: a level must produce its
@@ -534,11 +532,7 @@ class ParallelMLMCMCSampler:
             # measured (real, not virtual) per-evaluation cost.  All virtual
             # controllers share one problem cache, so it is read once here
             # rather than summed per controller.
-            built = self.config.problems.built_problems()
-            for level, index in enumerate(self.config.indices()):
-                problem = built.get(MultiIndex(index).values)
-                if problem is not None:
-                    evaluation_stats[level] = problem.evaluation_stats.snapshot()
+            evaluation_stats.update(self.config.problems.stats())
         return {
             "samples_per_level": samples_per_level,
             "controller_assignments": controller_assignments,

@@ -18,7 +18,7 @@ Dynamic roles
       the telescoping sum.
 """
 
-from repro.parallel.roles.protocol import Tags, RunConfiguration, SharedProblemCache
+from repro.parallel.roles.protocol import Tags, RunConfiguration
 from repro.parallel.roles.root import RootProcess
 from repro.parallel.roles.phonebook import PhonebookProcess
 from repro.parallel.roles.controller import ControllerProcess
@@ -28,7 +28,6 @@ from repro.parallel.roles.collector import CollectorProcess
 __all__ = [
     "Tags",
     "RunConfiguration",
-    "SharedProblemCache",
     "RootProcess",
     "PhonebookProcess",
     "ControllerProcess",

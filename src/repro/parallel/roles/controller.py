@@ -24,11 +24,9 @@ from collections import deque
 from typing import Generator
 
 from repro.core.chain import SingleChainMCMC
-from repro.core.kernels.mh import MHKernel
-from repro.core.kernels.multilevel import MultilevelKernel
+from repro.core.factory import level_chain
 from repro.core.proposals.subsampling import BufferedChainSource
 from repro.evaluation import EvaluatorStats
-from repro.multiindex import MultiIndex
 from repro.parallel.checkpoint import CheckpointError
 from repro.parallel.roles.protocol import RunConfiguration, Tags
 from repro.parallel.transport import Message, RankProcess
@@ -72,16 +70,6 @@ class ControllerProcess(RankProcess):
         self._stats_baseline: dict[int, EvaluatorStats] = {}
 
     # ------------------------------------------------------------------
-    def _problem_stats(self) -> dict[int, EvaluatorStats]:
-        """Snapshot of the per-level evaluator statistics built so far."""
-        built = self.config.problems.built_problems()
-        stats: dict[int, EvaluatorStats] = {}
-        for level, index in enumerate(self.config.indices()):
-            problem = built.get(MultiIndex(index).values)
-            if problem is not None:
-                stats[level] = problem.evaluation_stats.snapshot()
-        return stats
-
     def prepare_for_transport(self) -> None:
         """Baseline the (possibly inherited) problem-cache statistics.
 
@@ -89,12 +77,12 @@ class ControllerProcess(RankProcess):
         cache, including evaluation counts from any earlier run; harvesting
         deltas keeps the shipped statistics scoped to this run.
         """
-        self._stats_baseline = self._problem_stats()
+        self._stats_baseline = self.config.problems.stats()
 
     def harvest(self) -> dict:
         """Ship chain statistics back to the driver (multiprocess runs)."""
         stats: dict[int, EvaluatorStats] = {}
-        for level, snapshot in self._problem_stats().items():
+        for level, snapshot in self.config.problems.stats().items():
             baseline = self._stats_baseline.get(level)
             stats[level] = snapshot.delta(baseline) if baseline is not None else snapshot
         return {
@@ -143,41 +131,14 @@ class ControllerProcess(RankProcess):
     # ------------------------------------------------------------------
     def _build_chain(self, level: int) -> tuple[SingleChainMCMC, BufferedChainSource | None]:
         config = self.config
-        factory = config.factory
-        index = config.index_for_level(level)
-        problem = config.problems.problem(index)
         rng = self._random_source.child("controller", self.rank, self._assignment_counter)
         self._assignment_counter += 1
-
-        if level == 0:
-            kernel = MHKernel(problem, factory.proposal(index, problem))
-            buffered = None
-        else:
-            coarse_index = config.index_for_level(level - 1)
-            coarse_problem = config.problems.problem(coarse_index)
+        buffered = None
+        if level > 0:
             buffered = BufferedChainSource(
                 subsampling_rate=int(config.subsampling_rates[level])
             )
-            coarse_proposal = factory.coarse_proposal(index, coarse_problem, buffered)
-            fine_proposal = (
-                factory.proposal(index, problem)
-                if factory.needs_fine_proposal(index)
-                else None
-            )
-            kernel = MultilevelKernel(
-                fine_problem=problem,
-                coarse_problem=coarse_problem,
-                coarse_proposal=coarse_proposal,
-                fine_proposal=fine_proposal,
-                interpolation=factory.interpolation(index),
-            )
-        chain = SingleChainMCMC(
-            kernel=kernel,
-            starting_point=factory.starting_point(index),
-            rng=rng,
-            burnin=int(config.burnin[level]),
-            level=level,
-        )
+        chain = level_chain(config.problems, level, rng, int(config.burnin[level]), buffered)
         return chain, buffered
 
     # ------------------------------------------------------------------
@@ -192,7 +153,7 @@ class ControllerProcess(RankProcess):
         self._current_level = level
 
         chain, buffered = self._build_chain(level)
-        problem = config.problems.problem(config.index_for_level(level))
+        problem = config.problems.problem(level)
         checkpointer = config.checkpointer()
 
         yield self.send(phonebook, Tags.REGISTER, {"rank": self.rank, "level": level})

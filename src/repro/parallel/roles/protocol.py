@@ -3,10 +3,10 @@
 Every role communicates through a small vocabulary of message tags mimicking
 the request-based MPI interfaces of the paper's implementation.  The
 :class:`RunConfiguration` bundles everything the roles need to know about the
-run (factory, sample targets, burn-in, subsampling, cost model, layout ranks)
-and the :class:`SharedProblemCache` ensures each sampling problem (which may
-own an expensive PDE solver) is constructed only once per Python process even
-though many virtual controllers use it.
+run (factory, sample targets, burn-in, subsampling, cost model, layout ranks),
+including the :class:`~repro.core.factory.LevelProblems` cache that builds
+each sampling problem (which may own an expensive PDE solver) only once per
+Python process even though many virtual controllers use it.
 """
 
 from __future__ import annotations
@@ -16,13 +16,11 @@ from typing import Sequence
 
 from repro.core.allocation import AllocationPolicy
 from repro.core.costmodel import CostModel
-from repro.core.factory import MIComponentFactory
-from repro.core.problem import AbstractSamplingProblem
-from repro.multiindex import MultiIndex
+from repro.core.factory import LevelProblems, MLComponentFactory
 from repro.parallel.checkpoint import CheckpointConfig
 from repro.parallel.layout import ProcessLayout
 
-__all__ = ["Tags", "RunConfiguration", "SharedProblemCache"]
+__all__ = ["Tags", "RunConfiguration"]
 
 
 class Tags:
@@ -63,31 +61,6 @@ class Tags:
     PEER_RESTARTED = "PEER_RESTARTED"
 
 
-class SharedProblemCache:
-    """Construct-once cache of per-level sampling problems.
-
-    All virtual controllers live in the same Python process, so sharing the
-    (stateless with respect to sampling) problem objects avoids rebuilding PDE
-    solvers per controller.  Proposals are *not* shared — each chain gets its
-    own instance so adaptive proposals adapt independently.
-    """
-
-    def __init__(self, factory: MIComponentFactory) -> None:
-        self._factory = factory
-        self._problems: dict[tuple[int, ...], AbstractSamplingProblem] = {}
-
-    def problem(self, index: MultiIndex) -> AbstractSamplingProblem:
-        """The sampling problem for a model index (constructed on first use)."""
-        key = MultiIndex(index).values
-        if key not in self._problems:
-            self._problems[key] = self._factory.sampling_problem(MultiIndex(index))
-        return self._problems[key]
-
-    def built_problems(self) -> dict[tuple[int, ...], AbstractSamplingProblem]:
-        """The problems constructed so far, keyed by raw index values."""
-        return dict(self._problems)
-
-
 @dataclass
 class RunConfiguration:
     """Everything the role processes need to know about one parallel run.
@@ -123,7 +96,7 @@ class RunConfiguration:
         policy.  ``None`` (the default) reproduces the static run bitwise.
     """
 
-    factory: MIComponentFactory
+    factory: MLComponentFactory
     layout: ProcessLayout
     cost_model: CostModel
     num_samples: Sequence[int]
@@ -134,13 +107,13 @@ class RunConfiguration:
     seed: int | None = None
     checkpoint: CheckpointConfig | None = None
     allocation: AllocationPolicy | None = None
-    problems: SharedProblemCache = field(init=False)
+    problems: LevelProblems = field(init=False)
     #: number of levels (one collector each); read on every message, so
     #: computed once
     num_levels: int = field(init=False)
 
     def __post_init__(self) -> None:
-        self.problems = SharedProblemCache(self.factory)
+        self.problems = LevelProblems(self.factory)
         self.num_levels = num_levels = len(self.layout.collector_ranks)
         if len(self.num_samples) != num_levels:
             raise ValueError("num_samples must have one entry per level")
@@ -154,14 +127,6 @@ class RunConfiguration:
     def finest_level(self) -> int:
         """Index of the finest level."""
         return self.num_levels - 1
-
-    def indices(self) -> list[MultiIndex]:
-        """Model indices coarse to fine."""
-        return self.factory.index_set().coarse_to_fine()
-
-    def index_for_level(self, level: int) -> MultiIndex:
-        """Model index of an integer level."""
-        return self.indices()[level]
 
     def checkpoint_signature(self) -> dict:
         """Run identity stamped into (and checked against) every checkpoint."""

@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.costmodel import CostModel
-from repro.core.factory import MIComponentFactory
+from repro.core.factory import MLComponentFactory
 from repro.parallel.parallel_mlmcmc import ParallelMLMCMCResult, ParallelMLMCMCSampler
 
 __all__ = ["ScalingPoint", "ScalingStudyResult", "strong_scaling_study", "weak_scaling_study"]
@@ -80,7 +80,7 @@ class ScalingStudyResult:
 
 
 def _run_once(
-    factory: MIComponentFactory,
+    factory: MLComponentFactory,
     num_samples: Sequence[int],
     num_ranks: int,
     cost_model: CostModel,
@@ -97,7 +97,7 @@ def _run_once(
 
 
 def strong_scaling_study(
-    factory: MIComponentFactory,
+    factory: MLComponentFactory,
     num_samples: Sequence[int],
     rank_counts: Sequence[int],
     cost_model: CostModel,
@@ -126,7 +126,7 @@ def strong_scaling_study(
 
 
 def weak_scaling_study(
-    factory: MIComponentFactory,
+    factory: MLComponentFactory,
     base_num_samples: Sequence[int],
     base_num_ranks: int,
     rank_counts: Sequence[int],

@@ -7,7 +7,6 @@ import pytest
 from scipy import stats
 
 from repro.core.chain import SingleChainMCMC, SubsampledChainSource
-from repro.core.interpolation import BlockInterpolation, IdentityInterpolation
 from repro.core.kernels import MHKernel, MultilevelKernel
 from repro.core.problem import DensitySamplingProblem, GaussianTargetProblem
 from repro.core.proposals import (
@@ -77,8 +76,6 @@ class TestMultilevelKernel:
             fine_problem=fine,
             coarse_problem=coarse,
             coarse_proposal=SubsamplingProposal(buffered),
-            fine_proposal=None,
-            interpolation=IdentityInterpolation(),
         )
 
     def test_identical_levels_accept_everything(self):
@@ -146,44 +143,22 @@ class TestMultilevelKernel:
         )
         assert stats.qoi_evaluations == 1
 
-    def test_block_interpolation_with_fine_proposal(self):
+    def test_proposal_is_a_fresh_float64_copy_of_the_coarse_sample(self):
         rng = np.random.default_rng(5)
-        coarse = GaussianTargetProblem(np.zeros(1), 1.0)
-        fine = GaussianTargetProblem(np.zeros(2), 1.0)
         buffered = BufferedChainSource()
-        kernel = MultilevelKernel(
-            fine_problem=fine,
-            coarse_problem=coarse,
-            coarse_proposal=SubsamplingProposal(buffered),
-            fine_proposal=GaussianRandomWalkProposal(0.5, dim=1),
-            interpolation=BlockInterpolation(coarse_dim=1, fine_dim=1),
-        )
+        kernel = self._make_kernel([0.0, 0.0], [0.0, 0.0], buffered)
         state = kernel.initialize(np.zeros(2))
-        for _ in range(50):
-            coarse_state = SamplingState(parameters=rng.standard_normal(1))
-            coarse.log_density(coarse_state)
-            buffered.push(coarse_state)
-            state = kernel.step(state, rng).state
-            assert state.dim == 2
-
-
-class TestInterpolation:
-    def test_identity(self):
-        interp = IdentityInterpolation()
-        np.testing.assert_allclose(interp.interpolate(np.array([1.0, 2.0]), None), [1.0, 2.0])
-        np.testing.assert_allclose(interp.coarse_part(np.array([3.0])), [3.0])
-        assert interp.fine_part(np.array([3.0])).size == 0
-
-    def test_block(self):
-        interp = BlockInterpolation(2, 1)
-        combined = interp.interpolate(np.array([1.0, 2.0]), np.array([3.0]))
-        np.testing.assert_allclose(combined, [1.0, 2.0, 3.0])
-        np.testing.assert_allclose(interp.coarse_part(combined), [1.0, 2.0])
-        np.testing.assert_allclose(interp.fine_part(combined), [3.0])
-        with pytest.raises(ValueError):
-            interp.interpolate(np.array([1.0]), np.array([3.0]))
-        with pytest.raises(ValueError):
-            interp.interpolate(np.array([1.0, 2.0]), None)
+        coarse = SamplingState(parameters=np.array([0.25, -0.5]), metadata={"tag": 1})
+        kernel.coarse_problem.log_density(coarse)
+        buffered.push(coarse)
+        result = kernel.step(state, rng)
+        assert result.accepted  # identical levels accept every proposal
+        proposed = result.state
+        assert proposed.parameters is not coarse.parameters
+        assert proposed.parameters.dtype == np.float64
+        np.testing.assert_array_equal(proposed.parameters, coarse.parameters)
+        assert proposed.metadata == {}
+        assert proposed.coarse_log_density == coarse.log_density
 
 
 class TestSampleCollection:

@@ -247,10 +247,10 @@ class TestMakeEvaluator:
             make_evaluator("quantum")
 
     def test_factory_evaluator_hook_is_consulted(self):
-        """Overriding MIComponentFactory.evaluator(index) reaches the problems."""
+        """Overriding MLComponentFactory.evaluator_for_level reaches the problems."""
 
         class HookedFactory(GaussianHierarchyFactory):
-            def evaluator(self, index):
+            def evaluator_for_level(self, level):
                 return CachingEvaluator(max_entries=5)
 
         problem = HookedFactory(dim=2, num_levels=2).problem_for_level(1)

@@ -24,7 +24,7 @@ from repro.core import CostModel
 from repro.core.chain import SingleChainMCMC
 from repro.core.kernels import MHKernel
 from repro.core.problem import GaussianTargetProblem
-from repro.core.proposals import GaussianRandomWalkProposal
+from repro.core.proposals import AdaptiveMetropolisProposal, GaussianRandomWalkProposal
 from repro.experiments import run_scenario, validate_manifest
 from repro.experiments.manifest import ManifestError, write_manifest
 from repro.experiments.runner import BackendNotApplicableError
@@ -89,6 +89,47 @@ class TestChainSnapshot:
             reference.corrections.fine_matrix(), restored.corrections.fine_matrix()
         )
         assert reference.steps_taken == restored.steps_taken
+
+    def test_adaptive_proposal_resumes_its_adaptation(self):
+        """A resumed Adaptive Metropolis chain keeps its adapted covariance.
+
+        Snapshot at step 300 of a chain that adapts every 10 steps from step
+        20: unless the proposal's history moments and Cholesky factor travel
+        with the snapshot, the resumed chain restarts from the initial
+        covariance and drifts off the uninterrupted trajectory.
+        """
+
+        def adaptive_chain(seed: int) -> SingleChainMCMC:
+            problem = GaussianHierarchyFactory(dim=2).problem_for_level(0)
+            proposal = AdaptiveMetropolisProposal(
+                1.0, dim=2, adapt_start=20, adapt_interval=10
+            )
+            return SingleChainMCMC(
+                MHKernel(problem, proposal), np.zeros(2), np.random.default_rng(seed)
+            )
+
+        reference = adaptive_chain(3)
+        reference.run_steps(500)
+
+        snapshotted = adaptive_chain(3)
+        snapshotted.run_steps(300)
+        restored = adaptive_chain(999)  # wrong rng seed: must be overwritten
+        restored.load_state_dict(snapshotted.state_dict())
+        restored.run_steps(200)
+
+        np.testing.assert_allclose(
+            reference.current_state.parameters, [4.246, 0.660], atol=5e-4
+        )
+        np.testing.assert_array_equal(
+            reference.current_state.parameters, restored.current_state.parameters
+        )
+        np.testing.assert_array_equal(
+            reference.samples.parameters(), restored.samples.parameters()
+        )
+        assert (
+            restored.kernel.proposal.num_adaptations
+            == reference.kernel.proposal.num_adaptations
+        )
 
     def test_level_mismatch_rejected(self):
         state = _chain().state_dict()

@@ -39,12 +39,12 @@ class TestGaussianHierarchy:
 
     def test_factory_interface_roundtrip(self):
         factory = GaussianHierarchyFactory(dim=3, num_levels=2)
-        index_set = factory.index_set()
-        assert len(index_set) == 2
-        problem = factory.sampling_problem(index_set.finest)
+        assert factory.num_levels() == 2
+        finest = factory.num_levels() - 1
+        problem = factory.problem_for_level(finest)
         assert problem.dim == 3
-        assert factory.starting_point(index_set.finest).shape == (3,)
-        assert factory.subsampling_rate(index_set.finest) == factory.subsampling
+        assert factory.starting_point_for_level(finest).shape == (3,)
+        assert factory.subsampling_rate_for_level(finest) == factory.subsampling
 
 
 class TestTsunamiFactory:

@@ -22,7 +22,6 @@ from repro.parallel.roles import (
     Tags,
     WorkerProcess,
 )
-from repro.parallel.roles.protocol import SharedProblemCache
 from repro.parallel.simmpi import RankProcess, VirtualWorld
 
 
@@ -78,9 +77,14 @@ class TestRunConfiguration:
 
     def test_shared_problem_cache_constructs_once(self):
         factory = GaussianHierarchyFactory(dim=1, num_levels=2)
-        cache = SharedProblemCache(factory)
-        index = factory.index_set().finest
-        assert cache.problem(index) is cache.problem(index)
+        layout = ProcessLayout.create(num_ranks=10, num_levels=2)
+        config = RunConfiguration(
+            factory=factory, layout=layout, cost_model=CostModel([1.0, 1.0]),
+            num_samples=[10, 10], burnin=[1, 1], subsampling_rates=[0, 1],
+        )
+        cache = config.problems
+        assert cache.problem(1) is cache.problem(1)
+        assert list(cache.stats()) == [1]
 
 
 class TestPhonebookMatchmaking:

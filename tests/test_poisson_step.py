@@ -258,7 +258,7 @@ def test_poisson_sampler_reproduces_the_plain_loop_bitwise(factory, seed, monkey
         assert contribution.estimator_variance.tobytes() == expected.tobytes()
     # the ``==`` forward cache hits exactly where the ``array_equal`` one does
     for level, oracle in enumerate(oracle_posteriors):
-        posterior = sampler._problem(sampler.index_set.coarse_to_fine()[level]).posterior
+        posterior = sampler.problems.problem(level).posterior
         assert posterior.num_forward_evaluations == oracle.evaluations
     # the isotropic prior and likelihood never reach the general solve
     assert solves == 0
