@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.bayes.likelihood import UnphysicalModelOutput
+from repro.experiments.presets import TSUNAMI_SCALED_LEVEL_SPECS
 from repro.swe.gauges import Gauge, GaugeRecord, wave_observables
 from repro.swe.scenario import LevelConfiguration, SourceParameters, TohokuLikeScenario
 
@@ -120,3 +123,48 @@ class TestTohokuScenario:
     def test_simulate_batch_rejects_unphysical_rows(self, scenario):
         with pytest.raises(UnphysicalModelOutput):
             scenario.simulate_batch(0, np.array([[0.0, 0.0], [-185.0, 0.0]]))
+
+
+class TestGoldenObservables:
+    """Pinned observables of the scaled tsunami preset, per level and precision.
+
+    The sha256 of ``observe(level, theta)`` stacked over fixed sources makes
+    "the SWE time loop is bitwise unchanged" a test: any change to the
+    kernels, the time-step control plane or the gauge sampling that moves a
+    single bit of an observable on any level fails here.  Level 0 is the
+    constant-bathymetry, all-wet coarse model; levels 1 and 2 have a dry
+    coast.
+    """
+
+    THETAS = np.array([[0.0, 0.0], [20.0, -15.0], [-30.0, 25.0], [60.0, 40.0]])
+    GOLDEN = {
+        "float64": (
+            "237a16b788f98f5114717ead3851839435e5787468a29cc475bc6be12cd4ba7b",
+            "5ebe1b9c3648ddd1e024446f2f88e049afef21952961dd909382df8767b17f1f",
+            "8f55a68ba613c3033f5fd57ae7360980ac96173fea3a6711bf8de5a90c33782a",
+        ),
+        "float32": (
+            "7f05675e66afc5b979495f18ec6ad398ba75b3be0f4364644fe48386e8b8d5dc",
+            "dda7a0b707951e2c7fd84c1f07f2fc09f3ff18b240e75c41cc5a0cfba00c7f34",
+            "7fb6991d2caf26b64a3375db12638553f3aa32c1fd990fc3b1673b19d2057368",
+        ),
+    }
+
+    @pytest.mark.parametrize("precision", ["float64", "float32"])
+    def test_scaled_preset_observables_are_pinned(self, precision):
+        scenario = TohokuLikeScenario(
+            level_configs=tuple(
+                LevelConfiguration(
+                    spec["level"], spec["num_cells"], spec["bathymetry_treatment"],
+                    spec["limiter"], spec.get("smoothing_passes", 0),
+                )
+                for spec in TSUNAMI_SCALED_LEVEL_SPECS
+            ),
+            end_time=1800.0,  # the scaled preset's end time
+            precision=precision,
+        )
+        for level, expected in enumerate(self.GOLDEN[precision]):
+            observed = np.stack([scenario.observe(level, theta) for theta in self.THETAS])
+            assert observed.dtype == np.float64
+            assert hashlib.sha256(observed.tobytes()).hexdigest() == expected, level
+            np.testing.assert_array_equal(scenario.observe_batch(level, self.THETAS), observed)
