@@ -32,9 +32,20 @@ at most ``BLOCK_CELLS`` cells.  Whenever the input allows, the loop steps
 through fused, buffer-reusing kernels bound once per sub-block
 (:meth:`ShallowWaterSolver2D._fused_plan`) that are bitwise identical to the
 generic ones; the generic kernels remain the fallback (HLL flux, hand-built
-states) and the reference the tests compare against.  The fused workspace
-belongs to the solver instance, which is therefore not safe to share across
-threads.
+states, a state on another bathymetry) and the reference the tests compare
+against.  The fused workspace belongs to the solver instance, which is
+therefore not safe to share across threads.
+
+The fused kernels skip work that is an identity on the input, selected from
+the input alone: on a constant bathymetry (the coarse level's depth average)
+the well-balanced source term is exactly zero and never computed, and while
+every cell is wet the dry-lane masking, the depth clip and the positivity
+step are skipped.  "Every cell wet" is re-checked each step by reductions
+over the cell and reconstructed interface depths; once it fails the run
+finishes on the masked operations.  The per-step control plane is one pass
+over ``(B,)`` arrays: the CFL step, ``running = dt > 0`` and one gather of
+the depths at the gauge cells, whose anomalies are formed once after the
+loop.
 """
 
 from __future__ import annotations
@@ -233,6 +244,8 @@ class ShallowWaterSolver2D:
                 f"bathymetry shape {bathy.shape} does not match grid ({self.nx}, {self.ny})"
             )
         self.bathymetry = bathy.copy()
+        #: a constant bathymetry makes the well-balanced source term vanish
+        self._constant_bathymetry = bool(xp.all(bathy == bathy[0, 0]))
         self.gravity = float(gravity)
         self.cfl = float(cfl)
         if not 0.0 < self.cfl <= 1.0:
@@ -418,28 +431,6 @@ class ShallowWaterSolver2D:
             return 0.1 * min(self.dx, self.dy)
         return self.cfl * min(self.dx, self.dy) / max_speed
 
-    def stable_timesteps(
-        self, state: ShallowWaterEnsembleState, speeds: np.ndarray | None = None
-    ) -> np.ndarray:
-        """Per-member CFL-stable time steps, shape ``(B,)``.
-
-        Member-wise identical to :meth:`stable_timestep` (all-dry members get
-        the same ``0.1 * min(dx, dy)`` fallback).  ``speeds`` optionally
-        supplies precomputed per-member max wave speeds.
-        """
-        xp = self._xp
-        if speeds is None:
-            speeds = state.max_wave_speeds(self.gravity)
-        # The CFL control plane runs in double regardless of the field dtype:
-        # the scalar path derives dt from Python floats, so a float32 member
-        # must see the identical double-precision quotient here.
-        speeds = xp.asarray(speeds, dtype=xp.float64)
-        return xp.where(
-            speeds > 0.0,
-            self.cfl * min(self.dx, self.dy) / xp.where(speeds > 0.0, speeds, 1.0),
-            0.1 * min(self.dx, self.dy),
-        )
-
     # ------------------------------------------------------------------
     def run(
         self,
@@ -538,29 +529,35 @@ class ShallowWaterSolver2D:
         dry handling relies on (i) a dry tolerance below the 1.0 of the
         ``maximum(h, dry_indicator)`` identity, (ii) the state sharing the
         solver's tolerance (``enforce_positivity`` must zero the same cells
-        the kernels treat as dry) and (iii) dry cells carrying exactly zero
-        momenta at entry — every constructor maintains this, but hand-built
-        states may not.  Anything else goes through the generic
+        the kernels treat as dry), (iii) the state lying on the solver's
+        bathymetry (the fused sweep reconstructs interface depths against
+        the solver's precomputed ``max(b_l, b_r)``, the generic kernels
+        against ``state.b``) and (iv) dry cells carrying exactly zero
+        momenta at entry — every constructor maintains (ii)-(iv), but
+        hand-built states may not.  Anything else goes through the generic
         axis-agnostic kernels, which are correct for any input.
         """
+        xp = self._xp
         if not (
             self._flux is rusanov_flux
             and 0.0 < self.dry_tolerance < 1.0
             and state.dry_tolerance == self.dry_tolerance
+            and bool(xp.all(state.b == self.bathymetry))
         ):
             return False
         dry = state.h <= self.dry_tolerance
-        return not (bool(self._xp.any(state.hu[dry])) or bool(self._xp.any(state.hv[dry])))
+        return not (bool(xp.any(state.hu[dry])) or bool(xp.any(state.hv[dry])))
 
     def _fused_sweep(self, buf, tag, eta, un, ut, b_star_parts, axis, spacing):
         """Bind one direction's fused flux + divergence pass over ``eta/un/ut``.
 
-        Returns ``(sweep, div_h, div_hn, div_ht)``: calling ``sweep()`` reads
-        the cell primitives (free surface, normal and transverse velocity,
-        ``L`` lanes) and leaves ``-(ΔF)/spacing`` (+ the well-balanced source
-        on the normal momentum) in the three cell-shaped ``div_*`` buffers.
-        Every buffer, view and slice is resolved here, once per run, so a
-        step is nothing but ufunc calls on bound arrays.
+        Returns ``(sweep, div_h, div_hn, div_ht)``: calling ``sweep(all_wet)``
+        reads the cell primitives (free surface, normal and transverse
+        velocity, ``L`` lanes) and leaves ``-(ΔF)/spacing`` (+ the
+        well-balanced source on the normal momentum) in the three
+        cell-shaped ``div_*`` buffers.  Every buffer, view and slice is
+        resolved here, once per run, so a step is nothing but ufunc calls on
+        bound arrays.
 
         The pass performs the same elementwise operation sequence as
         :meth:`_reconstructed_flux` + :func:`repro.swe.riemann.rusanov_flux`
@@ -573,6 +570,16 @@ class ShallowWaterSolver2D:
         several times a contiguous SIMD pass.  All operations go through the
         state's namespace and dtype, so a float32 run halves the memory
         traffic of this (bandwidth-bound at size) pipeline.
+
+        Two groups of operations are skipped where they are identities on
+        the input.  On a constant bathymetry the well-balanced source term
+        is never computed: both of a cell's reconstructed depths are
+        ``max(eta - b, 0)`` of its own free surface, so the source is an
+        exact zero.  ``sweep(True)`` (the caller vouches that every cell is
+        wet) checks every reconstructed depth with one reduction and, if
+        all exceed the dry tolerance, skips the clip at zero and the
+        dry-lane masking of the velocity; it returns whether that held, and
+        otherwise runs the masked operations.
 
         ``b_star_parts`` holds the static interface bathymetry of each equal
         group of lanes (one entry, or two under lane stacking).
@@ -627,33 +634,46 @@ class ShallowWaterSolver2D:
             (flux[hi], flux[lo], div)
             for (*_, flux), div in zip(components, (div_h, div_hn, div_ht))
         ]
-        src, sq = buf(f"{tag}:src", *cell), buf(f"{tag}:sq", *cell)
-        star_l_hi, star_r_lo = h_star[:lanes][hi], h_star[lanes:][lo]
+        if self._constant_bathymetry:
+            source = None
+        else:
+            source = (
+                buf(f"{tag}:src", *cell), buf(f"{tag}:sq", *cell),
+                h_star[:lanes][hi], h_star[lanes:][lo],
+            )
         abs_l, abs_r = work_lr[:lanes], work_lr[lanes:]
         half_g = 0.5 * g
 
-        def sweep() -> None:
-            for dest, source in traces:
-                dest[...] = source
+        def sweep(all_wet: bool) -> bool:
+            for dest, source_cells in traces:
+                dest[...] = source_cells
 
             # Hydrostatically reconstructed interface depths and momenta.
             xp.subtract(eta_lr, b_star, out=h_star)
-            xp.maximum(h_star, 0.0, out=h_star)
+            # Every h* above the tolerance: the clip at zero and the dry-lane
+            # masking below are identities, so they are skipped.
+            all_wet = all_wet and bool(h_star.min() > DRY_TOLERANCE)
+            if not all_wet:
+                xp.maximum(h_star, 0.0, out=h_star)
             xp.multiply(h_star, un_lr, out=hn)
             xp.multiply(h_star, ut_lr, out=ht)
 
-            # Branch-free dry handling (`where=`-masked ufunc loops are scalar
-            # and several times slower than full SIMD passes): with tol < 1,
-            # where(wet, h, 1) == maximum(h, dry_indicator) and the dry lanes of
-            # the velocity are zeroed by multiplying with the wet indicator —
-            # x * 1.0 == x exactly, so wet lanes are untouched and the dry-lane
-            # where() branches of the reference kernels (u = 0, f1 = p, f2 = 0)
-            # fall out of the arithmetic: hn * (+-0) + p == p and |+-0| == 0.
-            xp.less_equal(h_star, DRY_TOLERANCE, out=mask)  # 1.0 on dry lanes
-            xp.maximum(h_star, mask, out=work_lr)  # where(wet, h, 1)
-            xp.divide(hn, work_lr, out=u)
-            xp.subtract(1.0, mask, out=mask)  # 1.0 on wet lanes
-            xp.multiply(u, mask, out=u)  # where(wet, hn / h, +-0)
+            if all_wet:
+                xp.divide(hn, h_star, out=u)
+            else:
+                # Branch-free dry handling (`where=`-masked ufunc loops are
+                # scalar and several times slower than full SIMD passes): with
+                # tol < 1, where(wet, h, 1) == maximum(h, dry_indicator) and
+                # the dry lanes of the velocity are zeroed by multiplying with
+                # the wet indicator — x * 1.0 == x exactly, so wet lanes are
+                # untouched and the dry-lane where() branches of the reference
+                # kernels (u = 0, f1 = p, f2 = 0) fall out of the arithmetic:
+                # hn * (+-0) + p == p and |+-0| == 0.
+                xp.less_equal(h_star, DRY_TOLERANCE, out=mask)  # 1.0 on dry lanes
+                xp.maximum(h_star, mask, out=work_lr)  # where(wet, h, 1)
+                xp.divide(hn, work_lr, out=u)
+                xp.subtract(1.0, mask, out=mask)  # 1.0 on wet lanes
+                xp.multiply(u, mask, out=u)  # where(wet, hn / h, +-0)
             # celerity sqrt(g * max(h, 0)) — h* is already clipped.
             xp.multiply(h_star, g, out=c)
             xp.sqrt(c, out=c)
@@ -682,13 +702,16 @@ class ShallowWaterSolver2D:
             for flux_hi, flux_lo, div in divergences:
                 xp.subtract(flux_hi, flux_lo, out=div)
                 xp.divide(div, -spacing, out=div)
-            # src_hn = 0.5 g (h*_l[hi]^2 - h*_r[lo]^2), in the reference order.
-            xp.multiply(star_l_hi, star_l_hi, out=src)
-            xp.multiply(star_r_lo, star_r_lo, out=sq)
-            xp.subtract(src, sq, out=src)
-            xp.multiply(src, half_g, out=src)
-            xp.divide(src, spacing, out=src)
-            xp.add(div_hn, src, out=div_hn)
+            if source is not None:
+                # src_hn = 0.5 g (h*_l[hi]^2 - h*_r[lo]^2), in the reference order.
+                src, sq, star_l_hi, star_r_lo = source
+                xp.multiply(star_l_hi, star_l_hi, out=src)
+                xp.multiply(star_r_lo, star_r_lo, out=sq)
+                xp.subtract(src, sq, out=src)
+                xp.multiply(src, half_g, out=src)
+                xp.divide(src, spacing, out=src)
+                xp.add(div_hn, src, out=div_hn)
+            return all_wet
 
         return sweep, div_h, div_hn, div_ht
 
@@ -715,6 +738,18 @@ class ShallowWaterSolver2D:
         (*lane stacking*): one ``(2B, n, n)`` block goes through one flux +
         divergence pass and the update reads the y lanes back transposed —
         elementwise the same arithmetic in half the flux-stage calls.
+
+        *All-wet mode.*  While every cell is wet, the dry-lane masking is an
+        identity: ``speeds()`` divides the momenta by ``h`` directly and
+        skips the wet-indicator product, the sweeps skip the clip and the
+        masking of the reconstructed depths, and ``step`` skips
+        ``enforce_positivity``.  The mode starts when the input has no cell
+        at or below the dry tolerance and is guarded by reductions covering
+        every comparison the skipped operations would make: ``min(h*)`` in
+        each sweep and ``min(h)`` after each update (which also vouches for
+        the next ``speeds()``).  The step on which a guard fails runs the
+        masked operations from that point on, including the reference
+        positivity, and the run stays on them.
         """
         xp, g, tol = self._xp, self.gravity, self.dry_tolerance
         h, hu, hv, b = state.h, state.hu, state.hv, state.b
@@ -760,17 +795,25 @@ class ShallowWaterSolver2D:
         cell = (batch, nx, ny)
         wetf, safe, rhs = buf("wetf", *cell), buf("cell_safe", *cell), buf("rhs", *cell)
         speed, celerity = buf("speed", *cell), buf("celerity", *cell)
+        # "Every cell wet" holds from the input on and is re-checked by one
+        # reduction after every update; once it fails, the run stays on the
+        # masked operations.
+        all_wet = bool(xp.all(h > tol))
 
         def speeds() -> np.ndarray:
-            # Branch-free form of where(wet, momentum / h, 0): dry momenta are
-            # exactly zero (the invariant every constructor and step
-            # maintains), so dividing them by the dry-lane 1.0 yields the
-            # exact zero the reference where() produces.
-            xp.less_equal(h, tol, out=safe)  # 1.0 on dry lanes
-            xp.subtract(1.0, safe, out=wetf)  # 1.0 on wet lanes
-            xp.maximum(h, safe, out=safe)  # where(wet, h, 1)
-            xp.divide(hu, safe, out=u)
-            xp.divide(hv, safe, out=v)
+            if all_wet:  # where(wet, momentum / h, 0) is momentum / h
+                xp.divide(hu, h, out=u)
+                xp.divide(hv, h, out=v)
+            else:
+                # Branch-free form of where(wet, momentum / h, 0): dry momenta
+                # are exactly zero (the invariant every constructor and step
+                # maintains), so dividing them by the dry-lane 1.0 yields the
+                # exact zero the reference where() produces.
+                xp.less_equal(h, tol, out=safe)  # 1.0 on dry lanes
+                xp.subtract(1.0, safe, out=wetf)  # 1.0 on wet lanes
+                xp.maximum(h, safe, out=safe)  # where(wet, h, 1)
+                xp.divide(hu, safe, out=u)
+                xp.divide(hv, safe, out=v)
             xp.add(h, b, out=eta)
             # max(|u|, |v|) + sqrt(g h), dry lanes zeroed before the reduction
             # so they never win the max (member-wise identical to
@@ -781,14 +824,16 @@ class ShallowWaterSolver2D:
             xp.multiply(h, g, out=celerity)
             xp.sqrt(celerity, out=celerity)
             xp.add(speed, celerity, out=speed)
-            xp.multiply(speed, wetf, out=speed)
+            if not all_wet:
+                xp.multiply(speed, wetf, out=speed)
             return speed.max(axis=(1, 2))
 
         def step(dt: np.ndarray) -> None:
+            nonlocal all_wet
             for dest, source in y_lanes:
                 dest[...] = source
             for run_sweep in sweeps:
-                run_sweep()
+                all_wet = run_sweep(all_wet)
             # dt arrives double from the CFL control plane; cast to the field
             # dtype so the update product matches step(), where a Python-float
             # dt combines with the fields at their own precision.
@@ -798,7 +843,12 @@ class ShallowWaterSolver2D:
                 xp.add(part_x, part_y, out=rhs)
                 xp.multiply(rhs, dt_col, out=rhs)
                 xp.add(target, rhs, out=target)
-            state.enforce_positivity()
+            # On an all-wet state the positivity step (clip at zero, zero
+            # dry momenta) is the identity; the first step that leaves a cell
+            # at or below the tolerance runs it and ends the all-wet mode.
+            all_wet = all_wet and bool(h.min() > tol)
+            if not all_wet:
+                state.enforce_positivity()
 
         return speeds, step
 
@@ -851,13 +901,20 @@ class ShallowWaterSolver2D:
             gauge_cells = [self.locate_cell(g.x, g.y) for g in gauges]
         elif len(gauge_cells) != len(gauges):
             raise ValueError("gauge_cells must supply one (i, j) pair per gauge")
-        gauge_i = np.array([i for i, _ in gauge_cells], dtype=int)
-        gauge_j = np.array([j for _, j in gauge_cells], dtype=int)
+        # Gauge cells as indices into the flattened (nx * ny) grid; raises on
+        # a cell outside the grid.
+        gauge_flat = np.ravel_multi_index(
+            (
+                np.array([i for i, _ in gauge_cells], dtype=np.intp),
+                np.array([j for _, j in gauge_cells], dtype=np.intp),
+            ),
+            (self.nx, self.ny),
+        )
         batch = state.batch_size
         block = max(1, BLOCK_CELLS // (self.nx * self.ny))
         if batch <= block:
             return self._integrate_block(
-                state, end_time, gauges, gauge_i, gauge_j, max_steps, record_max_eta
+                state, end_time, gauges, gauge_flat, max_steps, record_max_eta
             )
 
         parts = [
@@ -866,7 +923,7 @@ class ShallowWaterSolver2D:
                     *(f[start : start + block] for f in (state.h, state.hu, state.hv, state.b)),
                     dry_tolerance=state.dry_tolerance,
                 ),
-                end_time, gauges, gauge_i, gauge_j, max_steps, record_max_eta,
+                end_time, gauges, gauge_flat, max_steps, record_max_eta,
             )
             for start in range(0, batch, block)
         ]
@@ -900,65 +957,81 @@ class ShallowWaterSolver2D:
         state: ShallowWaterEnsembleState,
         end_time: float,
         gauges: list[Gauge],
-        gauge_i: np.ndarray,
-        gauge_j: np.ndarray,
+        gauge_flat: np.ndarray,
         max_steps: int,
         record_max_eta: bool,
     ) -> EnsembleSimulationResult:
-        """The fused time loop over one block (advanced in place).
+        """The time loop over one block (advanced in place).
 
         Steps through the fused kernels (:meth:`_fused_plan`) when
         :meth:`_fused_eligible` holds and through the generic
-        :meth:`step` / :meth:`stable_timesteps` otherwise.
+        :meth:`step` / :meth:`ShallowWaterEnsembleState.max_wave_speeds`
+        otherwise; either way the control plane below is the same.  A member
+        runs while its step ``min(CFL step, end_time - t)`` is positive —
+        which also means ``t < end_time`` — and once stopped it stays
+        stopped (``dt = 0`` leaves it unchanged), so the block's iteration
+        count is the step count of its longest member and ``max_steps``
+        bounds the loop itself.  Each step gathers only the depths at the
+        gauge cells; the anomalies are computed once, on the stacked series.
         """
         xp = self._xp
         batch = state.batch_size
-        # Index-then-add instead of materialising the full (B, nx, ny) free
-        # surface every step: (h + b)[:, i, j] == h[:, i, j] + b[:, i, j]
-        # exactly, and the bathymetry at the gauge cells is static.
-        gauge_b = state.b[:, gauge_i, gauge_j]  # (B, G)
-        h_at_gauges = state.h[:, gauge_i, gauge_j]
-        reference_eta = xp.where(
-            h_at_gauges > self.dry_tolerance, h_at_gauges + gauge_b, 0.0
-        )  # (B, G)
+        tol = self.dry_tolerance
+        cells = self.nx * self.ny
 
-        def gauge_sample() -> np.ndarray:
-            h_g = state.h[:, gauge_i, gauge_j]
-            return xp.where(
-                h_g > self.dry_tolerance, (h_g + gauge_b) - reference_eta, 0.0
-            )
+        # Gauge depths are read through the flattened grid (``gauge_flat``):
+        # one take() per step instead of a two-array fancy index.
+        def gauge_depths() -> np.ndarray:
+            return state.h.reshape(batch, cells).take(gauge_flat, axis=1)  # (B, G)
 
         # The time-stepping control plane stays double: dt derives from
         # double wave speeds, so double times/steps are what keeps per-member
         # trajectories elementwise identical at any field dtype.
         times = xp.zeros(batch, dtype=xp.float64)
-        steps = xp.zeros(batch, dtype=xp.int64)
-        series_times = [times]
-        series_values = [gauge_sample()]
+        series_times, series_dt, series_h = [times], [], [gauge_depths()]
         max_eta = xp.zeros_like(state.h) if record_max_eta else xp.zeros((0, 0, 0))
         if self._fused_eligible(state):
             max_speeds, advance = self._fused_plan(state)
-        else:  # generic kernels: stable_timesteps() derives the speeds itself
-            max_speeds, advance = (lambda: None), (lambda dt: self.step(state, dt))
+        else:
+            def max_speeds():
+                return state.max_wave_speeds(self.gravity)
 
-        while True:
-            dts = xp.minimum(
-                self.stable_timesteps(state, speeds=max_speeds()), end_time - times
-            )
-            running = (times < end_time) & (steps < max_steps) & (dts > 0.0)
-            if not bool(running.any()):
+            def advance(dt):
+                self.step(state, dt)
+        # CFL step cfl * min(dx, dy) / speed, member-wise identical to
+        # stable_timestep(); all-dry members take the same fallback step.
+        cfl_width = self.cfl * min(self.dx, self.dy)
+        fallback = 0.1 * min(self.dx, self.dy)
+
+        for _ in range(max_steps):
+            speeds = xp.asarray(max_speeds(), dtype=xp.float64)
+            moving = speeds > 0.0
+            dts = xp.where(moving, cfl_width / xp.where(moving, speeds, 1.0), fallback)
+            dts = xp.minimum(dts, end_time - times)
+            dts = xp.where(dts > 0.0, dts, 0.0)  # stopped members: dt = 0
+            if not bool(dts.any()):
                 break
-            dt_step = xp.where(running, dts, 0.0)
-            advance(dt_step)
-            times = times + dt_step  # a fresh array: safe to keep in the series
-            steps += running
+            advance(dts)
+            times = times + dts  # a fresh array: safe to keep in the series
+            series_dt.append(dts)
             series_times.append(times)
-            series_values.append(gauge_sample())
+            series_h.append(gauge_depths())
             if record_max_eta:
-                wet = state.h > self.dry_tolerance
+                wet = state.h > tol
                 anomaly = xp.where(wet, state.free_surface, 0.0)
                 xp.maximum(max_eta, anomaly, out=max_eta)
 
+        steps = xp.zeros(batch, dtype=xp.int64)
+        if series_dt:
+            steps += xp.count_nonzero(xp.stack(series_dt, axis=1), axis=1)
+        # Sea-surface-height anomalies against the initial free surface;
+        # (h + b)[:, i, j] == h[:, i, j] + b[:, i, j] exactly, so indexing the
+        # static bathymetry at the gauges equals gathering the free surface.
+        gauge_b = state.b.reshape(batch, cells).take(gauge_flat, axis=1)[:, None]  # (B, 1, G)
+        heights = xp.stack(series_h, axis=1)  # (B, S + 1, G)
+        wet = heights > tol
+        surface = heights + gauge_b
+        reference_eta = xp.where(wet[:, :1], surface[:, :1], 0.0)
         return EnsembleSimulationResult(
             state=state,
             gauges=gauges,
@@ -966,6 +1039,6 @@ class ShallowWaterSolver2D:
             simulated_time=times,
             dof_updates=steps * self.nx * self.ny * 4,
             gauge_times=xp.stack(series_times, axis=1),
-            gauge_values=xp.stack(series_values, axis=1),
+            gauge_values=xp.where(wet, surface - reference_eta, 0.0),
             max_eta_field=max_eta,
         )

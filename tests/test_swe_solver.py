@@ -15,7 +15,7 @@ from repro.swe.bathymetry import (
 from repro.swe.fv2d import BLOCK_CELLS, ShallowWaterSolver2D
 from repro.swe.gauges import Gauge, GaugeRecord, wave_observables
 from repro.swe.riemann import hll_flux, physical_flux_x, rusanov_flux
-from repro.swe.state import GRAVITY, ShallowWaterEnsembleState, ShallowWaterState
+from repro.swe.state import DRY_TOLERANCE, GRAVITY, ShallowWaterEnsembleState, ShallowWaterState
 
 
 def _flat_solver(n=20, depth=100.0, extent=(0.0, 1000.0, 0.0, 1000.0), **kwargs):
@@ -381,12 +381,13 @@ class TestEnsembleSolver:
             )
 
 
-def _reference_run(solver, initial_state, end_time, gauge_cells):
+def _reference_run(solver, initial_state, end_time, gauge_cells, max_steps=None):
     """Independent oracle: a time loop over the generic kernels only.
 
     Drives nothing but ``solver.step()`` and ``solver.stable_timestep()`` —
     the unfused reference kernels — so it shares no code with the fused step
-    plan that ``run()`` and ``run_ensemble()`` ride.  Returns
+    plan that ``run()`` and ``run_ensemble()`` ride.  Stops after
+    ``max_steps`` steps when given.  Returns
     ``(state, times, gauge series, steps, simulated time)``.
     """
     state = initial_state.copy()
@@ -400,7 +401,7 @@ def _reference_run(solver, initial_state, end_time, gauge_cells):
     reference_eta, _ = eta_at_gauges()
     time, steps = 0.0, 0
     times, series = [time], [np.zeros_like(reference_eta)]
-    while time < end_time:
+    while time < end_time and (max_steps is None or steps < max_steps):
         dt = min(solver.stable_timestep(state), end_time - time)
         if dt <= 0.0:
             break
@@ -420,10 +421,13 @@ class TestOneTimeLoopAgainstGenericKernels:
     GAUGES = [Gauge("a", 90e3, 40e3), Gauge("b", 110e3, -60e3)]
 
     @staticmethod
-    def _solver(nx, ny, dtype=np.float64, flux="rusanov"):
+    def _solver(nx, ny, dtype=np.float64, flux="rusanov", flat=False):
         field = tohoku_like_bathymetry()  # wet/dry: coast in the west
+        bathymetry = field.on_grid(nx, ny)
+        if flat:  # the coarse level's treatment: constant, all wet
+            bathymetry = depth_averaged_bathymetry(bathymetry)
         return ShallowWaterSolver2D(
-            nx, ny, field.extent, field.on_grid(nx, ny), flux=flux, dtype=dtype
+            nx, ny, field.extent, bathymetry, flux=flux, dtype=dtype
         )
 
     @staticmethod
@@ -437,12 +441,14 @@ class TestOneTimeLoopAgainstGenericKernels:
             ]
         )
 
-    def _assert_scalar_equals_oracle(self, solver, state, end_time):
-        cells = [solver.locate_cell(g.x, g.y) for g in self.GAUGES]
+    def _assert_scalar_equals_oracle(self, solver, state, end_time, gauges=None, max_steps=None):
+        gauges = self.GAUGES if gauges is None else gauges
+        cells = [solver.locate_cell(g.x, g.y) for g in gauges]
         ref_state, ref_times, ref_series, ref_steps, ref_time = _reference_run(
-            solver, state, end_time, cells
+            solver, state, end_time, cells, max_steps
         )
-        result = solver.run(state, end_time=end_time, gauges=self.GAUGES)
+        kwargs = {} if max_steps is None else {"max_steps": max_steps}
+        result = solver.run(state, end_time=end_time, gauges=gauges, **kwargs)
         assert result.num_timesteps == ref_steps > 0
         assert result.simulated_time == ref_time
         for name in ("h", "hu", "hv"):
@@ -452,6 +458,28 @@ class TestOneTimeLoopAgainstGenericKernels:
         for g, record in enumerate(result.gauge_records):
             assert record.times == ref_times.tolist()
             assert record.ssha == ref_series[:, g].astype(float).tolist()
+        return result
+
+    def _assert_ensemble_equals_oracle(self, solver, ensemble, end_time, gauges=None, max_steps=None):
+        """``run_ensemble`` equals one oracle run per member, bitwise."""
+        gauges = self.GAUGES if gauges is None else gauges
+        cells = [solver.locate_cell(g.x, g.y) for g in gauges]
+        kwargs = {} if max_steps is None else {"max_steps": max_steps}
+        result = solver.run_ensemble(ensemble, end_time=end_time, gauges=gauges, **kwargs)
+        for m in range(ensemble.batch_size):
+            ref_state, ref_times, ref_series, ref_steps, ref_time = _reference_run(
+                solver, ensemble.member(m), end_time, cells, max_steps
+            )
+            assert result.num_timesteps[m] == ref_steps
+            assert result.simulated_time[m] == ref_time
+            for name in ("h", "hu", "hv"):
+                np.testing.assert_array_equal(
+                    getattr(result.state, name)[m], getattr(ref_state, name)
+                )
+            valid = ref_steps + 1
+            np.testing.assert_array_equal(result.gauge_times[m, :valid], ref_times)
+            np.testing.assert_array_equal(result.gauge_values[m, :valid], ref_series)
+        return result
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize(
@@ -510,6 +538,135 @@ class TestOneTimeLoopAgainstGenericKernels:
         state.hu[dry] = 3.0  # violates the invariant the fused kernels assume
         self._assert_scalar_equals_oracle(solver, state, 300.0)
         assert not solver._ensemble_workspace
+
+    def test_state_on_another_bathymetry_falls_back_to_generic_kernels(self):
+        # The fused sweep reconstructs against the solver's bathymetry; a
+        # state built on a different one must take the generic kernels,
+        # which read ``state.b``.
+        solver = self._solver(16, 16)
+        other = ShallowWaterSolver2D(
+            16, 16, solver.extent, smooth_bathymetry(solver.bathymetry, passes=2)
+        )
+        state = other.initial_state(self._displacements(other, 1)[0])
+        self._assert_scalar_equals_oracle(solver, state, 200.0)
+        assert not solver._ensemble_workspace
+        ensemble = ShallowWaterEnsembleState.from_states(
+            [solver.initial_state(self._displacements(solver, 1)[0]), state]
+        )
+        self._assert_ensemble_equals_oracle(solver, ensemble, 200.0)
+        assert not solver._ensemble_workspace
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize(
+        "nx, ny, batch, stacked",
+        [
+            (16, 16, 1, True),  # the coarse-level MCMC hot path
+            (16, 16, 3, True),
+            (20, 14, 2, False),  # nx != ny: two sweeps
+        ],
+    )
+    def test_all_wet_flat_loop_equals_generic_kernel_loop(self, nx, ny, batch, stacked, dtype):
+        # Constant bathymetry, every cell wet: the fused step skips the
+        # (exactly zero) well-balanced source and the dry-lane masking.
+        solver = self._solver(nx, ny, dtype, flat=True)
+        assert (nx == ny and solver.dx == solver.dy) == stacked
+        ensemble = solver.initial_ensemble(self._displacements(solver, batch))
+        assert np.unique(solver.bathymetry).size == 1
+        assert np.all(ensemble.h > solver.dry_tolerance), "needs an all-wet state"
+        self._assert_ensemble_equals_oracle(solver, ensemble, 1800.0)
+        assert solver._ensemble_workspace, "expected the fused path"
+        self._assert_scalar_equals_oracle(solver, ensemble.member(batch - 1), 1800.0)
+
+    @staticmethod
+    def _draining(dtype=np.float64, dry_tolerance=DRY_TOLERANCE):
+        """A shallow, all-wet flat basin whose water flows out of every edge."""
+        n = 16
+        solver = ShallowWaterSolver2D(
+            n, n, (-800.0, 800.0, -800.0, 800.0), np.full((n, n), -0.02),
+            dry_tolerance=dry_tolerance, dtype=dtype,
+        )
+        state = solver.initial_state()
+        x, y = solver.cell_centers()
+        state.hu[...] = state.h * 8.0 * x / 800.0
+        state.hv[...] = state.h * 8.0 * y / 800.0
+        gauges = [Gauge("centre", 10.0, 10.0), Gauge("edge", 600.0, -300.0)]
+        return solver, state, gauges
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_all_wet_run_that_dries_mid_run_equals_generic_kernel_loop(self, dtype):
+        # Starts all wet on a constant bathymetry, so the fused step begins
+        # on the all-wet operations; cells dry after a few steps, which must
+        # trip the per-step guard and hand the rest of the run to the masked
+        # operations without changing a bit.
+        solver, state, gauges = self._draining(dtype)
+        assert np.all(state.h > solver.dry_tolerance)
+        early = solver.run(state, end_time=100.0)
+        assert early.num_timesteps > 0
+        assert np.all(early.state.h > solver.dry_tolerance), "must start all wet"
+        result = self._assert_scalar_equals_oracle(solver, state, 300.0, gauges)
+        assert np.any(result.state.h <= solver.dry_tolerance), "must dry mid-run"
+        assert solver._ensemble_workspace, "expected the fused path"
+        # in a block, one draining member ends the all-wet mode for all
+        still = state.copy()
+        still.hu[...] = 0.0
+        still.hv[...] = 0.0
+        ensemble = ShallowWaterEnsembleState.from_states([still, state])
+        result = self._assert_ensemble_equals_oracle(solver, ensemble, 300.0, gauges)
+        assert np.all(result.state.h[0] > solver.dry_tolerance)
+
+    def test_dry_interfaces_between_wet_cells_trip_the_guard(self):
+        # The sweep's wet test is on reconstructed interface depths, not on
+        # cells: both states below keep every cell wet while some h* fall to
+        # the tolerance, so the sweep itself must detect it.
+        # (i) A free-surface drop over a bathymetry step: h* = 0 at the step.
+        n = 16
+        x = (np.arange(n) + 0.5)[:, None] * np.ones(n)
+        bathymetry = np.where(x < n / 2, -1.0, -0.2)
+        solver = ShallowWaterSolver2D(n, n, (0.0, 1600.0, 0.0, 1600.0), bathymetry)
+        state = ShallowWaterState(
+            h=np.where(x < n / 2, 0.5, 0.3), hu=np.zeros((n, n)), hv=np.zeros((n, n)),
+            b=bathymetry.copy(),
+        )
+        assert np.all(state.h > solver.dry_tolerance)
+        gauges = [Gauge("step", 790.0, 800.0), Gauge("shelf", 1200.0, 400.0)]
+        self._assert_scalar_equals_oracle(solver, state, 60.0, gauges)
+        assert solver._ensemble_workspace, "expected the fused path"
+        # (ii) A cell tolerance below the interface one: cells between the
+        # two tolerances are wet, their interface depths dry.
+        solver, state, gauges = self._draining(dry_tolerance=DRY_TOLERANCE / 10)
+        result = self._assert_scalar_equals_oracle(solver, state, 300.0, gauges)
+        assert np.any(result.state.h <= DRY_TOLERANCE)
+
+    @pytest.mark.parametrize("flat", [False, True])
+    def test_max_steps_truncates_the_run(self, flat):
+        solver = self._solver(16, 16, flat=flat)
+        displacements = self._displacements(solver, 3)
+        for k in (1, 7):
+            result = self._assert_scalar_equals_oracle(
+                solver, solver.initial_state(displacements[0]), 1800.0, max_steps=k
+            )
+            assert result.num_timesteps == k and result.simulated_time < 1800.0
+            ensemble = solver.initial_ensemble(displacements)
+            result = self._assert_ensemble_equals_oracle(solver, ensemble, 1800.0, max_steps=k)
+            assert result.num_timesteps.tolist() == [k] * 3
+            assert result.gauge_times.shape == (3, k + 1)
+        # a member that reaches end_time first stops there; the others run on
+        ensemble = solver.initial_ensemble(displacements)
+        ensemble.h[1] = np.maximum(ensemble.h[1] - 2000.0, 0.0)  # slower waves
+        full = solver.run_ensemble(ensemble, end_time=600.0)
+        k = int(full.num_timesteps.min()) + 2
+        assert k <= int(full.num_timesteps.max())
+        result = self._assert_ensemble_equals_oracle(solver, ensemble, 600.0, max_steps=k)
+        assert result.num_timesteps.tolist() == np.minimum(full.num_timesteps, k).tolist()
+
+    @pytest.mark.parametrize("flat", [False, True])
+    def test_empty_ensemble_takes_no_step(self, flat):
+        solver = self._solver(16, 16, flat=flat)
+        ensemble = solver.initial_ensemble(np.zeros((0, 16, 16)))
+        result = solver.run_ensemble(ensemble, end_time=600.0, gauges=self.GAUGES)
+        assert result.num_timesteps.shape == result.simulated_time.shape == (0,)
+        assert result.gauge_values.shape == (0, 1, len(self.GAUGES))
+        assert result.wave_observables().shape == (0, 2 * len(self.GAUGES))
 
     def test_run_leaves_the_callers_state_untouched(self):
         solver = self._solver(16, 16)
