@@ -643,6 +643,8 @@ class ShallowWaterSolver2D:
             )
         abs_l, abs_r = work_lr[:lanes], work_lr[lanes:]
         half_g = 0.5 * g
+        # the guard compares in the field dtype, like the masked less_equal
+        dry_star = eta.dtype.type(DRY_TOLERANCE)
 
         def sweep(all_wet: bool) -> bool:
             for dest, source_cells in traces:
@@ -652,7 +654,7 @@ class ShallowWaterSolver2D:
             xp.subtract(eta_lr, b_star, out=h_star)
             # Every h* above the tolerance: the clip at zero and the dry-lane
             # masking below are identities, so they are skipped.
-            all_wet = all_wet and bool(h_star.min() > DRY_TOLERANCE)
+            all_wet = all_wet and bool(h_star.min() > dry_star)
             if not all_wet:
                 xp.maximum(h_star, 0.0, out=h_star)
             xp.multiply(h_star, un_lr, out=hn)
@@ -796,9 +798,10 @@ class ShallowWaterSolver2D:
         wetf, safe, rhs = buf("wetf", *cell), buf("cell_safe", *cell), buf("rhs", *cell)
         speed, celerity = buf("speed", *cell), buf("celerity", *cell)
         # "Every cell wet" holds from the input on and is re-checked by one
-        # reduction after every update; once it fails, the run stays on the
-        # masked operations.
+        # reduction after every update (in the field dtype, like the masked
+        # comparisons); once it fails, the run stays on the masked operations.
         all_wet = bool(xp.all(h > tol))
+        dry_cell = dtype.type(tol)
 
         def speeds() -> np.ndarray:
             if all_wet:  # where(wet, momentum / h, 0) is momentum / h
@@ -846,7 +849,7 @@ class ShallowWaterSolver2D:
             # On an all-wet state the positivity step (clip at zero, zero
             # dry momenta) is the identity; the first step that leaves a cell
             # at or below the tolerance runs it and ends the all-wet mode.
-            all_wet = all_wet and bool(h.min() > tol)
+            all_wet = all_wet and bool(h.min() > dry_cell)
             if not all_wet:
                 state.enforce_positivity()
 

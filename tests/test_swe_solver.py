@@ -381,13 +381,13 @@ class TestEnsembleSolver:
             )
 
 
-def _reference_run(solver, initial_state, end_time, gauge_cells, max_steps=None):
+def _reference_run(solver, initial_state, end_time, gauge_cells, max_steps=1_000_000):
     """Independent oracle: a time loop over the generic kernels only.
 
     Drives nothing but ``solver.step()`` and ``solver.stable_timestep()`` —
     the unfused reference kernels — so it shares no code with the fused step
     plan that ``run()`` and ``run_ensemble()`` ride.  Stops after
-    ``max_steps`` steps when given.  Returns
+    ``max_steps`` steps, like the solver.  Returns
     ``(state, times, gauge series, steps, simulated time)``.
     """
     state = initial_state.copy()
@@ -401,7 +401,7 @@ def _reference_run(solver, initial_state, end_time, gauge_cells, max_steps=None)
     reference_eta, _ = eta_at_gauges()
     time, steps = 0.0, 0
     times, series = [time], [np.zeros_like(reference_eta)]
-    while time < end_time and (max_steps is None or steps < max_steps):
+    while time < end_time and steps < max_steps:
         dt = min(solver.stable_timestep(state), end_time - time)
         if dt <= 0.0:
             break
@@ -441,14 +441,15 @@ class TestOneTimeLoopAgainstGenericKernels:
             ]
         )
 
-    def _assert_scalar_equals_oracle(self, solver, state, end_time, gauges=None, max_steps=None):
+    def _assert_scalar_equals_oracle(
+        self, solver, state, end_time, gauges=None, max_steps=1_000_000
+    ):
         gauges = self.GAUGES if gauges is None else gauges
         cells = [solver.locate_cell(g.x, g.y) for g in gauges]
         ref_state, ref_times, ref_series, ref_steps, ref_time = _reference_run(
             solver, state, end_time, cells, max_steps
         )
-        kwargs = {} if max_steps is None else {"max_steps": max_steps}
-        result = solver.run(state, end_time=end_time, gauges=gauges, **kwargs)
+        result = solver.run(state, end_time=end_time, gauges=gauges, max_steps=max_steps)
         assert result.num_timesteps == ref_steps > 0
         assert result.simulated_time == ref_time
         for name in ("h", "hu", "hv"):
@@ -460,12 +461,15 @@ class TestOneTimeLoopAgainstGenericKernels:
             assert record.ssha == ref_series[:, g].astype(float).tolist()
         return result
 
-    def _assert_ensemble_equals_oracle(self, solver, ensemble, end_time, gauges=None, max_steps=None):
+    def _assert_ensemble_equals_oracle(
+        self, solver, ensemble, end_time, gauges=None, max_steps=1_000_000
+    ):
         """``run_ensemble`` equals one oracle run per member, bitwise."""
         gauges = self.GAUGES if gauges is None else gauges
         cells = [solver.locate_cell(g.x, g.y) for g in gauges]
-        kwargs = {} if max_steps is None else {"max_steps": max_steps}
-        result = solver.run_ensemble(ensemble, end_time=end_time, gauges=gauges, **kwargs)
+        result = solver.run_ensemble(
+            ensemble, end_time=end_time, gauges=gauges, max_steps=max_steps
+        )
         for m in range(ensemble.batch_size):
             ref_state, ref_times, ref_series, ref_steps, ref_time = _reference_run(
                 solver, ensemble.member(m), end_time, cells, max_steps
