@@ -61,7 +61,7 @@ def _estimator_variance(result) -> float:
     """``sum_l V_l / N_l`` from the streamed correction variances."""
     total = 0.0
     for collection in result.corrections:
-        variance = collection.streaming_variance()
+        variance = collection.variance()
         if variance.size and len(collection) > 0:
             total += float(np.mean(variance)) / len(collection)
     return total

@@ -40,12 +40,13 @@ compares it bitwise with a loop over the generic ``step()`` kernels.
 
 Both sides run over the cached :class:`~repro.swe.scenario.ScenarioPlan`
 (treated bathymetry, gauge cells, IC grids), so the comparison isolates the
-time loop itself.  Results are appended-by-overwrite to
-``BENCH_swe_hotpath.json`` at the repo root so the performance trajectory
-accumulates across PRs.  Runnable standalone::
+time loop itself.  A full run overwrites ``BENCH_swe_hotpath.json`` at the
+repo root (or ``--output``) so the performance trajectory accumulates across
+versions; a quick run writes only to the path given by ``--output``, never to
+the tracked full-mode file.  Runnable standalone::
 
     python benchmarks/bench_swe_hotpath.py            # full: levels 0/1/2, B=16
-    python benchmarks/bench_swe_hotpath.py --quick    # CI: levels 0/1, B=4, 1 repeat
+    python benchmarks/bench_swe_hotpath.py --quick --output /tmp/swe.json  # CI: levels 0/1, B=4
 """
 
 from __future__ import annotations
@@ -298,8 +299,9 @@ def main(argv: list[str] | None = None) -> None:
     parser.add_argument(
         "--output",
         type=Path,
-        default=_ROOT / "BENCH_swe_hotpath.json",
-        help="output JSON path (default: repo root)",
+        default=None,
+        help="output JSON path (full mode defaults to BENCH_swe_hotpath.json at the "
+        "repo root; quick mode writes only here)",
     )
     args = parser.parse_args(argv)
 
@@ -309,8 +311,12 @@ def main(argv: list[str] | None = None) -> None:
     repeats = args.repeats or (1 if args.quick else 3)
     payload = run(num_levels, batch_size, end_time, repeats, quick=args.quick)
     report(payload)
-    args.output.write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"\nwrote {args.output}")
+    output = args.output
+    if output is None and not args.quick:
+        output = _ROOT / "BENCH_swe_hotpath.json"
+    if output is not None:
+        output.write_text(json.dumps(payload, indent=2) + "\n")
+        print(f"\nwrote {output}")
 
 
 if __name__ == "__main__":

@@ -15,7 +15,6 @@ from repro.core.problem import (
 )
 from repro.core.proposals import (
     MCMCProposal,
-    ProposalResult,
     GaussianRandomWalkProposal,
     AdaptiveMetropolisProposal,
     PreconditionedCrankNicolsonProposal,
@@ -23,7 +22,7 @@ from repro.core.proposals import (
     SubsamplingProposal,
     ChainSampleSource,
 )
-from repro.core.kernels import MHKernel, MultilevelKernel, TransitionKernel, KernelResult
+from repro.core.kernels import MHKernel, MultilevelKernel, TransitionKernel
 from repro.core.chain import SingleChainMCMC, SubsampledChainSource
 from repro.core.sample_collection import SampleCollection, CorrectionCollection
 from repro.core.factory import LevelProblems, MLComponentFactory, level_chain
@@ -62,7 +61,6 @@ __all__ = [
     "DensitySamplingProblem",
     "GaussianTargetProblem",
     "MCMCProposal",
-    "ProposalResult",
     "GaussianRandomWalkProposal",
     "AdaptiveMetropolisProposal",
     "PreconditionedCrankNicolsonProposal",
@@ -72,7 +70,6 @@ __all__ = [
     "MHKernel",
     "MultilevelKernel",
     "TransitionKernel",
-    "KernelResult",
     "SingleChainMCMC",
     "SubsampledChainSource",
     "SampleCollection",

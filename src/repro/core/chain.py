@@ -8,6 +8,16 @@ coarse samples into a :class:`CorrectionCollection`.  It can also act as a
 proposals — that is how the sequential MLMCMC driver stacks chains, and the
 parallel controllers reuse exactly the same mechanism across process
 boundaries.
+
+The current point lives in four plain attributes — ``theta``, its log
+density, its coarse log density and its QOI (evaluated at most once per
+point).  A step hands them to the kernel and takes the next point back
+without allocating a state object; a recorded step writes one row into each
+collection.  Parameter vectors are never written in place, so a point's
+vector is shared, not copied, between the kernel, the coarse source and the
+finer chain.  :class:`~repro.core.state.SamplingState` appears only where a
+point leaves the chain: :attr:`SingleChainMCMC.current_state` and the
+checkpoint snapshot.
 """
 
 from __future__ import annotations
@@ -15,9 +25,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.kernels.base import TransitionKernel
-from repro.core.proposals.subsampling import ChainSampleSource
+from repro.core.proposals.subsampling import ChainSampleSource, CoarsePoint
 from repro.core.sample_collection import CorrectionCollection, SampleCollection
 from repro.core.state import SamplingState
+from repro.utils.array_api import float_vector
 
 __all__ = ["SingleChainMCMC", "SubsampledChainSource"]
 
@@ -64,14 +75,25 @@ class SingleChainMCMC:
 
         self.samples = SampleCollection()
         self.corrections = CorrectionCollection(level=self.level)
-        self._current = kernel.initialize(np.asarray(starting_point, dtype=float))
+        # The QOI is the chain's own target's (the fine problem of a
+        # multilevel kernel), looked up once.
+        problem = getattr(kernel, "fine_problem", None) or kernel.problem
+        self._qoi_fn = problem.qoi
+        self._theta = float_vector(starting_point)
+        self._log_density, self._coarse_log_density = kernel.initialize(self._theta)
+        self._qoi: np.ndarray | None = None
         self._steps_taken = 0
 
     # ------------------------------------------------------------------
     @property
     def current_state(self) -> SamplingState:
-        """The chain's current state."""
-        return self._current
+        """The current point packaged as a :class:`SamplingState` (a new object)."""
+        return SamplingState(
+            parameters=self._theta,
+            log_density=self._log_density,
+            coarse_log_density=self._coarse_log_density,
+            qoi=self._qoi,
+        )
 
     @property
     def steps_taken(self) -> int:
@@ -89,27 +111,35 @@ class SingleChainMCMC:
         return self.kernel.acceptance_rate
 
     # ------------------------------------------------------------------
-    def step(self) -> SamplingState:
-        """Advance the chain by one step, recording the sample if past burn-in."""
-        result = self.kernel.step(self._current, self.rng)
-        self._current = result.state
+    def step(self) -> None:
+        """Advance the chain by one step, recording the point if past burn-in."""
+        theta, log_density, coarse_log_density, coarse_qoi, accepted = self.kernel.step(
+            self._theta, self._log_density, self._coarse_log_density, self.rng
+        )
+        if accepted:
+            self._theta = theta
+            self._log_density = log_density
+            self._coarse_log_density = coarse_log_density
+            self._qoi = None
         self._steps_taken += 1
 
         if self.record and self._steps_taken > self.burnin:
-            # Fine QOI of the (possibly repeated) current state.
-            fine_qoi = self._problem_qoi(self._current)
-            coarse_qoi = result.metadata.get("coarse_qoi")
-            if coarse_qoi is not None:
-                self.corrections.add(fine_qoi, coarse_qoi)
-            else:
-                self.corrections.add(fine_qoi, None if self.level == 0 else fine_qoi)
-            self.samples.add(self._current.copy(weight=1), weight=1)
-        return self._current
+            # Fine QOI of the (possibly repeated) current point.
+            qoi = self._qoi
+            if qoi is None:
+                qoi = self._qoi = self._qoi_fn(theta)
+            if coarse_qoi is None and self.level:
+                coarse_qoi = qoi
+            self.corrections.add(qoi, coarse_qoi)
+            self.samples.add(theta, log_density, qoi)
 
-    def _problem_qoi(self, state: SamplingState) -> np.ndarray:
-        """Evaluate the QOI through the kernel's problem (fine problem for ML kernels)."""
-        problem = getattr(self.kernel, "fine_problem", None) or getattr(self.kernel, "problem")
-        return problem.qoi(state)
+    def point(self) -> CoarsePoint:
+        """The current point as ``(theta, log_density, qoi)``; evaluates the QOI
+        if this point has none yet, so a finer chain never re-runs this model."""
+        qoi = self._qoi
+        if qoi is None:
+            qoi = self._qoi = self._qoi_fn(self._theta)
+        return self._theta, self._log_density, qoi
 
     def run(self, num_samples: int) -> SampleCollection:
         """Run until ``num_samples`` post-burn-in samples have been recorded."""
@@ -143,7 +173,7 @@ class SingleChainMCMC:
             "level": self.level,
             "burnin": self.burnin,
             "steps_taken": self._steps_taken,
-            "current": self._current.copy(),
+            "current": self.current_state,
             "rng_state": self.rng.bit_generator.state,
             "kernel": self.kernel.state_dict(),
             "samples": self.samples.state_dict(),
@@ -158,7 +188,11 @@ class SingleChainMCMC:
             )
         self.burnin = int(state["burnin"])
         self._steps_taken = int(state["steps_taken"])
-        self._current = state["current"].copy()
+        current = state["current"]
+        self._theta = current.parameters
+        self._log_density = current.log_density
+        self._coarse_log_density = current.coarse_log_density
+        self._qoi = current.qoi
         self.rng.bit_generator.state = state["rng_state"]
         self.kernel.load_state_dict(state["kernel"])
         self.samples = SampleCollection.from_state_dict(state["samples"])
@@ -169,9 +203,10 @@ class SubsampledChainSource(ChainSampleSource):
     """Expose a :class:`SingleChainMCMC` as a coarse-proposal source.
 
     Every :meth:`next_sample` call advances the wrapped chain by
-    ``subsampling_rate`` steps (at least one) and returns a copy of its current
-    state — the sequential analogue of a controller requesting coarse samples
-    through the phonebook.
+    ``subsampling_rate`` steps (at least one) and hands out its current point
+    with the QOI evaluated — the sequential analogue of a controller
+    requesting coarse samples through the phonebook.  The parameter vector is
+    handed over as it is, not copied.
     """
 
     def __init__(self, chain: SingleChainMCMC, subsampling_rate: int = 1) -> None:
@@ -184,12 +219,7 @@ class SubsampledChainSource(ChainSampleSource):
     def subsampling_rate(self) -> int:
         return self._rate
 
-    def next_sample(self) -> SamplingState:
-        steps = max(1, self._rate)
-        for _ in range(steps):
+    def next_sample(self) -> CoarsePoint:
+        for _ in range(max(1, self._rate)):
             self.chain.step()
-        state = self.chain.current_state
-        # Make sure the handed-out sample carries its QOI so the fine level
-        # never re-evaluates the coarse model for the correction term.
-        self.chain._problem_qoi(state)
-        return state.copy()
+        return self.chain.point()

@@ -6,8 +6,8 @@ multilevel algorithm (Algorithm 2), coupling a fine-level chain to coarse
 proposals drawn from a coarser chain.
 """
 
-from repro.core.kernels.base import KernelResult, TransitionKernel
+from repro.core.kernels.base import TransitionKernel
 from repro.core.kernels.mh import MHKernel
 from repro.core.kernels.multilevel import MultilevelKernel
 
-__all__ = ["TransitionKernel", "KernelResult", "MHKernel", "MultilevelKernel"]
+__all__ = ["TransitionKernel", "MHKernel", "MultilevelKernel"]

@@ -1,40 +1,21 @@
-"""Transition kernel interface."""
+"""Transition kernel interface.
+
+A kernel works on the bare values of a chain point — the parameter vector
+``theta``, its log density and, for multilevel kernels, its coarse log density
+— and allocates no wrapper object per step.  :meth:`TransitionKernel.step`
+returns the next point as the tuple ``(theta, log_density,
+coarse_log_density, coarse_qoi, accepted)``: the input values themselves when
+the proposal was rejected, and ``coarse_qoi`` is the QOI of the coarse sample
+a multilevel step was coupled with (``None`` for single-level kernels).
+"""
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
-from typing import Any
 
 import numpy as np
 
-from repro.core.state import SamplingState
-
-__all__ = ["KernelResult", "TransitionKernel"]
-
-
-@dataclass
-class KernelResult:
-    """Outcome of one kernel step.
-
-    Attributes
-    ----------
-    state:
-        The new chain state (identical object to the previous state when the
-        proposal was rejected).
-    accepted:
-        Whether the proposal was accepted.
-    log_alpha:
-        The log acceptance probability (clipped at 0).
-    metadata:
-        Kernel-specific annotations, e.g. the coarse sample coupled with a
-        multilevel step.
-    """
-
-    state: SamplingState
-    accepted: bool
-    log_alpha: float = 0.0
-    metadata: dict[str, Any] = field(default_factory=dict)
+__all__ = ["TransitionKernel"]
 
 
 class TransitionKernel(ABC):
@@ -60,11 +41,6 @@ class TransitionKernel(ABC):
         """Empirical acceptance rate."""
         return self._num_accepted / self._num_steps if self._num_steps else 0.0
 
-    def _record(self, accepted: bool) -> None:
-        self._num_steps += 1
-        if accepted:
-            self._num_accepted += 1
-
     # ------------------------------------------------------------------
     def state_dict(self) -> dict:
         """Serializable kernel state (counters; subclasses may extend)."""
@@ -77,9 +53,15 @@ class TransitionKernel(ABC):
 
     # ------------------------------------------------------------------
     @abstractmethod
-    def step(self, current: SamplingState, rng: np.random.Generator) -> KernelResult:
-        """Advance the chain by one step."""
+    def initialize(self, theta: np.ndarray) -> tuple[float, float | None]:
+        """Evaluate a starting point: ``(log_density, coarse_log_density)``."""
 
     @abstractmethod
-    def initialize(self, parameters: np.ndarray) -> SamplingState:
-        """Build and fully evaluate a starting state from raw parameters."""
+    def step(
+        self,
+        theta: np.ndarray,
+        log_density: float,
+        coarse_log_density: float | None,
+        rng: np.random.Generator,
+    ) -> tuple[np.ndarray, float, float | None, np.ndarray | None, bool]:
+        """Advance one step from the given point (see the module docstring)."""

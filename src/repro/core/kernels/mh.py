@@ -6,10 +6,9 @@ import math
 
 import numpy as np
 
-from repro.core.kernels.base import KernelResult, TransitionKernel
+from repro.core.kernels.base import TransitionKernel
 from repro.core.problem import AbstractSamplingProblem
 from repro.core.proposals.base import MCMCProposal
-from repro.core.state import SamplingState
 
 __all__ = ["MHKernel"]
 
@@ -30,6 +29,8 @@ class MHKernel(TransitionKernel):
         super().__init__()
         self.problem = problem
         self.proposal = proposal
+        self._log_density = problem.log_density
+        self._symmetric = proposal.is_symmetric
 
     def state_dict(self) -> dict:
         """Kernel counters plus the proposal's adaptation state."""
@@ -39,30 +40,27 @@ class MHKernel(TransitionKernel):
         super().load_state_dict(state)
         self.proposal.load_state_dict(state["proposal"])
 
-    def initialize(self, parameters: np.ndarray) -> SamplingState:
-        state = SamplingState(parameters=np.asarray(parameters, dtype=float))
-        self.problem.log_density(state)
-        return state
+    def initialize(self, theta: np.ndarray) -> tuple[float, None]:
+        return self._log_density(theta), None
 
-    def step(self, current: SamplingState, rng: np.random.Generator) -> KernelResult:
-        current_log_density = self.problem.log_density(current)
-        proposal_result = self.proposal.propose(current, rng)
-        proposed = proposal_result.state
-        proposed_log_density = self.problem.log_density(proposed)
+    def step(
+        self,
+        theta: np.ndarray,
+        log_density: float,
+        coarse_log_density: float | None,
+        rng: np.random.Generator,
+    ) -> tuple[np.ndarray, float, float | None, None, bool]:
+        proposal = self.proposal
+        proposed = proposal.propose(theta, rng)
+        proposed_log_density = self._log_density(proposed)
+        correction = 0.0 if self._symmetric else proposal.log_correction(theta, proposed)
 
-        log_alpha = min(
-            0.0,
-            proposed_log_density - current_log_density + proposal_result.log_correction,
-        )
+        log_alpha = min(0.0, proposed_log_density - log_density + correction)
         accepted = math.log(rng.random() + 1e-300) < log_alpha if math.isfinite(log_alpha) else False
 
-        new_state = proposed if accepted else current
-        self._record(accepted)
-        self.proposal.adapt(self._num_steps, new_state, accepted)
-        return KernelResult(
-            state=new_state,
-            accepted=accepted,
-            log_alpha=float(log_alpha),
-            # the proposal result is discarded, so its metadata is handed on
-            metadata=proposal_result.metadata,
-        )
+        self._num_steps += 1
+        if accepted:
+            self._num_accepted += 1
+            theta, log_density = proposed, proposed_log_density
+        proposal.adapt(self._num_steps, theta, accepted)
+        return theta, log_density, coarse_log_density, None, accepted

@@ -8,10 +8,10 @@ the usual fine-level posterior ratio, the *inverse* coarse-posterior ratio
 ``nu_{l-1}(theta_C) / nu_{l-1}(theta'_C)`` which removes the bias that using
 coarse-chain samples as proposals would otherwise introduce.
 
-Every step also exposes the coarse sample it was coupled with (including its
-cached coarse QOI), which is exactly what the telescoping-sum correction
-``E[Q_l - Q_{l-1}]`` needs — mirroring the paper's controllers that own a
-level-``l`` and a level-``l-1`` chain.
+Every step also hands back the QOI of the coarse sample it was coupled with,
+which is exactly what the telescoping-sum correction ``E[Q_l - Q_{l-1}]``
+needs — mirroring the paper's controllers that own a level-``l`` and a
+level-``l-1`` chain.
 """
 
 from __future__ import annotations
@@ -20,10 +20,9 @@ import math
 
 import numpy as np
 
-from repro.core.kernels.base import KernelResult, TransitionKernel
+from repro.core.kernels.base import TransitionKernel
 from repro.core.problem import AbstractSamplingProblem
 from repro.core.proposals.subsampling import SubsamplingProposal
-from repro.core.state import SamplingState
 
 __all__ = ["MultilevelKernel"]
 
@@ -37,7 +36,7 @@ class MultilevelKernel(TransitionKernel):
         Level-``l`` sampling problem (the chain's own target).
     coarse_problem:
         Level-``l-1`` sampling problem, used to evaluate the coarse posterior
-        correction for the *current* state (proposals carry their coarse
+        correction for the *current* point (proposals carry their coarse
         density from the coarse chain already).
     coarse_proposal:
         Subsampling proposal bound to a coarse-chain sample source.
@@ -53,59 +52,48 @@ class MultilevelKernel(TransitionKernel):
         self.fine_problem = fine_problem
         self.coarse_problem = coarse_problem
         self.coarse_proposal = coarse_proposal
+        self._fine_log_density = fine_problem.log_density
+        self._coarse_log_density = coarse_problem.log_density
 
     # ------------------------------------------------------------------
-    def initialize(self, parameters: np.ndarray) -> SamplingState:
-        """Evaluate a starting state under both the fine and the coarse posterior."""
-        state = SamplingState(parameters=np.asarray(parameters, dtype=float))
-        self.fine_problem.log_density(state)
-        state.coarse_log_density = self.coarse_problem.log_density(state.parameters)
-        return state
+    def initialize(self, theta: np.ndarray) -> tuple[float, float]:
+        """Evaluate a starting point under both the fine and the coarse posterior."""
+        return self._fine_log_density(theta), self._coarse_log_density(theta)
 
     # ------------------------------------------------------------------
-    def step(self, current: SamplingState, rng: np.random.Generator) -> KernelResult:
-        # Coarse component: a subsampled state of the level l-1 chain.
-        coarse_result = self.coarse_proposal.propose(current, rng)
-        coarse_state: SamplingState = coarse_result.metadata["coarse_state"]
-        coarse_log_density_proposed = coarse_state.log_density
-        if coarse_log_density_proposed is None:
-            coarse_log_density_proposed = self.coarse_problem.log_density(coarse_state)
+    def step(
+        self,
+        theta: np.ndarray,
+        log_density: float,
+        coarse_log_density: float | None,
+        rng: np.random.Generator,
+    ) -> tuple[np.ndarray, float, float | None, np.ndarray, bool]:
+        # Coarse component: a subsampled point of the level l-1 chain.  Its
+        # parameter vector *is* the proposal; nothing writes into it.
+        proposed, proposed_coarse, coarse_qoi = self.coarse_proposal.propose(theta, rng)
+        if proposed_coarse is None:
+            proposed_coarse = self._coarse_log_density(proposed)
+        proposed_coarse = float(proposed_coarse)
+        proposed_log_density = self._fine_log_density(proposed)
+        if coarse_log_density is None:
+            coarse_log_density = self._coarse_log_density(theta)
 
-        proposed = SamplingState(parameters=np.array(coarse_state.parameters, dtype=float))
-        proposed.coarse_log_density = float(coarse_log_density_proposed)
-
-        # Densities entering the two-level acceptance ratio.
-        current_fine_log_density = self.fine_problem.log_density(current)
-        proposed_fine_log_density = self.fine_problem.log_density(proposed)
-
-        if current.coarse_log_density is None:
-            current.coarse_log_density = self.coarse_problem.log_density(current.parameters)
-
-        log_alpha = (
-            proposed_fine_log_density
-            - current_fine_log_density
-            + current.coarse_log_density
-            - float(coarse_log_density_proposed)
+        # Two-level acceptance ratio.
+        log_alpha = min(
+            0.0,
+            proposed_log_density - log_density + coarse_log_density - proposed_coarse,
         )
-        log_alpha = min(0.0, log_alpha)
         accepted = (
             math.log(rng.random() + 1e-300) < log_alpha if math.isfinite(log_alpha) else False
         )
+        self._num_steps += 1
+        if accepted:
+            self._num_accepted += 1
 
-        new_state = proposed if accepted else current
-        self._record(accepted)
-
-        # The coarse sample this fine step is coupled with (for the telescoping
-        # correction).  Its QOI is cached right here so collectors never re-run
-        # the coarse model.
-        metadata = {
-            "coarse_state": coarse_state,
-            "coarse_qoi": self.coarse_problem.qoi(coarse_state),
-            "coarse_log_density": float(coarse_log_density_proposed),
-        }
-        return KernelResult(
-            state=new_state,
-            accepted=accepted,
-            log_alpha=float(log_alpha),
-            metadata=metadata,
-        )
+        # The QOI of the coarse sample this fine step is coupled with (for the
+        # telescoping correction); sources hand it over already evaluated.
+        if coarse_qoi is None:
+            coarse_qoi = self.coarse_problem.qoi(proposed)
+        if accepted:
+            return proposed, proposed_log_density, proposed_coarse, coarse_qoi, True
+        return theta, log_density, coarse_log_density, coarse_qoi, False

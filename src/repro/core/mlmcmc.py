@@ -214,7 +214,7 @@ class MLMCMCSampler:
             ]
             snapshots = []
             for level in range(num_levels):
-                variance = chains[level].corrections.streaming_variance()
+                variance = chains[level].corrections.variance()
                 count = len(chains[level].corrections)
                 if self.cost_model is not None:
                     # Deterministic pricing: the policy sees the model's mean

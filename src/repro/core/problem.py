@@ -26,7 +26,6 @@ import numpy as np
 
 from repro.bayes.distributions import GaussianDensity
 from repro.bayes.posterior import Posterior
-from repro.core.state import SamplingState
 from repro.evaluation import Evaluator, EvaluatorStats, InProcessEvaluator
 
 __all__ = [
@@ -103,13 +102,9 @@ class AbstractSamplingProblem(ABC):
         thetas = np.atleast_2d(np.asarray(parameters, dtype=float))
         return np.array([float(self._log_density_impl(t)) for t in thetas], dtype=float)
 
-    def log_density(self, state: SamplingState | np.ndarray) -> float:
-        """Log target density; caches the value on :class:`SamplingState` inputs."""
-        if isinstance(state, SamplingState):
-            if state.log_density is None:
-                state.log_density = float(self._evaluator.log_density(state.parameters))
-            return state.log_density
-        return float(self._evaluator.log_density(np.asarray(state, dtype=float)))
+    def log_density(self, theta: np.ndarray) -> float:
+        """Log target density at a float64 parameter vector."""
+        return self._evaluator.log_density(theta)
 
     def log_density_batch(self, parameters: np.ndarray) -> np.ndarray:
         """Log densities of an ``(n, dim)`` block, routed through the evaluator."""
@@ -120,22 +115,15 @@ class AbstractSamplingProblem(ABC):
         """Implementation hook for the QOI; defaults to the parameters themselves."""
         return np.asarray(parameters, dtype=float).copy()
 
-    def qoi(self, state: SamplingState | np.ndarray) -> np.ndarray:
-        """Quantity of interest; cached on :class:`SamplingState` inputs.
+    def qoi(self, theta: np.ndarray) -> np.ndarray:
+        """Quantity of interest at a float64 parameter vector, as a 1-d array.
 
         Following the paper, QOI evaluation is separate from density evaluation
         so that rejected proposals never trigger (potentially expensive) QOI
-        computations.
+        computations; chains evaluate it once per recorded point.
         """
-        if isinstance(state, SamplingState):
-            if state.qoi is None:
-                state.qoi = np.atleast_1d(
-                    np.asarray(self._evaluator.qoi(state.parameters), dtype=float)
-                ).ravel()
-            return state.qoi
-        return np.atleast_1d(
-            np.asarray(self._evaluator.qoi(np.asarray(state, dtype=float)), dtype=float)
-        ).ravel()
+        value = self._evaluator.qoi(theta)
+        return value if value.ndim == 1 else value.ravel()
 
     # ------------------------------------------------------------------
     @property

@@ -6,7 +6,7 @@ preconditioned Crank-Nicolson, independence) plus the
 the core ingredient of the multilevel kernel (Algorithm 2).
 """
 
-from repro.core.proposals.base import MCMCProposal, ProposalResult
+from repro.core.proposals.base import MCMCProposal
 from repro.core.proposals.random_walk import GaussianRandomWalkProposal
 from repro.core.proposals.adaptive_metropolis import AdaptiveMetropolisProposal
 from repro.core.proposals.pcn import PreconditionedCrankNicolsonProposal
@@ -19,7 +19,6 @@ from repro.core.proposals.subsampling import (
 
 __all__ = [
     "MCMCProposal",
-    "ProposalResult",
     "GaussianRandomWalkProposal",
     "AdaptiveMetropolisProposal",
     "PreconditionedCrankNicolsonProposal",

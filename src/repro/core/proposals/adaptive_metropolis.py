@@ -16,8 +16,7 @@ import copy
 
 import numpy as np
 
-from repro.core.proposals.base import MCMCProposal, ProposalResult
-from repro.core.state import SamplingState
+from repro.core.proposals.base import MCMCProposal
 from repro.utils.stats import RunningMoments
 
 __all__ = ["AdaptiveMetropolisProposal"]
@@ -102,17 +101,16 @@ class AdaptiveMetropolisProposal(MCMCProposal):
         self._num_adaptations = int(state["num_adaptations"])
 
     # ------------------------------------------------------------------
-    def propose(self, current: SamplingState, rng: np.random.Generator) -> ProposalResult:
-        if current.dim != self._dim:
+    def propose(self, theta: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        if theta.shape[0] != self._dim:
             raise ValueError(
-                f"proposal dimension {self._dim} does not match state dimension {current.dim}"
+                f"proposal dimension {self._dim} does not match state dimension {theta.shape[0]}"
             )
-        step = self._chol @ rng.standard_normal(self._dim)
-        return ProposalResult(state=SamplingState(parameters=current.parameters + step))
+        return theta + self._chol @ rng.standard_normal(self._dim)
 
-    def adapt(self, iteration: int, state: SamplingState, accepted: bool) -> None:
+    def adapt(self, iteration: int, theta: np.ndarray, accepted: bool) -> None:
         """Accumulate the chain history and periodically refresh the covariance."""
-        self._moments.push(state.parameters)
+        self._moments.push(theta)
         if (
             iteration >= self._adapt_start
             and self._moments.count >= max(2 * self._dim, 10)

@@ -1,55 +1,38 @@
 """Proposal interface.
 
-A proposal maps the current chain state to a proposed state together with the
-log proposal-density correction ``log q(theta | theta') - log q(theta' | theta)``
-entering the Metropolis-Hastings acceptance ratio (zero for symmetric
-proposals).
+A proposal maps the current parameter vector ``theta`` to a proposed one.
+Asymmetric proposals also report the log proposal-density correction
+``log q(theta | theta') - log q(theta' | theta)`` entering the
+Metropolis-Hastings acceptance ratio (zero for symmetric proposals, which the
+kernel then never asks for).
+
+Proposals never write into the vectors they are given, and the vector they
+return is a fresh array: chains share parameter vectors between points
+instead of copying them.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
-from typing import Any
 
 import numpy as np
 
-from repro.core.state import SamplingState
-
-__all__ = ["ProposalResult", "MCMCProposal"]
-
-
-@dataclass
-class ProposalResult:
-    """A proposed state plus the MH log correction term.
-
-    Attributes
-    ----------
-    state:
-        The proposed :class:`SamplingState` (caches may be pre-populated, e.g.
-        a subsampling proposal already knows the coarse log density of the
-        sample it hands out).
-    log_correction:
-        ``log q(current | proposed) - log q(proposed | current)``.
-    metadata:
-        Proposal-specific annotations (e.g. which coarse-chain sample was
-        used).
-    """
-
-    state: SamplingState
-    log_correction: float = 0.0
-    metadata: dict[str, Any] = field(default_factory=dict)
+__all__ = ["MCMCProposal"]
 
 
 class MCMCProposal(ABC):
     """Abstract Markov-chain proposal distribution."""
 
     @abstractmethod
-    def propose(self, current: SamplingState, rng: np.random.Generator) -> ProposalResult:
-        """Draw a proposal given the current state."""
+    def propose(self, theta: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        """Draw a proposed parameter vector given the current one."""
 
-    def adapt(self, iteration: int, state: SamplingState, accepted: bool) -> None:
-        """Adaptation hook called by the chain after every step (default: no-op)."""
+    def log_correction(self, theta: np.ndarray, proposed: np.ndarray) -> float:
+        """``log q(theta | proposed) - log q(proposed | theta)`` (0 when symmetric)."""
+        return 0.0
+
+    def adapt(self, iteration: int, theta: np.ndarray, accepted: bool) -> None:
+        """Adaptation hook called by the kernel after every step (default: no-op)."""
 
     def state_dict(self) -> dict:
         """Serializable adaptation state (default: none, the proposal is fixed)."""

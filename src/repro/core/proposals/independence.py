@@ -5,8 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.bayes.distributions import Density
-from repro.core.proposals.base import MCMCProposal, ProposalResult
-from repro.core.state import SamplingState
+from repro.core.proposals.base import MCMCProposal
 
 __all__ = ["IndependenceProposal"]
 
@@ -27,10 +26,9 @@ class IndependenceProposal(MCMCProposal):
         """The proposal density."""
         return self._density
 
-    def propose(self, current: SamplingState, rng: np.random.Generator) -> ProposalResult:
-        params = self._density.sample(rng)
-        proposed = SamplingState(parameters=params)
-        log_correction = self._density.log_density(current.parameters) - self._density.log_density(
-            params
-        )
-        return ProposalResult(state=proposed, log_correction=float(log_correction))
+    def propose(self, theta: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        return self._density.sample(rng)
+
+    def log_correction(self, theta: np.ndarray, proposed: np.ndarray) -> float:
+        density = self._density
+        return float(density.log_density(theta) - density.log_density(proposed))

@@ -18,8 +18,7 @@ import math
 import numpy as np
 
 from repro.bayes.distributions import GaussianDensity
-from repro.core.proposals.base import MCMCProposal, ProposalResult
-from repro.core.state import SamplingState
+from repro.core.proposals.base import MCMCProposal
 
 __all__ = ["PreconditionedCrankNicolsonProposal"]
 
@@ -53,16 +52,13 @@ class PreconditionedCrankNicolsonProposal(MCMCProposal):
         """The reference Gaussian prior."""
         return self._prior
 
-    def propose(self, current: SamplingState, rng: np.random.Generator) -> ProposalResult:
+    def propose(self, theta: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         prior, mean = self._prior, self._mean
         noise = prior.apply_cholesky(rng.standard_normal(prior.dim))
-        proposed_params = mean + self._contraction * (current.parameters - mean) + self._beta * noise
-        proposed = SamplingState(parameters=proposed_params)
-        # MH correction: log q(current | proposed) - log q(proposed | current).
-        log_correction = self._log_transition(
-            current.parameters, proposed_params
-        ) - self._log_transition(proposed_params, current.parameters)
-        return ProposalResult(state=proposed, log_correction=log_correction)
+        return mean + self._contraction * (theta - mean) + self._beta * noise
+
+    def log_correction(self, theta: np.ndarray, proposed: np.ndarray) -> float:
+        return self._log_transition(theta, proposed) - self._log_transition(proposed, theta)
 
     def _log_transition(self, target: np.ndarray, source: np.ndarray) -> float:
         """``log q(target | source)`` under the pCN kernel."""

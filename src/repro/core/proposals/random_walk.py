@@ -5,8 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.bayes.distributions import GaussianDensity
-from repro.core.proposals.base import MCMCProposal, ProposalResult
-from repro.core.state import SamplingState
+from repro.core.proposals.base import MCMCProposal
 
 __all__ = ["GaussianRandomWalkProposal"]
 
@@ -41,11 +40,9 @@ class GaussianRandomWalkProposal(MCMCProposal):
     def is_symmetric(self) -> bool:
         return True
 
-    def propose(self, current: SamplingState, rng: np.random.Generator) -> ProposalResult:
-        if current.dim != self._dim:
+    def propose(self, theta: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        if theta.shape[0] != self._dim:
             raise ValueError(
-                f"proposal dimension {self._dim} does not match state dimension {current.dim}"
+                f"proposal dimension {self._dim} does not match state dimension {theta.shape[0]}"
             )
-        step = self._step.apply_cholesky(rng.standard_normal(self._dim))
-        proposed = SamplingState(parameters=current.parameters + step)
-        return ProposalResult(state=proposed, log_correction=0.0)
+        return theta + self._step.apply_cholesky(rng.standard_normal(self._dim))

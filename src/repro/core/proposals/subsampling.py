@@ -12,25 +12,30 @@ through the phonebook (parallel MLMCMC) — which is captured by the
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from collections import deque
 
 import numpy as np
 
-from repro.core.proposals.base import MCMCProposal, ProposalResult
 from repro.core.state import SamplingState
 
 __all__ = ["ChainSampleSource", "BufferedChainSource", "SubsamplingProposal"]
+
+#: a coarse point as the multilevel kernel consumes it:
+#: ``(theta, coarse log density or None, coarse QOI or None)``
+CoarsePoint = tuple[np.ndarray, "float | None", "np.ndarray | None"]
 
 
 class ChainSampleSource(ABC):
     """A source of (approximately independent) samples from a coarser chain."""
 
     @abstractmethod
-    def next_sample(self) -> SamplingState:
-        """Return the next coarse sample (advancing the underlying chain as needed).
+    def next_sample(self) -> CoarsePoint:
+        """Return the next coarse point, advancing the underlying chain as needed.
 
-        The returned state should carry its own cached ``log_density`` (the
-        coarse posterior value) and, when available, its cached ``qoi`` so the
-        fine chain never re-evaluates the coarse model.
+        The point is ``(theta, log_density, qoi)``: the coarse posterior value
+        and, when available, the coarse QOI come along so the fine chain never
+        re-evaluates the coarse model.  ``theta`` may be shared with the coarse
+        chain; nobody writes into it.
         """
 
     @property
@@ -44,13 +49,13 @@ class BufferedChainSource(ChainSampleSource):
 
     Parallel controllers receive coarse samples through messages (via the
     phonebook) rather than by advancing a local chain; they push each received
-    sample into this buffer right before performing the corresponding fine
-    step, so the multilevel kernel consumes it through the standard
-    :class:`ChainSampleSource` interface.
+    :class:`SamplingState` into this buffer right before performing the
+    corresponding fine step, so the multilevel kernel consumes it through the
+    standard :class:`ChainSampleSource` interface.
     """
 
     def __init__(self, subsampling_rate: int = 1) -> None:
-        self._buffer: list[SamplingState] = []
+        self._buffer: deque[SamplingState] = deque()
         self._rate = int(subsampling_rate)
 
     @property
@@ -64,21 +69,21 @@ class BufferedChainSource(ChainSampleSource):
         """Add a coarse sample to the buffer."""
         self._buffer.append(state)
 
-    def next_sample(self) -> SamplingState:
+    def next_sample(self) -> CoarsePoint:
         if not self._buffer:
             raise RuntimeError("BufferedChainSource is empty; push a coarse sample first")
-        return self._buffer.pop(0)
+        state = self._buffer.popleft()
+        return state.parameters, state.log_density, state.qoi
 
 
-class SubsamplingProposal(MCMCProposal):
-    """Proposal that returns subsampled coarse-chain states.
+class SubsamplingProposal:
+    """Proposal that returns subsampled coarse-chain points.
 
     The MH correction of this proposal *within the multilevel acceptance rule*
     is the coarse posterior ratio ``nu_{l-1}(theta) / nu_{l-1}(theta')``; that
-    factor is applied by :class:`repro.core.kernels.MultilevelKernel` (it needs
-    coarse densities of both the proposal and the current state), so
-    ``log_correction`` here is reported as zero and the coarse sample is passed
-    along in the proposal metadata.
+    factor is applied by :class:`repro.core.kernels.MultilevelKernel`, which
+    needs the coarse densities of both the proposal and the current point, so
+    :meth:`propose` hands over the whole coarse point.
     """
 
     def __init__(self, source: ChainSampleSource) -> None:
@@ -95,15 +100,7 @@ class SubsamplingProposal(MCMCProposal):
         """Number of coarse samples drawn so far."""
         return self._num_draws
 
-    def propose(self, current: SamplingState, rng: np.random.Generator) -> ProposalResult:
-        coarse = self._source.next_sample()
+    def propose(self, theta: np.ndarray, rng: np.random.Generator) -> CoarsePoint:
+        """The next coarse point ``(theta', coarse log density, coarse QOI)``."""
         self._num_draws += 1
-        proposed = SamplingState(
-            parameters=coarse.parameters.copy(),
-            metadata={"proposal": "coarse_chain"},
-        )
-        return ProposalResult(
-            state=proposed,
-            log_correction=0.0,
-            metadata={"coarse_state": coarse},
-        )
+        return self._source.next_sample()

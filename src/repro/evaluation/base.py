@@ -18,7 +18,6 @@ evaluation counts and cost accounting.
 
 from __future__ import annotations
 
-import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, fields
 from typing import Callable
@@ -220,23 +219,6 @@ class Evaluator(ABC):
             raise RuntimeError(
                 "evaluator is not bound to a sampling problem; call bind() first"
             )
-
-    # -- timed raw calls (shared by subclasses) -------------------------
-    def _evaluate_log_density(self, theta: np.ndarray) -> float:
-        """Run the scalar implementation once, recording stats."""
-        self._require_bound()
-        start = time.perf_counter()
-        value = float(self._log_density_fn(theta))
-        self.stats.record("log_density", time.perf_counter() - start, self._cost_fn())
-        return value
-
-    def _evaluate_qoi(self, theta: np.ndarray) -> np.ndarray:
-        """Run the QOI implementation once, recording stats."""
-        self._require_bound()
-        start = time.perf_counter()
-        value = np.asarray(self._qoi_fn(theta), dtype=float)
-        self.stats.record("qoi", time.perf_counter() - start, self._cost_fn())
-        return value
 
     # -- the evaluation interface ---------------------------------------
     @abstractmethod

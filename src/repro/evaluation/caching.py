@@ -1,9 +1,9 @@
 """Memoising evaluation backend.
 
 Multilevel kernels re-evaluate identical parameter vectors constantly: a
-coarse chain that rejects every subsampled step serves the *same* state as a
-proposal again and again, and each serve arrives wrapped in a fresh
-:class:`~repro.core.state.SamplingState`, defeating the per-state caching.
+coarse chain that rejects every subsampled step serves the *same* point as a
+proposal again and again, and the fine chain evaluates each serve anew (a
+chain caches the evaluations of its current point only).
 :class:`CachingEvaluator` closes that gap with an LRU cache keyed on the raw
 parameter bytes, so repeated evaluations of identical parameters are free
 while the returned values stay bit-identical to an uncached run.

@@ -6,7 +6,8 @@ Checkpoints bound the work lost to a dying rank.  Three writers exist:
   ``every_samples`` additions (or ``every_seconds``), so a respawned collector
   resumes from its last snapshot instead of re-collecting its whole share,
 * **controllers** snapshot their chain (kernel counters, proposal adaptation
-  state, current state, RNG bit-generator state, correction bookkeeping) on
+  state, current point, RNG bit-generator state, the recorded row blocks and
+  the correction bookkeeping) on
   the same cadence, so a respawned controller resumes its subchain
   mid-flight instead of re-running burn-in,
 * the **driver** writes one ``final`` snapshot after a successful run carrying
@@ -37,7 +38,8 @@ __all__ = [
 ]
 
 #: bump on any backwards-incompatible change to the snapshot payload layout
-CHECKPOINT_VERSION = 2
+#: (3: collections snapshot as row blocks, not as lists of states)
+CHECKPOINT_VERSION = 3
 
 #: rank-scoped snapshot file name pattern
 _SNAPSHOT_NAME = "rank-{rank:04d}-{role}.ckpt"

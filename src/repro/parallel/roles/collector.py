@@ -111,16 +111,16 @@ class CollectorProcess(RankProcess):
                     # collection, which stops at its target).
                     outstanding = 0
                     continue
-                pairs = message.payload["pairs"]
+                payload = message.payload
                 # Responses produced by a controller that has since switched levels
                 # are discarded; the request is simply re-issued on the next round.
-                if int(message.payload.get("level", self.level)) == self.level:
-                    added = 0
-                    for fine_qoi, coarse_qoi in pairs:
-                        if len(self.collection) >= self.target:
-                            break
-                        self.collection.add(fine_qoi, coarse_qoi if self.level > 0 else None)
-                        added += 1
+                if int(payload.get("level", self.level)) == self.level:
+                    # One append per block, topped off at the target.
+                    fine, coarse = payload["fine"], payload["coarse"]
+                    added = max(0, min(len(fine), self.target - len(self.collection)))
+                    self.collection.extend(
+                        fine[:added], None if coarse is None else coarse[:added]
+                    )
                     if added and checkpointer is not None and checkpointer.due(added):
                         checkpointer.write(
                             self.rank,

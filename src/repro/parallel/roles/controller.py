@@ -26,6 +26,7 @@ from typing import Generator
 from repro.core.chain import SingleChainMCMC
 from repro.core.factory import level_chain
 from repro.core.proposals.subsampling import BufferedChainSource
+from repro.core.state import SamplingState
 from repro.evaluation import EvaluatorStats
 from repro.parallel.checkpoint import CheckpointError
 from repro.parallel.roles.protocol import RunConfiguration, Tags
@@ -153,7 +154,6 @@ class ControllerProcess(RankProcess):
         self._current_level = level
 
         chain, buffered = self._build_chain(level)
-        problem = config.problems.problem(level)
         checkpointer = config.checkpointer()
 
         yield self.send(phonebook, Tags.REGISTER, {"rank": self.rank, "level": level})
@@ -199,12 +199,14 @@ class ControllerProcess(RankProcess):
             if take <= 0:
                 pending_correction_fetches.append((requester, count))
                 return
-            pairs = [
-                chain.corrections.pair(corrections_served + i) for i in range(take)
-            ]
+            fine, coarse = chain.corrections.block(
+                corrections_served, corrections_served + take
+            )
             corrections_served += take
             yield self.send(
-                requester, Tags.CORRECTIONS, {"pairs": pairs, "level": level}
+                requester,
+                Tags.CORRECTIONS,
+                {"fine": fine, "coarse": coarse, "level": level},
             )
 
         def handle_message(message: Message) -> Generator:
@@ -367,9 +369,11 @@ class ControllerProcess(RankProcess):
                 steps_since_publish += 1
                 if steps_since_publish >= publish_rate:
                     steps_since_publish = 0
-                    state = chain.current_state.copy()
-                    problem.qoi(state)  # cache the QOI so consumers never re-run this model
-                    chain_buffer.append(state)
+                    # the point carries its QOI so consumers never re-run this model
+                    theta, log_density, qoi = chain.point()
+                    chain_buffer.append(
+                        SamplingState(parameters=theta, log_density=log_density, qoi=qoi)
+                    )
                     yield self.send(
                         phonebook,
                         Tags.SAMPLE_READY,
@@ -411,7 +415,7 @@ class ControllerProcess(RankProcess):
             if chain_buffer:
                 state = chain_buffer.popleft()
             else:
-                state = chain.current_state.copy()
+                state = chain.current_state
             yield self.send(
                 requester, Tags.COARSE_SAMPLE, {"state": state, "level": chain.level}
             )
@@ -419,11 +423,13 @@ class ControllerProcess(RankProcess):
         while pending_correction_fetches:
             requester, count = pending_correction_fetches.popleft()
             take = min(count, available)
-            pairs = [
-                chain.corrections.pair(corrections_served + i) for i in range(take)
-            ]
+            fine, coarse = chain.corrections.block(
+                corrections_served, corrections_served + take
+            )
             corrections_served += take
             available -= take
             yield self.send(
-                requester, Tags.CORRECTIONS, {"pairs": pairs, "level": chain.level}
+                requester,
+                Tags.CORRECTIONS,
+                {"fine": fine, "coarse": coarse, "level": chain.level},
             )

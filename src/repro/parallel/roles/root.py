@@ -156,9 +156,7 @@ class RootProcess(RankProcess):
                 coll = self.collected.get(level)
                 count = len(coll) if coll is not None else 0
                 collected_counts[level] = count
-                var = (
-                    coll.streaming_variance() if coll is not None else np.zeros(0)
-                )
+                var = coll.variance() if coll is not None else np.zeros(0)
                 variance = float(np.mean(var)) if var.size else 0.0
                 # The configured cost model (not wall time) keeps the
                 # allocation trajectory deterministic across transports.

@@ -34,8 +34,8 @@ class BathymetryField:
     Parameters
     ----------
     function:
-        Vectorised callable mapping coordinate arrays to depths (negative below
-        sea level).
+        Callable mapping coordinates to depths (negative below sea level) that
+        broadcasts like a ufunc: it takes coordinate arrays or two floats.
     extent:
         ``(x0, x1, y0, y1)`` physical bounds in metres.
     description:
@@ -48,6 +48,10 @@ class BathymetryField:
 
     def __call__(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return np.asarray(self.function(np.asarray(x, dtype=float), np.asarray(y, dtype=float)), dtype=float)
+
+    def at(self, x: float, y: float) -> float:
+        """The depth at one point, without a round trip through 1-element arrays."""
+        return float(self.function(float(x), float(y)))
 
     def on_grid(self, nx: int, ny: int) -> np.ndarray:
         """Evaluate at the cell centres of an ``nx`` x ``ny`` grid over the extent."""
@@ -83,28 +87,28 @@ def tohoku_like_bathymetry(
     Returns a :class:`BathymetryField` (negative below sea level).
     """
     x0, x1, y0, y1 = extent
+    slope_width = shelf_start - coast_position
 
-    def bathy(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        # Base: abyssal plain.
-        depth = np.full(np.broadcast(x, y).shape, -ocean_depth)
+    def bathy(x, y):
+        # Only ufuncs and arithmetic, so the same formula serves coordinate
+        # arrays and single Python floats (``BathymetryField.at``), with the
+        # same rounding either way.
         # Continental slope: smoothly rise from the abyssal plain to the coast.
-        slope_width = shelf_start - coast_position
-        slope_frac = np.clip((x - coast_position) / slope_width, 0.0, 1.0)
-        coastal_profile = coast_height + (-(ocean_depth) - coast_height) * _smoothstep(slope_frac)
-        depth = np.where(x < shelf_start, coastal_profile, depth)
+        slope_frac = np.minimum(np.maximum((x - coast_position) / slope_width, 0.0), 1.0)
+        coastal_profile = coast_height + (-(ocean_depth) - coast_height) * (
+            slope_frac * slope_frac * (3.0 - 2.0 * slope_frac)
+        )
+        # Base: abyssal plain.
+        depth = np.where(x < shelf_start, coastal_profile, -ocean_depth)
         # Subduction trench (Gaussian trough in x).
-        trench = -(trench_depth - ocean_depth) * np.exp(
-            -0.5 * ((x - trench_position) / trench_width) ** 2
-        )
-        depth = depth + trench
+        trench_arg = (x - trench_position) / trench_width
+        depth = depth + -(trench_depth - ocean_depth) * np.exp(-0.5 * (trench_arg * trench_arg))
         # Gentle along-coast ridges to make the bathymetry two-dimensional.
+        ridge_arg = (x - 0.25 * (x1 - x0) * 0) / (0.5 * (x1 - x0))
         ridges = ridge_amplitude * np.sin(2.0 * np.pi * y / (y1 - y0) * 3.0) * np.exp(
-            -0.5 * ((x - 0.25 * (x1 - x0) * 0) / (0.5 * (x1 - x0))) ** 2
+            -0.5 * (ridge_arg * ridge_arg)
         )
-        depth = depth + ridges
-        return depth
+        return depth + ridges
 
     return BathymetryField(
         function=bathy,
@@ -114,12 +118,6 @@ def tohoku_like_bathymetry(
             "subduction trench, along-coast ridges"
         ),
     )
-
-
-def _smoothstep(t: np.ndarray) -> np.ndarray:
-    """Cubic smoothstep ``3t^2 - 2t^3`` clamped to [0, 1]."""
-    t = np.clip(t, 0.0, 1.0)
-    return t * t * (3.0 - 2.0 * t)
 
 
 def smooth_bathymetry(bathymetry: np.ndarray, passes: int = 4) -> np.ndarray:

@@ -302,7 +302,7 @@ class TohokuLikeScenario:
             raise UnphysicalModelOutput(
                 f"source centre ({cx:.0f}, {cy:.0f}) outside the computational domain"
             )
-        bathy = self.bathymetry_field(np.array([cx]), np.array([cy]))[0]
+        bathy = self.bathymetry_field.at(cx, cy)
         if bathy >= 0.0:
             raise UnphysicalModelOutput(
                 f"source centre ({cx:.0f}, {cy:.0f}) lies on dry land (b = {bathy:.1f} m)"

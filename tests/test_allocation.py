@@ -2,7 +2,7 @@
 
 Covers the :mod:`repro.core.allocation` policy machinery in isolation, its
 integration with the sequential sampler (fixed policy bitwise against the
-legacy path, adaptive continuation trajectories), the streaming-variance
+legacy path, adaptive continuation trajectories), the variance
 snapshots the policies poll, and the experiments plumbing (spec ``budget``
 hash stability, manifest schema v5, runner/CLI overrides).
 """
@@ -25,11 +25,7 @@ from repro.core import (
     cost_capped_allocation,
     policy_from_budget,
 )
-from repro.core.sample_collection import (
-    CorrectionCollection,
-    SampleCollection,
-    SamplingState,
-)
+from repro.core.sample_collection import CorrectionCollection, SampleCollection
 from repro.models.gaussian import GaussianHierarchyFactory
 
 
@@ -357,13 +353,13 @@ class TestSequentialAllocation:
 
 
 class TestStreamingVariance:
-    """Pin the incremental Welford snapshots (and the sample counter) against batch results."""
+    """Pin the variance the allocation polls (and the sample counter) against batch results."""
 
     def test_sample_collection_batch_statistics_match_numpy(self):
         rng = np.random.default_rng(5)
         collection = SampleCollection()
         for _ in range(200):
-            collection.add(SamplingState(parameters=rng.normal(size=3)))
+            collection.add(rng.normal(size=3))
         assert collection.num_samples == 200
         np.testing.assert_array_equal(
             collection.variance(), np.var(collection.parameters(), axis=0, ddof=1)
@@ -373,33 +369,31 @@ class TestStreamingVariance:
         )
 
     def test_weighted_duplicates_match_expanded_chain(self):
-        # rejected MCMC proposals repeat the previous state: re-adding the
-        # same object bumps its weight, and the statistics weight it like the
-        # expanded chain does
+        # a run of repeated points stored as one weighted row has the
+        # statistics of the expanded chain, one row per step
         rng = np.random.default_rng(6)
-        collection = SampleCollection()
-        state = SamplingState(parameters=rng.normal(size=2))
-        unique = 1
+        weighted, per_step = SampleCollection(), SampleCollection()
+        theta = rng.normal(size=2)
+        run = 0
         for _ in range(50):
-            if rng.random() < 0.4:
-                state = SamplingState(parameters=rng.normal(size=2))
-                unique += 1
-            collection.add(state)
-        assert collection.num_samples == 50
-        assert collection.num_unique <= unique
-        assert sum(s.weight for s in collection) == 50
-        np.testing.assert_allclose(
-            collection.variance(),
-            np.var(collection.parameters(expand=True), axis=0, ddof=1),
-            rtol=1e-12,
-        )
+            if run and rng.random() < 0.4:
+                weighted.add(theta, weight=run)
+                theta, run = rng.normal(size=2), 0
+            per_step.add(theta)
+            run += 1
+        weighted.add(theta, weight=run)
+        assert weighted.num_samples == per_step.num_samples == 50
+        assert weighted.num_unique < per_step.num_unique == 50
+        assert weighted.parameters().tobytes() == per_step.parameters().tobytes()
+        np.testing.assert_array_equal(weighted.variance(), per_step.variance())
+        np.testing.assert_array_equal(weighted.mean(), per_step.mean())
 
     def test_empty_and_single_sample_edge_cases(self):
         empty = SampleCollection()
         assert empty.num_samples == 0
         assert empty.variance().size == 0
         single = SampleCollection()
-        single.add(SamplingState(parameters=np.array([1.0, 2.0])))
+        single.add(np.array([1.0, 2.0]))
         assert single.num_samples == 1
         np.testing.assert_array_equal(single.variance(), np.zeros(2))
 
@@ -407,8 +401,8 @@ class TestStreamingVariance:
         rng = np.random.default_rng(7)
         left, right = SampleCollection(), SampleCollection()
         for _ in range(30):
-            left.add(SamplingState(parameters=rng.normal(size=2)))
-            right.add(SamplingState(parameters=rng.normal(2.0, 3.0, size=2)))
+            left.add(rng.normal(size=2))
+            right.add(rng.normal(2.0, 3.0, size=2))
         left.merge(right)
         assert left.num_samples == 60
         left.validate()
@@ -424,7 +418,7 @@ class TestStreamingVariance:
         rng = np.random.default_rng(8)
         collection = SampleCollection()
         for _ in range(25):
-            collection.add(SamplingState(parameters=rng.normal(size=2)), weight=2)
+            collection.add(rng.normal(size=2), weight=2)
         restored = SampleCollection.from_state_dict(collection.state_dict())
         assert restored.num_samples == collection.num_samples == 50
         restored.validate()
@@ -438,14 +432,13 @@ class TestStreamingVariance:
             with_coarse.add(rng.normal(size=2), rng.normal(size=2))
             level_zero.add(rng.normal(size=2))
         for collection in (with_coarse, level_zero):
-            np.testing.assert_allclose(
-                collection.streaming_variance(),
+            np.testing.assert_array_equal(
+                collection.variance(),
                 np.var(collection.differences(), axis=0, ddof=1),
-                rtol=1e-10,
             )
 
     def test_correction_collection_empty(self):
-        assert CorrectionCollection(level=0).streaming_variance().size == 0
+        assert CorrectionCollection(level=0).variance().size == 0
 
 
 class TestExperimentsBudgetPlumbing:

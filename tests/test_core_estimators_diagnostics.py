@@ -14,7 +14,6 @@ from repro.core.estimators import (
     optimal_sample_allocation,
 )
 from repro.core.sample_collection import CorrectionCollection, SampleCollection
-from repro.core.state import SamplingState
 
 
 def _correction(level: int, fine: np.ndarray, coarse: np.ndarray | None) -> CorrectionCollection:
@@ -95,7 +94,7 @@ class TestMonteCarloEstimate:
         collection = SampleCollection()
         data = rng.normal(2.0, 1.0, size=(500, 2))
         for row in data:
-            collection.add(SamplingState(parameters=row, qoi=row))
+            collection.add(row, qoi=row)
         estimate = MonteCarloEstimate.from_samples(collection, cost_per_sample=0.5)
         np.testing.assert_allclose(estimate.mean, data.mean(axis=0))
         assert estimate.num_samples == 500
@@ -146,7 +145,7 @@ class TestDiagnostics:
     def test_diagnose_collection(self, rng):
         collection = SampleCollection()
         for _ in range(300):
-            collection.add(SamplingState(parameters=rng.normal(1.0, 2.0, size=2)))
+            collection.add(rng.normal(1.0, 2.0, size=2))
         diag = diagnose_collection(collection)
         np.testing.assert_allclose(diag.mean, 1.0, atol=0.5)
         assert diag.num_samples == 300

@@ -25,12 +25,12 @@ class TestMHKernel:
         problem = GaussianTargetProblem(np.zeros(1), 1.0)
         kernel = MHKernel(problem, GaussianRandomWalkProposal(2.0, dim=1))
         rng = np.random.default_rng(0)
-        state = kernel.initialize(np.zeros(1))
+        theta = np.zeros(1)
+        log_density, _ = kernel.initialize(theta)
         samples = []
         for _ in range(20_000):
-            result = kernel.step(state, rng)
-            state = result.state
-            samples.append(state.parameters[0])
+            theta, log_density, _, _, _ = kernel.step(theta, log_density, None, rng)
+            samples.append(theta[0])
         samples = np.array(samples[2000:])
         assert samples.mean() == pytest.approx(0.0, abs=0.08)
         assert samples.std() == pytest.approx(1.0, rel=0.08)
@@ -46,25 +46,28 @@ class TestMHKernel:
         problem = DensitySamplingProblem(1, log_density)
         kernel = MHKernel(problem, GaussianRandomWalkProposal(4.0, dim=1))
         rng = np.random.default_rng(1)
-        state = kernel.initialize(np.array([0.5]))
+        theta = np.array([0.5])
+        log_density, _ = kernel.initialize(theta)
         for _ in range(200):
-            state = kernel.step(state, rng).state
-            assert state.parameters[0] >= 0
+            theta, log_density, _, _, _ = kernel.step(theta, log_density, None, rng)
+            assert theta[0] >= 0
 
     def test_initialize_evaluates_density(self):
         problem = GaussianTargetProblem(np.zeros(2), 1.0)
         kernel = MHKernel(problem, GaussianRandomWalkProposal(1.0, dim=2))
-        state = kernel.initialize(np.ones(2))
-        assert state.log_density is not None
+        log_density, coarse_log_density = kernel.initialize(np.ones(2))
+        assert log_density == problem.target.log_density(np.ones(2))
+        assert coarse_log_density is None
 
     def test_independence_sampler_on_same_density_always_accepts(self):
         target = GaussianDensity(np.zeros(2), 1.0)
         problem = GaussianTargetProblem(np.zeros(2), 1.0)
         kernel = MHKernel(problem, IndependenceProposal(target))
         rng = np.random.default_rng(3)
-        state = kernel.initialize(np.zeros(2))
+        theta = np.zeros(2)
+        log_density, _ = kernel.initialize(theta)
         for _ in range(200):
-            state = kernel.step(state, rng).state
+            theta, log_density, _, _, _ = kernel.step(theta, log_density, None, rng)
         assert kernel.acceptance_rate == pytest.approx(1.0)
 
 
@@ -78,20 +81,27 @@ class TestMultilevelKernel:
             coarse_proposal=SubsamplingProposal(buffered),
         )
 
+    @staticmethod
+    def _push(kernel, buffered, theta):
+        """Queue a coarse sample carrying its coarse log density."""
+        buffered.push(
+            SamplingState(parameters=theta, log_density=kernel.coarse_problem.log_density(theta))
+        )
+
     def test_identical_levels_accept_everything(self):
         # When nu_l == nu_{l-1}, the acceptance probability is exactly 1.
         rng = np.random.default_rng(0)
         buffered = BufferedChainSource()
         kernel = self._make_kernel([0.0], [0.0], buffered)
-        state = kernel.initialize(np.zeros(1))
+        theta = np.zeros(1)
+        log_density, coarse_log_density = kernel.initialize(theta)
         for _ in range(100):
-            coarse = SamplingState(parameters=rng.standard_normal(1))
-            kernel.coarse_problem.log_density(coarse)
-            buffered.push(coarse)
-            result = kernel.step(state, rng)
-            state = result.state
-            assert result.accepted
-            assert result.log_alpha == pytest.approx(0.0, abs=1e-12)
+            self._push(kernel, buffered, rng.standard_normal(1))
+            theta, log_density, coarse_log_density, _, accepted = kernel.step(
+                theta, log_density, coarse_log_density, rng
+            )
+            assert accepted
+        assert kernel.acceptance_rate == 1.0
 
     def test_targets_fine_posterior_with_exact_coarse_proposals(self):
         # Coarse proposals drawn exactly from nu_{l-1}: the fine chain is an
@@ -100,87 +110,99 @@ class TestMultilevelKernel:
         buffered = BufferedChainSource()
         kernel = self._make_kernel([0.0], [0.6], buffered)
         coarse_density = GaussianDensity(np.zeros(1), 1.0)
-        state = kernel.initialize(np.zeros(1))
+        theta = np.zeros(1)
+        log_density, coarse_log_density = kernel.initialize(theta)
         samples = []
         for _ in range(20_000):
-            coarse = SamplingState(parameters=coarse_density.sample(rng))
-            kernel.coarse_problem.log_density(coarse)
-            buffered.push(coarse)
-            state = kernel.step(state, rng).state
-            samples.append(state.parameters[0])
+            self._push(kernel, buffered, coarse_density.sample(rng))
+            theta, log_density, coarse_log_density, _, _ = kernel.step(
+                theta, log_density, coarse_log_density, rng
+            )
+            samples.append(theta[0])
         samples = np.array(samples[2000:])
         assert samples.mean() == pytest.approx(0.6, abs=0.06)
         assert samples.var() == pytest.approx(1.0, rel=0.1)
 
-    def test_metadata_carries_coarse_pairing(self):
+    def test_step_returns_the_coupled_coarse_qoi(self):
         rng = np.random.default_rng(2)
         buffered = BufferedChainSource()
         kernel = self._make_kernel([0.0, 0.0], [0.5, 0.5], buffered)
-        state = kernel.initialize(np.zeros(2))
-        coarse = SamplingState(parameters=np.array([1.0, 2.0]))
-        kernel.coarse_problem.log_density(coarse)
-        buffered.push(coarse)
-        result = kernel.step(state, rng)
-        np.testing.assert_allclose(result.metadata["coarse_qoi"], [1.0, 2.0])
-        assert result.metadata["coarse_state"] is coarse
-        assert np.isfinite(result.metadata["coarse_log_density"])
+        theta = np.zeros(2)
+        log_density, coarse_log_density = kernel.initialize(theta)
+        self._push(kernel, buffered, np.array([1.0, 2.0]))
+        _, _, new_coarse_log_density, coarse_qoi, _ = kernel.step(
+            theta, log_density, coarse_log_density, rng
+        )
+        np.testing.assert_allclose(coarse_qoi, [1.0, 2.0])
+        assert np.isfinite(new_coarse_log_density)
 
-    def test_step_caches_coarse_qoi_on_the_coupled_state(self):
+    def test_step_evaluates_a_missing_coarse_qoi_once(self):
         rng = np.random.default_rng(4)
         buffered = BufferedChainSource()
         kernel = self._make_kernel([0.0], [0.3], buffered)
-        state = kernel.initialize(np.zeros(1))
-        coarse = SamplingState(parameters=np.array([0.7]))
-        kernel.coarse_problem.log_density(coarse)
-        buffered.push(coarse)
-        result = kernel.step(state, rng)
+        theta = np.zeros(1)
+        log_density, coarse_log_density = kernel.initialize(theta)
+        self._push(kernel, buffered, np.array([0.7]))
+        *_, coarse_qoi, _ = kernel.step(theta, log_density, coarse_log_density, rng)
         stats = kernel.coarse_problem.evaluation_stats
-        assert coarse.qoi is not None
         assert stats.qoi_evaluations == 1
-        # collectors reading the correction's coarse QOI hit the state cache
-        np.testing.assert_array_equal(
-            kernel.coarse_problem.qoi(coarse), result.metadata["coarse_qoi"]
+        np.testing.assert_array_equal(coarse_qoi, [0.7])
+        # a coarse sample that carries its QOI costs no coarse QOI evaluation
+        buffered.push(
+            SamplingState(parameters=np.array([0.1]), log_density=-1.0, qoi=np.array([0.1]))
         )
+        kernel.step(theta, log_density, coarse_log_density, rng)
         assert stats.qoi_evaluations == 1
 
-    def test_proposal_is_a_fresh_float64_copy_of_the_coarse_sample(self):
+    def test_proposal_is_the_coarse_sample_vector_itself(self):
         rng = np.random.default_rng(5)
         buffered = BufferedChainSource()
         kernel = self._make_kernel([0.0, 0.0], [0.0, 0.0], buffered)
-        state = kernel.initialize(np.zeros(2))
-        coarse = SamplingState(parameters=np.array([0.25, -0.5]), metadata={"tag": 1})
-        kernel.coarse_problem.log_density(coarse)
-        buffered.push(coarse)
-        result = kernel.step(state, rng)
-        assert result.accepted  # identical levels accept every proposal
-        proposed = result.state
-        assert proposed.parameters is not coarse.parameters
-        assert proposed.parameters.dtype == np.float64
-        np.testing.assert_array_equal(proposed.parameters, coarse.parameters)
-        assert proposed.metadata == {}
-        assert proposed.coarse_log_density == coarse.log_density
+        theta = np.zeros(2)
+        log_density, coarse_log_density = kernel.initialize(theta)
+        coarse = np.array([0.25, -0.5])
+        self._push(kernel, buffered, coarse)
+        proposed, _, proposed_coarse, _, accepted = kernel.step(
+            theta, log_density, coarse_log_density, rng
+        )
+        assert accepted  # identical levels accept every proposal
+        # no copy: nobody writes into a chain point's vector
+        assert proposed is coarse
+        assert proposed_coarse == kernel.coarse_problem.log_density(coarse)
+
+    def test_rejection_hands_back_the_current_point(self):
+        rng = np.random.default_rng(6)
+        buffered = BufferedChainSource()
+        kernel = self._make_kernel([0.0], [0.0], buffered)
+        theta = np.zeros(1)
+        log_density, _ = kernel.initialize(theta)
+        self._push(kernel, buffered, np.array([0.5]))
+        # a current coarse density far below the proposal's forces a rejection
+        point = kernel.step(theta, log_density, -1e6, rng)
+        assert point[0] is theta and point[1:3] == (log_density, -1e6)
+        assert point[4] is False
 
 
 class TestSampleCollection:
     def test_weighted_statistics(self):
         collection = SampleCollection()
-        collection.add(SamplingState(parameters=np.array([1.0, 0.0])))
-        collection.add(SamplingState(parameters=np.array([3.0, 2.0]), weight=3), weight=3)
+        collection.add(np.array([1.0, 0.0]))
+        collection.add(np.array([3.0, 2.0]), weight=3)
         assert collection.num_samples == 4
         assert collection.num_unique == 2
         np.testing.assert_allclose(collection.mean(), [2.5, 1.5])
 
     def test_qoi_matrix_requires_evaluation(self):
         collection = SampleCollection()
-        collection.add(SamplingState(parameters=np.zeros(1)))
+        collection.add(np.zeros(1))
         with pytest.raises(ValueError):
             collection.qois()
 
     def test_merge_and_subset(self):
         a = SampleCollection()
         b = SampleCollection()
-        a.add(SamplingState(parameters=np.array([1.0])))
-        b.add(SamplingState(parameters=np.array([2.0])))
+        a.add(np.array([1.0]))
+        b.add(np.array([2.0]))
         a.merge(b)
         assert a.num_samples == 2
         assert a.subset(1).num_samples == 1
@@ -188,18 +210,19 @@ class TestSampleCollection:
     def _weighted(self, weights) -> SampleCollection:
         collection = SampleCollection()
         for i, weight in enumerate(weights):
-            state = SamplingState(parameters=np.array([float(i)]), weight=weight)
-            collection.add(state, weight=weight)
+            collection.add(np.array([float(i)]), weight=weight)
         return collection
 
-    def test_num_samples_counts_duplicate_adds(self):
+    def test_rows_are_copies_of_the_added_vectors(self):
         collection = SampleCollection()
-        state = SamplingState(parameters=np.array([1.0]))
-        collection.add(state)
-        collection.add(state, weight=2)
-        assert collection.num_unique == 1
-        assert collection.num_samples == 3
-        collection.validate()
+        theta, qoi = np.array([1.0, 2.0]), np.array([3.0])
+        collection.add(theta, -0.5, qoi)
+        theta[0] = qoi[0] = 9.0
+        np.testing.assert_array_equal(collection.parameters(), [[1.0, 2.0]])
+        np.testing.assert_array_equal(collection.qois(), [[3.0]])
+        np.testing.assert_array_equal(collection.log_densities(), [-0.5])
+        with pytest.raises(ValueError):
+            collection.parameters()[0, 0] = 1.0  # read-only view of the block
 
     def test_num_samples_through_merge_subset_and_state_dict(self):
         a, b = self._weighted([2, 1]), self._weighted([4, 3, 1])
@@ -209,7 +232,7 @@ class TestSampleCollection:
         assert a.subset(2).num_samples == 8
         restored = SampleCollection.from_state_dict(a.state_dict())
         assert restored.num_samples == 11
-        restored.add(SamplingState(parameters=np.zeros(1), weight=2), weight=2)
+        restored.add(np.zeros(1), weight=2)
         assert restored.num_samples == 13
         for collection in (a, restored, a.subset(1, 3)):
             collection.validate()
@@ -217,9 +240,10 @@ class TestSampleCollection:
     def test_validate_catches_weight_changed_behind_its_back(self):
         collection = self._weighted([2, 3])
         collection.validate()
-        collection[1].weight = 4
+        snapshot = collection.state_dict()
+        snapshot["weights"][1] = 4
         with pytest.raises(ValueError, match="does not match num_samples"):
-            collection.validate()
+            SampleCollection.from_state_dict(snapshot).validate()
 
     def test_num_samples_of_empty_collections(self):
         empty = SampleCollection()
@@ -231,21 +255,20 @@ class TestSampleCollection:
         assert filled.subset(1).num_samples == 0
         filled.validate()
 
-    def test_validate_catches_half_applied_merge(self):
-        a, b = self._weighted([1, 2]), self._weighted([5])
-        # states appended without the bookkeeping a real merge does
-        a._states.extend(b._states)
-        with pytest.raises(ValueError, match="does not match num_samples"):
-            a.validate()
+    def test_validate_catches_torn_snapshot(self):
+        snapshot = self._weighted([1, 2]).state_dict()
+        # parameters of a third row without its weight and log density
+        snapshot["parameters"] = np.vstack([snapshot["parameters"], [[5.0]]])
+        with pytest.raises(ValueError, match="rows"):
+            SampleCollection.from_state_dict(snapshot).validate()
 
     def test_ess_of_repeated_samples_is_low(self, rng):
         collection = SampleCollection()
-        value = SamplingState(parameters=np.array([1.0]))
         for _ in range(50):
-            collection.add(value.copy())
+            collection.add(np.array([1.0]))
         iid = SampleCollection()
         for _ in range(50):
-            iid.add(SamplingState(parameters=rng.standard_normal(1)))
+            iid.add(rng.standard_normal(1))
         assert collection.ess() <= iid.ess() + 1e-9
 
 
@@ -264,14 +287,31 @@ class TestCorrectionCollection:
         np.testing.assert_allclose(collection.differences(), [[0.5], [1.0]])
         np.testing.assert_allclose(collection.mean(), [0.75])
         assert collection.variance()[0] == pytest.approx(np.var([0.5, 1.0], ddof=1))
-        fine, coarse = collection.pair(0)
-        np.testing.assert_allclose(fine, [2.0])
-        np.testing.assert_allclose(coarse, [1.5])
+        fine, coarse = collection.block(0, 1)
+        np.testing.assert_allclose(fine, [[2.0]])
+        np.testing.assert_allclose(coarse, [[1.5]])
 
     def test_missing_coarse_rejected_above_level0(self):
         collection = CorrectionCollection(level=1)
         with pytest.raises(ValueError):
             collection.add(np.array([1.0]))
+
+    def test_coarse_qoi_refused_on_level0(self):
+        with pytest.raises(ValueError):
+            CorrectionCollection(level=0).add(np.array([1.0]), np.array([0.5]))
+
+    def test_extend_appends_a_block(self):
+        rows = CorrectionCollection(level=1)
+        for fine, coarse in ([2.0, 1.0], [1.5, 0.0]), ([1.0, 2.0], [0.0, 0.5]):
+            rows.add(np.array(fine), np.array(coarse))
+        block = CorrectionCollection(level=1)
+        block.extend(np.array([[2.0, 1.0], [1.0, 2.0]]), np.array([[1.5, 0.0], [0.0, 0.5]]))
+        assert len(block) == 2
+        assert block.differences().tobytes() == rows.differences().tobytes()
+        with pytest.raises(ValueError):
+            block.extend(np.ones((2, 2)), np.ones((1, 2)))
+        with pytest.raises(ValueError):
+            block.extend(np.ones((1, 2)))
 
     def test_merge_level_mismatch(self):
         with pytest.raises(ValueError):
@@ -309,9 +349,10 @@ class TestSingleChain:
         kernel = MHKernel(problem, GaussianRandomWalkProposal(1.0, dim=1))
         chain = SingleChainMCMC(kernel, np.zeros(1), np.random.default_rng(0), burnin=0)
         source = SubsampledChainSource(chain, subsampling_rate=7)
-        sample = source.next_sample()
+        theta, log_density, qoi = source.next_sample()
         assert chain.steps_taken == 7
-        assert sample.qoi is not None
+        assert qoi is not None
+        assert log_density == problem.log_density(theta)
         source.next_sample()
         assert chain.steps_taken == 14
 
@@ -325,8 +366,8 @@ class TestSingleChain:
         )
         source = SubsampledChainSource(chain, subsampling_rate=5)
         for _ in range(6):
-            sample = source.next_sample()
-            np.testing.assert_array_equal(sample.qoi, sample.parameters)
+            theta, _, qoi = source.next_sample()
+            np.testing.assert_array_equal(qoi, theta)
         assert chain.steps_taken == 30
         assert len(chain.corrections) == 0
         assert 1 <= problem.evaluation_stats.qoi_evaluations <= 6

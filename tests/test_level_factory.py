@@ -33,7 +33,6 @@ from repro.core.proposals import (
     PreconditionedCrankNicolsonProposal,
     SubsamplingProposal,
 )
-from repro.core.state import SamplingState
 from repro.evaluation import CachingEvaluator
 from repro.models.gaussian import GaussianHierarchyFactory
 from repro.parallel import CheckpointConfig, CheckpointError, Checkpointer
@@ -69,7 +68,7 @@ def _adapted_am(steps: int = 40, seed: int = 0) -> AdaptiveMetropolisProposal:
     proposal = _am_proposal()
     history = np.random.default_rng(seed).normal(size=(steps, 2)) * [1.0, 3.0]
     for iteration, parameters in enumerate(history, start=1):
-        proposal.adapt(iteration, SamplingState(parameters=parameters), True)
+        proposal.adapt(iteration, parameters, True)
     return proposal
 
 
@@ -140,7 +139,7 @@ class TestLevelProblems:
         problems = LevelProblems(_MinimalFactory())
         problem = problems.problem(0)
         before = problems.stats()[0]
-        problem.log_density(SamplingState(parameters=np.zeros(2)))
+        problem.log_density(np.zeros(2))
         after = problems.stats()[0]
         assert after.density_requests == before.density_requests + 1
         assert problems.stats()[0] is not after
@@ -256,9 +255,8 @@ class TestProposalState:
             lambda: GaussianRandomWalkProposal(0.5, dim=2),
             lambda: PreconditionedCrankNicolsonProposal(GaussianDensity(np.zeros(2), 1.0)),
             lambda: IndependenceProposal(GaussianDensity(np.zeros(2), 1.0)),
-            lambda: SubsamplingProposal(BufferedChainSource()),
         ],
-        ids=["random_walk", "pcn", "independence", "subsampling"],
+        ids=["random_walk", "pcn", "independence"],
     )
     def test_fixed_proposals_have_empty_state(self, make_proposal):
         proposal = make_proposal()
@@ -271,7 +269,7 @@ class TestProposalState:
         saved_chol = state["chol"].copy()
         saved_count = state["moments"].count
         for iteration in range(21, 41):
-            proposal.adapt(iteration, SamplingState(parameters=np.full(2, iteration)), True)
+            proposal.adapt(iteration, np.full(2, float(iteration)), True)
         np.testing.assert_array_equal(state["chol"], saved_chol)
         assert state["moments"].count == saved_count
 
@@ -291,9 +289,7 @@ class TestProposalState:
         target.load_state_dict(source.state_dict())
         for proposal in (source, target):
             for iteration in range(41, 61):
-                proposal.adapt(
-                    iteration, SamplingState(parameters=np.array([iteration, -1.0])), True
-                )
+                proposal.adapt(iteration, np.array([iteration, -1.0]), True)
         np.testing.assert_array_equal(
             target.current_covariance(), source.current_covariance()
         )
@@ -303,10 +299,10 @@ class TestProposalState:
         source = _adapted_am()
         target = _am_proposal()
         target.load_state_dict(pickle.loads(pickle.dumps(source.state_dict())))
-        current = SamplingState(parameters=np.zeros(2))
+        current = np.zeros(2)
         np.testing.assert_array_equal(
-            target.propose(current, np.random.default_rng(4)).state.parameters,
-            source.propose(current, np.random.default_rng(4)).state.parameters,
+            target.propose(current, np.random.default_rng(4)),
+            source.propose(current, np.random.default_rng(4)),
         )
 
     def test_mh_kernel_state_carries_the_proposal_state(self):

@@ -181,11 +181,13 @@ class TestCollectorAndWorker:
                         self.done_payload = msg.payload
                         yield self.send(4, Tags.SHUTDOWN, {})
                         return
-                    count = msg.payload["count"]
-                    pairs = [
-                        (np.array([1.0]), np.array([0.5])) for _ in range(min(count, 3))
-                    ]
-                    yield self.send(4, Tags.CORRECTIONS, {"pairs": pairs, "level": 1})
+                    rows = min(msg.payload["count"], 3)
+                    yield self.send(
+                        4,
+                        Tags.CORRECTIONS,
+                        {"fine": np.ones((rows, 1)), "coarse": np.full((rows, 1), 0.5),
+                         "level": 1},
+                    )
 
         # Route collector requests directly back to the fake process by using
         # its rank as the phonebook rank.
@@ -230,8 +232,13 @@ class TestCollectorAndWorker:
                     if self.requests == 1:
                         yield self.send(4, notice_tag, notice)
                         continue
-                    pairs = [(np.array([1.0]), np.array([0.5]))] * msg.payload["count"]
-                    yield self.send(4, Tags.CORRECTIONS, {"pairs": pairs, "level": 1})
+                    rows = msg.payload["count"]
+                    yield self.send(
+                        4,
+                        Tags.CORRECTIONS,
+                        {"fine": np.ones((rows, 1)), "coarse": np.full((rows, 1), 0.5),
+                         "level": 1},
+                    )
 
         config.layout.phonebook_rank = 9
         config.layout.root_rank = 9

@@ -21,8 +21,8 @@ import numpy as np
 import pytest
 
 from repro.bayes import GaussianDensity
-from repro.core import MLMCMCSampler, SamplingState
-from repro.core.kernels import MultilevelKernel, TransitionKernel
+from repro.core import MLMCMCSampler
+from repro.core.kernels import MHKernel, MultilevelKernel
 from repro.core.proposals.pcn import PreconditionedCrankNicolsonProposal
 from repro.experiments.presets import resolve_problem_options
 from repro.models.poisson import PoissonInverseProblemFactory
@@ -213,12 +213,15 @@ def _sampler_stack(chain):
 def _run_sampler(factory, seed: int, monkeypatch):
     accepts: dict[int, list[bool]] = {}
     solves = [0]
-    record = TransitionKernel._record
     solve = np.linalg.solve
 
-    def logged_record(kernel, accepted):
-        accepts.setdefault(id(kernel), []).append(bool(accepted))
-        record(kernel, accepted)
+    def logged(step):
+        def logged_step(kernel, *args):
+            point = step(kernel, *args)
+            accepts.setdefault(id(kernel), []).append(point[4])
+            return point
+
+        return logged_step
 
     def counted_solve(*args, **kwargs):
         solves[0] += 1
@@ -226,7 +229,8 @@ def _run_sampler(factory, seed: int, monkeypatch):
 
     sampler = MLMCMCSampler(factory, num_samples=NUM_SAMPLES, burnin=BURNIN, seed=seed)
     with monkeypatch.context() as patch:
-        patch.setattr(TransitionKernel, "_record", logged_record)
+        for kernel_class in (MHKernel, MultilevelKernel):
+            patch.setattr(kernel_class, "step", logged(kernel_class.step))
         patch.setattr(np.linalg, "solve", counted_solve)
         result = sampler.run()
     return sampler, result, accepts, solves[0]
@@ -299,12 +303,13 @@ def test_pcn_matches_dense_formulas_and_solves_only_full_factors(kind, dim, monk
         seed = int(rng.integers(1 << 30))
         with monkeypatch.context() as patch:
             patch.setattr(np.linalg, "solve", counted_solve)
-            result = proposal.propose(SamplingState(parameters=x), np.random.default_rng(seed))
+            proposed = proposal.propose(x, np.random.default_rng(seed))
+            correction = proposal.log_correction(x, proposed)
         noise = chol @ np.random.default_rng(seed).standard_normal(dim)
         y = mean + contraction * (x - mean) + beta * noise
-        assert result.state.parameters.tobytes() == y.tobytes()
+        assert proposed.tobytes() == y.tobytes()
         expected = log_transition(x, y) - log_transition(y, x)
-        assert result.log_correction == expected
+        assert correction == expected
         alpha = _dense_solve(chol, y - mean)
         assert prior.log_density(y) == -0.5 * (
             float(alpha @ alpha) + prior._log_det + dim * LOG_2PI

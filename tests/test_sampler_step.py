@@ -31,7 +31,7 @@ from repro.core import (
     SamplingState,
 )
 from repro.core.factory import MLComponentFactory
-from repro.core.kernels import MultilevelKernel, TransitionKernel
+from repro.core.kernels import MHKernel, MultilevelKernel
 from repro.utils.random import RandomSource
 
 DIM = 3
@@ -183,19 +183,23 @@ def _sampler_stack(chain):
 def _run_sampler(kind: str, seed: int, monkeypatch):
     accepts: dict[int, list[bool]] = defaultdict(list)
     solves = [0]
-    record = TransitionKernel._record
     solve = np.linalg.solve
 
-    def logged_record(kernel, accepted):
-        accepts[id(kernel)].append(bool(accepted))
-        record(kernel, accepted)
+    def logged(step):
+        def logged_step(kernel, *args):
+            point = step(kernel, *args)
+            accepts[id(kernel)].append(point[4])
+            return point
+
+        return logged_step
 
     def counted_solve(*args, **kwargs):
         solves[0] += 1
         return solve(*args, **kwargs)
 
     with monkeypatch.context() as patch:
-        patch.setattr(TransitionKernel, "_record", logged_record)
+        for kernel_class in (MHKernel, MultilevelKernel):
+            patch.setattr(kernel_class, "step", logged(kernel_class.step))
         patch.setattr(np.linalg, "solve", counted_solve)
         result = MLMCMCSampler(
             _Hierarchy(kind), num_samples=NUM_SAMPLES, burnin=BURNIN, seed=seed
@@ -222,7 +226,7 @@ class TestOracleParity:
                 assert chain.current_state.log_density == oracle.log_density
             # the top chain records exactly what the plain loop records
             assert top.samples.parameters().tobytes() == np.stack(oracle_top.samples).tobytes()
-            assert [s.weight for s in top.samples] == [1] * NUM_SAMPLES[top.level]
+            assert top.samples.num_unique == top.samples.num_samples == NUM_SAMPLES[top.level]
             assert top.samples.log_densities().tobytes() == (
                 np.array(oracle_top.log_densities).tobytes()
             )
@@ -266,7 +270,7 @@ class TestSourceChains:
     def test_source_chain_state_dict_round_trip(self, result):
         source = result.chains[1].kernel.coarse_proposal.source.chain
         snapshot = source.state_dict()
-        assert snapshot["samples"]["states"] == []
+        assert snapshot["samples"]["parameters"].size == 0
         restored = MLMCMCSampler(
             _Hierarchy("diagonal"), num_samples=NUM_SAMPLES, burnin=BURNIN, seed=3
         ).build_chain(0, chain_id="restored", record=False)
@@ -315,9 +319,8 @@ class TestGaussianFactors:
                 alpha = _dense_solve(chol, x - density.mean)
                 expected = -0.5 * (float(alpha @ alpha) + density._log_det + dim * LOG_2PI)
                 assert density.log_density(x) == expected
-                state = SamplingState(parameters=x)
                 seed = int(rng.integers(1 << 30))
-                step = proposal.propose(state, np.random.default_rng(seed)).state.parameters
+                step = proposal.propose(x, np.random.default_rng(seed))
                 z = np.random.default_rng(seed).standard_normal(dim)
                 assert step.tobytes() == (x + proposal._step.cholesky @ z).tobytes()
 
@@ -361,22 +364,23 @@ _weights = st.lists(st.integers(1, 4), min_size=1, max_size=5)
 class TestCollectionProperties:
     @given(runs=st.lists(_weights, min_size=1, max_size=12), seed=st.integers(0, 1000))
     @settings(max_examples=60, deadline=None)
-    def test_sample_add_dedup_is_idempotent(self, runs, seed):
-        # re-adding the current state (a rejected proposal) only bumps its
-        # weight: the collection equals one add per run with the summed weight
+    def test_weighted_rows_expand_like_repeated_rows(self, runs, seed):
+        # a rejected proposal repeats the current point: recording the repeat
+        # as rows of weight w or as one row of the summed weight expands to
+        # the same chain
         rng = np.random.default_rng(seed)
         params = [rng.normal(size=2) for _ in runs]
         repeated, once = SampleCollection(), SampleCollection()
         for theta, run in zip(params, runs):
-            state = SamplingState(parameters=theta.copy(), weight=run[0])
             for weight in run:
-                repeated.add(state, weight=weight)
-            once.add(SamplingState(parameters=theta.copy(), weight=sum(run)), weight=sum(run))
+                repeated.add(theta, weight=weight)
+            once.add(theta, weight=sum(run))
         total = sum(sum(run) for run in runs)
         assert repeated.num_samples == once.num_samples == total
-        assert repeated.num_unique == once.num_unique == len(runs)
-        assert [s.weight for s in repeated] == [s.weight for s in once] == [sum(r) for r in runs]
+        assert once.num_unique == len(runs)
+        assert repeated.num_unique == sum(len(run) for run in runs)
         assert repeated.parameters().tobytes() == once.parameters().tobytes()
+        assert repeated.variance().tobytes() == once.variance().tobytes()
         repeated.validate()
 
     @given(
@@ -386,7 +390,7 @@ class TestCollectionProperties:
         seed=st.integers(0, 1000),
     )
     @settings(max_examples=60, deadline=None)
-    def test_correction_streaming_variance_matches_batch_under_splits(
+    def test_correction_variance_matches_batch_under_splits(
         self, n, cuts, level, seed
     ):
         rng = np.random.default_rng(seed)
@@ -401,13 +405,11 @@ class TestCollectionProperties:
             merged.merge(part)
         diffs = fine if coarse is None else fine - coarse
         assert len(merged) == n
-        np.testing.assert_allclose(merged.streaming_variance(), merged.variance(), rtol=1e-9)
-        np.testing.assert_allclose(
-            merged.streaming_variance(), np.var(diffs, axis=0, ddof=1), rtol=1e-9
-        )
-        np.testing.assert_allclose(merged.streaming_mean(), diffs.mean(axis=0), atol=1e-12)
+        # the polled variance is the two-pass one over the merged rows, exactly
+        assert merged.variance().tobytes() == np.var(diffs, axis=0, ddof=1).tobytes()
+        assert merged.mean().tobytes() == diffs.mean(axis=0).tobytes()
         tail = merged.subset(bounds[1])
         if len(tail) > 1:
-            np.testing.assert_allclose(
-                tail.streaming_variance(), np.var(diffs[bounds[1]:], axis=0, ddof=1), rtol=1e-9
+            assert tail.variance().tobytes() == (
+                np.var(diffs[bounds[1]:], axis=0, ddof=1).tobytes()
             )

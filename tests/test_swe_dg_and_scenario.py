@@ -120,6 +120,45 @@ class TestTohokuScenario:
                 with pytest.raises(UnphysicalModelOutput):
                     scenario.check_physical(0, source)
 
+    def test_check_physical_raises_exactly_where_physical_mask_rejects(self, scenario):
+        field = scenario.bathymetry_field
+        x0, x1, y0, y1 = scenario.extent
+        ex, ey = scenario.epicenter
+        # the coastline along the epicentre's latitude, found by bisection on
+        # the vectorized field over the km offset: ``land`` is dry, ``water``
+        # wet, a few ulps apart
+        def depth(offset_km):
+            return field(np.array([ex + offset_km * 1e3]), np.array([ey]))[0]
+
+        land, water = (x0 - ex) / 1e3, 0.0
+        for _ in range(80):
+            mid = 0.5 * (land + water)
+            land, water = (mid, water) if depth(mid) >= 0 else (land, mid)
+        edges = [((x0 - ex) / 1e3, 0.0), ((x1 - ex) / 1e3, 0.0), (0.0, (y0 - ey) / 1e3),
+                 (0.0, (y1 - ey) / 1e3)]
+        thetas = np.array(
+            [(land, 0.0), (water, 0.0), (land - 1e-3, 0.0), (water + 1e-3, 0.0)]  # coast
+            + edges  # on the domain edge
+            + [(tx + 1e-6 * np.sign(tx), ty + 1e-6 * np.sign(ty)) for tx, ty in edges]
+            + [(0.0, 0.0), (50.0, -40.0), (120.0, 80.0)]  # open water
+        )
+        mask = scenario.physical_mask(thetas)
+        # every kind of row occurs: land and water at the coast, inside and
+        # outside at the edge
+        assert mask.tolist()[:4] == [False, True, False, True]
+        assert not mask[8:12].any() and mask[12:].all()
+        for theta, physical in zip(thetas, mask):
+            source = SourceParameters.from_theta(theta)
+            cx, cy = ex + source.x_offset, ey + source.y_offset
+            if x0 <= cx <= x1 and y0 <= cy <= y1:
+                # the single-point depth is the vectorized one, to the bit
+                assert field.at(cx, cy) == field(np.array([cx]), np.array([cy]))[0]
+            if physical:
+                scenario.check_physical(0, source)
+            else:
+                with pytest.raises(UnphysicalModelOutput):
+                    scenario.check_physical(0, source)
+
     def test_simulate_batch_rejects_unphysical_rows(self, scenario):
         with pytest.raises(UnphysicalModelOutput):
             scenario.simulate_batch(0, np.array([[0.0, 0.0], [-185.0, 0.0]]))
