@@ -42,10 +42,7 @@ __all__ = [
     "Evaluator",
     "EvaluatorStats",
     "InProcessEvaluator",
-    "CachingEvaluator",
     "BatchEvaluator",
-    "PoolEvaluator",
-    "make_evaluator",
     "GaussianHierarchyFactory",
     "PoissonInverseProblemFactory",
     "TsunamiInverseProblemFactory",
@@ -76,13 +73,10 @@ __getattr__, __dir__ = lazy_exports(
         ),
         "repro.evaluation": (
             "BatchEvaluator",
-            "CachingEvaluator",
-            "Evaluator",
+                    "Evaluator",
             "EvaluatorStats",
             "InProcessEvaluator",
-            "PoolEvaluator",
-            "make_evaluator",
-        ),
+                        ),
         "repro.models.gaussian": ("GaussianHierarchyFactory",),
         "repro.models.poisson": ("PoissonInverseProblemFactory",),
         "repro.models.tsunami": ("TsunamiInverseProblemFactory",),

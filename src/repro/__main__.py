@@ -49,7 +49,7 @@ def _print_scenario_list() -> None:
     print(format_rows(f"Registered scenarios ({len(rows)})", rows))
     print(
         "\nRun one with: python -m repro run <scenario> "
-        "[--quick] [--backend NAME] [--parallel-backend NAME] "
+        "[--quick] [--parallel-backend NAME] "
         "[--precision NAME] [--out DIR] [--seed N]"
     )
 
@@ -134,7 +134,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         run = run_scenario(
             args.scenario,
             quick=args.quick,
-            backend=args.backend,
             seed=args.seed,
             out_dir=args.out,
             parallel_backend=args.parallel_backend,
@@ -193,11 +192,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument("--list", action="store_true", help="list all scenarios")
     run_parser.add_argument(
         "--quick", action="store_true", help="scaled-down smoke tier (CI)"
-    )
-    run_parser.add_argument(
-        "--backend",
-        choices=["inprocess", "caching", "batch", "pool"],
-        help="override the evaluation backend",
     )
     run_parser.add_argument(
         "--parallel-backend",

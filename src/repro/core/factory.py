@@ -25,23 +25,13 @@ from repro.core.kernels.multilevel import MultilevelKernel
 from repro.core.problem import AbstractSamplingProblem
 from repro.core.proposals.base import MCMCProposal
 from repro.core.proposals.subsampling import ChainSampleSource, SubsamplingProposal
-from repro.evaluation import Evaluator, EvaluatorStats, make_evaluator
+from repro.evaluation import EvaluatorStats
 
 __all__ = ["LevelProblems", "MLComponentFactory", "level_chain"]
 
 
 class MLComponentFactory(ABC):
     """Factory describing a multilevel model hierarchy, levels ``0..L``."""
-
-    #: evaluation backend name handed to :func:`repro.evaluation.make_evaluator`
-    #: by the default :meth:`evaluator_for_level` (``None`` = in-process);
-    #: factories typically expose this as a constructor parameter.
-    evaluation_backend: str | None = None
-    #: keyword options for :func:`repro.evaluation.make_evaluator`.  Because a
-    #: fresh backend is built per level from the *same* options, instance-valued
-    #: options (e.g. the caching backend's ``inner``) must be zero-argument
-    #: callables so every level gets its own instance.
-    evaluator_options: dict | None = None
 
     @abstractmethod
     def num_levels(self) -> int:
@@ -67,21 +57,6 @@ class MLComponentFactory(ABC):
     def subsampling_rate_for_level(self, level: int) -> int:
         """Subsampling rate ``rho_l`` for proposing from level ``level - 1``."""
         return 1
-
-    def evaluator_for_level(self, level: int) -> Evaluator | None:
-        """Evaluation backend for a level (``None`` = in-process default).
-
-        The default builds a fresh backend from the factory's
-        :attr:`evaluation_backend` / :attr:`evaluator_options` attributes (the
-        shipped Gaussian/Poisson/tsunami factories expose them as constructor
-        parameters); ``problem_for_level`` implementations pass the result as
-        the problem's ``evaluator``.  The drivers never inject evaluators after
-        construction, and an evaluator serves exactly one problem, so every
-        call must return a *fresh* backend.
-        """
-        if self.evaluation_backend is None:
-            return None
-        return make_evaluator(self.evaluation_backend, **(self.evaluator_options or {}))
 
 
 class LevelProblems:

@@ -48,7 +48,7 @@ class MLMCMCResult:
     costs_per_sample: list[float]
     wall_time: float
     model_evaluations: list[int] = field(default_factory=list)
-    #: per-level evaluator statistics snapshots (counts, wall time, cache hits)
+    #: per-level evaluator statistics snapshots (counts, wall time, cost units)
     evaluation_stats: list[EvaluatorStats] = field(default_factory=list)
     #: realized continuation trajectory, one entry per allocation round
     #: (a single round for the fixed policy)
@@ -197,17 +197,13 @@ class MLMCMCSampler:
                 chain = chains[level]
                 if chain.samples.num_samples < targets[level]:
                     chain.run(targets[level])
-                # Cost per fine-level density *request*, measured by the
+                # Cost per fine-level density evaluation, measured by the
                 # level's own evaluator: embedded coarse-chain evaluations hit
                 # the coarser problems' evaluators, so neither their count nor
-                # their wall time dilutes this level's figure.  Dividing by
-                # requests (cache hits included) rather than model evaluations
-                # keeps the "per sample" semantics of the estimate's cost
-                # accounting, so caching speedups show up in total_cost
-                # instead of being normalised away.
+                # their wall time dilutes this level's figure.
                 delta = problem.evaluation_stats.delta(stats_before)
                 level_wall[level] += delta.wall_time
-                level_requests[level] += delta.density_requests
+                level_requests[level] += delta.log_density_evaluations
             costs = [
                 level_wall[level] / max(1, level_requests[level])
                 for level in range(num_levels)
@@ -296,12 +292,12 @@ def run_single_level_mcmc(
     problem = problems.problem(level)
     stats_before = problem.evaluation_stats.snapshot()
     chain.run(num_samples)
-    # Cost per density request from the evaluator's own accounting, matching
+    # Cost per density evaluation from the evaluator's own accounting, matching
     # the multilevel driver: dividing elapsed wall time by collected samples
     # would fold burn-in work into the per-sample figure (burn-in steps
     # evaluate the model but collect nothing) and miss time spent outside the
     # evaluator entirely.
     delta = problem.evaluation_stats.delta(stats_before)
-    cost_per_sample = delta.wall_time / max(1, delta.density_requests)
+    cost_per_sample = delta.wall_time / max(1, delta.log_density_evaluations)
     estimate = MonteCarloEstimate.from_samples(chain.samples, cost_per_sample=cost_per_sample)
     return estimate, chain

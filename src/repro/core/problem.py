@@ -10,11 +10,11 @@ interest.  Implementations provided here:
   and integration tests (closed-form moments).
 * :class:`DensitySamplingProblem` — wraps arbitrary callables.
 
-Model evaluations are dispatched through a swappable
-:class:`repro.evaluation.Evaluator` backend, which also owns all evaluation
-accounting (counts, wall time, cost units, cache statistics); the problem's
+Model evaluations are dispatched through the problem's
+:class:`repro.evaluation.BatchEvaluator`, built from the problem's
 implementation hooks (``_log_density_impl`` / ``_qoi_impl`` /
-``_log_density_batch_impl``) are only ever called by the evaluator.
+``_log_density_batch_impl``) at construction; it is the only caller of those
+hooks and owns all evaluation accounting (counts, wall time, cost units).
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.bayes.distributions import GaussianDensity
 from repro.bayes.posterior import Posterior
-from repro.evaluation import Evaluator, EvaluatorStats, InProcessEvaluator
+from repro.evaluation import BatchEvaluator, EvaluatorStats
 
 __all__ = [
     "AbstractSamplingProblem",
@@ -47,21 +47,15 @@ class AbstractSamplingProblem(ABC):
     ----------
     dim:
         Parameter dimension.
-    evaluator:
-        Evaluation backend; defaults to a fresh
-        :class:`~repro.evaluation.InProcessEvaluator`.  The problem binds its
-        implementation hooks to the backend, so one evaluator serves exactly
-        one problem.
     """
 
-    def __init__(self, dim: int, evaluator: Evaluator | None = None) -> None:
+    def __init__(self, dim: int) -> None:
         self._dim = int(dim)
-        self._evaluator = evaluator if evaluator is not None else InProcessEvaluator()
-        self._evaluator.bind(
+        self._evaluator = BatchEvaluator(
             self._log_density_impl,
             self._qoi_impl,
-            cost_fn=self.evaluation_cost,
-            batch_log_density_fn=self._log_density_batch_impl,
+            self.evaluation_cost,
+            self._log_density_batch_impl,
         )
 
     @property
@@ -70,22 +64,18 @@ class AbstractSamplingProblem(ABC):
         return self._dim
 
     @property
-    def evaluator(self) -> Evaluator:
-        """The evaluation backend dispatching this problem's model calls."""
+    def evaluator(self) -> BatchEvaluator:
+        """The evaluator dispatching this problem's model calls."""
         return self._evaluator
 
     @property
     def evaluation_stats(self) -> EvaluatorStats:
-        """Evaluation statistics (counts, wall time, cost units, cache hits)."""
+        """Evaluation statistics (counts, wall time, cost units)."""
         return self._evaluator.stats
 
     @property
     def num_density_evaluations(self) -> int:
-        """Number of *actual* model log-density evaluations performed.
-
-        Requests served from an evaluator cache are not included; see
-        :attr:`evaluation_stats` for the full accounting.
-        """
+        """Number of model log-density evaluations performed."""
         return self._evaluator.stats.log_density_evaluations
 
     # ------------------------------------------------------------------
@@ -149,12 +139,11 @@ class BayesianSamplingProblem(AbstractSamplingProblem):
         posterior: Posterior,
         qoi_dim: int | None = None,
         cost: float = 1.0,
-        evaluator: Evaluator | None = None,
     ) -> None:
         self._posterior = posterior
         self._qoi_dim = qoi_dim
         self._cost = float(cost)
-        super().__init__(posterior.dim, evaluator=evaluator)
+        super().__init__(posterior.dim)
 
     @property
     def posterior(self) -> Posterior:
@@ -190,11 +179,10 @@ class GaussianTargetProblem(AbstractSamplingProblem):
         mean: np.ndarray,
         covariance: np.ndarray | float,
         cost: float = 1.0,
-        evaluator: Evaluator | None = None,
     ) -> None:
         self._density = GaussianDensity(mean, covariance)
         self._cost = float(cost)
-        super().__init__(self._density.dim, evaluator=evaluator)
+        super().__init__(self._density.dim)
 
     @property
     def target(self) -> GaussianDensity:
@@ -224,14 +212,13 @@ class DensitySamplingProblem(AbstractSamplingProblem):
         log_density: Callable[[np.ndarray], float],
         qoi: Callable[[np.ndarray], np.ndarray] | None = None,
         cost: float = 1.0,
-        evaluator: Evaluator | None = None,
         log_density_batch: Callable[[np.ndarray], np.ndarray] | None = None,
     ) -> None:
         self._log_density_fn = log_density
         self._qoi_fn = qoi
         self._batch_fn = log_density_batch
         self._cost = float(cost)
-        super().__init__(dim, evaluator=evaluator)
+        super().__init__(dim)
 
     def _log_density_impl(self, parameters: np.ndarray) -> float:
         return float(self._log_density_fn(parameters))

@@ -2,8 +2,7 @@
 
 Every example and paper reproduction in this repository is a *scenario*: a
 declarative :class:`ExperimentSpec` naming the application, the model
-hierarchy, the sampler parameters, the evaluation backend and a scaled-down
-``--quick`` tier.  The registry enumerates them all; the runner executes a
+hierarchy, the sampler parameters and a scaled-down ``--quick`` tier.  The registry enumerates them all; the runner executes a
 spec through its driver and writes a versioned, schema-validated JSON
 manifest so runs stay comparable across PRs.
 

@@ -26,7 +26,6 @@ from repro.experiments.presets import build_factory, scaled
 from repro.experiments.spec import ExperimentSpec
 
 __all__ = [
-    "BACKEND_AGNOSTIC_DRIVERS",
     "BUDGETED_DRIVERS",
     "PARALLEL_BACKEND_DRIVERS",
     "PRECISION_AGNOSTIC_DRIVERS",
@@ -39,24 +38,6 @@ __all__ = [
     "prewarm",
     "run_context",
 ]
-
-#: drivers that do not route work through a spec-selected evaluation backend:
-#: ``evaluator-cache`` compares fixed backends by design; ``random-field``,
-#: ``fem-hotpath``, ``buoy-series``, ``tsunami-observations`` and
-#: ``tsunami-hierarchy`` call the forward models directly rather than through
-#: a sampling problem's evaluator.  The runner rejects a ``--backend``
-#: override for these so manifests never record a backend the run did not use.
-BACKEND_AGNOSTIC_DRIVERS = frozenset(
-    {
-        "evaluator-cache",
-        "random-field",
-        "fem-hotpath",
-        "swe-hotpath",
-        "buoy-series",
-        "tsunami-observations",
-        "tsunami-hierarchy",
-    }
-)
 
 #: drivers that honour a spec-selected parallel transport backend
 #: (``spec.parallel`` / ``repro run --parallel-backend``).  The other
@@ -182,14 +163,7 @@ def driver_names() -> list[str]:
 # ----------------------------------------------------------------------------
 # shared helpers
 def _spec_factory(spec: ExperimentSpec, application: str | None = None):
-    evaluation = spec.evaluation or {}
-    return build_factory(
-        application or spec.application,
-        spec.problem,
-        evaluation_backend=evaluation.get("backend"),
-        evaluator_options=evaluation.get("options") or None,
-        precision=spec.precision,
-    )
+    return build_factory(application or spec.application, spec.problem, precision=spec.precision)
 
 
 #: modules a driver imports while it runs, beyond its factory's (which
@@ -230,19 +204,8 @@ def prewarm(spec: ExperimentSpec) -> None:
         modules += (_BACKEND_MODULES[backend],)
     for module in modules:
         importlib.import_module(module)
-    if spec.application not in ("gaussian", "poisson", "tsunami"):
-        return
-    if spec.driver == "evaluator-cache":
-        # the driver builds its two fixed-backend factories itself
-        cache_size = int(spec.sampler.get("cache_size", 65536))
-        for backend, options in ((None, None), ("caching", {"cache_size": cache_size})):
-            build_factory(
-                spec.application, spec.problem,
-                evaluation_backend=backend, evaluator_options=options,
-                precision=spec.precision,
-            )
-        return
-    _spec_factory(spec)
+    if spec.application in ("gaussian", "poisson", "tsunami"):
+        _spec_factory(spec)
 
 
 def _num_samples(spec: ExperimentSpec, key: str = "num_samples") -> list[int]:
@@ -263,22 +226,31 @@ def _floats(values) -> list[float]:
     return [float(v) for v in np.asarray(values).ravel()]
 
 
+def _stats_entry(level: int, stats) -> dict:
+    """One level's EvaluatorStats as a manifest evaluation entry.
+
+    ``cache_hits`` / ``qoi_cache_hits`` are manifest-format constants: no
+    evaluator caches, but ``benchmarks/perf/layers.py`` reads both keys from
+    every entry.
+    """
+    return {"level": int(level), **stats.as_dict(), "cache_hits": 0, "qoi_cache_hits": 0}
+
+
 def _stats_entries(stats_by_level) -> list[dict]:
     """Per-level EvaluatorStats as manifest-ready dictionaries."""
     if isinstance(stats_by_level, dict):
         items = sorted(stats_by_level.items())
     else:
         items = list(enumerate(stats_by_level))
-    return [{"level": int(level), **stats.as_dict()} for level, stats in items]
+    return [_stats_entry(level, stats) for level, stats in items]
 
 
 def _merged_stats_entries(*collections) -> list[dict]:
     """Per-level totals over several runs' EvaluatorStats collections.
 
     Drivers that execute more than one sampler run (quickstart's sequential +
-    parallel pair, the ablation's dynamic + static pair, the cache study's
-    on/off pair) account *all* of the forward-model work in the manifest,
-    not just one half.
+    parallel pair, the ablation's dynamic + static pair) account *all* of the
+    forward-model work in the manifest, not just one half.
     """
     totals: dict[int, object] = {}
     for collection in collections:
@@ -289,7 +261,7 @@ def _merged_stats_entries(*collections) -> list[dict]:
                 totals[level].merge(stats)
             else:
                 totals[level] = stats.snapshot()
-    return [{"level": level, **stats.as_dict()} for level, stats in sorted(totals.items())]
+    return [_stats_entry(level, stats) for level, stats in sorted(totals.items())]
 
 
 def _budget_policy(spec: ExperimentSpec, num_samples: list[int]):
@@ -860,59 +832,6 @@ def run_ablation_subsampling(spec: ExperimentSpec) -> DriverResult:
 
 
 # ----------------------------------------------------------------------------
-# evaluation-backend study (caching on/off)
-@driver("evaluator-cache")
-def run_evaluator_cache(spec: ExperimentSpec) -> DriverResult:
-    """Caching vs in-process evaluation: fewer solves, bit-identical estimate."""
-    from repro.core import MLMCMCSampler
-
-    num_samples = _num_samples(spec)
-    cache_size = int(spec.sampler.get("cache_size", 65536))
-    runs = {}
-    for label, backend, options in (
-        ("inprocess", None, None),
-        ("caching", "caching", {"cache_size": cache_size}),
-    ):
-        factory = build_factory(
-            spec.application, spec.problem,
-            evaluation_backend=backend, evaluator_options=options,
-            precision=spec.precision,
-        )
-        start = time.perf_counter()
-        result = MLMCMCSampler(factory, num_samples=num_samples, seed=spec.seed).run()
-        runs[label] = {"result": result, "wall_time_s": time.perf_counter() - start}
-
-    plain, cached = runs["inprocess"]["result"], runs["caching"]["result"]
-    rows = []
-    for level in range(len(num_samples)):
-        p_stats, c_stats = plain.evaluation_stats[level], cached.evaluation_stats[level]
-        rows.append(
-            {
-                "level": level,
-                "evals_no_cache": int(p_stats.log_density_evaluations),
-                "evals_cache": int(c_stats.log_density_evaluations),
-                "cache_hits": int(c_stats.cache_hits),
-                "hit_rate": float(c_stats.hit_rate),
-                "model_time_no_cache_s": float(p_stats.wall_time),
-                "model_time_cache_s": float(c_stats.wall_time),
-            }
-        )
-    payload = {
-        "rows": rows,
-        "wall_time_no_cache_s": float(runs["inprocess"]["wall_time_s"]),
-        "wall_time_cache_s": float(runs["caching"]["wall_time_s"]),
-        "estimates_identical": bool(np.array_equal(plain.mean, cached.mean)),
-        "max_abs_estimate_diff": float(np.max(np.abs(plain.mean - cached.mean))),
-    }
-    return DriverResult(
-        payload, raw=runs, factory=None,
-        evaluations=_merged_stats_entries(
-            plain.evaluation_stats, cached.evaluation_stats
-        ),
-    )
-
-
-# ----------------------------------------------------------------------------
 # forward-model studies (no MCMC)
 @driver("random-field")
 def run_random_field(spec: ExperimentSpec) -> DriverResult:
@@ -1043,10 +962,9 @@ def run_forward_sweep(spec: ExperimentSpec) -> DriverResult:
     Draws a block of source parameters and evaluates it through each level's
     ``log_density_batch`` — the workload of pilot studies and prior
     predictive checks.  Unlike the MCMC drivers this routes *blocks* through
-    the spec-selected evaluation backend, so it is the scenario that
-    demonstrates (and CI-checks) the batch/pool fast paths end to end:
-    manifests record ``batch_calls > 0`` whenever the backend actually
-    batched.
+    the evaluators' vectorized path, so it is the scenario that demonstrates
+    (and CI-checks) the batch fast path end to end: manifests record
+    ``batch_calls > 0``.
     """
     factory = _spec_factory(spec)
     num_draws = max(2, int(spec.sampler.get("num_draws", 32)))
@@ -1078,11 +996,7 @@ def run_forward_sweep(spec: ExperimentSpec) -> DriverResult:
                 "per_draw_ms": float(elapsed / num_draws * 1e3),
             }
         )
-    payload = {
-        "rows": rows,
-        "num_draws": num_draws,
-        "backend": (spec.evaluation or {}).get("backend") or "inprocess",
-    }
+    payload = {"rows": rows, "num_draws": num_draws}
     return DriverResult(
         payload, raw=raw, factory=factory, evaluations=_stats_entries(stats_by_level)
     )

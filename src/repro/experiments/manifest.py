@@ -38,8 +38,9 @@ __all__ = [
 #: resume lineage, injected faults and the run's failure report;
 #: v5: added the required ``allocation`` object recording the sample
 #: allocation policy and, for adaptive runs, the budget and the realized
-#: continuation trajectory)
-MANIFEST_SCHEMA_VERSION = 5
+#: continuation trajectory; v6: dropped the top-level ``backend`` field with
+#: the selectable evaluation backends)
+MANIFEST_SCHEMA_VERSION = 6
 
 #: top-level manifest fields and their required types
 _TOP_LEVEL_FIELDS: dict[str, type | tuple] = {
@@ -51,7 +52,6 @@ _TOP_LEVEL_FIELDS: dict[str, type | tuple] = {
     "spec": dict,
     "spec_hash": str,
     "quick": bool,
-    "backend": (str, type(None)),
     "parallel_backend": (str, type(None)),
     "precision": str,
     "seed": int,
@@ -94,7 +94,6 @@ def build_manifest(
     wall_time_s: float,
     evaluations: list[dict] | None = None,
     quick: bool = False,
-    backend: str | None = None,
     parallel_backend: str | None = None,
     fault_tolerance: dict | None = None,
     allocation: dict | None = None,
@@ -124,7 +123,6 @@ def build_manifest(
         "spec": spec_dict,
         "spec_hash": spec_hash(spec_dict),
         "quick": bool(quick),
-        "backend": backend,
         "parallel_backend": parallel_backend,
         "precision": str(spec.precision),
         "seed": int(spec.seed),

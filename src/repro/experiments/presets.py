@@ -140,8 +140,6 @@ def clear_factory_cache() -> None:
 def build_factory(
     application: str,
     problem: dict | None = None,
-    evaluation_backend: str | None = None,
-    evaluator_options: dict | None = None,
     precision: str | None = None,
     cache: bool = True,
 ):
@@ -150,8 +148,7 @@ def build_factory(
     Factories are memoised on their full configuration: they are stateless
     apart from precomputed discretisation data (KL expansions, synthetic
     observations, assembly plans), and rebuilding the tsunami hierarchy means
-    re-running its finest forward model to regenerate the data.  Evaluators
-    are *not* shared — factories hand out a fresh evaluator per problem.
+    re-running its finest forward model to regenerate the data.
     Only the requested application's stack is imported: a Gaussian run never
     loads scipy, the FEM or the shallow-water solver.
     """
@@ -160,8 +157,6 @@ def build_factory(
         {
             "application": application,
             "options": options,
-            "backend": evaluation_backend,
-            "evaluator_options": evaluator_options,
             "precision": precision or "float64",
         },
         sort_keys=True,
@@ -174,8 +169,6 @@ def build_factory(
         from repro.models.gaussian import GaussianHierarchyFactory
 
         factory = GaussianHierarchyFactory(
-            evaluation_backend=evaluation_backend,
-            evaluator_options=evaluator_options,
             precision=precision,
             **options,
         )
@@ -185,8 +178,6 @@ def build_factory(
         if "mesh_sizes" in options:
             options["mesh_sizes"] = tuple(options["mesh_sizes"])
         factory = PoissonInverseProblemFactory(
-            evaluation_backend=evaluation_backend,
-            evaluator_options=evaluator_options,
             precision=precision,
             **options,
         )
@@ -199,8 +190,6 @@ def build_factory(
                 for spec in options["level_specs"]
             )
         factory = TsunamiInverseProblemFactory(
-            evaluation_backend=evaluation_backend,
-            evaluator_options=evaluator_options,
             precision=precision,
             **options,
         )

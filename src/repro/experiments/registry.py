@@ -405,10 +405,9 @@ register(ExperimentSpec(
     driver="forward-sweep",
     application="tsunami",
     paper_ref="Sections 3.2 / 5.2",
-    description="Vectorized tsunami log-density sweep on the batch evaluation backend",
+    description="Vectorized tsunami log-density sweep through the evaluators' batch path",
     problem={"preset": "scaled"},
     sampler={"num_draws": 24, "draw_std": 20.0},
-    evaluation={"backend": "batch"},
     seed=2026,
     quick={"problem": _TSUNAMI_QUICK_PROBLEM, "sampler": {"num_draws": 6}},
     tags=("performance",),
@@ -441,19 +440,6 @@ register(ExperimentSpec(
     sampler={"level": 1, "batch_size": 8},
     seed=7,
     quick={"problem": _TSUNAMI_QUICK_PROBLEM, "sampler": {"level": 1, "batch_size": 4}},
-    tags=("performance",),
-))
-
-register(ExperimentSpec(
-    name="evaluator-cache",
-    driver="evaluator-cache",
-    application="poisson",
-    paper_ref="—",
-    description="Caching vs in-process evaluation: fewer solves, identical estimate",
-    problem={"preset": "scaled"},
-    sampler={"num_samples": [300, 80, 25], "cache_size": 65536},
-    seed=77,
-    quick={"sampler": _POISSON_QUICK_SAMPLES},
     tags=("performance",),
 ))
 

@@ -16,7 +16,6 @@ from pathlib import Path
 from typing import Any
 
 from repro.experiments.drivers import (
-    BACKEND_AGNOSTIC_DRIVERS,
     BUDGETED_DRIVERS,
     PARALLEL_BACKEND_DRIVERS,
     PRECISION_AGNOSTIC_DRIVERS,
@@ -42,7 +41,7 @@ class BackendNotApplicableError(ValueError):
 class ScenarioRun:
     """One completed scenario execution."""
 
-    #: the resolved spec that actually ran (quick/backend/seed applied)
+    #: the resolved spec that actually ran (quick/seed/overrides applied)
     spec: ExperimentSpec
     #: JSON-safe results (the manifest's ``results`` field)
     payload: dict
@@ -61,7 +60,6 @@ class ScenarioRun:
 def run_scenario(
     scenario: str | ExperimentSpec,
     quick: bool = False,
-    backend: str | None = None,
     seed: int | None = None,
     out_dir: str | Path | None = None,
     parallel_backend: str | None = None,
@@ -80,13 +78,6 @@ def run_scenario(
         Registry name (see ``python -m repro run --list``) or an ad-hoc spec.
     quick:
         Apply the spec's quick-tier overrides (CI smoke mode).
-    backend:
-        Override the evaluation backend (``"inprocess"``, ``"caching"``,
-        ``"batch"`` or ``"pool"``).  Rejected
-        (:class:`BackendNotApplicableError`) for scenarios whose driver does
-        not route work through a spec-selected backend
-        (:data:`repro.experiments.drivers.BACKEND_AGNOSTIC_DRIVERS`), so the
-        manifest never records a backend the run did not use.
     seed:
         Override the spec's base seed.
     out_dir:
@@ -134,11 +125,6 @@ def run_scenario(
     ['exact_mean', 'parallel', 'sequential']
     """
     spec = scenario if isinstance(scenario, ExperimentSpec) else get_scenario(scenario)
-    if backend is not None and spec.driver in BACKEND_AGNOSTIC_DRIVERS:
-        raise BackendNotApplicableError(
-            f"scenario {spec.name!r} (driver {spec.driver!r}) does not use a "
-            "selectable evaluation backend; drop the backend override"
-        )
     if parallel_backend is not None and spec.driver not in PARALLEL_BACKEND_DRIVERS:
         raise BackendNotApplicableError(
             f"scenario {spec.name!r} (driver {spec.driver!r}) does not run the "
@@ -178,7 +164,6 @@ def run_scenario(
         )
     resolved = spec.resolved(
         quick=quick,
-        backend=backend,
         seed=seed,
         parallel_backend=parallel_backend,
         precision=precision,
@@ -213,7 +198,6 @@ def run_scenario(
         wall_time_s=wall_time_s,
         evaluations=outcome.evaluations,
         quick=quick,
-        backend=backend,
         parallel_backend=effective_parallel_backend,
         fault_tolerance=outcome.fault_tolerance,
         allocation=outcome.allocation,

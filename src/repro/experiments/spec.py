@@ -2,8 +2,8 @@
 
 An :class:`ExperimentSpec` is the single description of one runnable scenario:
 which application it belongs to, how the model hierarchy is configured, how
-the sampler (or study) is parameterised, which evaluation backend serves the
-forward-model calls, and what the scaled-down ``--quick`` tier looks like.
+the sampler (or study) is parameterised, and what the scaled-down ``--quick``
+tier looks like.
 Specs are plain data — JSON-serialisable, hashable by content — so a run's
 manifest can record exactly what was executed and two manifests can be
 compared across PRs by their spec hash.
@@ -56,9 +56,9 @@ class ExperimentSpec:
         Driver parameters (``num_samples``, ``burnin``/``burnin_floor``,
         ``num_ranks``, cost-model settings, sweep values, ...).
     evaluation:
-        ``{"backend": name, "options": {...}}`` for
-        :func:`repro.evaluation.make_evaluator`; empty means the in-process
-        default.
+        A recorded field with no effect: every problem runs the one
+        evaluator.  Only ``{}`` and ``{"backend": "batch"}`` (which ad-hoc
+        benchmark specs still carry) are accepted.
     parallel:
         ``{"backend": "simulated" | "multiprocess" | "socket",
         "options": {...}}`` —
@@ -102,6 +102,15 @@ class ExperimentSpec:
     quick: dict = field(default_factory=dict)
     tags: tuple = ()
 
+    def __post_init__(self) -> None:
+        if self.evaluation not in ({}, {"backend": "batch"}):
+            raise ValueError(
+                f"spec {self.name!r}: evaluation={self.evaluation!r} is not "
+                "supported; the selectable evaluation backends and their "
+                "options were removed (every problem runs the one evaluator), "
+                'so only {} and {"backend": "batch"} are accepted'
+            )
+
     # ------------------------------------------------------------------
     def as_dict(self) -> dict:
         """Plain-dictionary view (JSON-safe; tuples become lists).
@@ -139,7 +148,6 @@ class ExperimentSpec:
     def resolved(
         self,
         quick: bool = False,
-        backend: str | None = None,
         seed: int | None = None,
         parallel_backend: str | None = None,
         precision: str | None = None,
@@ -149,10 +157,9 @@ class ExperimentSpec:
         """The spec with run-time overrides applied.
 
         ``quick`` merges the spec's quick-tier overrides into ``problem``,
-        ``sampler`` and ``budget``; ``backend`` replaces the evaluation
-        backend (evaluator options survive only when the backend stays the
-        same — options are backend-specific); ``parallel_backend`` replaces
-        the parallel transport backend under the same options rule;
+        ``sampler`` and ``budget``; ``parallel_backend`` replaces the
+        parallel transport backend (its options survive only when the backend
+        stays the same — options are backend-specific);
         ``precision`` replaces the precision-ladder policy; ``seed`` replaces
         the base seed; ``target_mse`` / ``cost_budget`` (mutually exclusive)
         switch the run to adaptive allocation with the given MSE target or
@@ -183,11 +190,6 @@ class ExperimentSpec:
             budget = {k: v for k, v in spec.budget.items() if k != "target_mse"}
             budget.update({"policy": "adaptive", "cost_cap": float(cost_budget)})
             spec = replace(spec, budget=budget)
-        if backend is not None:
-            evaluation: dict = {"backend": backend}
-            if spec.evaluation.get("backend") == backend and "options" in spec.evaluation:
-                evaluation["options"] = spec.evaluation["options"]
-            spec = replace(spec, evaluation=evaluation)
         if parallel_backend is not None:
             parallel: dict = {"backend": parallel_backend}
             if (

@@ -33,8 +33,8 @@ from repro.utils.array_api import resolve_dtype
 __all__ = ["PoissonSolver"]
 
 #: banded Cholesky solvers by dtype character.  Looked up per call and never
-#: stored on a solver: LAPACK routine objects do not pickle, and
-#: ``PoolEvaluator`` pickles bound problems.
+#: stored on a solver: LAPACK routine objects do not pickle, and sampling
+#: problems must stay picklable to reach ranks started with spawn.
 _PBSV = {"d": lapack.dpbsv, "f": lapack.spbsv}
 
 

@@ -2,7 +2,7 @@
 
 * :mod:`repro.models.base` — the shared :class:`ForwardModel` contract
   (``forward`` / ``forward_batch`` / ``output_dim``) every application's
-  forward map implements; the seam the batch/pool evaluation backends plug
+  forward map implements; the seam the evaluator's vectorized path plugs
   into.
 * :mod:`repro.models.poisson` — the single-phase subsurface-flow (Poisson)
   inverse problem with a KL-parameterised log-normal diffusion coefficient

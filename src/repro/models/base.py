@@ -10,9 +10,9 @@ narrow :class:`ForwardModel` contract:
   block whose rows equal the stacked scalar evaluations,
 * ``output_dim`` — the observation dimension.
 
-The batch method is the seam the vectorized evaluation backends
-(:class:`repro.evaluation.BatchEvaluator`, :class:`repro.evaluation.PoolEvaluator`)
-and :meth:`repro.bayes.Posterior.log_density_batch` plug into: a model with a
+The batch method is the seam the evaluator's vectorized path
+(:meth:`repro.evaluation.BatchEvaluator.log_density_batch`) and
+:meth:`repro.bayes.Posterior.log_density_batch` plug into: a model with a
 native ensemble solve exposes it here, and everything upstream — likelihood,
 evaluator accounting, sampler — composes without knowing which model it is.
 

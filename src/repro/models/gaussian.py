@@ -90,13 +90,6 @@ class GaussianHierarchyFactory(MLComponentFactory):
     costs:
         Nominal evaluation cost per level (defaults to ``4^l``, the scaling of
         a 2-D PDE solve under uniform refinement).
-    evaluation_backend:
-        Name of the :mod:`repro.evaluation` backend for every level's model
-        evaluations; ``None`` keeps the in-process default.
-    evaluator_options:
-        Extra keyword arguments for :func:`repro.evaluation.make_evaluator`;
-        instance-valued options (the caching backend's ``inner``) must be
-        zero-argument callables, since each level builds a fresh backend.
     precision:
         Precision-ladder policy mapping each level's forward model to its
         solve dtype (the analytic targets themselves are exact either way).
@@ -112,8 +105,6 @@ class GaussianHierarchyFactory(MLComponentFactory):
         proposal_scale: float = 2.5,
         subsampling: int = 5,
         costs: list[float] | None = None,
-        evaluation_backend: str | None = None,
-        evaluator_options: dict | None = None,
         precision: str | None = None,
     ) -> None:
         if num_levels < 1:
@@ -134,8 +125,6 @@ class GaussianHierarchyFactory(MLComponentFactory):
             if costs is not None
             else [4.0**level for level in range(num_levels)]
         )
-        self.evaluation_backend = evaluation_backend
-        self.evaluator_options = dict(evaluator_options or {})
         self.precision = precision or "float64"
         self._level_dtypes = level_dtypes(self.precision, self._num_levels)
         self._forward_models: dict[str, GaussianIdentityForwardModel] = {}
@@ -183,7 +172,6 @@ class GaussianHierarchyFactory(MLComponentFactory):
             self.level_mean(level),
             self.level_covariance(level),
             cost=self.costs[level],
-            evaluator=self.evaluator_for_level(level),
         )
 
     def proposal_for_level(self, level: int, problem: AbstractSamplingProblem) -> MCMCProposal:

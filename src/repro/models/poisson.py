@@ -171,17 +171,6 @@ class PoissonInverseProblemFactory(MLComponentFactory):
         Seed of the synthetic-truth draw.
     quadrature_points_per_dim:
         Nystrom resolution of the KL expansion.
-    evaluation_backend:
-        Name of the :mod:`repro.evaluation` backend used for every level's
-        model evaluations (``"inprocess"``, ``"caching"``, ``"batch"`` or
-        ``"pool"``); ``None`` keeps the in-process default.  Caching pays off
-        directly in multilevel runs, where rejecting coarse chains serve
-        identical proposals repeatedly.
-    evaluator_options:
-        Extra keyword arguments for :func:`repro.evaluation.make_evaluator`
-        (e.g. ``cache_size``); instance-valued options such as the caching
-        backend's ``inner`` must be zero-argument callables, since each level
-        builds a fresh backend from the same options.
     precision:
         Precision-ladder policy (``"float64"``, ``"float32-coarse"``,
         ``"float32"``) mapping each level to its FEM solve dtype; parameters,
@@ -204,12 +193,8 @@ class PoissonInverseProblemFactory(MLComponentFactory):
         observation_coords: Sequence[float] = PAPER_OBSERVATION_COORDS,
         data_seed: int = 2021,
         quadrature_points_per_dim: int = 24,
-        evaluation_backend: str | None = None,
-        evaluator_options: dict | None = None,
         precision: str | None = None,
     ) -> None:
-        self.evaluation_backend = evaluation_backend
-        self.evaluator_options = dict(evaluator_options or {})
         self.specs = [PoissonLevelSpec(level=l, mesh_size=int(n)) for l, n in enumerate(mesh_sizes)]
         self.precision = precision or "float64"
         self._level_dtypes = level_dtypes(self.precision, len(self.specs))
@@ -308,7 +293,6 @@ class PoissonInverseProblemFactory(MLComponentFactory):
             posterior,
             qoi_dim=self.qoi_points.shape[0],
             cost=cost,
-            evaluator=self.evaluator_for_level(level),
         )
 
     def proposal_for_level(self, level: int, problem: AbstractSamplingProblem) -> MCMCProposal:

@@ -41,8 +41,8 @@ class TsunamiForwardModel(ForwardModelBase):
     runs a whole ``(n, 2)`` parameter block through the solver's ensemble
     time loop (:meth:`TohokuLikeScenario.observe_batch`) — one array program
     per time step instead of ``n`` scalar simulations — with rows identical
-    to the scalar path, which is what lets ``BatchEvaluator``/``PoolEvaluator``
-    finally take their fast paths on the tsunami problem.
+    to the scalar path, which is what the evaluator's ``log_density_batch``
+    runs on the tsunami problem.
 
     ``physical_mask`` exposes the paper's dry-land/out-of-domain treatment in
     vectorized form; :meth:`repro.bayes.Posterior.log_density_batch` uses it
@@ -131,15 +131,6 @@ class TsunamiInverseProblemFactory(MLComponentFactory):
         If not ``None``, observation noise drawn with this seed is added to the
         synthetic data (off by default — like the paper's Poisson study this
         keeps verification simple).
-    evaluation_backend:
-        Name of the :mod:`repro.evaluation` backend for every level's model
-        evaluations (caching is a natural choice: shallow-water solves are
-        expensive and rejecting coarse chains repeat identical proposals);
-        ``None`` keeps the in-process default.
-    evaluator_options:
-        Extra keyword arguments for :func:`repro.evaluation.make_evaluator`;
-        instance-valued options (the caching backend's ``inner``) must be
-        zero-argument callables, since each level builds a fresh backend.
     precision:
         Precision-ladder policy (``"float64"``, ``"float32-coarse"``,
         ``"float32"``) mapping each level to its shallow-water solve dtype;
@@ -161,12 +152,8 @@ class TsunamiInverseProblemFactory(MLComponentFactory):
         data_noise_seed: int | None = None,
         source_amplitude: float = 5.0,
         source_radius: float = 30e3,
-        evaluation_backend: str | None = None,
-        evaluator_options: dict | None = None,
         precision: str | None = None,
     ) -> None:
-        self.evaluation_backend = evaluation_backend
-        self.evaluator_options = dict(evaluator_options or {})
         self.specs = list(level_specs)
         self.precision = precision or "float64"
         self._subsampling = (
@@ -266,9 +253,7 @@ class TsunamiInverseProblemFactory(MLComponentFactory):
             qoi=None,  # the QOI is the parameter itself
         )
         cost = float(self.specs[level].num_cells**2) / float(self.specs[0].num_cells**2)
-        return BayesianSamplingProblem(
-            posterior, qoi_dim=2, cost=cost, evaluator=self.evaluator_for_level(level)
-        )
+        return BayesianSamplingProblem(posterior, qoi_dim=2, cost=cost)
 
     def proposal_for_level(self, level: int, problem: AbstractSamplingProblem) -> MCMCProposal:
         return AdaptiveMetropolisProposal(

@@ -36,8 +36,7 @@ close).  This module's pair is the OS-queue one (:class:`_QueueLink`,
 Each child process rebuilds its own sampling problems (and therefore its own
 evaluators) lazily through its copy of the
 :class:`~repro.core.factory.LevelProblems` cache; nothing holding
-process pools or factorizations crosses a process boundary alive — the same
-picklability contract :class:`repro.evaluation.PoolEvaluator` established.
+factorizations or open handles crosses a process boundary alive.
 When the generator finishes, the child ships its trace events and a
 role-specific :meth:`~repro.parallel.transport.RankProcess.harvest` payload
 back to the driver, which applies it to the driver-side twin so the
@@ -145,8 +144,7 @@ RANK_SWITCH_INTERVAL_S = 1e-4
 
 #: process start method: fork where available (cheap, children inherit the
 #: already-built factory), the platform default elsewhere — under spawn every
-#: object handed to a rank must be picklable, the contract the evaluation
-#: backends already guarantee
+#: object handed to a rank must be picklable
 _CONTEXT = multiprocessing.get_context(
     "fork" if "fork" in multiprocessing.get_all_start_methods() else None
 )

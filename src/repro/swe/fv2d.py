@@ -26,7 +26,7 @@ axis, shape ``(B, nx, ny)``.  There is one time loop:
 as one array program and :meth:`ShallowWaterSolver2D.run` is its one-member
 case.  Every member integrates with its *own* CFL time step (a per-member
 ``dt`` column broadcast into the update), so a member's result does not
-depend on its block — the property the batch evaluation backends rely on,
+depend on its block — the property the evaluator's batch path relies on,
 and what lets large ensembles run as consecutive cache-sized sub-blocks of
 at most ``BLOCK_CELLS`` cells.  Whenever the input allows, the loop steps
 through fused, buffer-reusing kernels bound once per sub-block

@@ -5,10 +5,9 @@ on them.  They mirror the kind of infrastructure MUQ provides in C++
 (random streams, sample statistics, etc.).
 """
 
-from repro.utils.random import RandomSource, spawn_rngs
+from repro.utils.random import RandomSource
 from repro.utils.stats import (
     RunningMoments,
-    WeightedRunningMoments,
     batch_means_variance,
     integrated_autocorrelation_time,
     effective_sample_size,
@@ -17,9 +16,7 @@ from repro.utils.stats import (
 
 __all__ = [
     "RandomSource",
-    "spawn_rngs",
     "RunningMoments",
-    "WeightedRunningMoments",
     "batch_means_variance",
     "integrated_autocorrelation_time",
     "effective_sample_size",

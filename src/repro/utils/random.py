@@ -10,17 +10,11 @@ with a small registry so components can request named child streams.
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 # numpy 2 would otherwise import this on the first generator, inside a timed run
 import numpy.random  # noqa: F401
-
-
-def spawn_rngs(seed: int | np.random.SeedSequence | None, n: int) -> list[np.random.Generator]:
-    """Create ``n`` statistically independent generators from a single seed."""
-    seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    return [np.random.default_rng(child) for child in seq.spawn(n)]
 
 
 class RandomSource:
@@ -81,54 +75,3 @@ class RandomSource:
     def integers(self, low: int, high: int | None = None) -> int:
         """Convenience wrapper over the root generator's ``integers``."""
         return int(self.root.integers(low, high))
-
-
-def as_generator(rng: np.random.Generator | int | None) -> np.random.Generator:
-    """Normalise ``rng`` to a :class:`numpy.random.Generator`."""
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.default_rng(rng)
-
-
-def antithetic_normal(rng: np.random.Generator, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Draw an antithetic pair of standard normal vectors (variance reduction)."""
-    z = rng.standard_normal(size)
-    return z, -z
-
-
-def multivariate_normal_sample(
-    rng: np.random.Generator,
-    mean: np.ndarray,
-    chol_cov: np.ndarray,
-) -> np.ndarray:
-    """Sample ``N(mean, L L^T)`` given the Cholesky factor ``L`` of the covariance."""
-    mean = np.asarray(mean, dtype=float)
-    z = rng.standard_normal(mean.shape[0])
-    return mean + chol_cov @ z
-
-
-def stratified_indices(rng: np.random.Generator, n: int, strata: int) -> np.ndarray:
-    """Return ``n`` indices stratified over ``strata`` equally sized bins.
-
-    Used by collectors when thinning stored chains for diagnostics without
-    biasing towards early (burn-in adjacent) samples.
-    """
-    if strata <= 0:
-        raise ValueError("strata must be positive")
-    edges = np.linspace(0, n, strata + 1).astype(int)
-    picks = []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        if hi > lo:
-            picks.append(int(rng.integers(lo, hi)))
-    return np.array(sorted(picks), dtype=int)
-
-
-def choice_without_replacement(
-    rng: np.random.Generator, pool: Iterable[int], k: int
-) -> list[int]:
-    """Sample ``k`` distinct items from ``pool`` (returns fewer if pool is small)."""
-    items = list(pool)
-    if k >= len(items):
-        return items
-    idx = rng.choice(len(items), size=k, replace=False)
-    return [items[i] for i in idx]

@@ -5,9 +5,6 @@ estimator:
 
 * :class:`RunningMoments` — Welford/Chan online mean & covariance updates,
   mergeable across parallel collectors.
-* :class:`WeightedRunningMoments` — the weighted variant used when samples
-  carry multiplicities (e.g. rejected MCMC proposals repeat the previous
-  state).
 * :func:`autocorrelation`, :func:`integrated_autocorrelation_time`,
   :func:`effective_sample_size` — standard chain diagnostics (Sokal-style
   adaptive windowing).
@@ -26,7 +23,6 @@ import numpy.fft  # noqa: F401
 
 __all__ = [
     "RunningMoments",
-    "WeightedRunningMoments",
     "autocorrelation",
     "integrated_autocorrelation_time",
     "effective_sample_size",
@@ -155,85 +151,6 @@ class RunningMoments:
         if self._count == 0:
             return np.zeros(self._dim or 0)
         return self.std() / math.sqrt(self._count)
-
-
-class WeightedRunningMoments:
-    """Weighted online mean/variance accumulator.
-
-    Used when samples carry integer multiplicities (repeated MCMC states) or
-    real weights (importance corrections).  Reports both the weighted mean and
-    the reliability-weighted variance.
-    """
-
-    def __init__(self, dim: int | None = None) -> None:
-        self._dim = dim
-        self._wsum = 0.0
-        self._wsum2 = 0.0
-        self._mean: np.ndarray | None = None
-        self._m2: np.ndarray | None = None
-        if dim is not None:
-            self._mean = np.zeros(dim)
-            self._m2 = np.zeros(dim)
-
-    @property
-    def weight_sum(self) -> float:
-        """Total accumulated weight."""
-        return self._wsum
-
-    def push(self, sample: np.ndarray | float, weight: float = 1.0) -> None:
-        """Accumulate one sample with the given non-negative weight."""
-        if weight < 0:
-            raise ValueError("weights must be non-negative")
-        if weight == 0:
-            return
-        x = np.atleast_1d(np.asarray(sample, dtype=float)).ravel()
-        if self._mean is None:
-            self._dim = x.shape[0]
-            self._mean = np.zeros(self._dim)
-            self._m2 = np.zeros(self._dim)
-        self._wsum += weight
-        self._wsum2 += weight * weight
-        delta = x - self._mean
-        r = weight / self._wsum
-        self._mean += delta * r
-        self._m2 += weight * delta * (x - self._mean)
-
-    def merge(self, other: "WeightedRunningMoments") -> "WeightedRunningMoments":
-        """Merge another accumulator into this one (weighted Chan formula)."""
-        if other._wsum == 0:
-            return self
-        if self._wsum == 0:
-            self._dim = other._dim
-            self._wsum = other._wsum
-            self._wsum2 = other._wsum2
-            self._mean = None if other._mean is None else other._mean.copy()
-            self._m2 = None if other._m2 is None else other._m2.copy()
-            return self
-        if self._dim != other._dim:
-            raise ValueError("cannot merge accumulators of different dimension")
-        w_a, w_b = self._wsum, other._wsum
-        w = w_a + w_b
-        delta = other._mean - self._mean
-        self._mean = self._mean + delta * (w_b / w)
-        self._m2 = self._m2 + other._m2 + delta**2 * (w_a * w_b / w)
-        self._wsum = w
-        self._wsum2 += other._wsum2
-        return self
-
-    def mean(self) -> np.ndarray:
-        """Weighted mean."""
-        if self._mean is None:
-            return np.zeros(0)
-        return self._mean.copy()
-
-    def variance(self) -> np.ndarray:
-        """Reliability-weighted sample variance."""
-        if self._m2 is None or self._wsum == 0:
-            return np.zeros(self._dim or 0)
-        denom = self._wsum - self._wsum2 / self._wsum
-        if denom <= 0:
-            return np.zeros(self._dim or 0)
-        return self._m2 / denom
 
 
 def autocorrelation(series: np.ndarray, max_lag: int | None = None) -> np.ndarray:

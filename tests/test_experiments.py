@@ -34,7 +34,6 @@ BENCH_MODULE_TO_SCENARIO = {
     "bench_ablation_subsampling": "ablation-subsampling",
     "bench_adaptive_allocation": "poisson-adaptive",
     "bench_cost_complexity": "cost-complexity",
-    "bench_evaluator_cache": "evaluator-cache",
     "bench_fem_hotpath": "fem-hotpath",
     "bench_fig02_random_field": "fig02-random-field",
     "bench_fig04_05_buoy_series": "fig04-05-buoy-series",
@@ -89,7 +88,6 @@ class TestExperimentSpec:
         assert spec.hash() != get_scenario("example-poisson-inversion").hash()
         # resolving run-time overrides changes the identity
         assert spec.resolved(quick=True).hash() != spec.resolved().hash()
-        assert spec.resolved(backend="pool").hash() != spec.resolved().hash()
         assert spec.resolved(seed=123).hash() != spec.resolved().hash()
 
     def test_quick_resolution_merges_overrides(self):
@@ -100,21 +98,34 @@ class TestExperimentSpec:
         assert quick.sampler["burnin_floor"] == spec.sampler["burnin_floor"]
         assert quick.quick == {}
 
-    def test_backend_and_seed_overrides(self):
-        spec = get_scenario("example-quickstart").resolved(backend="caching", seed=7)
-        assert spec.evaluation == {"backend": "caching"}
-        assert spec.seed == 7
+    @pytest.mark.parametrize(
+        "evaluation",
+        [
+            {"backend": "caching"},
+            {"backend": "pool"},
+            {"backend": "inprocess"},
+            {"options": {"cache_size": 128}},
+            {"backend": "batch", "options": {"max_batch_size": 4}},
+        ],
+    )
+    def test_removed_evaluator_choices_are_rejected(self, evaluation):
+        with pytest.raises(ValueError, match="evaluation backends and their options were removed"):
+            ExperimentSpec(name="x", driver="sequential", evaluation=evaluation)
 
-    def test_backend_override_keeps_options_only_for_same_backend(self):
-        spec = ExperimentSpec(
-            name="x", driver="sequential",
-            evaluation={"backend": "caching", "options": {"cache_size": 128}},
+    def test_batch_evaluation_is_a_recorded_no_op(self):
+        plain = ExperimentSpec(name="x", driver="forward-sweep", application="gaussian")
+        batch = ExperimentSpec(
+            name="x", driver="forward-sweep", application="gaussian",
+            evaluation={"backend": "batch"},
         )
-        same = spec.resolved(backend="caching")
-        assert same.evaluation == {"backend": "caching", "options": {"cache_size": 128}}
-        # options are backend-specific; switching backends drops them
-        other = spec.resolved(backend="pool")
-        assert other.evaluation == {"backend": "pool"}
+        assert batch.as_dict()["evaluation"] == {"backend": "batch"}
+        timing = ("sweep_time_s", "per_draw_ms")
+        plain_rows, batch_rows = (
+            [{k: v for k, v in row.items() if k not in timing} for row in run_scenario(spec).payload["rows"]]
+            for spec in (plain, batch)
+        )
+        assert plain_rows == batch_rows
+        assert all(row["batch_calls"] > 0 for row in batch_rows)
 
 
 # ----------------------------------------------------------------------------
@@ -189,20 +200,6 @@ class TestRunnerAndManifest:
         rows = run.payload["rows"]
         assert [row["rho"] for row in rows] == [1, 4]
 
-    def test_backend_override_is_recorded_and_used(self):
-        run = run_scenario("example-quickstart", quick=True, backend="caching")
-        assert run.manifest["backend"] == "caching"
-        assert run.spec.evaluation == {"backend": "caching"}
-        # the caching backend records hits during a multilevel run
-        assert sum(e["cache_hits"] for e in run.manifest["evaluations"]) > 0
-
-    def test_backend_override_rejected_for_backend_agnostic_drivers(self):
-        # these drivers never route work through a spec-selected backend, so a
-        # backend override would be recorded in the manifest but never used
-        for name in ("fem-hotpath", "evaluator-cache", "table1-tsunami-likelihood"):
-            with pytest.raises(ValueError, match="backend"):
-                run_scenario(name, quick=True, backend="pool")
-
     def test_dual_run_drivers_account_all_evaluations(self):
         run = run_scenario("example-quickstart", quick=True)
         seq = run.raw["sequential"].evaluation_stats
@@ -257,6 +254,7 @@ class TestCLI:
         assert "ok" in check.stdout
 
     def test_backend_override_on_agnostic_scenario_exits_2(self):
+        # the evaluation-backend flag is gone: argparse rejects it as a usage error
         result = _cli("run", "fem-hotpath", "--quick", "--backend", "pool")
         assert result.returncode == 2
         assert "backend" in result.stderr

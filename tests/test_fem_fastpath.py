@@ -285,8 +285,9 @@ class TestFastPathSolver:
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_solver_pickle_round_trip_after_solve(self, dtype, rng):
-        # PoolEvaluator pickles bound problems: nothing unpicklable (such as
-        # a LAPACK routine) may be cached on the solver by a solve.
+        # Sampling problems must pickle to reach ranks started with spawn:
+        # nothing unpicklable (such as a LAPACK routine) may be cached on the
+        # solver by a solve.
         grid = StructuredGrid(8)
         solver = PoissonSolver(grid, dtype=dtype)
         kappa = _random_kappa(grid, rng)

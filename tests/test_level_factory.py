@@ -33,7 +33,6 @@ from repro.core.proposals import (
     PreconditionedCrankNicolsonProposal,
     SubsamplingProposal,
 )
-from repro.evaluation import CachingEvaluator
 from repro.models.gaussian import GaussianHierarchyFactory
 from repro.parallel import CheckpointConfig, CheckpointError, Checkpointer
 from repro.parallel.checkpoint import CHECKPOINT_VERSION
@@ -94,18 +93,6 @@ class TestMLComponentFactory:
         factory = _MinimalFactory()
         assert [factory.subsampling_rate_for_level(l) for l in range(3)] == [1, 1, 1]
 
-    def test_default_evaluator_is_in_process(self):
-        assert _MinimalFactory().evaluator_for_level(0) is None
-
-    def test_backend_attribute_builds_a_fresh_evaluator_per_call(self):
-        factory = _MinimalFactory()
-        factory.evaluation_backend = "caching"
-        factory.evaluator_options = {"cache_size": 7}
-        first, second = factory.evaluator_for_level(1), factory.evaluator_for_level(1)
-        assert isinstance(first, CachingEvaluator)
-        assert first.max_entries == 7
-        assert first is not second
-
 
 # ----------------------------------------------------------------------------
 class TestLevelProblems:
@@ -141,7 +128,7 @@ class TestLevelProblems:
         before = problems.stats()[0]
         problem.log_density(np.zeros(2))
         after = problems.stats()[0]
-        assert after.density_requests == before.density_requests + 1
+        assert after.log_density_evaluations == before.log_density_evaluations + 1
         assert problems.stats()[0] is not after
 
 

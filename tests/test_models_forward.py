@@ -85,8 +85,7 @@ class TestForwardModelConformance:
 
 class TestTsunamiBatchEvaluator:
     def test_batch_evaluator_takes_the_batch_path(self):
-        factory = _small_tsunami_factory(evaluation_backend="batch")
-        problem = factory.problem_for_level(0)
+        problem = _small_tsunami_factory().problem_for_level(0)
         assert isinstance(problem.evaluator, BatchEvaluator)
         thetas = np.array([[0.0, 0.0], [10.0, 5.0], [-119.0, 0.0], [20.0, -10.0]])
         values = problem.log_density_batch(thetas)

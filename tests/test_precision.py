@@ -19,7 +19,6 @@ import numpy as np
 import pytest
 
 from repro.core.mlmcmc import MLMCMCSampler
-from repro.evaluation import CachingEvaluator
 from repro.models.gaussian import GaussianHierarchyFactory, GaussianIdentityForwardModel
 from repro.models.poisson import PoissonInverseProblemFactory
 from repro.models.tsunami import TsunamiInverseProblemFactory, TsunamiLevelSpec
@@ -200,29 +199,6 @@ class TestMixedPrecisionEstimate:
         r64, r32c = run(None), run("float32-coarse")
         stderr = self._stderr(r64)
         assert np.max(np.abs(r32c.mean - r64.mean)) <= 4.0 * max(stderr, 1e-12)
-
-
-class TestCacheKeys:
-    def test_key_context_partitions_the_cache(self):
-        theta = np.array([1.0, 2.0])
-        level0 = CachingEvaluator(key_context="level=0")
-        level1 = CachingEvaluator(key_context="level=1")
-        assert level0._key("qoi", theta) != level1._key("qoi", theta)
-        assert level0._key("qoi", theta) == CachingEvaluator(
-            key_context="level=0"
-        )._key("qoi", theta)
-
-    def test_dtype_and_shape_enter_the_key(self):
-        evaluator = CachingEvaluator()
-        flat = np.array([1.0, 2.0, 3.0, 4.0])
-        assert evaluator._key("qoi", flat) != evaluator._key(
-            "qoi", flat.astype(np.float32)
-        )
-        # same bytes, different shape: must not collide
-        assert evaluator._key("qoi", flat) != evaluator._key(
-            "qoi", flat.reshape(2, 2)
-        )
-        assert evaluator._key("qoi", flat) != evaluator._key("density", flat)
 
 
 class TestKernelDtypeHygiene:

@@ -10,7 +10,6 @@ from hypothesis.extra import numpy as hnp
 
 from repro.utils.stats import (
     RunningMoments,
-    WeightedRunningMoments,
     autocorrelation,
     batch_means_variance,
     effective_sample_size,
@@ -113,36 +112,6 @@ class TestRunningMoments:
         np.testing.assert_allclose(a.variance(), data.var(axis=0, ddof=1), atol=1e-10)
 
 
-class TestWeightedRunningMoments:
-    def test_unit_weights_match_unweighted(self, rng):
-        data = rng.normal(size=(100, 2))
-        weighted = WeightedRunningMoments()
-        for row in data:
-            weighted.push(row, 1.0)
-        np.testing.assert_allclose(weighted.mean(), data.mean(axis=0), rtol=1e-12)
-        np.testing.assert_allclose(weighted.variance(), data.var(axis=0, ddof=1), rtol=1e-10)
-
-    def test_integer_weights_match_repetition(self, rng):
-        values = rng.normal(size=(20, 2))
-        weights = rng.integers(1, 5, size=20)
-        weighted = WeightedRunningMoments()
-        for value, weight in zip(values, weights):
-            weighted.push(value, float(weight))
-        expanded = np.repeat(values, weights, axis=0)
-        np.testing.assert_allclose(weighted.mean(), expanded.mean(axis=0), rtol=1e-10)
-
-    def test_zero_weight_is_ignored(self):
-        weighted = WeightedRunningMoments()
-        weighted.push(np.array([1.0]), 1.0)
-        weighted.push(np.array([100.0]), 0.0)
-        np.testing.assert_allclose(weighted.mean(), [1.0])
-
-    def test_negative_weight_raises(self):
-        weighted = WeightedRunningMoments()
-        with pytest.raises(ValueError):
-            weighted.push(np.array([1.0]), -1.0)
-
-
 _blocks = st.lists(st.integers(0, 12), min_size=3, max_size=3)
 
 
@@ -178,38 +147,6 @@ class TestMergeProperties:
             np.testing.assert_allclose(
                 merged.covariance(), sequential.covariance(), atol=1e-10
             )
-
-    @given(
-        sizes=_blocks,
-        weights=st.lists(st.integers(1, 5), min_size=36, max_size=36),
-        seed=st.integers(0, 1000),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_weighted_moments_merge_is_associative(self, sizes, weights, seed):
-        n = sum(sizes)
-        data = np.random.default_rng(seed).normal(-1.0, 2.0, size=(n, 2))
-        w = np.asarray(weights[:n], dtype=float)
-        parts, part_weights = _split(data, sizes), _split(w, sizes)
-
-        def acc(rows, row_weights):
-            moments = WeightedRunningMoments()
-            for row, weight in zip(rows, row_weights):
-                moments.push(row, weight)
-            return moments
-
-        def part(i):
-            return acc(parts[i], part_weights[i])
-
-        left = part(0).merge(part(1)).merge(part(2))
-        right = part(0).merge(part(1).merge(part(2)))
-        sequential = acc(data, w)
-        for merged in (left, right):
-            assert merged.weight_sum == sequential.weight_sum == w.sum()
-            np.testing.assert_allclose(merged.mean(), sequential.mean(), atol=1e-12)
-            np.testing.assert_allclose(merged.variance(), sequential.variance(), atol=1e-10)
-        if n:
-            expanded = np.repeat(data, w.astype(int), axis=0)
-            np.testing.assert_allclose(sequential.mean(), expanded.mean(axis=0), atol=1e-12)
 
 
 class TestAutocorrelation:
