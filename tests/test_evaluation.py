@@ -2,12 +2,40 @@
 
 from __future__ import annotations
 
+import importlib.util
+from dataclasses import fields
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.core import DensitySamplingProblem, GaussianTargetProblem, MLMCMCSampler
-from repro.evaluation import MAX_BATCH_SIZE, BatchEvaluator, EvaluatorStats, InProcessEvaluator
+from repro.evaluation import (
+    MAX_BATCH_SIZE,
+    BatchEvaluator,
+    Evaluator,
+    EvaluatorStats,
+    InProcessEvaluator,
+)
 from repro.models.gaussian import GaussianHierarchyFactory
+
+SPANS_PATH = Path(__file__).resolve().parents[1] / "benchmarks" / "perf" / "spans.py"
+
+
+def _load_spans():
+    """The benchmark's span module, loaded from its file (it is not a package)."""
+    spec = importlib.util.spec_from_file_location("perf_spans", SPANS_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+#: the evaluation-layer span targets: each must be defined on its own class
+EVALUATION_SPAN_TARGETS = {
+    name: target
+    for name, target in _load_spans().SPAN_TABLE.items()
+    if name.startswith("evaluation.")
+}
 
 
 class TestEvaluatorStats:
@@ -32,6 +60,16 @@ class TestEvaluatorStats:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             EvaluatorStats().record("solve", 0.0, 0.0)
+
+    def test_counters_are_exactly_the_uncached_set(self):
+        assert [f.name for f in fields(EvaluatorStats)] == [
+            "log_density_evaluations",
+            "qoi_evaluations",
+            "batch_calls",
+            "wall_time",
+            "cost_units",
+        ]
+        assert list(EvaluatorStats().as_dict()) == [f.name for f in fields(EvaluatorStats)]
 
     def test_snapshot_delta_merge(self):
         stats = EvaluatorStats()
@@ -62,6 +100,37 @@ class TestInProcessEvaluator:
         assert stats.cost_units == pytest.approx(3 * 4.0)
         assert stats.wall_time > 0.0
 
+    def test_qoi_is_a_float_array_and_never_batched(self):
+        problem = DensitySamplingProblem(
+            dim=2, log_density=lambda theta: 0.0, qoi=lambda theta: [1, 2, 3]
+        )
+        value = problem.qoi(np.zeros(2))
+        assert isinstance(value, np.ndarray) and value.dtype == np.float64
+        np.testing.assert_array_equal(value, [1.0, 2.0, 3.0])
+        assert problem.evaluation_stats.batch_calls == 0
+
+    @pytest.mark.parametrize("kind", ["log_density", "qoi"])
+    def test_failed_model_call_is_not_counted(self, kind):
+        def broken(theta):
+            raise RuntimeError("model diverged")
+
+        problem = DensitySamplingProblem(
+            dim=2,
+            log_density=broken if kind == "log_density" else (lambda theta: 0.0),
+            qoi=broken if kind == "qoi" else None,
+        )
+        with pytest.raises(RuntimeError, match="model diverged"):
+            getattr(problem, kind)(np.zeros(2))
+        assert problem.evaluation_stats.as_dict() == EvaluatorStats().as_dict()
+
+    def test_problems_never_share_an_evaluator(self, gaussian_factory):
+        first = gaussian_factory.problem_for_level(1)
+        second = gaussian_factory.problem_for_level(1)
+        assert first.evaluator is not second.evaluator
+        first.log_density(np.zeros(first.dim))
+        assert first.evaluation_stats.log_density_evaluations == 1
+        assert second.evaluation_stats.log_density_evaluations == 0
+
 
 class TestBatchEvaluator:
     def test_batch_matches_loop_on_gaussian(self, rng):
@@ -81,6 +150,25 @@ class TestBatchEvaluator:
         problem.log_density_batch(block)
         assert problem.evaluation_stats.batch_calls == 2  # 1024 + 1
         assert problem.evaluation_stats.log_density_evaluations == 1025
+
+    @pytest.mark.parametrize(
+        "rows, calls", [(1, 1), (1023, 1), (1024, 1), (2048, 2), (2049, 3)]
+    )
+    def test_blocks_at_the_size_boundaries(self, rows, calls, rng):
+        problem = GaussianTargetProblem(np.array([0.5]), 2.0)
+        block = rng.standard_normal((rows, 1))
+        batch = problem.log_density_batch(block)
+        assert problem.evaluation_stats.batch_calls == calls
+        # row order survives the split into blocks
+        expected = -0.5 * (block[:, 0] - 0.5) ** 2 / 2.0
+        np.testing.assert_allclose(batch - batch[0], expected - expected[0], atol=1e-12)
+
+    def test_single_vector_is_one_row(self):
+        problem = GaussianTargetProblem(np.zeros(3), 1.0)
+        values = problem.log_density_batch(np.ones(3))
+        assert values.shape == (1,)
+        assert values[0] == pytest.approx(problem.log_density(np.ones(3)))
+        assert problem.evaluation_stats.batch_calls == 1
 
     def test_empty_block(self):
         problem = GaussianTargetProblem(np.zeros(2), 1.0)
@@ -102,6 +190,25 @@ class TestBatchEvaluator:
         batch = problem.log_density_batch(block)
         loop = np.array([problem.log_density(theta) for theta in block])
         np.testing.assert_allclose(batch, loop, rtol=1e-8)
+
+
+class TestEvaluatorInterface:
+    def test_evaluator_declares_the_three_calls(self):
+        assert Evaluator.__abstractmethods__ == {"log_density", "qoi", "log_density_batch"}
+        with pytest.raises(TypeError):
+            Evaluator()
+        assert BatchEvaluator.__mro__[1:3] == (InProcessEvaluator, Evaluator)
+
+    @pytest.mark.parametrize("name", sorted(EVALUATION_SPAN_TARGETS))
+    def test_benchmark_span_target_is_defined_on_its_class(self, name):
+        owner, attribute, raw = _load_spans().resolve_target(EVALUATION_SPAN_TARGETS[name])
+        # defined on the named class itself, not inherited or aliased
+        assert vars(owner)[attribute] is raw
+
+    def test_every_benchmark_span_target_resolves(self):
+        spans = _load_spans()
+        for target in spans.SPAN_TABLE.values():
+            spans.resolve_target(target)
 
 
 class TestDefaultProblemsBatch:
@@ -134,6 +241,25 @@ class TestMLMCMCWithEvaluators:
             assert count == stats.log_density_evaluations > 0
             assert stats.wall_time > 0.0
         assert all(cost > 0.0 for cost in result.costs_per_sample)
+
+    def test_single_level_cost_is_wall_time_per_evaluation(self, gaussian_factory, monkeypatch):
+        import itertools
+
+        import repro.evaluation.inprocess as inprocess
+        from repro.core.mlmcmc import run_single_level_mcmc
+
+        # every evaluation reads the clock twice: each one lasts exactly 0.125 s
+        ticks = itertools.count()
+        monkeypatch.setattr(inprocess, "perf_counter", lambda: 0.125 * next(ticks))
+        estimate, chain = run_single_level_mcmc(gaussian_factory, 0, 200, burnin=50, seed=2)
+        stats = chain.kernel.problem.evaluation_stats
+        # one density per step, burn-in included, plus the starting point,
+        # which is evaluated before the cost window opens
+        assert stats.log_density_evaluations == chain.steps_taken + 1
+        steps = chain.steps_taken
+        assert estimate.cost_per_sample == pytest.approx(
+            0.125 * (steps + stats.qoi_evaluations) / steps
+        )
 
     def test_parallel_result_carries_evaluator_stats(self):
         from repro.core import CostModel

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from repro.experiments import (
+    MANIFEST_SCHEMA_VERSION,
     ExperimentSpec,
     ManifestError,
     UnknownScenarioError,
@@ -90,6 +91,15 @@ class TestExperimentSpec:
         assert spec.resolved(quick=True).hash() != spec.resolved().hash()
         assert spec.resolved(seed=123).hash() != spec.resolved().hash()
 
+    def test_seed_override(self):
+        spec = get_scenario("example-quickstart").resolved(seed=7)
+        assert spec.seed == 7
+        assert spec.evaluation == {}
+
+    def test_resolved_takes_no_backend_override(self):
+        with pytest.raises(TypeError, match="backend"):
+            get_scenario("example-quickstart").resolved(backend="pool")
+
     def test_quick_resolution_merges_overrides(self):
         spec = get_scenario("table3-poisson-multilevel")
         quick = spec.resolved(quick=True)
@@ -111,6 +121,13 @@ class TestExperimentSpec:
     def test_removed_evaluator_choices_are_rejected(self, evaluation):
         with pytest.raises(ValueError, match="evaluation backends and their options were removed"):
             ExperimentSpec(name="x", driver="sequential", evaluation=evaluation)
+
+    @pytest.mark.parametrize("evaluation", [{}, {"backend": "batch"}])
+    def test_accepted_evaluation_values_round_trip(self, evaluation):
+        spec = ExperimentSpec(name="x", driver="sequential", evaluation=evaluation)
+        rebuilt = ExperimentSpec.from_dict(spec.as_dict())
+        assert rebuilt.evaluation == evaluation
+        assert rebuilt.hash() == spec.hash()
 
     def test_batch_evaluation_is_a_recorded_no_op(self):
         plain = ExperimentSpec(name="x", driver="forward-sweep", application="gaussian")
@@ -165,6 +182,11 @@ class TestRegistry:
         with pytest.raises(UnknownScenarioError):
             get_scenario("no-such-scenario")
 
+    def test_no_scenario_selects_an_evaluator(self):
+        assert get_scenario("tsunami-batch").evaluation == {}
+        for spec in all_scenarios():
+            assert spec.evaluation == {}, spec.name
+
 
 # ----------------------------------------------------------------------------
 # runner + manifest
@@ -209,6 +231,32 @@ class TestRunnerAndManifest:
             assert entry["log_density_evaluations"] == (
                 seq[level].log_density_evaluations + par[level].log_density_evaluations
             )
+
+    def test_manifest_schema_6_has_no_backend_field(self):
+        spec = get_scenario("example-quickstart").resolved(quick=True)
+        manifest = build_manifest(spec, results={"ok": 1}, wall_time_s=0.1)
+        assert manifest["schema_version"] == MANIFEST_SCHEMA_VERSION == 6
+        assert "backend" not in manifest
+        validate_manifest(manifest)
+        with pytest.raises(ManifestError, match="schema_version"):
+            validate_manifest({**manifest, "schema_version": 5})
+
+    def test_evaluation_entries_carry_the_benchmark_counters(self):
+        from repro.evaluation import EvaluatorStats
+        from repro.experiments.drivers import _stats_entries
+
+        stats = EvaluatorStats(log_density_evaluations=5, qoi_evaluations=2, batch_calls=1)
+        entries = _stats_entries({1: stats, 0: EvaluatorStats()})
+        assert [entry["level"] for entry in entries] == [0, 1]
+        # the keys the perf benchmark reads from every entry
+        for entry in entries:
+            assert {
+                "level", "log_density_evaluations", "qoi_evaluations",
+                "cache_hits", "qoi_cache_hits", "batch_calls",
+            } <= set(entry)
+            assert entry["cache_hits"] == entry["qoi_cache_hits"] == 0
+        assert entries[1]["log_density_evaluations"] == 5
+        assert entries[1]["batch_calls"] == 1
 
     def test_validate_rejects_tampered_manifest(self):
         spec = get_scenario("example-quickstart").resolved(quick=True)
@@ -258,6 +306,11 @@ class TestCLI:
         result = _cli("run", "fem-hotpath", "--quick", "--backend", "pool")
         assert result.returncode == 2
         assert "backend" in result.stderr
+
+    def test_backend_flag_rejected_on_sampling_scenario(self):
+        result = _cli("run", "example-quickstart", "--quick", "--backend", "caching")
+        assert result.returncode == 2
+        assert "--backend" in result.stderr
 
     def test_validate_rejects_corrupt_manifest(self, tmp_path):
         bad = tmp_path / "bad.manifest.json"

@@ -33,6 +33,7 @@ from repro.core.proposals import (
     PreconditionedCrankNicolsonProposal,
     SubsamplingProposal,
 )
+from repro.evaluation import BatchEvaluator
 from repro.models.gaussian import GaussianHierarchyFactory
 from repro.parallel import CheckpointConfig, CheckpointError, Checkpointer
 from repro.parallel.checkpoint import CHECKPOINT_VERSION
@@ -92,6 +93,13 @@ class TestMLComponentFactory:
     def test_default_subsampling_rate_is_one(self):
         factory = _MinimalFactory()
         assert [factory.subsampling_rate_for_level(l) for l in range(3)] == [1, 1, 1]
+
+    def test_each_problem_builds_its_own_evaluator(self):
+        factory = _MinimalFactory()
+        first, second = factory.problem_for_level(1), factory.problem_for_level(1)
+        assert type(first.evaluator) is BatchEvaluator
+        assert first.evaluator is not second.evaluator
+        assert first.evaluation_stats is not second.evaluation_stats
 
 
 # ----------------------------------------------------------------------------
