@@ -33,6 +33,14 @@ close).  This module's pair is the OS-queue one (:class:`_QueueLink`,
 (:func:`~repro.parallel.wire.pack_bodies`) per destination per flush.
 :mod:`repro.parallel.net` supplies the TCP hub pair.
 
+A link moves frames on a background thread (the queue's feeder writes
+outgoing frames, the socket link's reader takes incoming ones), which needs
+the GIL while the rank's main thread runs chain steps.  Ranks keep CPython's
+default switch interval: a controller steps only while a finer chain or a
+collector can take its output (see
+:class:`~repro.parallel.roles.controller.ControllerProcess`), so it spends
+its idle time blocked in a receive, which releases the GIL.
+
 Each child process rebuilds its own sampling problems (and therefore its own
 evaluators) lazily through its copy of the
 :class:`~repro.core.factory.LevelProblems` cache; nothing holding
@@ -92,7 +100,6 @@ import multiprocessing.popen_fork  # noqa: F401
 import multiprocessing.queues  # noqa: F401
 import multiprocessing.synchronize  # noqa: F401
 import queue as queue_module
-import sys
 import threading
 import time
 import traceback
@@ -131,16 +138,6 @@ logger = logging.getLogger(__name__)
 
 #: rank used as the source of driver-injected bootstrap messages
 DRIVER_RANK = -1
-
-#: GIL switch interval of a rank process, in seconds.  A rank's link moves
-#: frames on a background thread (the queue's feeder writes outgoing frames,
-#: the socket link's reader takes incoming ones), which needs the GIL; a busy
-#: controller's main thread holds it through whole chain steps, so under
-#: CPython's default of 5 ms a reply it sends (a coarse sample, a correction
-#: block) could wait that long for a forced switch.  A stopgap: what makes the
-#: wait costly is a level-0 controller that keeps announcing CORRECTION_READY
-#: every step after its target (ROADMAP item 8f); revisit once it stops.
-RANK_SWITCH_INTERVAL_S = 1e-4
 
 #: process start method: fork where available (cheap, children inherit the
 #: already-built factory), the platform default elsewhere — under spawn every
@@ -498,7 +495,6 @@ def _rank_main(
     ``open_link`` comes from the run's :meth:`Fabric.opener`; everything the
     rank sends, receives and reports goes through the link it opens.
     """
-    sys.setswitchinterval(RANK_SWITCH_INTERVAL_S)
     link = open_link()
     chaos: RankChaos | None = None
     if fault_plan is not None:

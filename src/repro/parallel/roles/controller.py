@@ -33,7 +33,22 @@ from repro.parallel.roles.protocol import RunConfiguration, Tags
 from repro.parallel.transport import Message, RankProcess
 from repro.utils.random import RandomSource
 
-__all__ = ["ControllerProcess"]
+__all__ = ["ControllerProcess", "SAMPLE_LEAD"]
+
+#: published states a level may hold unserved before its chain waits for a
+#: finer chain to fetch one
+SAMPLE_LEAD = 4
+
+#: every tag a controller serves while it samples a level (the coarse-sample
+#: wait takes COARSE_SAMPLE itself; elsewhere a stray one is dropped)
+_SERVED_TAGS = (
+    Tags.FETCH_SAMPLE,
+    Tags.FETCH_CORRECTION,
+    Tags.REASSIGN,
+    Tags.SHUTDOWN,
+    Tags.COARSE_SAMPLE,
+    Tags.PEER_RESTARTED,
+)
 
 
 class ControllerProcess(RankProcess):
@@ -146,6 +161,13 @@ class ControllerProcess(RankProcess):
     def _run_level(self, level: int) -> Generator:
         """Run a chain on ``level`` until reassigned or shut down.
 
+        After burn-in the chain steps only while its output can be taken: while
+        fewer than :data:`SAMPLE_LEAD` published states wait for a finer chain,
+        or fewer than ``2 * correction_batch`` correction rows wait for a
+        collector.  Otherwise the controller blocks until a fetch (or a control
+        message) arrives.  CORRECTION_READY announces only rows inside that
+        correction lead, so a level whose collectors are full goes quiet.
+
         Returns ``("reassign", new_level)`` or ``("shutdown", None)``.
         """
         config = self.config
@@ -161,10 +183,10 @@ class ControllerProcess(RankProcess):
             yield self.send(worker, Tags.WORKER_ASSIGN, {"level": level})
 
         publish_rate = config.publish_rate(level)
+        correction_lead = 2 * config.correction_batch
         steps_since_publish = 0
         chain_buffer: deque = deque()
         corrections_served = 0
-        corrections_notified = 0
 
         # A respawned controller resumes its subchain from its last snapshot
         # instead of re-running burn-in from scratch.  Snapshots for a
@@ -177,11 +199,35 @@ class ControllerProcess(RankProcess):
             if snapshot is not None and int(snapshot["level"]) == level:
                 chain.load_state_dict(snapshot["chain"])
                 corrections_served = int(snapshot["corrections_served"])
-                corrections_notified = int(snapshot["corrections_notified"])
                 self.samples_generated[level] = chain.samples.num_samples
+        # The phonebook's entry for this (re-)registration starts empty, so
+        # every unserved row is announced afresh.
+        corrections_notified = corrections_served
         pending_sample_fetches: deque[int] = deque()
         pending_correction_fetches: deque[tuple[int, int]] = deque()
         controller_rng = self._random_source.child("controller-cost", self.rank, level)
+
+        def wants_step() -> bool:
+            if chain.in_burnin:
+                return True
+            if publish_rate > 0 and len(chain_buffer) < SAMPLE_LEAD:
+                return True
+            return len(chain.corrections) - corrections_served < correction_lead
+
+        def announce(duration: float | None) -> Generator:
+            """Tell the phonebook about unannounced rows inside the correction lead."""
+            nonlocal corrections_notified
+            count = (
+                min(len(chain.corrections), corrections_served + correction_lead)
+                - corrections_notified
+            )
+            if count > 0:
+                corrections_notified += count
+                yield self.send(
+                    phonebook,
+                    Tags.CORRECTION_READY,
+                    {"rank": self.rank, "level": level, "count": count, "duration": duration},
+                )
 
         def serve_sample(requester: int) -> Generator:
             if chain_buffer:
@@ -208,10 +254,29 @@ class ControllerProcess(RankProcess):
                 Tags.CORRECTIONS,
                 {"fine": fine, "coarse": coarse, "level": level},
             )
+            # Serving moved the lead forward: announce the rows it now covers.
+            yield from announce(None)
 
-        def handle_message(message: Message) -> Generator:
-            """Serve fetch orders; returns control outcomes through StopIteration value."""
-            if message.tag == Tags.FETCH_SAMPLE:
+        def handle(message: Message) -> Generator:
+            """Serve one fetch or control message.
+
+            Returns the outcome that ends this level (SHUTDOWN, or REASSIGN
+            after every owed fetch is answered and the phonebook is told),
+            else ``None``.
+            """
+            tag = message.tag
+            if tag == Tags.SHUTDOWN:
+                return "shutdown", None
+            if tag == Tags.REASSIGN:
+                yield from self._flush_obligations(
+                    pending_sample_fetches, pending_correction_fetches, chain,
+                    chain_buffer, corrections_served,
+                )
+                yield self.send(
+                    phonebook, Tags.UNREGISTER, {"rank": self.rank, "level": level}
+                )
+                return "reassign", int(message.payload["level"])
+            if tag == Tags.FETCH_SAMPLE:
                 fetch_level = int(message.payload.get("level", level))
                 requester = int(message.payload["requester"])
                 if fetch_level != level:
@@ -225,7 +290,7 @@ class ControllerProcess(RankProcess):
                     )
                 else:
                     yield from serve_sample(requester)
-            elif message.tag == Tags.FETCH_CORRECTION:
+            elif tag == Tags.FETCH_CORRECTION:
                 fetch_level = int(message.payload.get("level", level))
                 requester = int(message.payload["requester"])
                 count = int(message.payload.get("count", 1))
@@ -237,87 +302,48 @@ class ControllerProcess(RankProcess):
                     )
                 else:
                     yield from serve_correction(requester, count)
-            # Stray coarse samples (e.g. requested before a reassignment) are dropped.
+            # Stray coarse samples (e.g. requested before a reassignment) are
+            # dropped; a PEER_RESTARTED notice outside the coarse-sample wait
+            # concerns no outstanding request of ours.
+            return None
 
+        # A restored chain may already hold a full lead of unserved rows.
+        yield from announce(None)
         while True:
-            # --- handle already-delivered control / fetch messages -----------
+            # --- serve delivered messages; wait for one while the chain's
+            # output cannot be taken ------------------------------------------
             while True:
-                pending = self.try_recv(
-                    Tags.FETCH_SAMPLE,
-                    Tags.FETCH_CORRECTION,
-                    Tags.REASSIGN,
-                    Tags.SHUTDOWN,
-                    Tags.COARSE_SAMPLE,
-                    Tags.PEER_RESTARTED,
-                )
-                if pending is None:
-                    break
-                if pending.tag == Tags.SHUTDOWN:
-                    return "shutdown", None
-                if pending.tag == Tags.PEER_RESTARTED:
-                    continue  # no coarse-sample request is outstanding here
-                if pending.tag == Tags.REASSIGN:
-                    yield from self._flush_obligations(
-                        pending_sample_fetches, pending_correction_fetches, chain,
-                        chain_buffer, corrections_served,
-                    )
-                    yield self.send(
-                        phonebook, Tags.UNREGISTER, {"rank": self.rank, "level": level}
-                    )
-                    return "reassign", int(pending.payload["level"])
-                yield from handle_message(pending)
+                message = self.try_recv(*_SERVED_TAGS)
+                if message is None:
+                    if wants_step():
+                        break
+                    message = yield self.recv(*_SERVED_TAGS)
+                outcome = yield from handle(message)
+                if outcome is not None:
+                    return outcome
 
             # --- obtain a coarse proposal when sampling a correction level ----
             if buffered is not None and len(buffered) == 0:
-                yield self.send(
-                    phonebook,
-                    Tags.SAMPLE_REQUEST,
-                    {"level": level - 1, "requester": self.rank},
-                )
+                request = {"level": level - 1, "requester": self.rank}
+                yield self.send(phonebook, Tags.SAMPLE_REQUEST, request)
                 while True:
-                    message = yield self.recv(
-                        Tags.COARSE_SAMPLE,
-                        Tags.FETCH_SAMPLE,
-                        Tags.FETCH_CORRECTION,
-                        Tags.REASSIGN,
-                        Tags.SHUTDOWN,
-                        Tags.PEER_RESTARTED,
-                    )
-                    if message.tag == Tags.PEER_RESTARTED:
-                        # Our fetch may have died with that controller: ask
-                        # again (a late duplicate is dropped as a stray).
-                        yield self.send(
-                            phonebook,
-                            Tags.SAMPLE_REQUEST,
-                            {"level": level - 1, "requester": self.rank},
-                        )
+                    message = yield self.recv(*_SERVED_TAGS)
+                    tag = message.tag
+                    if tag == Tags.COARSE_SAMPLE and (
+                        int(message.payload.get("level", level - 1)) == level - 1
+                    ):
+                        buffered.push(message.payload["state"])
+                        break
+                    if tag in (Tags.COARSE_SAMPLE, Tags.PEER_RESTARTED):
+                        # Our fetch was consumed by a stale delivery requested
+                        # before a reassignment, or may have died with a
+                        # respawned controller: ask again (a late duplicate is
+                        # dropped as a stray).
+                        yield self.send(phonebook, Tags.SAMPLE_REQUEST, request)
                         continue
-                    if message.tag == Tags.COARSE_SAMPLE:
-                        # Guard against stale samples requested before a reassignment:
-                        # only accept samples coming from the expected coarser level.
-                        if int(message.payload.get("level", level - 1)) == level - 1:
-                            buffered.push(message.payload["state"])
-                            break
-                        # Wrong level: our outstanding request was consumed by a
-                        # stale delivery — issue a fresh one and keep waiting.
-                        yield self.send(
-                            phonebook,
-                            Tags.SAMPLE_REQUEST,
-                            {"level": level - 1, "requester": self.rank},
-                        )
-                        continue
-                    if message.tag == Tags.SHUTDOWN:
-                        return "shutdown", None
-                    if message.tag == Tags.REASSIGN:
-                        yield from self._flush_obligations(
-                            pending_sample_fetches, pending_correction_fetches, chain,
-                            chain_buffer, corrections_served,
-                        )
-                        yield self.send(
-                            phonebook, Tags.UNREGISTER, {"rank": self.rank, "level": level}
-                        )
-                        return "reassign", int(message.payload["level"])
-                    yield from handle_message(message)
+                    outcome = yield from handle(message)
+                    if outcome is not None:
+                        return outcome
 
             # --- one chain step: evaluate the model, then accept/reject -------
             duration = self.config.cost_model.sample(level, controller_rng)
@@ -345,24 +371,11 @@ class ControllerProcess(RankProcess):
                         "level": level,
                         "chain": chain.state_dict(),
                         "corrections_served": corrections_served,
-                        "corrections_notified": corrections_notified,
                     },
                 )
 
             # --- publish correction availability ------------------------------
-            new_corrections = len(chain.corrections) - corrections_notified
-            if new_corrections > 0:
-                corrections_notified += new_corrections
-                yield self.send(
-                    phonebook,
-                    Tags.CORRECTION_READY,
-                    {
-                        "rank": self.rank,
-                        "level": level,
-                        "count": new_corrections,
-                        "duration": duration,
-                    },
-                )
+            yield from announce(duration)
 
             # --- publish subsampled chain states for finer levels --------------
             if publish_rate > 0:

@@ -39,6 +39,16 @@ class RootProcess(RankProcess):
         self.finish_time: float = 0.0
         #: realized allocation trajectory (adaptive runs; empty otherwise)
         self.allocation_rounds: list[AllocationRound] = []
+        #: rank respawns to be told of before shutting the machine down.  A
+        #: scripted kill tests recovery only if it is handled before the run
+        #: completes; a recovery test sets this to its number of kills so a
+        #: fast run cannot finish first.  0 (the default) waits for nothing.
+        self.hold_for_restarts = 0
+
+    def peer_restart_message(self, rank: int, role: str) -> tuple[str, dict] | None:
+        if self.hold_for_restarts <= 0:
+            return None
+        return (Tags.PEER_RESTARTED, {"rank": int(rank), "role": role})
 
     # ------------------------------------------------------------------
     def run(self) -> Generator:
@@ -57,6 +67,9 @@ class RootProcess(RankProcess):
             yield from self._run_static()
         else:
             yield from self._run_adaptive()
+
+        for _ in range(self.hold_for_restarts):
+            yield self.recv(Tags.PEER_RESTARTED)
 
         # 4. Shut everything down.
         self.finish_time = self.now

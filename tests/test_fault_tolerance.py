@@ -49,7 +49,7 @@ def factory():
     return GaussianHierarchyFactory(dim=2, num_levels=3, subsampling=3)
 
 
-def _sampler(factory, **overrides):
+def _sampler(factory, sampler_class=ParallelMLMCMCSampler, **overrides):
     options = dict(
         num_samples=[60, 24, 10],
         num_ranks=10,
@@ -57,7 +57,7 @@ def _sampler(factory, **overrides):
         seed=5,
     )
     options.update(overrides)
-    return ParallelMLMCMCSampler(factory, **options)
+    return sampler_class(factory, **options)
 
 
 def _chain(seed: int = 0) -> SingleChainMCMC:
@@ -255,14 +255,28 @@ class TestSimulatedChaos:
 
 # ----------------------------------------------------------------------------
 # Kill points of the real-process recovery tests.  A kill only tests recovery
-# if it fires before the run can complete; after that the death is shutdown
-# noise and no respawn is the designed outcome.  The root waits for no
-# particular controller or worker, and a worker's n-th event needs its
-# controller to have sent it about n/2 evaluation orders, so the kills sit at
-# the rank's first few events: the worker's first evaluation order, the
-# controller's first chain steps after registering.
+# if it is handled before the run can complete; after that the death is
+# shutdown noise and no respawn is the designed outcome.  The kills sit at the
+# rank's first few events (the worker's first evaluation order, the
+# controller's first burn-in steps after registering), which every run
+# reaches, and the root holds its completion until each has been respawned,
+# so a run that finishes faster than the supervisor notices a death still
+# tests recovery.
 CONTROLLER_KILL_EVENTS = 6
 WORKER_KILL_EVENTS = 3
+
+
+class _HeldSampler(ParallelMLMCMCSampler):
+    """A sampler whose root waits until every scripted kill was respawned."""
+
+    def build_world(self):
+        world, root, phonebook = super().build_world()
+        root.hold_for_restarts = len(self.fault_plan.kills)
+        return world, root, phonebook
+
+
+def _held_sampler(factory, **overrides):
+    return _sampler(factory, sampler_class=_HeldSampler, **overrides)
 
 
 class TestMultiprocessRecovery:
@@ -273,7 +287,7 @@ class TestMultiprocessRecovery:
                 RankKill(after_events=CONTROLLER_KILL_EVENTS, role="controller", index=0)
             ],
         )
-        result = _sampler(
+        result = _held_sampler(
             factory,
             backend="multiprocess",
             fault_plan=plan,
@@ -337,7 +351,7 @@ class TestSocketRecovery:
                 RankKill(after_events=CONTROLLER_KILL_EVENTS, role="controller", index=0)
             ],
         )
-        result = _sampler(
+        result = _held_sampler(
             factory,
             backend="socket",
             fault_plan=plan,
@@ -380,7 +394,7 @@ class TestSocketRecovery:
         plan = FaultPlan(
             seed=5, kills=[RankKill(after_events=WORKER_KILL_EVENTS, role="worker", index=0)]
         )
-        result = _sampler(
+        result = _held_sampler(
             factory,
             backend="socket",
             num_ranks=16,

@@ -32,6 +32,8 @@ from repro.parallel import (
 )
 from repro.parallel.mp import DRIVER_RANK, MultiprocessWorld, _ProcessTransport, _QueueFabric
 from repro.parallel.net import SocketWorld, _Hub
+from repro.parallel.roles import ControllerProcess
+from repro.parallel.roles.controller import SAMPLE_LEAD
 from repro.parallel.trace import TraceRecorder
 from repro.parallel.transport import Message, RankProcess, Receive, ReceiveTimeout
 from repro.parallel.wire import decode_message
@@ -122,6 +124,31 @@ class TestMultiprocessBackend:
         # Short chains: generous tolerance, this is a smoke check that the
         # machine assembled a sane telescoping estimate, not a precision test.
         assert np.linalg.norm(mp_result.mean - exact) < 1.5
+
+
+# ----------------------------------------------------------------------------
+class TestDemandDrivenControllers:
+    def test_level0_produces_only_what_level1_consumes(self, factory):
+        # 8 ranks: one controller per level and no worker ranks
+        sampler = _sampler(factory, backend="multiprocess", num_ranks=8)
+        world, _root, _phonebook = sampler.build_world()
+        world.run()
+        controllers = {
+            process.assignment_history[0]: process
+            for process in world.processes.values()
+            if isinstance(process, ControllerProcess)
+        }
+        assert sorted(controllers) == [0, 1, 2]
+        assert all(len(c.assignment_history) == 1 for c in controllers.values())
+        # every level-1 step, burn-in included, takes one published level-0
+        # state; level 0 publishes every `rate` steps and may run ahead by the
+        # sample lead (plus a state fetched for a step cut off by shutdown),
+        # or by the correction lead for its own collector
+        consumed = controllers[1].total_steps
+        rate = sampler.config.publish_rate(0)
+        correction_lead = 2 * sampler.config.correction_batch
+        bound = rate * (consumed + 1 + SAMPLE_LEAD) + correction_lead
+        assert controllers[0].samples_generated[0] <= bound
 
 
 # ----------------------------------------------------------------------------

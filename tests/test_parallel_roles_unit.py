@@ -17,12 +17,16 @@ from repro.models.gaussian import GaussianHierarchyFactory
 from repro.parallel.layout import ProcessLayout
 from repro.parallel.roles import (
     CollectorProcess,
+    ControllerProcess,
     PhonebookProcess,
     RunConfiguration,
     Tags,
     WorkerProcess,
 )
+from repro.parallel.roles.controller import SAMPLE_LEAD
 from repro.parallel.simmpi import RankProcess, VirtualWorld
+from repro.parallel.transport import Compute, Message, Receive, Send
+from repro.utils.random import RandomSource
 
 
 def make_config(num_ranks: int = 10, dynamic: bool = True) -> RunConfiguration:
@@ -266,3 +270,111 @@ class TestCollectorAndWorker:
         assert worker.evaluations == 4
         assert worker.level == 1
         assert world.trace.busy_time(3) == pytest.approx(2.0)
+
+
+class _HandDriven:
+    """Runs one controller generator by hand, with no world attached.
+
+    :meth:`until_blocked` resumes the generator with a message (or ``None``)
+    and interprets primitives until it blocks in a receive: sends are
+    recorded, computes counted.  A controller that never blocks fails the
+    test instead of looping forever.
+    """
+
+    MAX_ITEMS = 10_000
+
+    def __init__(self, controller: ControllerProcess) -> None:
+        self.controller = controller
+        self.generator = controller.run()
+        self.blocked_on: Receive | None = None
+
+    def until_blocked(self, message: Message | None = None):
+        sent, computes = [], 0
+        value = message
+        for _ in range(self.MAX_ITEMS):
+            item = self.generator.send(value)
+            value = None
+            if isinstance(item, Send):
+                sent.append(item)
+            elif isinstance(item, Compute):
+                computes += 1
+            else:
+                assert isinstance(item, Receive)
+                self.blocked_on = item
+                return sent, computes
+        raise AssertionError("the controller never blocked")
+
+    def deliver(self, tag: str, payload: dict):
+        message = Message(source=1, dest=self.controller.rank, tag=tag, payload=payload)
+        return self.until_blocked(message)
+
+
+def _ready_counts(sent, tag):
+    return [m.payload["count"] for m in sent if m.tag == tag]
+
+
+class TestControllerDemand:
+    """A level-0 controller steps only while its output can be taken."""
+
+    def _started(self, correction_batch: int):
+        config = make_config()
+        config.correction_batch = correction_batch
+        controller = ControllerProcess(5, config, worker_ranks=(), random_source=RandomSource(3))
+        driven = _HandDriven(controller)
+        driven.until_blocked()  # waiting for ASSIGN
+        return config, controller, driven
+
+    def test_corrections_lead_bounds_steps_and_announcements(self):
+        config, controller, driven = self._started(correction_batch=10)
+        lead = 2 * config.correction_batch
+        sent, computes = driven.deliver(Tags.ASSIGN, {"level": 0})
+        # burn-in, then exactly the correction lead: nobody fetched anything
+        assert computes == config.burnin[0] + lead
+        assert sum(_ready_counts(sent, Tags.CORRECTION_READY)) == lead
+        assert Tags.FETCH_CORRECTION in driven.blocked_on.tags
+        assert Tags.FETCH_SAMPLE in driven.blocked_on.tags
+
+        # One fetch takes a batch: the rows ship, the lead moves forward by a
+        # batch, and the chain refills it, announcing each new row, before
+        # it blocks again.
+        batch = config.correction_batch
+        sent, computes = driven.deliver(
+            Tags.FETCH_CORRECTION, {"requester": 4, "count": batch, "level": 0}
+        )
+        (corrections,) = [m for m in sent if m.tag == Tags.CORRECTIONS]
+        assert corrections.dest == 4 and len(corrections.payload["fine"]) == batch
+        assert sum(_ready_counts(sent, Tags.CORRECTION_READY)) == batch
+        assert computes == batch
+
+        # Without a fetch nothing more happens: a SAMPLE fetch is served from
+        # the states published meanwhile and does not step the chain.
+        sent, computes = driven.deliver(Tags.FETCH_SAMPLE, {"requester": 6, "level": 0})
+        assert computes == 0
+        assert [m.tag for m in sent] == [Tags.COARSE_SAMPLE]
+
+    def test_sample_lead_bounds_steps_of_a_publishing_level(self):
+        config, controller, driven = self._started(correction_batch=1)
+        rate = config.publish_rate(0)
+        sent, computes = driven.deliver(Tags.ASSIGN, {"level": 0})
+        # the correction lead (2 rows) is shorter than the publishing lead:
+        # the chain stops once SAMPLE_LEAD states wait for a finer chain
+        assert computes <= config.burnin[0] + SAMPLE_LEAD * rate
+        assert sum(_ready_counts(sent, Tags.SAMPLE_READY)) == SAMPLE_LEAD
+        assert sum(_ready_counts(sent, Tags.CORRECTION_READY)) == 2 * config.correction_batch
+
+        # a fetch takes one state: the chain steps until the lead is refilled
+        sent, computes = driven.deliver(Tags.FETCH_SAMPLE, {"requester": 6, "level": 0})
+        assert [m.tag for m in sent].count(Tags.COARSE_SAMPLE) == 1
+        assert computes == rate
+        assert sum(_ready_counts(sent, Tags.SAMPLE_READY)) == 1
+        # no collector fetched: no row beyond the lead is announced
+        assert _ready_counts(sent, Tags.CORRECTION_READY) == []
+
+    def test_blocked_controller_leaves_on_reassign_and_shutdown(self):
+        config, controller, driven = self._started(correction_batch=10)
+        driven.deliver(Tags.ASSIGN, {"level": 0})
+        sent, computes = driven.deliver(Tags.REASSIGN, {"level": 1})
+        assert [m.tag for m in sent][:1] == [Tags.UNREGISTER]
+        assert controller.assignment_history == [0, 1]
+        with pytest.raises(StopIteration):
+            driven.deliver(Tags.SHUTDOWN, {})
