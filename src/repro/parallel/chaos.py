@@ -27,13 +27,13 @@ The same plan drives both transports:
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any
 
 import numpy as np
 
 from repro.parallel.layout import ProcessLayout
-from repro.parallel.transport import Compute, Message, RankProcess, Send
+from repro.parallel.transport import Compute, Message, RankProcess
 
 __all__ = [
     "EvaluatorFault",
@@ -418,10 +418,7 @@ def _wrap_process(process: RankProcess, chaos: RankChaos) -> None:
                 # drains, and world.run() returns with this rank unfinished.
                 yield process.recv("__CHAOS_KILLED__")
                 return
-            if isinstance(item, Send):
-                # Sends are intercepted in the world's fabric (drops/delays
-                # need delivery-side mechanics), nothing to do here.
-                pass
+            # Sends pass through: drops and delays act in the world's fabric.
             value = yield item
 
     process.run = run

@@ -142,50 +142,36 @@ class Checkpointer:
         if self.config.keep > 1 and path.exists():
             for generation in range(self.config.keep - 1, 0, -1):
                 older = path.with_suffix(path.suffix + f".{generation}")
-                newer = (
-                    path
-                    if generation == 1
-                    else path.with_suffix(path.suffix + f".{generation - 1}")
-                )
+                newer = path.with_suffix(path.suffix + f".{generation - 1}")
+                newer = path if generation == 1 else newer
                 if newer.exists():
                     os.replace(newer, older)
-        # HIGHEST_PROTOCOL: protocol 5 ships large ndarray buffers
-        # out-of-band, so array-heavy role state snapshots smaller and
-        # faster.  The loader (`pickle.load`) auto-detects the protocol, so
-        # snapshots written by older builds with the default protocol stay
-        # readable.
-        blob = pickle.dumps(
-            {
-                "version": CHECKPOINT_VERSION,
-                "rank": int(rank),
-                "role": str(role),
-                "signature": self.signature,
-                "written_at": time.time(),
-                "payload": payload,
-            },
-            protocol=pickle.HIGHEST_PROTOCOL,
-        )
-        _atomic_write_bytes(path, blob)
+        _atomic_write_bytes(path, self._snapshot(int(rank), str(role), payload))
         self._since_snapshot = 0
         self._last_snapshot_time = time.monotonic()
         return path
 
     def write_final(self, payload: dict[str, Any]) -> Path:
         """Persist the driver's snapshot of a *completed* run."""
-        blob = pickle.dumps(
-            {
-                "version": CHECKPOINT_VERSION,
-                "rank": None,
-                "role": "final",
-                "signature": self.signature,
-                "written_at": time.time(),
-                "payload": payload,
-            },
-            protocol=pickle.HIGHEST_PROTOCOL,
-        )
         path = self.directory / FINAL_SNAPSHOT_NAME
-        _atomic_write_bytes(path, blob)
+        _atomic_write_bytes(path, self._snapshot(None, "final", payload))
         return path
+
+    def _snapshot(self, rank: int | None, role: str, payload: dict[str, Any]) -> bytes:
+        # HIGHEST_PROTOCOL: protocol 5 ships large ndarray buffers
+        # out-of-band, so array-heavy role state snapshots smaller and
+        # faster.  The loader (`pickle.load`) auto-detects the protocol, so
+        # snapshots written by older builds with the default protocol stay
+        # readable.
+        envelope = {
+            "version": CHECKPOINT_VERSION,
+            "rank": rank,
+            "role": role,
+            "signature": self.signature,
+            "written_at": time.time(),
+            "payload": payload,
+        }
+        return pickle.dumps(envelope, protocol=pickle.HIGHEST_PROTOCOL)
 
     # -- read ----------------------------------------------------------------
     def _load(self, path: Path) -> dict[str, Any]:

@@ -25,67 +25,38 @@ How messages travel is the only thing the two real-process backends
 disagree on, and it sits behind two small contracts.  In the child,
 :func:`_rank_main` — the one child entry point — drives its rank over a
 :class:`Link` (ship encoded bodies, receive delivered bodies, report
-``(rank, status, payload)`` tuples, close).  In the driver, the supervise
-loop of :meth:`MultiprocessWorld.run` talks to a :class:`Fabric` (the
-child's link opener, bootstrap injection, the result queue, drain, settle,
-close).  This module's pair is the OS-queue one (:class:`_QueueLink`,
+``(rank, status, payload)`` tuples, close).  In the driver, the pump loop of
+:meth:`MultiprocessWorld.run` talks to a :class:`Fabric` (the child's link
+opener, bootstrap injection, the result queue, drain, settle, close).  This
+module's pair is the OS-queue one (:class:`_QueueLink`,
 :class:`_QueueFabric`): one persistent queue per rank, one batch blob
 (:func:`~repro.parallel.wire.pack_bodies`) per destination per flush.
 :mod:`repro.parallel.net` supplies the TCP hub pair.
 
-A link moves frames on a background thread (the queue's feeder writes
-outgoing frames, the socket link's reader takes incoming ones), which needs
-the GIL while the rank's main thread runs chain steps.  Ranks keep CPython's
-default switch interval: a controller steps only while a finer chain or a
-collector can take its output (see
-:class:`~repro.parallel.roles.controller.ControllerProcess`), so it spends
-its idle time blocked in a receive, which releases the GIL.
+A link moves frames on a background thread, which needs the GIL while the
+rank's main thread runs chain steps.  Ranks keep CPython's default switch
+interval: a controller steps only while its output can be taken (see
+:class:`~repro.parallel.roles.controller.ControllerProcess`), and idles
+blocked in a receive, which releases the GIL.
 
-Each child process rebuilds its own sampling problems (and therefore its own
-evaluators) lazily through its copy of the
-:class:`~repro.core.factory.LevelProblems` cache; nothing holding
-factorizations or open handles crosses a process boundary alive.
-When the generator finishes, the child ships its trace events and a
-role-specific :meth:`~repro.parallel.transport.RankProcess.harvest` payload
-back to the driver, which applies it to the driver-side twin so the
-surrounding result-assembly code runs unchanged on either backend.  A rank
-whose process exits without reporting is a named failure as soon as its
-exit is seen.
+Each child rebuilds its own sampling problems (and evaluators) through its
+copy of the :class:`~repro.core.factory.LevelProblems` cache; nothing holding
+factorizations or open handles crosses a process boundary alive.  A finished
+child ships its trace events and a role-specific
+:meth:`~repro.parallel.transport.RankProcess.harvest` payload back to the
+driver, which applies it to the driver-side twin, so result assembly runs
+unchanged on every backend.
 
-Fault tolerance
----------------
+Supervision
+-----------
 
-With a :class:`~repro.parallel.fault.FaultToleranceConfig` the machine
-survives dying ranks instead of aborting:
-
-* every child runs a daemon **heartbeat** thread reporting
-  ``(rank, "heartbeat", meta)``; ``meta`` is the role's
-  :meth:`~repro.parallel.transport.RankProcess.heartbeat_state` (current
-  level, progress counters),
-* the driver's pump loop detects **crashed** ranks (child exited without
-  reporting) and **hung** ranks (no heartbeat for
-  ``heartbeat_grace * heartbeat_interval_s``) and respawns restartable roles
-  in place after a linear backoff, injecting the role's
-  :meth:`~repro.parallel.transport.RankProcess.restart_message` bootstrap
-  into the rank's (persistent) fabric store.  The store survives the death,
-  so fetch orders addressed to the dead incarnation are served by the
-  replacement — at-least-once delivery.  Orders the dead incarnation had
-  already consumed are gone with it, so every other running rank also gets
-  its :meth:`~repro.parallel.transport.RankProcess.peer_restart_message`
-  notice and re-issues what it was waiting on,
-* a global **restart budget** bounds recovery; when it is exhausted (or a
-  non-restartable rank — root, phonebook — dies) the run either degrades
-  into a partial result carrying a
-  :class:`~repro.parallel.fault.FailureReport` (``on_exhausted="degrade"``)
-  or raises like the legacy all-or-nothing machine (``"raise"``),
-* inside the children, receives honour ``receive_timeout_s`` so a rank
-  waiting on a dead peer raises
-  :class:`~repro.parallel.transport.ReceiveTimeout` instead of blocking
-  forever.
-
-An injected :class:`~repro.parallel.chaos.FaultPlan` is shipped only to the
-*first* incarnation of each rank; respawned replacements run chaos-free so a
-deterministic kill rule cannot re-fire and drain the restart budget.
+:meth:`MultiprocessWorld.run` decides nothing about the ranks' lifecycle: it
+pumps rank reports, child exits and ticks into a
+:class:`~repro.parallel.fault.Supervisor` and carries out the actions it
+answers with.  A rank's fabric store survives its death, so what is injected
+or addressed to a dead incarnation reaches its replacement (at-least-once
+delivery).  An injected :class:`~repro.parallel.chaos.FaultPlan` reaches only
+each rank's *first* incarnation, so a kill rule cannot re-fire.
 """
 
 from __future__ import annotations
@@ -107,10 +78,16 @@ from typing import Callable, Protocol
 
 from repro.parallel.chaos import FaultPlan, RankChaos
 from repro.parallel.fault import (
+    TICK,
+    Absorb,
+    ChildExit,
     FailureReport,
     FaultToleranceConfig,
-    RankFailure,
-    Reassignment,
+    Inject,
+    RankReport,
+    Reap,
+    Respawn,
+    Supervisor,
 )
 from repro.parallel.trace import TraceRecorder
 from repro.parallel.transport import (
@@ -139,6 +116,11 @@ logger = logging.getLogger(__name__)
 #: rank used as the source of driver-injected bootstrap messages
 DRIVER_RANK = -1
 
+#: how long the shutdown waits for the children to exit after a clean run,
+#: and after one that failed, in total over all children
+CLEAN_JOIN_S = 10.0
+DIRTY_JOIN_S = 1.0
+
 #: process start method: fork where available (cheap, children inherit the
 #: already-built factory), the platform default elsewhere — under spawn every
 #: object handed to a rank must be picklable
@@ -163,11 +145,8 @@ class Link(Protocol):
         """Send one flush's encoded message bodies, in order."""
 
     def receive(self, timeout: float | None) -> list:
-        """The next delivered bodies; ``[]`` after ``timeout`` seconds.
-
-        ``timeout=0`` polls without blocking; ``None`` blocks until something
-        arrives.
-        """
+        """The next delivered bodies; ``[]`` after ``timeout`` seconds (``0``
+        polls, ``None`` blocks until something arrives)."""
 
     def report(self, item: tuple) -> None:
         """Send one ``(rank, status, payload)`` tuple to the driver."""
@@ -191,11 +170,8 @@ class Fabric(Protocol):
         """Picklable callable a child runs to open ``rank``'s link."""
 
     def inject(self, message: Message) -> None:
-        """Deliver a driver message into its destination's *persistent* store.
-
-        The store must survive the rank's death, so a bootstrap injected
-        while a rank is down reaches its next incarnation.
-        """
+        """Deliver a driver message into its destination's *persistent* store,
+        which survives the rank's death: its next incarnation reads it."""
 
     def drain(self) -> None:
         """Discard undelivered items; cheap and non-blocking (shutdown)."""
@@ -485,70 +461,54 @@ def _rank_main(
     open_link: Callable[[], Link],
     origin: float,
     trace_enabled: bool,
-    heartbeat_interval_s: float | None = None,
-    receive_timeout_s: float | None = None,
-    receive_poll_s: float = 1.0,
+    fault_tolerance: FaultToleranceConfig | None = None,
     fault_plan: FaultPlan | None = None,
 ) -> None:
     """Child entry point of both backends: drive one rank, report the outcome.
 
     ``open_link`` comes from the run's :meth:`Fabric.opener`; everything the
-    rank sends, receives and reports goes through the link it opens.
+    rank sends, receives and reports goes through the link it opens.  Without
+    ``fault_tolerance`` the rank sends no heartbeats and its receives block
+    forever.
     """
     link = open_link()
-    chaos: RankChaos | None = None
-    if fault_plan is not None:
-        candidate = RankChaos(fault_plan, process.rank)
-        if candidate:
-            chaos = candidate
-    transport = _ProcessTransport(
-        process.rank,
-        link,
-        origin,
-        trace_enabled,
-        receive_timeout_s=receive_timeout_s,
-        receive_poll_s=receive_poll_s,
-        chaos=chaos,
-    )
+    chaos = RankChaos(fault_plan, process.rank) if fault_plan is not None else None
+    chaos = chaos or None  # a plan without faults for this rank costs nothing
+    transport = _ProcessTransport(process.rank, link, origin, trace_enabled, chaos=chaos)
+    ft = fault_tolerance
+    if ft is not None:
+        transport.receive_timeout_s = ft.receive_timeout_s
+        transport.receive_poll_s = ft.receive_poll_s
 
     stop_heartbeat = threading.Event()
-    if heartbeat_interval_s is not None:
+    if ft is not None:
         # One synchronous beat before any work: the driver learns this
         # incarnation is up (and gets its initial role metadata) even if a
         # chaos kill fires before the first interval elapses.
         link.report((process.rank, "heartbeat", dict(process.heartbeat_state())))
 
         def _beat() -> None:
-            while not stop_heartbeat.wait(heartbeat_interval_s):
+            while not stop_heartbeat.wait(ft.heartbeat_interval_s):
                 try:
-                    link.report(
-                        (process.rank, "heartbeat", dict(process.heartbeat_state()))
-                    )
+                    link.report((process.rank, "heartbeat", dict(process.heartbeat_state())))
                 except Exception:  # pragma: no cover - link torn down
                     return
 
-        threading.Thread(
-            target=_beat, name=f"repro-heartbeat-{process.rank}", daemon=True
-        ).start()
+        threading.Thread(target=_beat, name=f"repro-heartbeat-{process.rank}", daemon=True).start()
 
     try:
         transport.drive(process)
         stop_heartbeat.set()
-        link.report(
-            (
-                process.rank,
-                "ok",
-                {
-                    "harvest": process.harvest(),
-                    "events": transport.trace.events(),
-                    "messages_sent": transport.messages_sent,
-                    "events_processed": transport.events_processed,
-                    "messages_dropped": transport.messages_dropped,
-                    "chaos_dropped": chaos.dropped if chaos is not None else 0,
-                    "wire": transport.counters.as_dict(),
-                },
-            )
-        )
+        result = {
+            "harvest": process.harvest(),
+            "events": transport.trace.events(),
+            "messages_sent": transport.messages_sent,
+            "events_processed": transport.events_processed,
+            "messages_dropped": transport.messages_dropped,
+            "chaos_dropped": chaos.dropped if chaos is not None else 0,
+            "wire": transport.counters.as_dict(),
+        }
+        link.report((process.rank, "ok", result))
     except BaseException:
         stop_heartbeat.set()
         try:
@@ -557,6 +517,18 @@ def _rank_main(
             pass
     finally:
         link.close()
+
+
+def _take_reports(result_queue, timeout: float) -> list[RankReport]:
+    """Every report queued within ``timeout`` seconds, without waiting further."""
+    reports = []
+    try:
+        reports.append(RankReport(*result_queue.get(timeout=timeout)))
+        while True:
+            reports.append(RankReport(*result_queue.get(timeout=0)))
+    except queue_module.Empty:
+        pass
+    return reports
 
 
 class MultiprocessWorld:
@@ -576,12 +548,11 @@ class MultiprocessWorld:
         a shared origin; the events are merged here after the run.
     join_timeout:
         Hard deadline in real seconds for the whole run; on expiry children
-        are terminated and a :class:`RuntimeError` names the unfinished ranks
-        (the real-process analogue of the virtual world's deadlock
-        diagnostics).
+        are terminated and the run degrades or raises naming the unfinished
+        ranks (the analogue of the virtual world's deadlock diagnostics).
     fault_tolerance:
-        Recovery policy (heartbeats, restarts, degradation); ``None`` keeps
-        the legacy all-or-nothing behaviour.
+        Recovery policy (heartbeats, restarts, degradation); ``None``: the
+        first rank death is final.
     fault_plan:
         Injected faults for this run (must be resolved against the layout);
         shipped into each rank's first incarnation only.
@@ -607,17 +578,22 @@ class MultiprocessWorld:
         self.failure_report: FailureReport | None = None
         self.now = 0.0
         self._processes: dict[int, RankProcess] = {}
-        self._messages_sent = 0
-        self._events_processed = 0
-        self._messages_dropped = 0
+        #: messages posted and primitives interpreted across all ranks
+        self.messages_sent = 0
+        self.events_processed = 0
+        #: sends addressed to ranks outside the machine (should be zero)
+        self.messages_dropped = 0
         self._chaos_dropped = 0
-        self._heartbeats_received = 0
+        #: heartbeats the driver consumed (0 without fault tolerance)
+        self.heartbeats_received = 0
         #: machine-wide wire counters, merged from every finished rank
         self._wire_totals = WireCounters()
         #: per-rank wire counter dicts (ranks that reported "ok")
         self._rank_wire: dict[int, dict[str, float]] = {}
-        #: the last run's delivery fabric
+        #: the last run's delivery fabric, clock origin and child processes
         self._fabric: Fabric | None = None
+        self._origin = 0.0
+        self._children: dict[int, object] = {}
 
     # ------------------------------------------------------------------
     @property
@@ -629,26 +605,6 @@ class MultiprocessWorld:
     def processes(self) -> dict[int, RankProcess]:
         """All registered (driver-side) processes by rank."""
         return dict(self._processes)
-
-    @property
-    def messages_sent(self) -> int:
-        """Total messages posted across all ranks."""
-        return self._messages_sent
-
-    @property
-    def events_processed(self) -> int:
-        """Total primitives interpreted across all ranks."""
-        return self._events_processed
-
-    @property
-    def messages_dropped(self) -> int:
-        """Sends addressed to ranks outside the machine (should be zero)."""
-        return self._messages_dropped
-
-    @property
-    def heartbeats_received(self) -> int:
-        """Heartbeats the driver consumed (0 without fault tolerance)."""
-        return self._heartbeats_received
 
     def add_process(self, process: RankProcess) -> None:
         """Register a rank process (ranks must be unique)."""
@@ -665,21 +621,18 @@ class MultiprocessWorld:
         """The delivery fabric of one run (the socket backend's differs)."""
         return _QueueFabric(tuple(self._processes))
 
-    def _spawn(self, rank: int, origin: float, with_chaos: bool):
+    def _spawn(self, rank: int, with_chaos: bool):
         """Start one incarnation of ``rank`` on a fresh OS process."""
         process = self._processes[rank]
         process.world = None  # children attach their own transport
-        ft = self.fault_tolerance
         child = _CONTEXT.Process(
             target=_rank_main,
             args=(
                 process,
                 self._fabric.opener(rank),
-                origin,
+                self._origin,
                 self.trace.enabled,
-                ft.heartbeat_interval_s if ft is not None else None,
-                ft.receive_timeout_s if ft is not None else None,
-                ft.receive_poll_s if ft is not None else 1.0,
+                self.fault_tolerance,
                 self.fault_plan if with_chaos else None,
             ),
             name=f"repro-rank-{rank}-{process.role}",
@@ -688,287 +641,116 @@ class MultiprocessWorld:
         child.start()
         return child
 
-    def run(self) -> float:
-        """Run all ranks on real processes until every generator finishes.
+    def _elapsed(self) -> float:
+        return time.perf_counter() - self._origin
 
-        ``join_timeout`` bounds the run.  Returns the real wall-clock
-        duration in seconds.
+    def run(self) -> float:
+        """Run all ranks on real processes; return the wall-clock seconds.
+
+        Pumps rank reports, child exits and ticks into a
+        :class:`~repro.parallel.fault.Supervisor` and carries out its actions.
         """
-        origin = time.perf_counter()
-        ft = self.fault_tolerance
+        self._origin = time.perf_counter()
         fabric = self._fabric = self._open_fabric()
-        result_queue = fabric.result_queue
         # The ranks are forked and share the driver's heap copy-on-write, and
         # a garbage collection writes to every object it walks: keep the
         # pre-run heap out of collection while ranks live, so neither the
         # driver's collections nor a rank's copy the pages they share.
         gc.freeze()
         try:
-            children = {
-                rank: self._spawn(rank, origin, with_chaos=True) for rank in self._processes
+            self._children = {
+                rank: self._spawn(rank, with_chaos=True) for rank in self._processes
             }
         except BaseException:
             gc.unfreeze()
             raise
-
-        pending = set(self._processes)
-        failures: dict[int, str] = {}
-        deaths: dict[int, int] = {}
-        restarts_used = 0
-        ft_failures: list[RankFailure] = []
-        reassignments: list[Reassignment] = []
-        last_heartbeat = {rank: time.monotonic() for rank in pending}
-        heartbeat_meta: dict[int, dict] = {rank: {} for rank in pending}
-        root_rank = next(
-            (r for r, p in self._processes.items() if p.role == "root"), None
+        supervisor = Supervisor(
+            self._processes, self.fault_tolerance, self.backend, self.join_timeout, self._elapsed()
         )
-        root_done = False
-        exhausted: str | None = None
-        deadline = time.monotonic() + self.join_timeout
-
-        def reap(rank: int) -> None:
-            child = children[rank]
-            child.join(timeout=0.2)
-            if child.is_alive():
-                child.terminate()
-                child.join(timeout=1.0)
-
-        def handle_death(rank: int, reason: str) -> None:
-            nonlocal restarts_used, exhausted
-            process = self._processes[rank]
-            meta = heartbeat_meta.get(rank, {})
-            deaths[rank] = deaths.get(rank, 0) + 1
-            ft_failures.append(
-                RankFailure(
-                    rank=rank,
-                    role=process.role,
-                    when_s=time.perf_counter() - origin,
-                    reason=reason,
-                    lost=dict(meta),
-                )
-            )
-            logger.warning("rank %d (%s) died: %s", rank, process.role, reason)
-            reap(rank)
-            if meta.get("done"):
-                # The rank had already delivered its result (e.g. a collector
-                # past COLLECTOR_DONE); only its trace died with it.
-                pending.discard(rank)
-                process._state.finished = True
-                return
-            if not process.restartable:
-                exhausted = f"rank {rank} ({process.role}) is not restartable"
-                return
-            if root_done:
-                # The machine is winding down; a replacement would block on a
-                # protocol that has already completed.
-                pending.discard(rank)
-                return
-            if restarts_used >= (ft.max_rank_restarts if ft is not None else 0):
-                exhausted = (
-                    f"restart budget ({ft.max_rank_restarts}) exhausted when "
-                    f"rank {rank} ({process.role}) died"
-                )
-                return
-            restarts_used += 1
-            backoff = ft.restart_backoff_s * deaths[rank]
-            if backoff > 0:
-                time.sleep(min(backoff, 5.0))
-            bootstrap = process.restart_message(meta)
-            if bootstrap is not None:
-                tag, payload = bootstrap
-                fabric.inject(
-                    Message(source=DRIVER_RANK, dest=rank, tag=tag, payload=payload)
-                )
-            # Respawn chaos-free so a deterministic kill rule cannot re-fire
-            # and burn the whole budget on one rank.
-            children[rank] = self._spawn(rank, origin, with_chaos=False)
-            last_heartbeat[rank] = time.monotonic()
-            for peer in sorted(pending - {rank}):
-                notice = self._processes[peer].peer_restart_message(rank, process.role)
-                if notice is not None:
-                    tag, payload = notice
-                    fabric.inject(
-                        Message(source=DRIVER_RANK, dest=peer, tag=tag, payload=payload)
-                    )
-            config = getattr(process, "config", None)
-            reassignments.append(
-                Reassignment(
-                    rank=rank,
-                    role=process.role,
-                    when_s=time.perf_counter() - origin,
-                    level=meta.get("level"),
-                    from_checkpoint=getattr(config, "checkpoint", None) is not None,
-                )
-            )
-            logger.warning(
-                "rank %d (%s) respawned (restart %d/%d)",
-                rank,
-                process.role,
-                restarts_used,
-                ft.max_rank_restarts,
-            )
-
-        def take_queued(timeout: float) -> list:
-            items = []
-            try:
-                items.append(result_queue.get(timeout=timeout))
-                while True:
-                    items.append(result_queue.get(timeout=0))
-            except queue_module.Empty:
-                pass
-            return items
-
-        def absorb(rank: int, status: str, payload) -> None:
-            nonlocal root_done
-            if status == "heartbeat":
-                if rank in last_heartbeat:
-                    last_heartbeat[rank] = time.monotonic()
-                    heartbeat_meta[rank] = payload
-                    self._heartbeats_received += 1
-            elif status == "ok":
-                pending.discard(rank)
-                process = self._processes[rank]
-                process._state.finished = True
-                process.absorb(payload["harvest"])
-                self.trace.extend(payload["events"])
-                self._messages_sent += payload["messages_sent"]
-                self._events_processed += payload["events_processed"]
-                self._messages_dropped += payload.get("messages_dropped", 0)
-                self._chaos_dropped += payload.get("chaos_dropped", 0)
-                wire = payload.get("wire")
-                if wire:
-                    self._wire_totals.add(wire)
-                    self._rank_wire[rank] = dict(wire)
-                if rank == root_rank:
-                    root_done = True
-            elif ft is not None and rank in pending:
-                handle_death(rank, f"rank reported an exception:\n{payload}")
-            else:
-                failures[rank] = payload
-
-        def exited(rank: int, child) -> None:
-            # Let everything the exited incarnation sent reach the result
-            # queue first.  Exit code 0 means it returned normally, so its
-            # report (ok or error) decides; otherwise the death is handled as
-            # of when it was seen — only its last heartbeats (restart
-            # metadata) are taken before, results that arrived meanwhile after.
-            fabric.settle(rank)
-            items = take_queued(0.0)
-            crashed = ft is not None and child.exitcode != 0
-            for item in items:
-                if not crashed or item[1] == "heartbeat":
-                    absorb(*item)
-            if rank in pending and rank not in failures and children[rank] is child:
-                role = self._processes[rank].role
-                reason = (
-                    f"rank {rank} ({role}) exited with code {child.exitcode} "
-                    "without reporting"
-                )
-                if ft is None:
-                    failures[rank] = reason
-                else:
-                    handle_death(rank, reason)
-            if crashed:
-                for item in items:
-                    if item[1] != "heartbeat":
-                        absorb(*item)
-
         try:
-            while pending and not failures and exhausted is None:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    break
-                # Take everything already queued before the liveness check
-                # below: a dead rank's last heartbeats (its restart metadata)
-                # may still sit behind other ranks' items.
-                for item in take_queued(min(remaining, 0.2 if ft is not None else 1.0)):
-                    absorb(*item)
-                # -- failure detection ------------------------------------
-                now_mono = time.monotonic()
-                for r in list(pending):
-                    if exhausted is not None:
-                        break
-                    if r not in pending:
-                        continue  # reported while an earlier exit settled
-                    child = children[r]
+            while not supervisor.stopped:
+                # Everything already queued goes in before the exit checks: a
+                # dead rank's last heartbeats (its restart metadata) may still
+                # sit behind other ranks' reports.
+                wait = supervisor.wait_s(self._elapsed())
+                for report in _take_reports(fabric.result_queue, wait):
+                    self._carry_out(supervisor.on_event(report, self._elapsed()))
+                for rank in supervisor.watched():
+                    child = self._children[rank]
                     if child.exitcode is not None:
-                        exited(r, child)
-                    elif ft is not None and (
-                        now_mono - last_heartbeat[r]
-                        > ft.heartbeat_grace * ft.heartbeat_interval_s
-                    ):
-                        handle_death(
-                            r,
-                            f"no heartbeat for "
-                            f"{now_mono - last_heartbeat[r]:.1f}s (hung)",
-                        )
+                        # Let everything the exited incarnation sent reach the
+                        # result queue before the exit is judged.
+                        fabric.settle(rank)
+                        reports = tuple(_take_reports(fabric.result_queue, 0.0))
+                        event = ChildExit(rank, child.exitcode, reports)
+                        self._carry_out(supervisor.on_event(event, self._elapsed()))
+                self._carry_out(supervisor.on_event(TICK, self._elapsed()))
         finally:
-            # One *shared* deadline for the whole shutdown: the happy path
-            # previously waited up to 10s per child serially, so a machine of
-            # N stragglers could stall the driver for 10·N seconds.
-            clean = not (pending or failures or exhausted is not None)
-            join_deadline = time.monotonic() + (10.0 if clean else 1.0)
-            # Keep draining while children exit: a rank still flushing late
-            # sends after one drain would otherwise block its exit on a full
-            # pipe until the deadline.
-            while True:
-                fabric.drain()
-                alive = [child for child in children.values() if child.is_alive()]
-                remaining = join_deadline - time.monotonic()
-                if not alive or remaining <= 0:
-                    break
-                alive[0].join(timeout=min(remaining, 0.05))
-            for child in children.values():
+            self._shutdown(clean=supervisor.clean)
+        self.now = self._elapsed()
+        self.heartbeats_received = supervisor.heartbeats
+        try:
+            supervisor.outcome()
+        finally:
+            self.failure_report = supervisor.report
+        return self.now
+
+    def _carry_out(self, actions: list) -> None:
+        """Carry out the supervisor's decisions (a ``Stop`` ends the pump loop)."""
+        for action in actions:
+            if isinstance(action, Absorb):
+                self._absorb(action.rank, action.payload)
+            elif isinstance(action, Reap):
+                child = self._children[action.rank]
+                child.join(timeout=0.2)
                 if child.is_alive():
                     child.terminate()
-            for child in children.values():
-                if child.is_alive():
                     child.join(timeout=1.0)
-            gc.unfreeze()
-            fabric.close()
+            elif isinstance(action, Inject):
+                self._fabric.inject(Message(DRIVER_RANK, action.dest, action.tag, action.payload))
+            elif isinstance(action, Respawn):
+                # Chaos-free, so a deterministic kill rule cannot re-fire and
+                # burn the whole budget on one rank.
+                self._children[action.rank] = self._spawn(action.rank, with_chaos=False)
 
-        self.now = time.perf_counter() - origin
+    def _absorb(self, rank: int, payload: dict | None) -> None:
+        """Mark ``rank`` finished and apply its ``ok`` payload, if any."""
+        process = self._processes[rank]
+        process._state.finished = True
+        if payload is None:
+            return
+        process.absorb(payload["harvest"])
+        self.trace.extend(payload["events"])
+        self.messages_sent += payload["messages_sent"]
+        self.events_processed += payload["events_processed"]
+        self.messages_dropped += payload.get("messages_dropped", 0)
+        self._chaos_dropped += payload.get("chaos_dropped", 0)
+        wire = payload.get("wire")
+        if wire:
+            self._wire_totals.add(wire)
+            self._rank_wire[rank] = dict(wire)
 
-        report: FailureReport | None = None
-        if ft_failures or restarts_used:
-            report = FailureReport(
-                failures=ft_failures,
-                reassignments=reassignments,
-                restarts_used=restarts_used,
-            )
-
-        if exhausted is not None:
-            assert ft is not None and report is not None
-            report.recovered = False
-            report.exhausted_reason = exhausted
-            if ft.on_exhausted == "raise":
-                self.failure_report = report
-                raise RuntimeError(
-                    f"{self.backend} MLMCMC recovery exhausted: {exhausted}"
-                )
-            self.failure_report = report
-            return self.now
-        if failures:
-            details = "\n".join(
-                f"rank {rank}: {text}" for rank, text in sorted(failures.items())
-            )
-            raise RuntimeError(f"{self.backend} MLMCMC rank failure(s):\n{details}")
-        if pending:
-            timeout_reason = (
-                f"{self.backend} MLMCMC did not terminate within "
-                f"{self.join_timeout:.0f}s; unfinished ranks: {sorted(pending)}"
-            )
-            if ft is not None and ft.on_exhausted == "degrade":
-                if report is None:
-                    report = FailureReport()
-                report.recovered = False
-                report.exhausted_reason = timeout_reason
-                self.failure_report = report
-                return self.now
-            raise RuntimeError(timeout_reason)
-        # Completed — possibly after recovering from failures.
-        self.failure_report = report
-        return self.now
+    def _shutdown(self, clean: bool) -> None:
+        """Join every child within one shared deadline, then tear down."""
+        children = self._children.values()
+        join_deadline = time.monotonic() + (CLEAN_JOIN_S if clean else DIRTY_JOIN_S)
+        # Keep draining while children exit: a rank still flushing late
+        # sends after one drain would otherwise block its exit on a full
+        # pipe until the deadline.
+        while True:
+            self._fabric.drain()
+            alive = [child for child in children if child.is_alive()]
+            remaining = join_deadline - time.monotonic()
+            if not alive or remaining <= 0:
+                break
+            alive[0].join(timeout=min(remaining, 0.05))
+        lingering = [child for child in children if child.is_alive()]
+        for child in lingering:
+            child.terminate()
+        for child in lingering:
+            child.join(timeout=1.0)
+        gc.unfreeze()
+        self._fabric.close()
 
     # ------------------------------------------------------------------
     def wire_summary(self) -> dict[str, float]:
@@ -997,24 +779,17 @@ class MultiprocessWorld:
         base: dict[str, float | int] = {
             "virtual_time": self.now,
             "num_ranks": self.size,
-            "messages_sent": self._messages_sent,
-            "events_processed": self._events_processed,
-            "messages_dropped": self._messages_dropped,
+            "messages_sent": self.messages_sent,
+            "events_processed": self.events_processed,
+            "messages_dropped": self.messages_dropped,
             "chaos_dropped": self._chaos_dropped,
         }
+        nan = float("nan")
         tracing = self.trace.enabled
-        base["bytes_sent"] = (
-            float(self._wire_totals.bytes_sent) if tracing else float("nan")
-        )
-        base["bytes_received"] = (
-            float(self._wire_totals.bytes_received) if tracing else float("nan")
-        )
+        base["bytes_sent"] = float(self._wire_totals.bytes_sent) if tracing else nan
+        base["bytes_received"] = float(self._wire_totals.bytes_received) if tracing else nan
         for rank in sorted(self._processes):
-            wire = self._rank_wire.get(rank)
-            if tracing and wire is not None:
-                base[f"rank{rank}_bytes_sent"] = float(wire["bytes_sent"])
-                base[f"rank{rank}_bytes_received"] = float(wire["bytes_received"])
-            else:
-                base[f"rank{rank}_bytes_sent"] = float("nan")
-                base[f"rank{rank}_bytes_received"] = float("nan")
+            wire = self._rank_wire.get(rank) if tracing else None
+            for key in ("bytes_sent", "bytes_received"):
+                base[f"rank{rank}_{key}"] = nan if wire is None else float(wire[key])
         return base

@@ -4,9 +4,10 @@ Runs the *unchanged* role generators (root, phonebook, collectors,
 controllers, workers) on separate processes, connected by TCP instead of OS
 queues.  Only the delivery fabric differs from :mod:`repro.parallel.mp`: the
 child runs the same :func:`~repro.parallel.mp._rank_main` over a
-:class:`_HubClient` link, and the driver runs the same supervise loop over a
-:class:`_Hub` fabric, so chaos injection, receive timeouts, tracing and
-heartbeats behave identically on both real-process backends.
+:class:`_HubClient` link, and the driver runs the same pump loop and
+:class:`~repro.parallel.fault.Supervisor` over a :class:`_Hub` fabric, so
+chaos injection, receive timeouts, tracing, heartbeats and every recovery
+decision are the same on both real-process backends.
 
 Wire format
 -----------
@@ -48,7 +49,9 @@ bounded exponential backoff (:func:`connect_with_backoff`), sends ``HELLO``
 triggers another backoff round, a protocol-version mismatch aborts
 immediately.  All rank-to-rank traffic is routed hub-and-spoke: a child
 frames its ``Send`` to the hub, the hub forwards it down the destination
-rank's connection.
+rank's connection.  :class:`SocketWorld` starts one process per rank on this
+machine, exactly as the multiprocess backend does (the localhost topology);
+launching ranks on other hosts is not provided.
 
 Failure semantics
 -----------------
@@ -63,18 +66,8 @@ delivery):
   requeued ahead of the backlog and replayed to the next incarnation that
   says ``HELLO`` — so fetch orders addressed to a dead incarnation are
   served by its replacement,
-* heartbeats ride the same connection and feed the *unchanged*
-  :mod:`repro.parallel.fault` machinery (crash/hang detection, respawn with
-  backoff, restart budget, degradation with a
-  :class:`~repro.parallel.fault.FailureReport`).
-
-Launching
----------
-
-:class:`SocketWorld` starts one process per rank on this machine exactly as
-the multiprocess backend does — the localhost topology (``127.0.0.1``, N
-processes, one ephemeral hub port).  Launching ranks on other hosts is not
-provided.
+* heartbeats ride the same connection and reach the same
+  :class:`~repro.parallel.fault.Supervisor` as on the OS-queue fabric.
 """
 
 from __future__ import annotations
@@ -464,7 +457,7 @@ class _Hub:
     persistent delivery state (see :class:`_RankLink`) and forwards
     ``HEARTBEAT``/``RESULT`` frames into ``result_queue`` as the same
     ``(rank, status, payload)`` tuples the multiprocess result queue carries,
-    so the supervise loop consumes either backend identically.
+    so the pump loop and its supervisor consume either backend identically.
     """
 
     def __init__(self, ranks, host: str, port: int) -> None:
@@ -718,10 +711,11 @@ class SocketWorld(MultiprocessWorld):
     Driver-facing surface (``add_process`` / ``run`` / ``trace`` /
     ``summary`` / ``failure_report`` …) is identical to
     :class:`MultiprocessWorld`; only the fabric differs: a :class:`_Hub`
-    rendezvous listener instead of OS queues, so the supervise/recovery loop
-    runs unchanged on ``(rank, status, payload)`` tuples arriving over TCP.
+    rendezvous listener instead of OS queues, so the same pump loop and
+    :class:`~repro.parallel.fault.Supervisor` run unchanged on
+    ``(rank, status, payload)`` tuples arriving over TCP.
 
-    Parameters beyond :class:`MultiprocessWorld`'s:
+    Parameters beyond :class:`MultiprocessWorld`'s (which pass through):
 
     host, port:
         Hub bind address.  The defaults (``127.0.0.1``, ephemeral port) are
@@ -730,21 +724,8 @@ class SocketWorld(MultiprocessWorld):
 
     backend = "socket"
 
-    def __init__(
-        self,
-        trace=None,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        join_timeout: float = 600.0,
-        fault_tolerance=None,
-        fault_plan=None,
-    ) -> None:
-        super().__init__(
-            trace=trace,
-            join_timeout=join_timeout,
-            fault_tolerance=fault_tolerance,
-            fault_plan=fault_plan,
-        )
+    def __init__(self, trace=None, host: str = "127.0.0.1", port: int = 0, **options) -> None:
+        super().__init__(trace=trace, **options)
         self.host = str(host)
         self.port = int(port)
 

@@ -33,7 +33,7 @@ from repro.core.sample_collection import CorrectionCollection
 from repro.evaluation import EvaluatorStats
 from repro.parallel.chaos import FaultPlan, apply_chaos_to_virtual
 from repro.parallel.checkpoint import CheckpointConfig
-from repro.parallel.fault import FailureReport, FaultToleranceConfig, RankFailure
+from repro.parallel.fault import FailureReport, FaultToleranceConfig, Supervisor
 from repro.parallel.layout import ProcessLayout
 from repro.parallel.roles import (
     CollectorProcess,
@@ -317,19 +317,12 @@ class ParallelMLMCMCSampler:
         depending on the configured backend.
         """
         trace = TraceRecorder(enabled=self.trace_enabled)
-        if self.backend == "multiprocess":
-            from repro.parallel.mp import MultiprocessWorld
-
-            world = MultiprocessWorld(
-                trace=trace,
-                fault_tolerance=self.fault_tolerance,
-                fault_plan=self.fault_plan,
-                **self.backend_options,
-            )
-        elif self.backend == "socket":
-            from repro.parallel.net import SocketWorld
-
-            world = SocketWorld(
+        if self.backend in ("multiprocess", "socket"):
+            if self.backend == "multiprocess":
+                from repro.parallel.mp import MultiprocessWorld as world_class
+            else:
+                from repro.parallel.net import SocketWorld as world_class
+            world = world_class(
                 trace=trace,
                 fault_tolerance=self.fault_tolerance,
                 fault_plan=self.fault_plan,
@@ -404,48 +397,22 @@ class ParallelMLMCMCSampler:
         wall_time_s = time.perf_counter() - start
 
         failure_report = getattr(world, "failure_report", None)
-        if failure_report is not None and not failure_report.recovered:
-            return self._assemble_degraded(
-                world, root, phonebook, failure_report, wall_time_s
-            )
-
         unfinished = world.unfinished_ranks()
-        if unfinished and root.rank in unfinished:
-            killed = sorted(
-                rank for rank, chaos in self._chaos_hooks.items() if chaos.killed
-            )
-            if (
-                killed
-                and self.fault_tolerance is not None
-                and self.fault_tolerance.on_exhausted == "degrade"
-            ):
-                # The simulated backend has no rank recovery by design (a dead
-                # virtual rank just goes silent); with fault tolerance
-                # configured the contract is still degrade-not-crash.
-                report = FailureReport(
-                    failures=[
-                        RankFailure(
-                            rank=rank,
-                            role=world.processes[rank].role,
-                            when_s=float(world.now),
-                            reason="virtual rank killed by fault plan",
-                        )
-                        for rank in killed
-                    ],
-                    recovered=False,
-                    exhausted_reason=(
-                        "simulated backend has no rank recovery; killed "
-                        f"rank(s) {killed} stalled the machine"
-                    ),
-                )
-                return self._assemble_degraded(
-                    world, root, phonebook, report, wall_time_s
-                )
-            detail = f" (rank(s) {killed} killed by the fault plan)" if killed else ""
-            raise RuntimeError(
+        if unfinished and root.rank in unfinished and failure_report is None:
+            reason = (
                 "parallel MLMCMC did not terminate: the root never received all "
-                f"collector reports; unfinished ranks: {unfinished}{detail}"
+                f"collector reports; unfinished ranks: {unfinished}"
             )
+            killed = sorted(rank for rank, chaos in self._chaos_hooks.items() if chaos.killed)
+            if not killed:
+                raise RuntimeError(reason)
+            # The simulated backend has no rank recovery by design (a dead
+            # virtual rank just goes silent); the supervisor degrades or raises.
+            reason += f" (rank(s) {killed} killed by the fault plan; no rank recovery)"
+            supervisor = Supervisor(world.processes, self.fault_tolerance, self.backend)
+            failure_report = supervisor.stalled(killed, reason, float(world.now))
+        if failure_report is not None and not failure_report.recovered:
+            return self._assemble_degraded(world, root, phonebook, failure_report, wall_time_s)
 
         corrections = dict(sorted(root.collected.items()))
         num_levels = self.config.num_levels
@@ -471,26 +438,8 @@ class ParallelMLMCMCSampler:
         ]
         estimate = self._estimate(ordered)
 
-        stats = self._gather_stats(world)
-        result = ParallelMLMCMCResult(
-            estimate=estimate,
-            corrections=corrections,
-            backend=self.backend,
-            wall_time_s=wall_time_s,
-            virtual_time=root.finish_time if root.finish_time > 0 else world.now,
-            trace=world.trace,
-            layout=self.layout,
-            messages_sent=world.messages_sent,
-            events_processed=world.events_processed,
-            rebalance_log=list(phonebook.rebalance_log),
-            samples_per_level=stats["samples_per_level"],
-            level_finish_times=dict(root.level_finish_times),
-            controller_assignments=stats["controller_assignments"],
-            evaluation_stats=stats["evaluation_stats"],
-            worker_stats=stats["worker_stats"],
-            failure_report=failure_report,
-            allocation_rounds=list(root.allocation_rounds),
-            wire_stats=self._wire_stats(world),
+        result = self._result(
+            world, root, phonebook, estimate, corrections, failure_report, wall_time_s
         )
         self._write_final_checkpoint(result)
         return result
@@ -507,8 +456,10 @@ class ParallelMLMCMCSampler:
         wire_summary = getattr(world, "wire_summary", None)
         return dict(wire_summary()) if wire_summary is not None else {}
 
-    def _gather_stats(self, world) -> dict:
-        """Per-role statistics from the (absorbed) driver-side twins."""
+    def _result(
+        self, world, root, phonebook, estimate, corrections, report, wall_time_s: float
+    ) -> ParallelMLMCMCResult:
+        """The run's result, with per-role statistics from the driver-side twins."""
         samples_per_level: dict[int, int] = {}
         controller_assignments: dict[int, list[int]] = {}
         worker_stats = EvaluatorStats()
@@ -533,12 +484,26 @@ class ParallelMLMCMCSampler:
             # controllers share one problem cache, so it is read once here
             # rather than summed per controller.
             evaluation_stats.update(self.config.problems.stats())
-        return {
-            "samples_per_level": samples_per_level,
-            "controller_assignments": controller_assignments,
-            "evaluation_stats": evaluation_stats,
-            "worker_stats": worker_stats,
-        }
+        return ParallelMLMCMCResult(
+            estimate=estimate,
+            corrections=corrections,
+            backend=self.backend,
+            wall_time_s=wall_time_s,
+            virtual_time=root.finish_time if root.finish_time > 0 else world.now,
+            trace=world.trace,
+            layout=self.layout,
+            messages_sent=world.messages_sent,
+            events_processed=world.events_processed,
+            rebalance_log=list(phonebook.rebalance_log),
+            samples_per_level=samples_per_level,
+            level_finish_times=dict(root.level_finish_times),
+            controller_assignments=controller_assignments,
+            evaluation_stats=evaluation_stats,
+            worker_stats=worker_stats,
+            failure_report=report,
+            allocation_rounds=list(root.allocation_rounds),
+            wire_stats=self._wire_stats(world),
+        )
 
     # ------------------------------------------------------------------
     def _resume_from_final(self) -> ParallelMLMCMCResult | None:
@@ -609,12 +574,7 @@ class ParallelMLMCMCSampler:
         )
 
     def _assemble_degraded(
-        self,
-        world,
-        root: RootProcess,
-        phonebook: PhonebookProcess,
-        report: FailureReport,
-        wall_time_s: float,
+        self, world, root, phonebook, report: FailureReport, wall_time_s: float
     ) -> ParallelMLMCMCResult:
         """Partial result of a run whose recovery budget was exhausted.
 
@@ -639,9 +599,7 @@ class ParallelMLMCMCSampler:
                     # would double-count its samples.
                     continue
                 try:
-                    restored = CorrectionCollection.from_state_dict(
-                        payload["collection"]
-                    )
+                    restored = CorrectionCollection.from_state_dict(payload["collection"])
                     restored.validate()
                 except (KeyError, ValueError):
                     continue
@@ -662,24 +620,4 @@ class ParallelMLMCMCSampler:
             ordered = [corrections[level] for level in range(num_levels)]
             estimate = self._estimate(ordered)
 
-        stats = self._gather_stats(world)
-        return ParallelMLMCMCResult(
-            estimate=estimate,
-            corrections=corrections,
-            backend=self.backend,
-            wall_time_s=wall_time_s,
-            virtual_time=root.finish_time if root.finish_time > 0 else world.now,
-            trace=world.trace,
-            layout=self.layout,
-            messages_sent=world.messages_sent,
-            events_processed=world.events_processed,
-            rebalance_log=list(phonebook.rebalance_log),
-            samples_per_level=stats["samples_per_level"],
-            level_finish_times=dict(root.level_finish_times),
-            controller_assignments=stats["controller_assignments"],
-            evaluation_stats=stats["evaluation_stats"],
-            worker_stats=stats["worker_stats"],
-            failure_report=report,
-            allocation_rounds=list(root.allocation_rounds),
-            wire_stats=self._wire_stats(world),
-        )
+        return self._result(world, root, phonebook, estimate, corrections, report, wall_time_s)

@@ -205,8 +205,8 @@ class RankProcess:
     role = "process"
 
     #: whether a dead rank of this role can be respawned in place by the
-    #: multiprocess transport's recovery machinery (root and phonebook hold
-    #: non-reconstructible protocol state and stay False).
+    #: real-process backends' :class:`~repro.parallel.fault.Supervisor` (root
+    #: and phonebook hold non-reconstructible protocol state and stay False).
     restartable = False
 
     def __init__(self, rank: int) -> None:

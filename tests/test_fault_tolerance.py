@@ -453,9 +453,22 @@ class TestTimeoutInjection:
         # with the legacy hard-coded 1.0 s poll this would take >= 1 s.
         assert 0.1 <= elapsed < 0.5
 
-    def test_receive_poll_must_be_positive(self):
-        with pytest.raises(ValueError, match="receive_poll_s"):
-            FaultToleranceConfig(receive_poll_s=0.0)
+    @pytest.mark.parametrize(
+        "option, value",
+        [
+            ("receive_poll_s", 0.0),
+            # a zero grace declares every rank hung at the first liveness check
+            ("heartbeat_grace", 0.0),
+            ("heartbeat_grace", -1.0),
+            # a zero timeout fails every receive that finds its mailbox empty
+            ("receive_timeout_s", 0.0),
+            ("receive_timeout_s", -1.0),
+            ("restart_backoff_s", -0.25),
+        ],
+    )
+    def test_receive_poll_must_be_positive(self, option, value):
+        with pytest.raises(ValueError, match=option):
+            FaultToleranceConfig(**{option: value})
 
     def test_config_round_trips_with_injected_timeouts(self):
         config = FaultToleranceConfig(
