@@ -15,8 +15,8 @@ plan-based banded solve path:
   Cholesky (``?pbsv``), then expand to all nodes and apply the cached sparse
   observation operator.
 * **fast float32** — the same path on a single-precision assembly plan
-  (``PoissonSolver(grid, dtype=np.float32)``), i.e. what a coarse rung of the
-  ``float32-coarse`` precision ladder runs.  Observations are compared against
+  (``PoissonSolver(grid, dtype=np.float32)``), the solver's float32 rung
+  (every model runs in float64).  Observations are compared against
   the double fast path with a loose tolerance (round-off, not bit equality).
 
 Results are appended-by-overwrite to ``BENCH_fem_hotpath.json`` at the repo
@@ -143,7 +143,7 @@ def bench_mesh(mesh_size: int, repeats: int) -> dict:
             f"fast path diverged from seed path on mesh {mesh_size}: {max_diff:.3e}"
         )
 
-    # -- fast path in float32 (coarse rung of the precision ladder) ------
+    # -- fast path on the solver's float32 rung --------------------------
     t_assemble_bc_f32, t_solve_f32, t_observe_f32, obs_f32 = _fast_phases(
         PoissonSolver(grid, dtype=np.float32), kappa, points, repeats
     )

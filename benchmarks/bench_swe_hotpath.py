@@ -12,15 +12,12 @@ comparing
   array program through the *same* loop and kernels with per-member CFL
   steps, and
 * **ensemble (float32)** — the same batched solve with single-precision
-  fields (the coarse rung of the precision ladder): half the memory traffic
-  on a bandwidth-bound kernel, observables still promoted to double at the
-  gauge boundary.
+  fields (``TohokuLikeScenario(dtype=np.float32)``, the solver's float32
+  rung; every model runs in float64): half the memory traffic on a
+  bandwidth-bound kernel, observables still promoted to double at the gauge
+  boundary.
 
-Beyond the per-level timings, the payload records an estimator-parity check
-(a seeded two-level MLMCMC estimate under the ``float32-coarse`` ladder vs
-all-double).
-
-The paper-proportioned ladder matters for interpreting the numbers: with the
+The paper-proportioned hierarchy matters for interpreting the numbers: with the
 paper's subsampling rates ``rho_l = [-, 25, 5]`` the coarse and middle
 chains run roughly an order of magnitude more forward solves than the finest
 chain, so the grids where MLMCMC actually spends its solves are the coarse
@@ -85,16 +82,12 @@ BENCH_LEVEL_CONFIGS = (
 )
 
 
-def _scenario(
-    num_levels: int,
-    end_time: float,
-    precision: str | None = None,
-) -> TohokuLikeScenario:
+def _scenario(num_levels: int, end_time: float, dtype=None) -> TohokuLikeScenario:
     """The benchmark hierarchy (truncated to ``num_levels``)."""
     return TohokuLikeScenario(
         level_configs=BENCH_LEVEL_CONFIGS[:num_levels],
         end_time=end_time,
-        precision=precision,
+        dtype=dtype,
     )
 
 
@@ -178,70 +171,9 @@ def bench_level(
     }
 
 
-def _estimator_factory(quick: bool, precision: str | None = None):
-    """A two-level tsunami inverse problem on the benchmark grids (8/24 cells)."""
-    from repro.models.tsunami import TsunamiInverseProblemFactory, TsunamiLevelSpec
-
-    return TsunamiInverseProblemFactory(
-        level_specs=(
-            TsunamiLevelSpec(0, 8, "constant", False, sigma_heights=0.15, sigma_times=2.5),
-            TsunamiLevelSpec(1, 24, "smoothed", True, sigma_heights=0.10, sigma_times=1.5,
-                             smoothing_passes=4),
-        ),
-        end_time=QUICK_END_TIME,
-        subsampling_rates=[0, 3],
-        precision=precision,
-    )
-
-
-def estimator_parity(quick: bool) -> dict:
-    """Seeded two-level MLMCMC estimate: ``float32-coarse`` ladder vs all-double.
-
-    The telescoping sum absorbs the coarse level's round-off bias the same way
-    it absorbs its discretisation bias, so the mixed-precision estimate must
-    stay within the run's own statistical error of the double-precision one.
-    """
-    from repro.core import MLMCMCSampler
-
-    num_samples = [4, 2] if quick else [8, 4]
-    estimates = {}
-    for precision in ("float64", "float32-coarse"):
-        factory = _estimator_factory(quick, precision=precision)
-        tic = time.perf_counter()
-        result = MLMCMCSampler(
-            factory, num_samples=num_samples, burnin=[1, 1], seed=SEED
-        ).run()
-        estimates[precision] = {
-            "mean": [float(v) for v in result.mean],
-            "wall_time_seconds": time.perf_counter() - tic,
-            "result": result,
-        }
-    delta = np.asarray(estimates["float32-coarse"]["mean"]) - np.asarray(
-        estimates["float64"]["mean"]
-    )
-    # The statistical scale of the comparison: the double run's own standard
-    # error (contribution variances over their sample counts, summed).
-    stderr = np.sqrt(
-        sum(
-            c.variance / max(1, c.num_samples)
-            for c in estimates["float64"]["result"].estimate.contributions
-        )
-    )
-    for entry in estimates.values():
-        del entry["result"]
-    return {
-        "num_samples": num_samples,
-        "seed": SEED,
-        "estimates": estimates,
-        "delta": [float(v) for v in delta],
-        "delta_norm_km": float(np.linalg.norm(delta)),
-        "stderr_norm_km": float(np.linalg.norm(stderr)),
-    }
-
-
 def run(num_levels: int, batch_size: int, end_time: float, repeats: int, quick: bool) -> dict:
     scenario = _scenario(num_levels, end_time)
-    scenario_f32 = _scenario(num_levels, end_time, precision="float32")
+    scenario_f32 = _scenario(num_levels, end_time, dtype=np.float32)
     thetas = _source_block(scenario, batch_size)
     results = [
         bench_level(scenario, scenario_f32, level, thetas, repeats)
@@ -255,7 +187,6 @@ def run(num_levels: int, batch_size: int, end_time: float, repeats: int, quick: 
         "batch_size": batch_size,
         "end_time_s": end_time,
         "results": results,
-        "estimator_parity": estimator_parity(quick),
     }
 
 
@@ -278,12 +209,6 @@ def report(payload: dict) -> None:
     print_rows(
         f"SWE hot path — B one-member solves vs one ensemble solve (B = {payload['batch_size']})",
         rows,
-    )
-    parity = payload["estimator_parity"]
-    print(
-        f"\nestimator parity (seed {parity['seed']}): "
-        f"|float32-coarse - float64| = {parity['delta_norm_km']:.4f} km "
-        f"(stderr {parity['stderr_norm_km']:.4f} km)"
     )
 
 

@@ -49,8 +49,7 @@ def _print_scenario_list() -> None:
     print(format_rows(f"Registered scenarios ({len(rows)})", rows))
     print(
         "\nRun one with: python -m repro run <scenario> "
-        "[--quick] [--parallel-backend NAME] "
-        "[--precision NAME] [--out DIR] [--seed N]"
+        "[--quick] [--parallel-backend NAME] [--out DIR] [--seed N]"
     )
 
 
@@ -137,7 +136,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             seed=args.seed,
             out_dir=args.out,
             parallel_backend=args.parallel_backend,
-            precision=args.precision,
             checkpoint_dir=args.checkpoint_dir,
             resume=args.resume,
             fault_plan=fault_plan,
@@ -199,12 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="transport backend for parallel-machine scenarios: the "
         "discrete-event simulation (virtual time), real OS processes "
         "(queues), or real processes over TCP sockets (localhost hub)",
-    )
-    run_parser.add_argument(
-        "--precision",
-        choices=["float64", "float32-coarse", "float32"],
-        help="precision-ladder policy for the per-level forward solves "
-        "(float32-coarse: single precision below the finest level)",
     )
     run_parser.add_argument("--out", metavar="DIR", help="write the manifest here")
     run_parser.add_argument("--seed", type=int, help="override the spec's seed")

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.utils.array_api import float_vector
+from repro.utils.arrays import float_vector
 
 __all__ = [
     "Density",

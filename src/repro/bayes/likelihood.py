@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.utils.array_api import float_vector
+from repro.utils.arrays import float_vector
 
 __all__ = ["Likelihood", "GaussianLikelihood", "UnphysicalModelOutput"]
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.bayes.distributions import Density
 from repro.bayes.likelihood import Likelihood, UnphysicalModelOutput, GaussianLikelihood
-from repro.utils.array_api import float_vector
+from repro.utils.arrays import float_vector
 
 __all__ = ["Posterior"]
 

@@ -28,7 +28,7 @@ from repro.core.kernels.base import TransitionKernel
 from repro.core.proposals.subsampling import ChainSampleSource, CoarsePoint
 from repro.core.sample_collection import CorrectionCollection, SampleCollection
 from repro.core.state import SamplingState
-from repro.utils.array_api import float_vector
+from repro.utils.arrays import float_vector
 
 __all__ = ["SingleChainMCMC", "SubsampledChainSource"]
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.utils.array_api import float_vector
+from repro.utils.arrays import float_vector
 
 __all__ = ["SamplingState"]
 

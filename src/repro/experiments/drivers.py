@@ -28,7 +28,6 @@ from repro.experiments.spec import ExperimentSpec
 __all__ = [
     "BUDGETED_DRIVERS",
     "PARALLEL_BACKEND_DRIVERS",
-    "PRECISION_AGNOSTIC_DRIVERS",
     "DriverResult",
     "RunContext",
     "current_run_context",
@@ -46,13 +45,6 @@ __all__ = [
 #: deterministic virtual-time comparison, and the runner rejects an override
 #: for them so manifests never record a backend the run did not use.
 PARALLEL_BACKEND_DRIVERS = frozenset({"parallel"})
-
-#: drivers whose work never flows through a model hierarchy with per-level
-#: solve dtypes: ``random-field`` samples covariance realisations and
-#: ``fem-hotpath`` builds its solvers directly.  The runner rejects a
-#: ``--precision`` override for these so manifests never record a precision
-#: ladder the run did not use.
-PRECISION_AGNOSTIC_DRIVERS = frozenset({"random-field", "fem-hotpath"})
 
 #: drivers that honour a spec-declared sampling budget (``spec.budget`` /
 #: ``repro run --target-mse/--budget``): the single-estimation MLMCMC drivers.
@@ -163,7 +155,7 @@ def driver_names() -> list[str]:
 # ----------------------------------------------------------------------------
 # shared helpers
 def _spec_factory(spec: ExperimentSpec, application: str | None = None):
-    return build_factory(application or spec.application, spec.problem, precision=spec.precision)
+    return build_factory(application or spec.application, spec.problem)
 
 
 #: modules a driver imports while it runs, beyond its factory's (which

@@ -39,8 +39,9 @@ __all__ = [
 #: v5: added the required ``allocation`` object recording the sample
 #: allocation policy and, for adaptive runs, the budget and the realized
 #: continuation trajectory; v6: dropped the top-level ``backend`` field with
-#: the selectable evaluation backends)
-MANIFEST_SCHEMA_VERSION = 6
+#: the selectable evaluation backends; v7: dropped the ``precision`` field
+#: with the precision ladder — every run solves in float64)
+MANIFEST_SCHEMA_VERSION = 7
 
 #: top-level manifest fields and their required types
 _TOP_LEVEL_FIELDS: dict[str, type | tuple] = {
@@ -53,7 +54,6 @@ _TOP_LEVEL_FIELDS: dict[str, type | tuple] = {
     "spec_hash": str,
     "quick": bool,
     "parallel_backend": (str, type(None)),
-    "precision": str,
     "seed": int,
     "repro_version": str,
     "created_at": str,
@@ -124,7 +124,6 @@ def build_manifest(
         "spec_hash": spec_hash(spec_dict),
         "quick": bool(quick),
         "parallel_backend": parallel_backend,
-        "precision": str(spec.precision),
         "seed": int(spec.seed),
         "repro_version": __version__,
         "created_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
@@ -168,12 +167,6 @@ def validate_manifest(manifest: Any) -> None:
             errors.append("spec_hash does not match the recorded spec")
         if manifest["wall_time_s"] < 0:
             errors.append("wall_time_s must be non-negative")
-        from repro.utils.array_api import PRECISION_LADDERS
-
-        if manifest["precision"] not in PRECISION_LADDERS:
-            errors.append(
-                f"precision {manifest['precision']!r} is not one of {PRECISION_LADDERS}"
-            )
         if not manifest["results"]:
             errors.append("results payload is empty")
         allocation = manifest["allocation"]

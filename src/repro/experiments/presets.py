@@ -140,7 +140,6 @@ def clear_factory_cache() -> None:
 def build_factory(
     application: str,
     problem: dict | None = None,
-    precision: str | None = None,
     cache: bool = True,
 ):
     """Construct (or reuse) the model-hierarchy factory of one application.
@@ -154,11 +153,7 @@ def build_factory(
     """
     options = resolve_problem_options(application, problem)
     key = json.dumps(
-        {
-            "application": application,
-            "options": options,
-            "precision": precision or "float64",
-        },
+        {"application": application, "options": options},
         sort_keys=True,
         default=str,
     )
@@ -168,19 +163,13 @@ def build_factory(
     if application == "gaussian":
         from repro.models.gaussian import GaussianHierarchyFactory
 
-        factory = GaussianHierarchyFactory(
-            precision=precision,
-            **options,
-        )
+        factory = GaussianHierarchyFactory(**options)
     elif application == "poisson":
         from repro.models.poisson import PoissonInverseProblemFactory
 
         if "mesh_sizes" in options:
             options["mesh_sizes"] = tuple(options["mesh_sizes"])
-        factory = PoissonInverseProblemFactory(
-            precision=precision,
-            **options,
-        )
+        factory = PoissonInverseProblemFactory(**options)
     elif application == "tsunami":
         from repro.models.tsunami import TsunamiInverseProblemFactory, TsunamiLevelSpec
 
@@ -189,10 +178,7 @@ def build_factory(
                 spec if isinstance(spec, TsunamiLevelSpec) else TsunamiLevelSpec(**spec)
                 for spec in options["level_specs"]
             )
-        factory = TsunamiInverseProblemFactory(
-            precision=precision,
-            **options,
-        )
+        factory = TsunamiInverseProblemFactory(**options)
     else:
         raise KeyError(f"unknown application {application!r}")
 

@@ -444,20 +444,6 @@ register(ExperimentSpec(
 ))
 
 register(ExperimentSpec(
-    name="poisson-mixed-precision",
-    driver="sequential",
-    application="poisson",
-    paper_ref="—",
-    description="Poisson inversion on the float32-coarse precision ladder",
-    problem={"preset": "scaled"},
-    sampler={"num_samples": [600, 150, 50], "burnin_floor": 5},
-    precision="float32-coarse",
-    seed=33,
-    quick={"sampler": _POISSON_QUICK_SAMPLES},
-    tags=("performance", "precision"),
-))
-
-register(ExperimentSpec(
     name="fem-hotpath",
     driver="fem-hotpath",
     application="fem",

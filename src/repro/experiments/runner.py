@@ -18,7 +18,6 @@ from typing import Any
 from repro.experiments.drivers import (
     BUDGETED_DRIVERS,
     PARALLEL_BACKEND_DRIVERS,
-    PRECISION_AGNOSTIC_DRIVERS,
     get_driver,
     prewarm,
     run_context,
@@ -63,7 +62,6 @@ def run_scenario(
     seed: int | None = None,
     out_dir: str | Path | None = None,
     parallel_backend: str | None = None,
-    precision: str | None = None,
     checkpoint_dir: str | Path | None = None,
     resume: bool = False,
     fault_plan: Any = None,
@@ -89,12 +87,6 @@ def run_scenario(
         driver does not
         run the parallel MLMCMC machine on a spec-selected transport
         (:data:`repro.experiments.drivers.PARALLEL_BACKEND_DRIVERS`).
-    precision:
-        Override the precision-ladder policy (``"float64"``,
-        ``"float32-coarse"`` or ``"float32"``).  Rejected for scenarios whose
-        driver never builds a model hierarchy with per-level solve dtypes
-        (:data:`repro.experiments.drivers.PRECISION_AGNOSTIC_DRIVERS`), so
-        the manifest never records a precision the run did not use.
     checkpoint_dir:
         Directory for in-flight sampling snapshots (parallel-machine
         scenarios only).  Deliberately *not* a spec field: the spec hash must
@@ -131,12 +123,6 @@ def run_scenario(
             "parallel machine on a selectable transport; drop the "
             "parallel-backend override"
         )
-    if precision is not None and spec.driver in PRECISION_AGNOSTIC_DRIVERS:
-        raise BackendNotApplicableError(
-            f"scenario {spec.name!r} (driver {spec.driver!r}) does not build a "
-            "model hierarchy with per-level solve dtypes; drop the precision "
-            "override"
-        )
     wants_fault_harness = (
         checkpoint_dir is not None or resume or fault_plan is not None
     )
@@ -166,7 +152,6 @@ def run_scenario(
         quick=quick,
         seed=seed,
         parallel_backend=parallel_backend,
-        precision=precision,
         target_mse=target_mse,
         cost_budget=cost_budget,
     )

@@ -72,12 +72,6 @@ class ExperimentSpec:
         :func:`repro.core.allocation.policy_from_budget`).  Empty (the
         default) keeps the static ``num_samples`` plan and is omitted from
         :meth:`as_dict` so pre-existing spec hashes are unchanged.
-    precision:
-        Precision-ladder policy for the per-level forward solves
-        (``"float64"``, ``"float32-coarse"`` or ``"float32"``; see
-        :func:`repro.utils.array_api.level_dtypes`).  The default
-        ``"float64"`` runs everything in double, exactly as before the
-        ladder existed.
     seed:
         Base random seed of the run.
     quick:
@@ -97,7 +91,6 @@ class ExperimentSpec:
     evaluation: dict = field(default_factory=dict)
     parallel: dict = field(default_factory=dict)
     budget: dict = field(default_factory=dict)
-    precision: str = "float64"
     seed: int = 0
     quick: dict = field(default_factory=dict)
     tags: tuple = ()
@@ -119,8 +112,7 @@ class ExperimentSpec:
         first manifests were written, and emitting ``{"parallel": {}}``
         everywhere would shift the content hash of every scenario — breaking
         cross-PR ``spec_hash`` comparisons for configurations that did not
-        change.  ``precision`` is omitted under the default ``"float64"``
-        policy, and an empty ``budget`` block is omitted, for the same
+        change.  An empty ``budget`` block is omitted for the same
         hash-stability reason.
         """
         payload = asdict(self)
@@ -129,8 +121,6 @@ class ExperimentSpec:
             del payload["parallel"]
         if not payload["budget"]:
             del payload["budget"]
-        if payload["precision"] == "float64":
-            del payload["precision"]
         return payload
 
     @classmethod
@@ -150,7 +140,6 @@ class ExperimentSpec:
         quick: bool = False,
         seed: int | None = None,
         parallel_backend: str | None = None,
-        precision: str | None = None,
         target_mse: float | None = None,
         cost_budget: float | None = None,
     ) -> "ExperimentSpec":
@@ -159,8 +148,7 @@ class ExperimentSpec:
         ``quick`` merges the spec's quick-tier overrides into ``problem``,
         ``sampler`` and ``budget``; ``parallel_backend`` replaces the
         parallel transport backend (its options survive only when the backend
-        stays the same — options are backend-specific);
-        ``precision`` replaces the precision-ladder policy; ``seed`` replaces
+        stays the same — options are backend-specific); ``seed`` replaces
         the base seed; ``target_mse`` / ``cost_budget`` (mutually exclusive)
         switch the run to adaptive allocation with the given MSE target or
         total-cost cap, replacing any budget objective the spec declares.
@@ -198,8 +186,6 @@ class ExperimentSpec:
             ):
                 parallel["options"] = spec.parallel["options"]
             spec = replace(spec, parallel=parallel)
-        if precision is not None:
-            spec = replace(spec, precision=str(precision))
         if seed is not None:
             spec = replace(spec, seed=int(seed))
         return spec

@@ -29,7 +29,7 @@ import scipy.sparse as sp
 
 from repro.fem.grid import StructuredGrid
 from repro.fem.q1 import Q1Element
-from repro.utils.array_api import resolve_dtype
+from repro.utils.arrays import resolve_dtype
 
 __all__ = [
     "assemble_diffusion_system",
@@ -192,8 +192,8 @@ class AssemblyPlan:
     dtype:
         Assembly dtype (``float32`` or ``float64``, default double): the
         scatter operators, the load vector and every per-sample matrix/vector
-        the plan produces carry this dtype, so a coarse level of the precision
-        ladder assembles and solves in single precision.  The plan geometry
+        the plan produces carry this dtype, so a ``float32`` plan assembles
+        and solves in single precision.  The plan geometry
         (band positions, interior split) is computed in double either way.
     """
 
@@ -279,7 +279,7 @@ class AssemblyPlan:
 
         Accepts one vector (any shape, flattened) or an ``(n, num_elements)``
         block.  Validation runs in double; the result carries the plan dtype
-        so the scatter products stay in the level's precision.
+        so the scatter products stay at the plan's dtype.
         """
         kappa = np.asarray(element_coefficients, dtype=np.float64)
         if kappa.ndim != 2:

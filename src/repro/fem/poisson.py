@@ -28,7 +28,7 @@ from scipy.linalg import lapack
 from repro.fem.assembly import AssemblyPlan
 from repro.fem.grid import StructuredGrid
 from repro.fem.q1 import Q1Element
-from repro.utils.array_api import resolve_dtype
+from repro.utils.arrays import resolve_dtype
 
 __all__ = ["PoissonSolver"]
 
@@ -51,7 +51,7 @@ class PoissonSolver:
         Solve dtype (``float32`` or ``float64``, default double): assembly,
         factorization and nodal solutions run at this precision; observations
         are promoted back to double by the (double) observation operator so
-        likelihoods stay ``float64`` on every rung of the precision ladder.
+        likelihoods stay ``float64`` at either dtype.
 
     Notes
     -----
@@ -188,8 +188,7 @@ class PoissonSolver:
         """Convenience: solve then evaluate at the observation points.
 
         The observation operator is double, so a float32 nodal solution is
-        promoted to ``float64`` here — the precision ladder's observation
-        boundary.
+        promoted to ``float64`` here — the observation boundary.
         """
         solution = self.solve(element_coefficients)
         return self._cached_observation_operator(observation_points) @ solution

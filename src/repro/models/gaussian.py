@@ -19,7 +19,6 @@ from repro.core.problem import AbstractSamplingProblem, GaussianTargetProblem
 from repro.core.proposals.base import MCMCProposal
 from repro.core.proposals.random_walk import GaussianRandomWalkProposal
 from repro.models.base import ForwardModelBase
-from repro.utils.array_api import level_dtypes, resolve_dtype
 
 __all__ = ["GaussianHierarchyFactory", "GaussianIdentityForwardModel"]
 
@@ -32,32 +31,26 @@ class GaussianIdentityForwardModel(ForwardModelBase):
     :class:`repro.models.base.ForwardModel` contract is the identity —
     batched evaluation is a single array copy.  Used by the conformance tests
     and anywhere a trivially cheap stand-in forward model is useful.
-
-    With a ``float32`` solve dtype the identity rounds through single
-    precision before the (double) observation boundary — the analytic model's
-    version of running the forward solve at a coarse rung of the precision
-    ladder.
     """
 
-    def __init__(self, dim: int, dtype=None) -> None:
+    def __init__(self, dim: int) -> None:
         self._dim = int(dim)
-        self.dtype = resolve_dtype(dtype)
 
     @property
     def output_dim(self) -> int:
         return self._dim
 
     def forward(self, theta: np.ndarray) -> np.ndarray:
-        theta = np.atleast_1d(np.asarray(theta, dtype=np.float64)).ravel()
+        theta = np.array(theta, dtype=np.float64, ndmin=1).ravel()
         if theta.shape[0] != self._dim:
             raise ValueError(f"expected a parameter of dimension {self._dim}")
-        return theta.astype(self.dtype).astype(np.float64)
+        return theta
 
     def forward_batch(self, thetas: np.ndarray) -> np.ndarray:
-        block = np.atleast_2d(np.asarray(thetas, dtype=np.float64))
+        block = np.array(thetas, dtype=np.float64, ndmin=2)
         if block.shape[1] != self._dim:
             raise ValueError(f"expected parameters of dimension {self._dim}")
-        return block.astype(self.dtype).astype(np.float64)
+        return block
 
 
 class GaussianHierarchyFactory(MLComponentFactory):
@@ -90,9 +83,6 @@ class GaussianHierarchyFactory(MLComponentFactory):
     costs:
         Nominal evaluation cost per level (defaults to ``4^l``, the scaling of
         a 2-D PDE solve under uniform refinement).
-    precision:
-        Precision-ladder policy mapping each level's forward model to its
-        solve dtype (the analytic targets themselves are exact either way).
     """
 
     def __init__(
@@ -105,7 +95,6 @@ class GaussianHierarchyFactory(MLComponentFactory):
         proposal_scale: float = 2.5,
         subsampling: int = 5,
         costs: list[float] | None = None,
-        precision: str | None = None,
     ) -> None:
         if num_levels < 1:
             raise ValueError("num_levels must be at least 1")
@@ -125,9 +114,7 @@ class GaussianHierarchyFactory(MLComponentFactory):
             if costs is not None
             else [4.0**level for level in range(num_levels)]
         )
-        self.precision = precision or "float64"
-        self._level_dtypes = level_dtypes(self.precision, self._num_levels)
-        self._forward_models: dict[str, GaussianIdentityForwardModel] = {}
+        self._forward_model = GaussianIdentityForwardModel(self.dim)
 
     # ------------------------------------------------------------------
     def level_mean(self, level: int) -> np.ndarray:
@@ -152,17 +139,11 @@ class GaussianHierarchyFactory(MLComponentFactory):
     def forward_model(self, level: int) -> GaussianIdentityForwardModel:
         """The level's forward map under the shared ``ForwardModel`` contract.
 
-        The analytic targets observe the parameters directly, so levels with
-        the same solve dtype share one cached identity operator
-        (identity-stable across calls, like the Poisson and tsunami
-        factories).
+        The analytic targets observe the parameters directly, so every level
+        shares one identity operator (identity-stable across calls, like the
+        Poisson and tsunami factories).
         """
-        dtype = self._level_dtypes[level]
-        if dtype.str not in self._forward_models:
-            self._forward_models[dtype.str] = GaussianIdentityForwardModel(
-                self.dim, dtype=dtype
-            )
-        return self._forward_models[dtype.str]
+        return self._forward_model
 
     def num_levels(self) -> int:
         return self._num_levels

@@ -37,7 +37,7 @@ from repro.fem.grid import StructuredGrid
 from repro.fem.poisson import PoissonSolver
 from repro.randomfield.covariance import ExponentialCovariance
 from repro.randomfield.field import GaussianRandomField
-from repro.utils.array_api import float_vector, level_dtypes, resolve_dtype
+from repro.utils.arrays import float_vector
 
 __all__ = ["PoissonLevelSpec", "PoissonForwardModel", "PoissonInverseProblemFactory"]
 
@@ -80,13 +80,11 @@ class PoissonForwardModel:
         spec: PoissonLevelSpec,
         field: GaussianRandomField,
         observation_points: np.ndarray,
-        dtype=None,
     ) -> None:
         self.spec = spec
         self.field = field
         self.grid = StructuredGrid(spec.mesh_size)
-        self.dtype = resolve_dtype(dtype)
-        self.solver = PoissonSolver(self.grid, dtype=self.dtype)
+        self.solver = PoissonSolver(self.grid)
         self.observation_points = np.atleast_2d(np.asarray(observation_points, dtype=float))
         midpoints = self.solver.element_midpoints()
         #: precomputed scaled KL modes at element midpoints, (num_elements, m)
@@ -171,10 +169,6 @@ class PoissonInverseProblemFactory(MLComponentFactory):
         Seed of the synthetic-truth draw.
     quadrature_points_per_dim:
         Nystrom resolution of the KL expansion.
-    precision:
-        Precision-ladder policy (``"float64"``, ``"float32-coarse"``,
-        ``"float32"``) mapping each level to its FEM solve dtype; parameters,
-        observations and likelihoods stay double regardless.
     """
 
     def __init__(
@@ -193,11 +187,8 @@ class PoissonInverseProblemFactory(MLComponentFactory):
         observation_coords: Sequence[float] = PAPER_OBSERVATION_COORDS,
         data_seed: int = 2021,
         quadrature_points_per_dim: int = 24,
-        precision: str | None = None,
     ) -> None:
         self.specs = [PoissonLevelSpec(level=l, mesh_size=int(n)) for l, n in enumerate(mesh_sizes)]
-        self.precision = precision or "float64"
-        self._level_dtypes = level_dtypes(self.precision, len(self.specs))
         self.noise_std = float(noise_std)
         self.prior_variance = float(prior_variance)
         self.proposal_type = proposal
@@ -256,7 +247,6 @@ class PoissonInverseProblemFactory(MLComponentFactory):
                 self.specs[level],
                 self.field,
                 self.observation_points,
-                dtype=self._level_dtypes[level],
             )
         return self._forward_models[level]
 

@@ -131,12 +131,6 @@ class TsunamiInverseProblemFactory(MLComponentFactory):
         If not ``None``, observation noise drawn with this seed is added to the
         synthetic data (off by default — like the paper's Poisson study this
         keeps verification simple).
-    precision:
-        Precision-ladder policy (``"float64"``, ``"float32-coarse"``,
-        ``"float32"``) mapping each level to its shallow-water solve dtype;
-        the synthetic data come from the finest level, which ``float32-coarse``
-        keeps in double, and observables are promoted to double at the gauge
-        boundary regardless.
     """
 
     def __init__(
@@ -152,10 +146,8 @@ class TsunamiInverseProblemFactory(MLComponentFactory):
         data_noise_seed: int | None = None,
         source_amplitude: float = 5.0,
         source_radius: float = 30e3,
-        precision: str | None = None,
     ) -> None:
         self.specs = list(level_specs)
-        self.precision = precision or "float64"
         self._subsampling = (
             [int(r) for r in subsampling_rates]
             if subsampling_rates is not None
@@ -183,7 +175,6 @@ class TsunamiInverseProblemFactory(MLComponentFactory):
             ),
             source_amplitude=source_amplitude,
             source_radius=source_radius,
-            precision=self.precision,
         )
 
         self._forward_models: dict[int, TsunamiForwardModel] = {}

@@ -63,7 +63,7 @@ from repro.swe.state import (
     ShallowWaterEnsembleState,
     ShallowWaterState,
 )
-from repro.utils.array_api import array_namespace, resolve_dtype
+from repro.utils.arrays import resolve_dtype
 
 __all__ = ["ShallowWaterSolver2D", "SimulationResult", "EnsembleSimulationResult"]
 
@@ -236,16 +236,14 @@ class ShallowWaterSolver2D:
         self.dx = (x1 - x0) / self.nx
         self.dy = (y1 - y0) / self.ny
         self.dtype = resolve_dtype(dtype)
-        xp = array_namespace(bathymetry)
-        self._xp = xp
-        bathy = xp.asarray(bathymetry, dtype=self.dtype)
+        bathy = np.asarray(bathymetry, dtype=self.dtype)
         if bathy.shape != (self.nx, self.ny):
             raise ValueError(
                 f"bathymetry shape {bathy.shape} does not match grid ({self.nx}, {self.ny})"
             )
         self.bathymetry = bathy.copy()
         #: a constant bathymetry makes the well-balanced source term vanish
-        self._constant_bathymetry = bool(xp.all(bathy == bathy[0, 0]))
+        self._constant_bathymetry = bool(np.all(bathy == bathy[0, 0]))
         self.gravity = float(gravity)
         self.cfl = float(cfl)
         if not 0.0 < self.cfl <= 1.0:
@@ -281,15 +279,14 @@ class ShallowWaterSolver2D:
         displacement is translated directly to the sea surface: the water
         column height of wet cells is increased by the displacement.
         """
-        xp = self._xp
         state = ShallowWaterState.lake_at_rest(self.bathymetry)
         state.dry_tolerance = self.dry_tolerance
         if surface_displacement is not None:
-            disp = xp.asarray(surface_displacement, dtype=self.dtype)
+            disp = np.asarray(surface_displacement, dtype=self.dtype)
             if disp.shape != (self.nx, self.ny):
                 raise ValueError("surface displacement shape does not match the grid")
             wet = state.h > self.dry_tolerance
-            state.h[wet] = xp.maximum(state.h[wet] + disp[wet], 0.0)
+            state.h[wet] = np.maximum(state.h[wet] + disp[wet], 0.0)
         return state
 
     # ------------------------------------------------------------------
@@ -303,13 +300,12 @@ class ShallowWaterSolver2D:
         well-balanced source term.  The grid occupies the last two axes, so
         any leading batch axes pass straight through.
         """
-        xp = self._xp
         h, hu, hv, b = state.h, state.hu, state.hv, state.b
         # Extend with zero-gradient ghost cells in x.
-        h_ext = xp.concatenate([h[..., :1, :], h, h[..., -1:, :]], axis=-2)
-        hu_ext = xp.concatenate([hu[..., :1, :], hu, hu[..., -1:, :]], axis=-2)
-        hv_ext = xp.concatenate([hv[..., :1, :], hv, hv[..., -1:, :]], axis=-2)
-        b_ext = xp.concatenate([b[..., :1, :], b, b[..., -1:, :]], axis=-2)
+        h_ext = np.concatenate([h[..., :1, :], h, h[..., -1:, :]], axis=-2)
+        hu_ext = np.concatenate([hu[..., :1, :], hu, hu[..., -1:, :]], axis=-2)
+        hv_ext = np.concatenate([hv[..., :1, :], hv, hv[..., -1:, :]], axis=-2)
+        b_ext = np.concatenate([b[..., :1, :], b, b[..., -1:, :]], axis=-2)
 
         h_l, h_r = h_ext[..., :-1, :], h_ext[..., 1:, :]
         hu_l, hu_r = hu_ext[..., :-1, :], hu_ext[..., 1:, :]
@@ -322,12 +318,11 @@ class ShallowWaterSolver2D:
         self, state: ShallowWaterState | ShallowWaterEnsembleState
     ) -> tuple[np.ndarray, ...]:
         """Same as :meth:`_interface_fluxes_x` for y-interfaces (roles of hu/hv swapped)."""
-        xp = self._xp
         h, hu, hv, b = state.h, state.hu, state.hv, state.b
-        h_ext = xp.concatenate([h[..., :1], h, h[..., -1:]], axis=-1)
-        hu_ext = xp.concatenate([hu[..., :1], hu, hu[..., -1:]], axis=-1)
-        hv_ext = xp.concatenate([hv[..., :1], hv, hv[..., -1:]], axis=-1)
-        b_ext = xp.concatenate([b[..., :1], b, b[..., -1:]], axis=-1)
+        h_ext = np.concatenate([h[..., :1], h, h[..., -1:]], axis=-1)
+        hu_ext = np.concatenate([hu[..., :1], hu, hu[..., -1:]], axis=-1)
+        hv_ext = np.concatenate([hv[..., :1], hv, hv[..., -1:]], axis=-1)
+        b_ext = np.concatenate([b[..., :1], b, b[..., -1:]], axis=-1)
 
         h_l, h_r = h_ext[..., :-1], h_ext[..., 1:]
         hu_l, hu_r = hu_ext[..., :-1], hu_ext[..., 1:]
@@ -357,20 +352,19 @@ class ShallowWaterSolver2D:
         ``hn`` is the momentum normal to the interface, ``ht`` the transverse
         momentum.  Returns ``(flux_h, flux_hn, flux_ht, h*_l, h*_r)``.
         """
-        xp = self._xp
         wet_l = h_l > self.dry_tolerance
         wet_r = h_r > self.dry_tolerance
-        un_l = xp.where(wet_l, hn_l / xp.where(wet_l, h_l, 1.0), 0.0)
-        ut_l = xp.where(wet_l, ht_l / xp.where(wet_l, h_l, 1.0), 0.0)
-        un_r = xp.where(wet_r, hn_r / xp.where(wet_r, h_r, 1.0), 0.0)
-        ut_r = xp.where(wet_r, ht_r / xp.where(wet_r, h_r, 1.0), 0.0)
+        un_l = np.where(wet_l, hn_l / np.where(wet_l, h_l, 1.0), 0.0)
+        ut_l = np.where(wet_l, ht_l / np.where(wet_l, h_l, 1.0), 0.0)
+        un_r = np.where(wet_r, hn_r / np.where(wet_r, h_r, 1.0), 0.0)
+        ut_r = np.where(wet_r, ht_r / np.where(wet_r, h_r, 1.0), 0.0)
 
         # Hydrostatic reconstruction of interface depths.
-        b_star = xp.maximum(b_l, b_r)
+        b_star = np.maximum(b_l, b_r)
         eta_l = h_l + b_l
         eta_r = h_r + b_r
-        h_star_l = xp.maximum(eta_l - b_star, 0.0)
-        h_star_r = xp.maximum(eta_r - b_star, 0.0)
+        h_star_l = np.maximum(eta_l - b_star, 0.0)
+        h_star_r = np.maximum(eta_r - b_star, 0.0)
 
         q_l = (h_star_l, h_star_l * un_l, h_star_l * ut_l)
         q_r = (h_star_r, h_star_r * un_r, h_star_r * ut_r)
@@ -389,11 +383,10 @@ class ShallowWaterSolver2D:
         per-member step sizes (a member with ``dt = 0`` is left unchanged).
         """
         g = self.gravity
-        xp = self._xp
         # A (B,) dt column is cast to the field dtype before the update so the
         # product matches the scalar path, where a Python-float dt combines
         # with the fields at their own precision.
-        dt_arr = xp.asarray(dt, dtype=state.h.dtype)
+        dt_arr = np.asarray(dt, dtype=state.h.dtype)
         if dt_arr.ndim:
             dt = dt_arr[:, None, None]
 
@@ -464,8 +457,7 @@ class ShallowWaterSolver2D:
         ``(nx, ny)`` field yields a one-member ensemble).  Member-wise
         identical to :meth:`initial_state`.
         """
-        xp = self._xp
-        disp = xp.asarray(surface_displacements, dtype=self.dtype)
+        disp = np.asarray(surface_displacements, dtype=self.dtype)
         if disp.ndim == 2:
             disp = disp[None]
         if disp.ndim != 3 or disp.shape[1:] != (self.nx, self.ny):
@@ -476,7 +468,7 @@ class ShallowWaterSolver2D:
         state = ShallowWaterEnsembleState.lake_at_rest(self.bathymetry, disp.shape[0])
         state.dry_tolerance = self.dry_tolerance
         wet = state.h > self.dry_tolerance
-        state.h[wet] = xp.maximum(state.h[wet] + disp[wet], 0.0)
+        state.h[wet] = np.maximum(state.h[wet] + disp[wet], 0.0)
         return state
 
     def _static_interface_bathymetry(self) -> tuple[np.ndarray, np.ndarray]:
@@ -487,13 +479,12 @@ class ShallowWaterSolver2D:
         once per grid and broadcast over any batch axis.
         """
         if self._interface_bathymetry is None:
-            xp = self._xp
             b = self.bathymetry
-            b_ext_x = xp.concatenate([b[:1], b, b[-1:]], axis=0)
-            b_ext_y = xp.concatenate([b[:, :1], b, b[:, -1:]], axis=1)
+            b_ext_x = np.concatenate([b[:1], b, b[-1:]], axis=0)
+            b_ext_y = np.concatenate([b[:, :1], b, b[:, -1:]], axis=1)
             self._interface_bathymetry = (
-                xp.maximum(b_ext_x[:-1], b_ext_x[1:]),  # (nx + 1, ny)
-                xp.maximum(b_ext_y[:, :-1], b_ext_y[:, 1:]),  # (nx, ny + 1)
+                np.maximum(b_ext_x[:-1], b_ext_x[1:]),  # (nx + 1, ny)
+                np.maximum(b_ext_y[:, :-1], b_ext_y[:, 1:]),  # (nx, ny + 1)
             )
         return self._interface_bathymetry
 
@@ -516,7 +507,7 @@ class ShallowWaterSolver2D:
             or array.shape[1:] != shape[1:]
             or array.shape[0] < shape[0]
         ):
-            array = self._xp.empty(shape, dtype=dtype)
+            array = np.empty(shape, dtype=dtype)
             ws[name] = array
         if array.shape[0] != shape[0]:
             return array[: shape[0]]
@@ -537,16 +528,15 @@ class ShallowWaterSolver2D:
         hand-built states may not.  Anything else goes through the generic
         axis-agnostic kernels, which are correct for any input.
         """
-        xp = self._xp
         if not (
             self._flux is rusanov_flux
             and 0.0 < self.dry_tolerance < 1.0
             and state.dry_tolerance == self.dry_tolerance
-            and bool(xp.all(state.b == self.bathymetry))
+            and bool(np.all(state.b == self.bathymetry))
         ):
             return False
         dry = state.h <= self.dry_tolerance
-        return not (bool(xp.any(state.hu[dry])) or bool(xp.any(state.hv[dry])))
+        return not (bool(np.any(state.hu[dry])) or bool(np.any(state.hv[dry])))
 
     def _fused_sweep(self, buf, tag, eta, un, ut, b_star_parts, axis, spacing):
         """Bind one direction's fused flux + divergence pass over ``eta/un/ut``.
@@ -567,8 +557,8 @@ class ShallowWaterSolver2D:
         intermediate written into a preallocated *contiguous* buffer instead
         of a fresh temporary: the ghost extension and l/r interface shifts
         are materialised as copies because strided views and broadcasts cost
-        several times a contiguous SIMD pass.  All operations go through the
-        state's namespace and dtype, so a float32 run halves the memory
+        several times a contiguous SIMD pass.  All operations run at the
+        state's dtype, so a float32 run halves the memory
         traffic of this (bandwidth-bound at size) pipeline.
 
         Two groups of operations are skipped where they are identities on
@@ -584,7 +574,7 @@ class ShallowWaterSolver2D:
         ``b_star_parts`` holds the static interface bathymetry of each equal
         group of lanes (one entry, or two under lane stacking).
         """
-        g, xp = self.gravity, self._xp
+        g = self.gravity
         lanes, nx, ny = eta.shape
         iface = (nx + 1, ny) if axis == -2 else (nx, ny + 1)
         if axis == -2:
@@ -651,17 +641,17 @@ class ShallowWaterSolver2D:
                 dest[...] = source_cells
 
             # Hydrostatically reconstructed interface depths and momenta.
-            xp.subtract(eta_lr, b_star, out=h_star)
+            np.subtract(eta_lr, b_star, out=h_star)
             # Every h* above the tolerance: the clip at zero and the dry-lane
             # masking below are identities, so they are skipped.
             all_wet = all_wet and bool(h_star.min() > dry_star)
             if not all_wet:
-                xp.maximum(h_star, 0.0, out=h_star)
-            xp.multiply(h_star, un_lr, out=hn)
-            xp.multiply(h_star, ut_lr, out=ht)
+                np.maximum(h_star, 0.0, out=h_star)
+            np.multiply(h_star, un_lr, out=hn)
+            np.multiply(h_star, ut_lr, out=ht)
 
             if all_wet:
-                xp.divide(hn, h_star, out=u)
+                np.divide(hn, h_star, out=u)
             else:
                 # Branch-free dry handling (`where=`-masked ufunc loops are
                 # scalar and several times slower than full SIMD passes): with
@@ -671,48 +661,48 @@ class ShallowWaterSolver2D:
                 # untouched and the dry-lane where() branches of the reference
                 # kernels (u = 0, f1 = p, f2 = 0) fall out of the arithmetic:
                 # hn * (+-0) + p == p and |+-0| == 0.
-                xp.less_equal(h_star, DRY_TOLERANCE, out=mask)  # 1.0 on dry lanes
-                xp.maximum(h_star, mask, out=work_lr)  # where(wet, h, 1)
-                xp.divide(hn, work_lr, out=u)
-                xp.subtract(1.0, mask, out=mask)  # 1.0 on wet lanes
-                xp.multiply(u, mask, out=u)  # where(wet, hn / h, +-0)
+                np.less_equal(h_star, DRY_TOLERANCE, out=mask)  # 1.0 on dry lanes
+                np.maximum(h_star, mask, out=work_lr)  # where(wet, h, 1)
+                np.divide(hn, work_lr, out=u)
+                np.subtract(1.0, mask, out=mask)  # 1.0 on wet lanes
+                np.multiply(u, mask, out=u)  # where(wet, hn / h, +-0)
             # celerity sqrt(g * max(h, 0)) — h* is already clipped.
-            xp.multiply(h_star, g, out=c)
-            xp.sqrt(c, out=c)
+            np.multiply(h_star, g, out=c)
+            np.sqrt(c, out=c)
             # physical fluxes (the flux_h component is hn itself).
-            xp.multiply(h_star, half_g, out=p)
-            xp.multiply(p, h_star, out=p)
-            xp.multiply(hn, u, out=f1)
-            xp.add(f1, p, out=f1)
-            xp.multiply(ht, u, out=f2)
+            np.multiply(h_star, half_g, out=p)
+            np.multiply(p, h_star, out=p)
+            np.multiply(hn, u, out=f1)
+            np.add(f1, p, out=f1)
+            np.multiply(ht, u, out=f2)
 
             # Rusanov dissipation speed max(|u_l| + c_l, |u_r| + c_r).
-            xp.abs(u, out=work_lr)
-            xp.add(work_lr, c, out=work_lr)
-            xp.maximum(abs_l, abs_r, out=smax)
-            xp.multiply(smax, 0.5, out=smax)
+            np.abs(u, out=work_lr)
+            np.add(work_lr, c, out=work_lr)
+            np.maximum(abs_l, abs_r, out=smax)
+            np.multiply(smax, 0.5, out=smax)
             for f_l, f_r, q_l, q_r, flux in components:
                 # 0.5 * (f_l + f_r) - (0.5 * smax) * (q_r - q_l)
-                xp.subtract(q_r, q_l, out=work)
-                xp.multiply(work, smax, out=work)
-                xp.add(f_l, f_r, out=flux)
-                xp.multiply(flux, 0.5, out=flux)
-                xp.subtract(flux, work, out=flux)
+                np.subtract(q_r, q_l, out=work)
+                np.multiply(work, smax, out=work)
+                np.add(f_l, f_r, out=flux)
+                np.multiply(flux, 0.5, out=flux)
+                np.subtract(flux, work, out=flux)
 
             # -(Δflux) / dx fused as Δflux / (-dx): IEEE division is
             # sign-symmetric, so the result is bitwise identical.
             for flux_hi, flux_lo, div in divergences:
-                xp.subtract(flux_hi, flux_lo, out=div)
-                xp.divide(div, -spacing, out=div)
+                np.subtract(flux_hi, flux_lo, out=div)
+                np.divide(div, -spacing, out=div)
             if source is not None:
                 # src_hn = 0.5 g (h*_l[hi]^2 - h*_r[lo]^2), in the reference order.
                 src, sq, star_l_hi, star_r_lo = source
-                xp.multiply(star_l_hi, star_l_hi, out=src)
-                xp.multiply(star_r_lo, star_r_lo, out=sq)
-                xp.subtract(src, sq, out=src)
-                xp.multiply(src, half_g, out=src)
-                xp.divide(src, spacing, out=src)
-                xp.add(div_hn, src, out=div_hn)
+                np.multiply(star_l_hi, star_l_hi, out=src)
+                np.multiply(star_r_lo, star_r_lo, out=sq)
+                np.subtract(src, sq, out=src)
+                np.multiply(src, half_g, out=src)
+                np.divide(src, spacing, out=src)
+                np.add(div_hn, src, out=div_hn)
             return all_wet
 
         return sweep, div_h, div_hn, div_ht
@@ -753,7 +743,7 @@ class ShallowWaterSolver2D:
         masked operations from that point on, including the reference
         positivity, and the run stays on them.
         """
-        xp, g, tol = self._xp, self.gravity, self.dry_tolerance
+        g, tol = self.gravity, self.dry_tolerance
         h, hu, hv, b = state.h, state.hu, state.hv, state.b
         batch, nx, ny = h.shape
         dtype = h.dtype
@@ -800,35 +790,35 @@ class ShallowWaterSolver2D:
         # "Every cell wet" holds from the input on and is re-checked by one
         # reduction after every update (in the field dtype, like the masked
         # comparisons); once it fails, the run stays on the masked operations.
-        all_wet = bool(xp.all(h > tol))
+        all_wet = bool(np.all(h > tol))
         dry_cell = dtype.type(tol)
 
         def speeds() -> np.ndarray:
             if all_wet:  # where(wet, momentum / h, 0) is momentum / h
-                xp.divide(hu, h, out=u)
-                xp.divide(hv, h, out=v)
+                np.divide(hu, h, out=u)
+                np.divide(hv, h, out=v)
             else:
                 # Branch-free form of where(wet, momentum / h, 0): dry momenta
                 # are exactly zero (the invariant every constructor and step
                 # maintains), so dividing them by the dry-lane 1.0 yields the
                 # exact zero the reference where() produces.
-                xp.less_equal(h, tol, out=safe)  # 1.0 on dry lanes
-                xp.subtract(1.0, safe, out=wetf)  # 1.0 on wet lanes
-                xp.maximum(h, safe, out=safe)  # where(wet, h, 1)
-                xp.divide(hu, safe, out=u)
-                xp.divide(hv, safe, out=v)
-            xp.add(h, b, out=eta)
+                np.less_equal(h, tol, out=safe)  # 1.0 on dry lanes
+                np.subtract(1.0, safe, out=wetf)  # 1.0 on wet lanes
+                np.maximum(h, safe, out=safe)  # where(wet, h, 1)
+                np.divide(hu, safe, out=u)
+                np.divide(hv, safe, out=v)
+            np.add(h, b, out=eta)
             # max(|u|, |v|) + sqrt(g h), dry lanes zeroed before the reduction
             # so they never win the max (member-wise identical to
             # ShallowWaterEnsembleState.max_wave_speeds).
-            xp.abs(u, out=speed)
-            xp.abs(v, out=celerity)
-            xp.maximum(speed, celerity, out=speed)
-            xp.multiply(h, g, out=celerity)
-            xp.sqrt(celerity, out=celerity)
-            xp.add(speed, celerity, out=speed)
+            np.abs(u, out=speed)
+            np.abs(v, out=celerity)
+            np.maximum(speed, celerity, out=speed)
+            np.multiply(h, g, out=celerity)
+            np.sqrt(celerity, out=celerity)
+            np.add(speed, celerity, out=speed)
             if not all_wet:
-                xp.multiply(speed, wetf, out=speed)
+                np.multiply(speed, wetf, out=speed)
             return speed.max(axis=(1, 2))
 
         def step(dt: np.ndarray) -> None:
@@ -840,12 +830,12 @@ class ShallowWaterSolver2D:
             # dt arrives double from the CFL control plane; cast to the field
             # dtype so the update product matches step(), where a Python-float
             # dt combines with the fields at their own precision.
-            dt_col = xp.asarray(dt, dtype=dtype)[:, None, None]
+            dt_col = np.asarray(dt, dtype=dtype)[:, None, None]
             # target += dt * (d_x + d_y), summed before the dt product like step().
             for target, part_x, part_y in updates:
-                xp.add(part_x, part_y, out=rhs)
-                xp.multiply(rhs, dt_col, out=rhs)
-                xp.add(target, rhs, out=target)
+                np.add(part_x, part_y, out=rhs)
+                np.multiply(rhs, dt_col, out=rhs)
+                np.add(target, rhs, out=target)
             # On an all-wet state the positivity step (clip at zero, zero
             # dry momenta) is the identity; the first step that leaves a cell
             # at or below the tolerance runs it and ends the all-wet mode.
@@ -930,19 +920,18 @@ class ShallowWaterSolver2D:
             )
             for start in range(0, batch, block)
         ]
-        xp = self._xp
         samples = max(part.gauge_times.shape[1] for part in parts)
 
         def joined(name: str) -> np.ndarray:
             arrays = [getattr(part, name) for part in parts]
             if name.startswith("gauge_"):  # pad with the last sample
                 arrays = [
-                    xp.concatenate([a, xp.broadcast_to(
+                    np.concatenate([a, np.broadcast_to(
                         a[:, -1:], (a.shape[0], samples - a.shape[1]) + a.shape[2:]
                     )], axis=1)
                     for a in arrays
                 ]
-            return xp.concatenate(arrays)
+            return np.concatenate(arrays)
 
         return EnsembleSimulationResult(
             state=state,
@@ -977,7 +966,6 @@ class ShallowWaterSolver2D:
         bounds the loop itself.  Each step gathers only the depths at the
         gauge cells; the anomalies are computed once, on the stacked series.
         """
-        xp = self._xp
         batch = state.batch_size
         tol = self.dry_tolerance
         cells = self.nx * self.ny
@@ -990,9 +978,9 @@ class ShallowWaterSolver2D:
         # The time-stepping control plane stays double: dt derives from
         # double wave speeds, so double times/steps are what keeps per-member
         # trajectories elementwise identical at any field dtype.
-        times = xp.zeros(batch, dtype=xp.float64)
+        times = np.zeros(batch, dtype=np.float64)
         series_times, series_dt, series_h = [times], [], [gauge_depths()]
-        max_eta = xp.zeros_like(state.h) if record_max_eta else xp.zeros((0, 0, 0))
+        max_eta = np.zeros_like(state.h) if record_max_eta else np.zeros((0, 0, 0))
         if self._fused_eligible(state):
             max_speeds, advance = self._fused_plan(state)
         else:
@@ -1007,11 +995,11 @@ class ShallowWaterSolver2D:
         fallback = 0.1 * min(self.dx, self.dy)
 
         for _ in range(max_steps):
-            speeds = xp.asarray(max_speeds(), dtype=xp.float64)
+            speeds = np.asarray(max_speeds(), dtype=np.float64)
             moving = speeds > 0.0
-            dts = xp.where(moving, cfl_width / xp.where(moving, speeds, 1.0), fallback)
-            dts = xp.minimum(dts, end_time - times)
-            dts = xp.where(dts > 0.0, dts, 0.0)  # stopped members: dt = 0
+            dts = np.where(moving, cfl_width / np.where(moving, speeds, 1.0), fallback)
+            dts = np.minimum(dts, end_time - times)
+            dts = np.where(dts > 0.0, dts, 0.0)  # stopped members: dt = 0
             if not bool(dts.any()):
                 break
             advance(dts)
@@ -1021,27 +1009,27 @@ class ShallowWaterSolver2D:
             series_h.append(gauge_depths())
             if record_max_eta:
                 wet = state.h > tol
-                anomaly = xp.where(wet, state.free_surface, 0.0)
-                xp.maximum(max_eta, anomaly, out=max_eta)
+                anomaly = np.where(wet, state.free_surface, 0.0)
+                np.maximum(max_eta, anomaly, out=max_eta)
 
-        steps = xp.zeros(batch, dtype=xp.int64)
+        steps = np.zeros(batch, dtype=np.int64)
         if series_dt:
-            steps += xp.count_nonzero(xp.stack(series_dt, axis=1), axis=1)
+            steps += np.count_nonzero(np.stack(series_dt, axis=1), axis=1)
         # Sea-surface-height anomalies against the initial free surface;
         # (h + b)[:, i, j] == h[:, i, j] + b[:, i, j] exactly, so indexing the
         # static bathymetry at the gauges equals gathering the free surface.
         gauge_b = state.b.reshape(batch, cells).take(gauge_flat, axis=1)[:, None]  # (B, 1, G)
-        heights = xp.stack(series_h, axis=1)  # (B, S + 1, G)
+        heights = np.stack(series_h, axis=1)  # (B, S + 1, G)
         wet = heights > tol
         surface = heights + gauge_b
-        reference_eta = xp.where(wet[:, :1], surface[:, :1], 0.0)
+        reference_eta = np.where(wet[:, :1], surface[:, :1], 0.0)
         return EnsembleSimulationResult(
             state=state,
             gauges=gauges,
             num_timesteps=steps,
             simulated_time=times,
             dof_updates=steps * self.nx * self.ny * 4,
-            gauge_times=xp.stack(series_times, axis=1),
-            gauge_values=xp.where(wet, surface - reference_eta, 0.0),
+            gauge_times=np.stack(series_times, axis=1),
+            gauge_values=np.where(wet, surface - reference_eta, 0.0),
             max_eta_field=max_eta,
         )

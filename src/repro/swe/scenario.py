@@ -43,7 +43,7 @@ from repro.swe.bathymetry import (
 )
 from repro.swe.fv2d import EnsembleSimulationResult, ShallowWaterSolver2D, SimulationResult
 from repro.swe.gauges import Gauge
-from repro.utils.array_api import level_dtypes
+from repro.utils.arrays import resolve_dtype
 
 __all__ = [
     "SourceParameters",
@@ -116,8 +116,11 @@ class ScenarioPlan:
     gauge_cells: tuple[tuple[int, int], ...]
     cell_x: np.ndarray
     cell_y: np.ndarray
-    #: solve dtype of this level's forward runs (the precision ladder's rung)
-    dtype: np.dtype = np.dtype(np.float64)
+
+    @property
+    def dtype(self) -> np.dtype:
+        """Solve dtype of this level's forward runs (its solver's dtype)."""
+        return self.solver.dtype
 
     def displacement(
         self,
@@ -163,11 +166,10 @@ class TohokuLikeScenario:
         bathymetry).  The number of cells can be reduced for fast test runs.
     source_amplitude, source_radius:
         Fixed (assumed known) source parameters; only the location is inferred.
-    precision:
-        Precision-ladder policy (``"float64"``, ``"float32-coarse"``,
-        ``"float32"``) mapping each level to its solve dtype.  Parameters and
-        observables stay double regardless — only the forward solves run at
-        the level's dtype.
+    dtype:
+        Solve dtype of every level's forward runs (``None`` means
+        ``float64``; ``float32`` is accepted).  Parameters and observables
+        stay double regardless — only the time loops run at this dtype.
     """
 
     #: gauge locations loosely mimicking DART buoys 21418 and 21419 relative
@@ -187,7 +189,7 @@ class TohokuLikeScenario:
         source_radius: float = 30e3,
         gauges: tuple[Gauge, ...] | None = None,
         cfl: float = 0.45,
-        precision: str | None = None,
+        dtype=None,
     ) -> None:
         self.extent = extent
         self.epicenter = epicenter
@@ -206,9 +208,8 @@ class TohokuLikeScenario:
                 LevelConfiguration(level=2, num_cells=241, bathymetry_treatment="full", limiter=True),
             )
         )
-        self.precision = precision or "float64"
-        self._level_dtypes = level_dtypes(self.precision, len(self.level_configs))
-        self._plan_cache: dict[tuple[int, int, str], ScenarioPlan] = {}
+        self.dtype = resolve_dtype(dtype)
+        self._plan_cache: dict[tuple[int, int], ScenarioPlan] = {}
 
     # ------------------------------------------------------------------
     @property
@@ -237,8 +238,7 @@ class TohokuLikeScenario:
         work reduces to the time loop.
         """
         config = self.level_configs[level]
-        dtype = self.level_dtype(level)
-        key = (level, config.num_cells, dtype.str)
+        key = (level, config.num_cells)
         if key not in self._plan_cache:
             solver = ShallowWaterSolver2D(
                 nx=config.num_cells,
@@ -246,7 +246,7 @@ class TohokuLikeScenario:
                 extent=self.extent,
                 bathymetry=self.level_bathymetry(level),
                 cfl=self.cfl,
-                dtype=dtype,
+                dtype=self.dtype,
             )
             cell_x, cell_y = solver.cell_centers()
             self._plan_cache[key] = ScenarioPlan(
@@ -256,13 +256,8 @@ class TohokuLikeScenario:
                 gauge_cells=tuple(solver.locate_cell(g.x, g.y) for g in self.gauges),
                 cell_x=cell_x,
                 cell_y=cell_y,
-                dtype=dtype,
             )
         return self._plan_cache[key]
-
-    def level_dtype(self, level: int) -> np.dtype:
-        """The solve dtype of one level under the scenario's precision ladder."""
-        return self._level_dtypes[level]
 
     def solver(self, level: int) -> ShallowWaterSolver2D:
         """The (cached) FV solver for the given level."""

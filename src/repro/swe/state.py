@@ -20,8 +20,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.utils.array_api import array_namespace
-
 __all__ = [
     "ShallowWaterState",
     "ShallowWaterEnsembleState",
@@ -36,16 +34,15 @@ GRAVITY = 9.81
 
 
 def _float_field(values):
-    """Coerce to a floating array, preserving the backend and a float32 dtype.
+    """Coerce to a floating array, preserving a float32 dtype.
 
     Integer and exotic inputs become float64; float32/float64 arrays pass
     through untouched so single-precision ensembles stay single precision.
     """
-    xp = array_namespace(values)
-    array = xp.asarray(values)
-    if array.dtype == xp.float32 or array.dtype == xp.float64:
+    array = np.asarray(values)
+    if array.dtype == np.float32 or array.dtype == np.float64:
         return array
-    return xp.asarray(array, dtype=xp.float64)
+    return np.asarray(array, dtype=np.float64)
 
 
 @dataclass
@@ -84,10 +81,9 @@ class ShallowWaterState:
 
         Cells whose bathymetry is above the sea level are dry (``h = 0``).
         """
-        xp = array_namespace(bathymetry)
         b = _float_field(bathymetry)
-        h = xp.maximum(sea_level - b, 0.0)
-        return cls(h=h, hu=xp.zeros_like(h), hv=xp.zeros_like(h), b=b.copy())
+        h = np.maximum(sea_level - b, 0.0)
+        return cls(h=h, hu=np.zeros_like(h), hv=np.zeros_like(h), b=b.copy())
 
     def copy(self) -> "ShallowWaterState":
         """Deep copy of the state."""
@@ -192,11 +188,10 @@ class ShallowWaterEnsembleState:
         cls, bathymetry: np.ndarray, batch_size: int, sea_level: float = 0.0
     ) -> "ShallowWaterEnsembleState":
         """``batch_size`` identical lake-at-rest members over one bathymetry."""
-        xp = array_namespace(bathymetry)
         single = _float_field(bathymetry)
-        b = xp.broadcast_to(single, (batch_size,) + single.shape).copy()
-        h = xp.maximum(sea_level - b, 0.0)
-        return cls(h=h, hu=xp.zeros_like(h), hv=xp.zeros_like(h), b=b)
+        b = np.broadcast_to(single, (batch_size,) + single.shape).copy()
+        h = np.maximum(sea_level - b, 0.0)
+        return cls(h=h, hu=np.zeros_like(h), hv=np.zeros_like(h), b=b)
 
     @classmethod
     def from_states(cls, states: list[ShallowWaterState]) -> "ShallowWaterEnsembleState":
@@ -260,14 +255,13 @@ class ShallowWaterEnsembleState:
         per-member maximum equals the scalar wet-cell maximum (and is zero
         for all-dry members).
         """
-        xp = array_namespace(self.h)
         wet = self.wet
-        safe_h = xp.where(wet, self.h, 1.0)
-        u = xp.where(wet, self.hu / safe_h, 0.0)
-        v = xp.where(wet, self.hv / safe_h, 0.0)
-        speed = xp.where(
+        safe_h = np.where(wet, self.h, 1.0)
+        u = np.where(wet, self.hu / safe_h, 0.0)
+        v = np.where(wet, self.hv / safe_h, 0.0)
+        speed = np.where(
             wet,
-            xp.maximum(xp.abs(u), xp.abs(v)) + xp.sqrt(gravity * xp.where(wet, self.h, 0.0)),
+            np.maximum(np.abs(u), np.abs(v)) + np.sqrt(gravity * np.where(wet, self.h, 0.0)),
             0.0,
         )
         return speed.max(axis=(1, 2))

@@ -1,4 +1,4 @@
-"""Shared utilities: RNG management, running statistics, array namespaces.
+"""Shared utilities: RNG management, running statistics, array conversion.
 
 These helpers are deliberately dependency-light; every other subpackage builds
 on them.  They mirror the kind of infrastructure MUQ provides in C++

@@ -505,7 +505,7 @@ class TestExperimentsBudgetPlumbing:
 
         spec = ExperimentSpec(name="t", driver="sequential")
         manifest = build_manifest(spec, results={"value": 1.0}, wall_time_s=0.1)
-        assert manifest["schema_version"] == 6
+        assert manifest["schema_version"] == 7
         assert manifest["allocation"] == {"policy": "fixed"}
         validate_manifest(manifest)
 

