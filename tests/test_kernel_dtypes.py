@@ -17,11 +17,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.fem.assembly import AssemblyPlan
 from repro.fem.poisson import PoissonSolver
-from repro.models.gaussian import GaussianIdentityForwardModel
+from repro.models.gaussian import GaussianHierarchyFactory, GaussianIdentityForwardModel
 from repro.models.poisson import PoissonInverseProblemFactory
+from repro.models.tsunami import TsunamiInverseProblemFactory
 from repro.swe.scenario import LevelConfiguration, TohokuLikeScenario
-from repro.utils.arrays import resolve_dtype
+from repro.utils.arrays import float_vector, resolve_dtype
 
 
 def test_resolve_dtype():
@@ -30,6 +32,42 @@ def test_resolve_dtype():
     assert resolve_dtype(np.float64) == np.dtype(np.float64)
     with pytest.raises(ValueError, match="unsupported kernel dtype"):
         resolve_dtype(np.int64)
+
+
+def test_kernels_reject_non_float_dtypes():
+    grid = _poisson_factory((8,)).forward_model(0).grid
+    with pytest.raises(ValueError, match="unsupported kernel dtype"):
+        PoissonSolver(grid, dtype=np.int64)
+    with pytest.raises(ValueError, match="unsupported kernel dtype"):
+        AssemblyPlan(grid, dtype=np.float16)
+    with pytest.raises(ValueError, match="unsupported kernel dtype"):
+        TohokuLikeScenario(dtype=np.int32)
+
+
+def test_float_vector_passes_double_vectors_through():
+    vector = np.array([1.0, 2.0, 3.0])
+    assert float_vector(vector) is vector
+    for value, expected in (
+        (2, [2.0]),
+        ([[1, 2], [3, 4]], [1.0, 2.0, 3.0, 4.0]),
+        (np.array([1.5, 2.5], dtype=np.float32), [1.5, 2.5]),
+        (np.arange(6.0)[::2], [0.0, 2.0, 4.0]),
+    ):
+        out = float_vector(value)
+        assert out.dtype == np.float64 and out.ndim == 1 and out.flags.c_contiguous
+        assert np.array_equal(out, expected)
+
+
+def test_factories_take_no_precision_argument():
+    """The model stack runs in float64: no factory accepts a precision ladder."""
+    with pytest.raises(TypeError, match="precision"):
+        GaussianHierarchyFactory(dim=2, num_levels=2, precision="float32-coarse")
+    with pytest.raises(TypeError, match="precision"):
+        PoissonInverseProblemFactory(mesh_sizes=(8,), precision="float32")
+    with pytest.raises(TypeError, match="precision"):
+        TsunamiInverseProblemFactory(precision="float32")
+    with pytest.raises(TypeError):
+        GaussianIdentityForwardModel(dim=2, dtype=np.float32)
 
 
 def test_gaussian_identity_returns_a_double_copy():
@@ -83,6 +121,30 @@ class TestDtypeParity:
         for row, theta in zip(batched, block):
             scalar = solver32.solve_and_observe(model.diffusion_coefficients(theta), points)
             assert np.array_equal(row, scalar)
+
+    def test_assembly_plan_carries_its_dtype(self):
+        grid = _poisson_factory((8,)).forward_model(0).grid
+        boundary = np.arange(grid.nx + 1)
+        kappa = np.linspace(1.0, 2.0, grid.num_elements)
+        plans = {
+            dtype: AssemblyPlan(grid, boundary, source=1.0, dtype=dtype)
+            for dtype in (np.float32, np.float64)
+        }
+        bands = {}
+        for dtype, plan in plans.items():
+            assert plan.dtype == np.dtype(dtype)
+            assert plan.load.dtype == dtype and plan.band_scatter.dtype == dtype
+            assert plan.coefficients(kappa).dtype == dtype
+            lifting = plan.lifting(0.5)
+            assert lifting.dtype == dtype
+            (band, rhs), = plan.band_systems(kappa[None, :], lifting)
+            assert band.dtype == dtype and rhs.dtype == dtype
+            bands[dtype] = band
+            assert plan.expand(np.zeros(plan.num_interior), 0.5).dtype == dtype
+        # the plan geometry is computed in double either way
+        assert plans[np.float32].bandwidth == plans[np.float64].bandwidth
+        assert np.array_equal(plans[np.float32].interior, plans[np.float64].interior)
+        np.testing.assert_allclose(bands[np.float32], bands[np.float64], rtol=1e-6)
 
     def test_tsunami_forward_parity(self):
         def scenario(dtype=None):
